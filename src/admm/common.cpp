@@ -9,52 +9,6 @@
 
 namespace psra::admm {
 
-namespace {
-
-/// ||x - z||, ||x||, ||y|| in one pass over the feature dimension. Each
-/// accumulator uses the same four-lane order as linalg::DistanceL2/Norm2,
-/// so the three results are bitwise-identical to the separate calls while
-/// reading x/z/y once instead of loading x twice and touching memory five
-/// times.
-void WorkerNorms(std::span<const double> x, std::span<const double> z,
-                 std::span<const double> y, double& dist_xz, double& norm_x,
-                 double& norm_y) {
-  const std::size_t n = x.size();
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = x[i] - z[i];
-    const double d1 = x[i + 1] - z[i + 1];
-    const double d2 = x[i + 2] - z[i + 2];
-    const double d3 = x[i + 3] - z[i + 3];
-    p0 += d0 * d0;
-    p1 += d1 * d1;
-    p2 += d2 * d2;
-    p3 += d3 * d3;
-    a0 += x[i] * x[i];
-    a1 += x[i + 1] * x[i + 1];
-    a2 += x[i + 2] * x[i + 2];
-    a3 += x[i + 3] * x[i + 3];
-    b0 += y[i] * y[i];
-    b1 += y[i + 1] * y[i + 1];
-    b2 += y[i + 2] * y[i + 2];
-    b3 += y[i + 3] * y[i + 3];
-  }
-  for (; i < n; ++i) {
-    const double d = x[i] - z[i];
-    p0 += d * d;
-    a0 += x[i] * x[i];
-    b0 += y[i] * y[i];
-  }
-  dist_xz = std::sqrt((p0 + p1) + (p2 + p3));
-  norm_x = std::sqrt((a0 + a1) + (a2 + a3));
-  norm_y = std::sqrt((b0 + b1) + (b2 + b3));
-}
-
-}  // namespace
-
 double ComputeMultiplier(const ClusterConfig& cluster,
                          const simnet::Topology& topo,
                          const simnet::StragglerModel& stragglers,
@@ -254,7 +208,8 @@ WorkerSet::Residuals WorkerSet::ComputeResiduals(
   norm_x_.resize(n);
   norm_y_.resize(n);
   auto body = [&](std::size_t i) {
-    WorkerNorms(x_[i], z_[i], y_[i], norm_primal_[i], norm_x_[i], norm_y_[i]);
+    linalg::DistanceAndNorms(x_[i], z_[i], y_[i], norm_primal_[i], norm_x_[i],
+                             norm_y_[i]);
   };
   if (options_->pool != nullptr) {
     options_->pool->ParallelFor(n, body);

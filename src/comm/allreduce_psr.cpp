@@ -136,21 +136,17 @@ void PsrAllreduce::ReduceSparse(const GroupComm& group,
   const std::uint64_t dim = detail::CheckSparseInputs(group, inputs, starts);
   const GroupRank n = group.size();
 
-  // Reduce each block in ascending contributor order. The ping-pong through
-  // sparse_tmp/sparse_tmp2 keeps every merge in recycled storage.
-  auto& reduced = scratch.sparse_blocks;
-  reduced.resize(n);
+  // Each owner folds its block in ascending contributor order, straight
+  // into `sum` (blocks are disjoint and ascending).
+  auto& block_nnz = scratch.sizes;
+  block_nnz.resize(n);
+  sum.Clear(dim);
   for (GroupRank j = 0; j < n; ++j) {
     const auto [lo, hi] = group.BlockRange(dim, j);
-    inputs[0].SliceInto(lo, hi, reduced[j]);
-    for (GroupRank i = 1; i < n; ++i) {
-      inputs[i].SliceInto(lo, hi, scratch.sparse_tmp);
-      linalg::SparseVector::SumInto(reduced[j], scratch.sparse_tmp,
-                                    scratch.sparse_tmp2);
-      std::swap(reduced[j], scratch.sparse_tmp2);
-    }
+    scratch.sparse_fold.Reset(lo, hi);
+    for (GroupRank i = 0; i < n; ++i) scratch.sparse_fold.Add(inputs[i]);
+    block_nnz[j] = scratch.sparse_fold.AppendTo(sum);
   }
-  linalg::SparseVector::ConcatDisjointInto(reduced, sum);
 
   PsrTiming(
       group, starts,
@@ -158,7 +154,7 @@ void PsrAllreduce::ReduceSparse(const GroupComm& group,
         const auto [lo, hi] = group.BlockRange(dim, j);
         return inputs[i].CountInRange(lo, hi);
       },
-      [&](GroupRank j) { return reduced[j].nnz(); },
+      [&](GroupRank j) { return block_nnz[j]; },
       /*sparse=*/true, /*skip_empty=*/true, scratch, stats);
 }
 

@@ -91,10 +91,9 @@ struct AllreduceScratch {
   std::vector<simnet::VirtualTime> times_c;
   std::vector<simnet::VirtualTime> times_d;
   std::vector<std::size_t> sizes;
-  // Sparse payloads: per-block partials plus ping-pong accumulators.
-  std::vector<linalg::SparseVector> sparse_blocks;
+  // Sparse payloads: the PSR owner's block fold and a merge accumulator.
+  linalg::SparseBlockFold sparse_fold;
   linalg::SparseVector sparse_tmp;
-  linalg::SparseVector sparse_tmp2;
   // Ring block state: blocks[member][block] plus per-round in-flight copies.
   std::vector<std::vector<linalg::DenseVector>> dense_ring;
   std::vector<linalg::DenseVector> dense_in_flight;

@@ -138,7 +138,8 @@ struct Scratch {
   std::vector<std::uint64_t> idx;
   std::vector<double> val;
   linalg::DenseVector dense_a, dense_b;
-  linalg::SparseVector sp_a, sp_b, sp_c;
+  linalg::SparseVector sp_a, sp_b;
+  linalg::SparseBlockFold fold;
   std::vector<linalg::SparseVector> sp_blocks;
   std::vector<linalg::DenseVector> dn_blocks;
 };
@@ -238,21 +239,19 @@ void PsrSparse(Wire& w, Tag base, ElemPricing pr,
     }
     ++st.rounds;
 
-    // Reduce my block: start from rank 0's slice, SumInto ascending.
+    // Reduce my block with the simulator's block fold, contributors in
+    // ascending group-rank order.
+    sc.fold.Reset(mlo, mhi);
     for (GroupRank g = 0; g < n; ++g) {
-      linalg::SparseVector* contrib = &sc.sp_a;
       if (g == w.me) {
-        input.SliceInto(mlo, mhi, sc.sp_a);
+        sc.fold.Add(input);
       } else {
         w.RecvSparse(g, base, dim, sc.sp_a, sc.bytes, sc.idx, sc.val);
-      }
-      if (g == 0) {
-        acc = *contrib;
-      } else {
-        linalg::SparseVector::SumInto(acc, *contrib, sc.sp_c);
-        std::swap(acc, sc.sp_c);
+        sc.fold.Add(sc.sp_a);
       }
     }
+    acc.Clear(dim);
+    sc.fold.AppendTo(acc);
   }
 
   auto& blocks = sc.sp_blocks;

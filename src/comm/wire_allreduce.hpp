@@ -10,8 +10,9 @@
 //   psr    dense:  owner accumulates block contributions in ascending
 //                  group-rank order into a zero-initialized block (the
 //                  simulator's zeros + Axpy fold restricted to the block);
-//          sparse: owner starts from rank 0's slice, then SumInto in
-//                  ascending contributor order (simulator's ping-pong).
+//          sparse: owner folds the block contributions in ascending
+//                  group-rank order through linalg::SparseBlockFold, the
+//                  simulator's own block reduce.
 //   ring   both:   receiver folds the incoming partial INTO its local block
 //                  (dst += src) following the ring schedule — deliberately
 //                  NOT ascending-rank order, because that is what the

@@ -2,10 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "support/status.hpp"
 
 namespace psra::linalg {
+
+namespace {
+
+// The four-lane summation order of Dot, Norm2, DistanceL2,
+// DistanceAndNorms and the fused update kernels: lane k sums the terms of
+// indices i = k (mod 4) in index order over the full quads, the n % 4 tail
+// terms then join lane 0 in index order, and the lanes combine as
+// (l0 + l1) + (l2 + l3). A single accumulator would serialize on FP-add
+// latency; the lane of an index is fixed, so the result is deterministic
+// (just a different, equally valid, summation order).
+//
+// The lanes live in one GCC/Clang 4-double vector, so a quad costs one
+// vector multiply-add instead of permutes feeding scalar adds. Quads are
+// passed by reference only: a by-value 32-byte vector has a
+// -march-dependent ABI.
+typedef double Quad __attribute__((vector_size(32)));
+
+// Four consecutive doubles at any alignment; memcpy compiles to one
+// unaligned vector move.
+void Load(Quad& q, const double* p) { std::memcpy(&q, p, sizeof q); }
+void Store(double* p, const Quad& q) { std::memcpy(p, &q, sizeof q); }
+
+class FourLaneSum {
+ public:
+  void AddQuad(const Quad& terms) { lanes_ += terms; }
+  /// Tail terms come after every quad, in index order.
+  void AddTail(double term) { lanes_[0] += term; }
+  double Total() const {
+    return (lanes_[0] + lanes_[1]) + (lanes_[2] + lanes_[3]);
+  }
+
+ private:
+  Quad lanes_{};
+};
+
+}  // namespace
 
 void Axpy(double alpha, std::span<const double> x, std::span<double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "axpy dimension mismatch");
@@ -20,56 +57,44 @@ double AxpyNormSq(double alpha, std::span<const double> x,
                   std::span<double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "axpy-normsq dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  FourLaneSum s;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double t0 = y[i] + alpha * x[i];
-    const double t1 = y[i + 1] + alpha * x[i + 1];
-    const double t2 = y[i + 2] + alpha * x[i + 2];
-    const double t3 = y[i + 3] + alpha * x[i + 3];
-    y[i] = t0;
-    y[i + 1] = t1;
-    y[i + 2] = t2;
-    y[i + 3] = t3;
-    a0 += t0 * t0;
-    a1 += t1 * t1;
-    a2 += t2 * t2;
-    a3 += t3 * t3;
+    Quad t{}, xq{};
+    Load(t, y.data() + i);
+    Load(xq, x.data() + i);
+    t += alpha * xq;
+    Store(y.data() + i, t);
+    s.AddQuad(t * t);
   }
   for (; i < n; ++i) {
     const double t = y[i] + alpha * x[i];
     y[i] = t;
-    a0 += t * t;
+    s.AddTail(t * t);
   }
-  return (a0 + a1) + (a2 + a3);
+  return s.Total();
 }
 
 double XpayNormSq(double beta, std::span<const double> x,
                   std::span<double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "xpay-normsq dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  FourLaneSum s;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double t0 = x[i] + beta * y[i];
-    const double t1 = x[i + 1] + beta * y[i + 1];
-    const double t2 = x[i + 2] + beta * y[i + 2];
-    const double t3 = x[i + 3] + beta * y[i + 3];
-    y[i] = t0;
-    y[i + 1] = t1;
-    y[i + 2] = t2;
-    y[i + 3] = t3;
-    a0 += t0 * t0;
-    a1 += t1 * t1;
-    a2 += t2 * t2;
-    a3 += t3 * t3;
+    Quad t{}, yq{};
+    Load(t, x.data() + i);
+    Load(yq, y.data() + i);
+    t += beta * yq;
+    Store(y.data() + i, t);
+    s.AddQuad(t * t);
   }
   for (; i < n; ++i) {
     const double t = x[i] + beta * y[i];
     y[i] = t;
-    a0 += t * t;
+    s.AddTail(t * t);
   }
-  return (a0 + a1) + (a2 + a3);
+  return s.Total();
 }
 
 double CopyNormSq(std::span<const double> src, std::span<double> dst,
@@ -77,23 +102,19 @@ double CopyNormSq(std::span<const double> src, std::span<double> dst,
   PSRA_REQUIRE(src.size() == dst.size() && src.size() == v.size(),
                "copy-normsq dimension mismatch");
   const std::size_t n = src.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  FourLaneSum s;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    dst[i] = src[i];
-    dst[i + 1] = src[i + 1];
-    dst[i + 2] = src[i + 2];
-    dst[i + 3] = src[i + 3];
-    a0 += v[i] * v[i];
-    a1 += v[i + 1] * v[i + 1];
-    a2 += v[i + 2] * v[i + 2];
-    a3 += v[i + 3] * v[i + 3];
+    std::memcpy(dst.data() + i, src.data() + i, sizeof(Quad));
+    Quad vq{};
+    Load(vq, v.data() + i);
+    s.AddQuad(vq * vq);
   }
   for (; i < n; ++i) {
     dst[i] = src[i];
-    a0 += v[i] * v[i];
+    s.AddTail(v[i] * v[i]);
   }
-  return (a0 + a1) + (a2 + a3);
+  return s.Total();
 }
 
 void Gemv(std::span<const double> a, std::size_t rows, std::size_t cols,
@@ -179,39 +200,22 @@ void GemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
   }
 }
 
-// Dot/Norm2/DistanceL2 accumulate in four independent lanes: a single
-// accumulator serializes on floating-point add latency, which makes these
-// reductions ~4x slower than the loads themselves. The lane assignment is a
-// fixed function of the element index, so the result is deterministic (it is
-// just a different — equally valid — summation order).
 double Dot(std::span<const double> x, std::span<const double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "dot dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  FourLaneSum s;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    a0 += x[i] * y[i];
-    a1 += x[i + 1] * y[i + 1];
-    a2 += x[i + 2] * y[i + 2];
-    a3 += x[i + 3] * y[i + 3];
+    Quad xq{}, yq{};
+    Load(xq, x.data() + i);
+    Load(yq, y.data() + i);
+    s.AddQuad(xq * yq);
   }
-  for (; i < n; ++i) a0 += x[i] * y[i];
-  return (a0 + a1) + (a2 + a3);
+  for (; i < n; ++i) s.AddTail(x[i] * y[i]);
+  return s.Total();
 }
 
-double Norm2(std::span<const double> x) {
-  const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += x[i] * x[i];
-    a1 += x[i + 1] * x[i + 1];
-    a2 += x[i + 2] * x[i + 2];
-    a3 += x[i + 3] * x[i + 3];
-  }
-  for (; i < n; ++i) a0 += x[i] * x[i];
-  return std::sqrt((a0 + a1) + (a2 + a3));
-}
+double Norm2(std::span<const double> x) { return std::sqrt(Dot(x, x)); }
 
 double Norm1(std::span<const double> x) {
   double acc = 0.0;
@@ -228,23 +232,49 @@ double NormInf(std::span<const double> x) {
 double DistanceL2(std::span<const double> x, std::span<const double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "distance dimension mismatch");
   const std::size_t n = x.size();
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  FourLaneSum s;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double d0 = x[i] - y[i];
-    const double d1 = x[i + 1] - y[i + 1];
-    const double d2 = x[i + 2] - y[i + 2];
-    const double d3 = x[i + 3] - y[i + 3];
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
+    Quad d{}, yq{};
+    Load(d, x.data() + i);
+    Load(yq, y.data() + i);
+    d -= yq;
+    s.AddQuad(d * d);
   }
   for (; i < n; ++i) {
     const double d = x[i] - y[i];
-    a0 += d * d;
+    s.AddTail(d * d);
   }
-  return std::sqrt((a0 + a1) + (a2 + a3));
+  return std::sqrt(s.Total());
+}
+
+void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
+                      std::span<const double> y, double& dist_xz,
+                      double& norm_x, double& norm_y) {
+  PSRA_REQUIRE(x.size() == z.size() && x.size() == y.size(),
+               "distance-and-norms dimension mismatch");
+  const std::size_t n = x.size();
+  FourLaneSum sd, sx, sy;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    Quad xq{}, zq{}, yq{};
+    Load(xq, x.data() + i);
+    Load(zq, z.data() + i);
+    Load(yq, y.data() + i);
+    const Quad d = xq - zq;
+    sd.AddQuad(d * d);
+    sx.AddQuad(xq * xq);
+    sy.AddQuad(yq * yq);
+  }
+  for (; i < n; ++i) {
+    const double d = x[i] - z[i];
+    sd.AddTail(d * d);
+    sx.AddTail(x[i] * x[i]);
+    sy.AddTail(y[i] * y[i]);
+  }
+  dist_xz = std::sqrt(sd.Total());
+  norm_x = std::sqrt(sx.Total());
+  norm_y = std::sqrt(sy.Total());
 }
 
 void Add(std::span<const double> x, std::span<const double> y,

@@ -18,9 +18,9 @@ void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 // Fused BLAS-1 kernels (DESIGN.md §14). Each combines an update with the
 // reduction the solver needs next, so the vector is streamed once instead of
-// twice. All reductions use the same four-lane accumulator order as Dot, so
-// results are deterministic and identical to the unfused
-// update-then-reduce pair the TRON inner loop used to hand-roll.
+// twice. Every reduction in this file (Dot, Norm2, DistanceL2 and the fused
+// kernels) uses one four-lane summation order (DESIGN.md §7), so a fused
+// kernel returns bitwise what the unfused update-then-reduce pair would.
 
 /// y += alpha * x, returning ||y||^2 (four-lane order).
 double AxpyNormSq(double alpha, std::span<const double> x,
@@ -65,6 +65,12 @@ double NormInf(std::span<const double> x);
 
 /// ||x - y||_2
 double DistanceL2(std::span<const double> x, std::span<const double> y);
+
+/// ||x - z||_2, ||x||_2 and ||y||_2 in one pass, each bitwise equal to the
+/// separate DistanceL2 / Norm2 call (the ADMM residual norms of one worker).
+void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
+                      std::span<const double> y, double& dist_xz,
+                      double& norm_x, double& norm_y);
 
 /// out = x + y (resizes out)
 void Add(std::span<const double> x, std::span<const double> y,

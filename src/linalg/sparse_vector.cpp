@@ -28,16 +28,34 @@ SparseVector SparseVector::FromDense(std::span<const double> dense,
   return out;
 }
 
+template <typename Keep>
+std::size_t SparseVector::CompactFrom(std::size_t base, Index first,
+                                      std::span<const double> vals,
+                                      Keep keep) {
+  // Every candidate is written; the cursor advances only past kept ones.
+  indices_.resize(base + vals.size());
+  values_.resize(base + vals.size());
+  std::size_t w = base;
+  for (std::size_t k = 0; k < vals.size(); ++k) {
+    indices_[w] = first + k;
+    values_[w] = vals[k];
+    w += keep(k) ? 1 : 0;
+  }
+  indices_.resize(w);
+  values_.resize(w);
+  return w - base;
+}
+
 void SparseVector::AssignFromDense(std::span<const double> dense, double tol) {
   dim_ = static_cast<Index>(dense.size());
+  CompactFrom(0, 0, dense,
+              [&](std::size_t k) { return std::fabs(dense[k]) > tol; });
+}
+
+void SparseVector::Clear(Index dim) {
+  dim_ = dim;
   indices_.clear();
   values_.clear();
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    if (std::fabs(dense[i]) > tol) {
-      indices_.push_back(static_cast<Index>(i));
-      values_.push_back(dense[i]);
-    }
-  }
 }
 
 DenseVector SparseVector::ToDense() const {
@@ -190,6 +208,36 @@ void SparseVector::ConcatDisjointInto(std::span<const SparseVector> parts,
                         p.indices_.end());
     out.values_.insert(out.values_.end(), p.values_.begin(), p.values_.end());
   }
+}
+
+void SparseBlockFold::Reset(Index lo, Index hi) {
+  PSRA_REQUIRE(lo <= hi, "bad fold range");
+  lo_ = lo;
+  hi_ = hi;
+  acc_.resize(static_cast<std::size_t>(hi - lo));
+  present_.assign(static_cast<std::size_t>(hi - lo), 0);
+}
+
+void SparseBlockFold::Add(const SparseVector& v) {
+  const auto idx = v.indices();
+  const auto first = std::lower_bound(idx.begin(), idx.end(), lo_);
+  const auto last = std::lower_bound(first, idx.end(), hi_);
+  for (auto k = static_cast<std::size_t>(first - idx.begin());
+       k < static_cast<std::size_t>(last - idx.begin()); ++k) {
+    const auto b = static_cast<std::size_t>(idx[k] - lo_);
+    const double value = v.values()[k];
+    const double folded = acc_[b] + value;
+    acc_[b] = present_[b] != 0 ? folded : value;
+    present_[b] = 1;
+  }
+}
+
+std::size_t SparseBlockFold::AppendTo(SparseVector& out) const {
+  PSRA_REQUIRE(hi_ <= out.dim_, "fold block exceeds the output dimension");
+  PSRA_REQUIRE(out.indices_.empty() || out.indices_.back() < lo_,
+               "fold blocks must be appended in ascending order");
+  return out.CompactFrom(out.nnz(), lo_, acc_,
+                         [&](std::size_t k) { return present_[k] != 0; });
 }
 
 }  // namespace psra::linalg

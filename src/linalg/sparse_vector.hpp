@@ -21,18 +21,22 @@ class SparseVector {
   SparseVector() = default;
 
   /// Constructs from parallel arrays; indices must be strictly increasing and
-  /// < dim. Zero values are kept only if `keep_zeros`.
+  /// < dim. Zero values are kept as given.
   SparseVector(Index dim, std::vector<Index> indices,
                std::vector<double> values);
 
-  /// Builds from a dense vector, dropping entries with |v| <= tol.
+  /// Builds from a dense vector, keeping exactly the entries with
+  /// |v| > tol (so ±0.0 and NaN are dropped, subnormals kept at tol = 0).
   static SparseVector FromDense(std::span<const double> dense,
                                 double tol = 0.0);
 
   /// In-place FromDense: overwrites this vector with the sparse form of
-  /// `dense`, reusing the existing index/value storage. Steady-state
-  /// allocation-free once capacity has grown to the working nnz.
+  /// `dense`, reusing the existing index/value storage. Allocation-free once
+  /// capacity has grown to dense.size().
   void AssignFromDense(std::span<const double> dense, double tol = 0.0);
+
+  /// Makes this the empty vector of dimension `dim`, keeping its storage.
+  void Clear(Index dim);
 
   /// Expands to a dense vector of size dim().
   DenseVector ToDense() const;
@@ -99,9 +103,47 @@ class SparseVector {
   bool operator==(const SparseVector& other) const = default;
 
  private:
+  friend class SparseBlockFold;
+
+  /// Branchless compaction: overwrites entries from position `base` on with
+  /// (first + k, vals[k]) for every k where keep(k), in order, and truncates
+  /// after the last one. Returns the number kept.
+  template <typename Keep>
+  std::size_t CompactFrom(std::size_t base, Index first,
+                          std::span<const double> vals, Keep keep);
+
   Index dim_ = 0;
   std::vector<Index> indices_;  // strictly increasing
   std::vector<double> values_;  // parallel to indices_
+};
+
+/// Sums sparse vectors over one index block [lo, hi) without pairwise
+/// merges: a dense block accumulator plus presence flags. An index's first
+/// contribution is copied and later ones are added in Add() order, so the
+/// result has exactly the entries and bits of the SumInto chain
+/// ((c0 + c1) + c2) + ... over the same contributions restricted to the
+/// block. Entries that cancel to 0.0 stay, as they do in SumInto. This is
+/// the PSR block owner's reduce (DESIGN.md §7); storage is recycled across
+/// Reset() calls.
+class SparseBlockFold {
+ public:
+  using Index = SparseVector::Index;
+
+  /// Starts an empty fold over [lo, hi).
+  void Reset(Index lo, Index hi);
+
+  /// Folds in the entries of `v` whose index lies in [lo, hi).
+  void Add(const SparseVector& v);
+
+  /// Appends the folded entries to `out` in index order and returns their
+  /// count. `out` must have dimension >= hi and no entry at or above lo.
+  std::size_t AppendTo(SparseVector& out) const;
+
+ private:
+  Index lo_ = 0;
+  Index hi_ = 0;
+  std::vector<double> acc_;             // valid where present_ is set
+  std::vector<unsigned char> present_;  // one flag per block index
 };
 
 }  // namespace psra::linalg

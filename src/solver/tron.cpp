@@ -79,8 +79,10 @@ CgOutcome TruncatedCg(const ProximalLogistic& f, std::span<const double> grad,
     }
 
     // Fused residual update + <r, r>, then p = r + beta p fused with <p, p>
-    // for the next quadratic/boundary use.
+    // for the next quadratic/boundary use. When the next pass would exit on
+    // the residual test or the step cap, p is dead: skip its sweep.
     const double rr_new = linalg::AxpyNormSq(-alpha, hp, r);
+    if (std::sqrt(rr_new) <= stop || j + 1 == opt.max_cg_iterations) break;
     const double beta = rr_new / rr;
     pp = linalg::XpayNormSq(beta, r, p);
     rr = rr_new;

@@ -11,6 +11,8 @@
 //               sums grow while circulating: Ring's true worst case).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "comm/allreduce_impl.hpp"
@@ -743,6 +745,253 @@ TEST(FaultyReduce, SparseAndDenseFaultyPathsAgree) {
       EXPECT_DOUBLE_EQ(ssum_dense[k], dsum[k]) << "component " << k;
     }
   }
+}
+
+// --------------------------------- PSR sparse fold vs the merge chain ----
+
+/// The PSR sparse reduce as a pairwise merge chain: every block starts from
+/// member 0's slice and SumInto-merges the other members' slices in
+/// ascending order. Timing follows the sender-serialized PSR schedule
+/// (DESIGN.md §2); empty sparse payloads are not sent.
+void ChainPsrSparse(const GroupComm& group,
+                    std::span<const SparseVector> inputs,
+                    std::span<const VirtualTime> starts, SparseVector& sum,
+                    std::vector<std::size_t>& block_nnz, CommStats& st) {
+  const GroupRank n = group.size();
+  const std::uint64_t dim = inputs[0].dim();
+  std::vector<SparseVector> blocks(n);
+  block_nnz.assign(n, 0);
+  for (GroupRank j = 0; j < n; ++j) {
+    const auto [lo, hi] = group.BlockRange(dim, j);
+    inputs[0].SliceInto(lo, hi, blocks[j]);
+    for (GroupRank i = 1; i < n; ++i) {
+      SparseVector slice, merged;
+      inputs[i].SliceInto(lo, hi, slice);
+      SparseVector::SumInto(blocks[j], slice, merged);
+      blocks[j] = merged;
+    }
+    block_nnz[j] = blocks[j].nnz();
+  }
+  sum = SparseVector::ConcatDisjoint(blocks);
+
+  st.Reset(n);
+  if (n == 1) {
+    st.finish_times[0] = st.all_done = st.scatter_reduce_done = starts[0];
+    return;
+  }
+  const std::size_t eb = group.pricing().PerElement(true);
+  auto send = [&](GroupRank a, GroupRank b, std::size_t elems,
+                  VirtualTime& clock) {
+    const VirtualTime cost =
+        group.cost_model().SparseTransferTime(group.LinkBetween(a, b), elems);
+    clock += cost;
+    st.CountSend(elems, eb);
+    st.total_send_time += cost;
+  };
+  std::vector<VirtualTime> ready(starts.begin(), starts.end()), sr_done(n);
+  for (GroupRank i = 0; i < n; ++i) {
+    VirtualTime clock = starts[i];
+    for (GroupRank j = 0; j < n; ++j) {
+      const auto [lo, hi] = group.BlockRange(dim, j);
+      const std::size_t elems = inputs[i].CountInRange(lo, hi);
+      if (j == i || elems == 0) continue;
+      send(i, j, elems, clock);
+      ready[j] = std::max(ready[j], clock);
+    }
+    sr_done[i] = clock;
+  }
+  st.scatter_reduce_done = *std::max_element(ready.begin(), ready.end());
+  std::vector<VirtualTime> arrival(n), ag_done(n);
+  for (GroupRank m = 0; m < n; ++m) arrival[m] = std::max(ready[m], sr_done[m]);
+  for (GroupRank j = 0; j < n; ++j) {
+    VirtualTime clock = std::max(ready[j], sr_done[j]);
+    for (GroupRank m = 0; m < n; ++m) {
+      if (m == j || block_nnz[j] == 0) continue;
+      send(j, m, block_nnz[j], clock);
+      arrival[m] = std::max(arrival[m], clock);
+    }
+    ag_done[j] = clock;
+  }
+  st.rounds = 2;
+  for (GroupRank m = 0; m < n; ++m) {
+    st.finish_times[m] = std::max(arrival[m], ag_done[m]);
+  }
+  st.all_done = *std::max_element(st.finish_times.begin(),
+                                  st.finish_times.end());
+}
+
+void ExpectMatchesChain(const GroupComm& group,
+                        std::span<const SparseVector> inputs,
+                        std::span<const VirtualTime> starts,
+                        const SparseVector& sum, const CommStats& stats) {
+  SparseVector want;
+  std::vector<std::size_t> want_nnz;
+  CommStats want_stats;
+  ChainPsrSparse(group, inputs, starts, want, want_nnz, want_stats);
+  EXPECT_EQ(sum.dim(), want.dim());
+  ASSERT_EQ(sum.nnz(), want.nnz());
+  EXPECT_TRUE(std::equal(sum.indices().begin(), sum.indices().end(),
+                         want.indices().begin()));
+  EXPECT_TRUE(std::equal(sum.values().begin(), sum.values().end(),
+                         want.values().begin(), [](double a, double b) {
+                           return std::bit_cast<std::uint64_t>(a) ==
+                                  std::bit_cast<std::uint64_t>(b);
+                         }))
+      << "value bits differ";
+  for (GroupRank j = 0; j < group.size(); ++j) {
+    const auto [lo, hi] = group.BlockRange(sum.dim(), j);
+    EXPECT_EQ(sum.CountInRange(lo, hi), want_nnz[j]) << "block " << j;
+  }
+  EXPECT_EQ(stats, want_stats);
+}
+
+/// Random inputs mixing Gaussian values, exact cancellations (two members
+/// hold +c and -c, the sum is 0.0 and stays an entry) and lone -0.0s.
+std::vector<SparseVector> RandomFoldInputs(Rng& rng, std::uint32_t n,
+                                           std::uint64_t dim, double density) {
+  std::vector<DenseVector> dense(n, DenseVector(dim, 0.0));
+  std::vector<std::vector<bool>> present(n, std::vector<bool>(dim, false));
+  for (std::uint64_t k = 0; k < dim; ++k) {
+    const double kind = rng.NextDouble(0.0, 1.0);
+    if (kind < 0.15 && n >= 2) {
+      const auto a = static_cast<std::uint32_t>(rng.NextBelow(n));
+      const auto b =
+          static_cast<std::uint32_t>((a + 1 + rng.NextBelow(n - 1)) % n);
+      const double c = rng.NextGaussian();
+      dense[a][k] = c;
+      dense[b][k] = -c;
+      present[a][k] = present[b][k] = true;
+    } else if (kind < 0.2) {
+      const auto a = static_cast<std::uint32_t>(rng.NextBelow(n));
+      dense[a][k] = -0.0;
+      present[a][k] = true;
+    } else {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (rng.NextBool(density)) {
+          dense[i][k] = rng.NextGaussian();
+          present[i][k] = true;
+        }
+      }
+    }
+  }
+  std::vector<SparseVector> out;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::vector<SparseVector::Index> idx;
+    std::vector<double> val;
+    for (std::uint64_t k = 0; k < dim; ++k) {
+      if (present[i][k]) {
+        idx.push_back(k);
+        val.push_back(dense[i][k]);
+      }
+    }
+    out.emplace_back(dim, std::move(idx), std::move(val));
+  }
+  return out;
+}
+
+std::vector<VirtualTime> RandomStarts(Rng& rng, std::size_t n) {
+  std::vector<VirtualTime> starts(n);
+  for (auto& t : starts) t = rng.NextDouble(0.0, 5.0);
+  return starts;
+}
+
+TEST(PsrSparseFold, MatchesTheMergeChainOnRandomInputs) {
+  const auto alg = MakeAllreduce(AllreduceKind::kPsr);
+  Rng rng(2024);
+  AllreduceScratch scratch;  // shared across shapes, like an engine's
+  for (std::uint32_t n = 1; n <= 9; ++n) {
+    const Fixture f(n);
+    // dim < n leaves some blocks empty; most dims are not multiples of n.
+    for (const std::uint64_t dim : {std::uint64_t{1}, std::uint64_t{n / 2 + 1},
+                                    std::uint64_t{29}, std::uint64_t{64},
+                                    std::uint64_t{301}}) {
+      for (const double density : {0.05, 0.4, 0.9}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " dim=" << dim
+                                          << " density=" << density);
+        const auto inputs = RandomFoldInputs(rng, n, dim, density);
+        const auto starts = RandomStarts(rng, n);
+        SparseVector sum(7, {3}, {1.0});  // stale contents are replaced
+        CommStats stats;
+        alg->ReduceSparse(f.group, inputs, starts, scratch, sum, stats);
+        ExpectMatchesChain(f.group, inputs, starts, sum, stats);
+      }
+    }
+  }
+}
+
+TEST(PsrSparseFold, EmptyAndDisjointInputsMatchTheMergeChain) {
+  const auto alg = MakeAllreduce(AllreduceKind::kPsr);
+  AllreduceScratch scratch;
+  for (std::uint32_t n = 1; n <= 9; ++n) {
+    const Fixture f(n);
+    const auto starts = ZeroStarts(n);
+    const std::vector<SparseVector> empty(n, SparseVector(37, {}, {}));
+    SparseVector sum;
+    CommStats stats;
+    alg->ReduceSparse(f.group, empty, starts, scratch, sum, stats);
+    EXPECT_TRUE(sum.empty());
+    ExpectMatchesChain(f.group, empty, starts, sum, stats);
+
+    // Disjoint supports: member i owns indices i, i + n, i + 2n, ...
+    std::vector<SparseVector> disjoint;
+    const std::uint64_t dim = 5 * n + 3;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::vector<SparseVector::Index> idx;
+      std::vector<double> val;
+      for (std::uint64_t k = i; k < dim; k += n) {
+        idx.push_back(k);
+        val.push_back(0.5 + static_cast<double>(k));
+      }
+      disjoint.emplace_back(dim, std::move(idx), std::move(val));
+    }
+    alg->ReduceSparse(f.group, disjoint, starts, scratch, sum, stats);
+    EXPECT_EQ(sum.nnz(), dim);
+    ExpectMatchesChain(f.group, disjoint, starts, sum, stats);
+  }
+}
+
+TEST(PsrSparseFold, FaultyEntryMatchesTheMergeChain) {
+  const auto alg = MakeAllreduce(AllreduceKind::kPsr);
+  Rng rng(77);
+  const Fixture f(6);
+  const auto inputs = RandomFoldInputs(rng, 6, 83, 0.3);
+  const auto starts = RandomStarts(rng, 6);
+  AllreduceScratch scratch;
+
+  // Empty plan: exactly the plain path.
+  const simnet::FaultPlan empty_plan;
+  FaultContext fc;
+  fc.plan = &empty_plan;
+  SparseVector sum;
+  CommStats stats;
+  alg->ReduceSparseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+  ExpectMatchesChain(f.group, inputs, starts, sum, stats);
+
+  // One member excluded: the survivors' reduce matches the chain over the
+  // survivors at their timeout-adjusted starts.
+  simnet::FaultConfig cfg;
+  cfg.message_drop_probability = 0.15;
+  cfg.max_retries = 0;
+  const simnet::FaultPlan plan(cfg);
+  FaultContext faulty;
+  faulty.plan = &plan;
+  bool saw_one = false;
+  for (std::uint64_t it = 1; it <= 200 && !saw_one; ++it) {
+    faulty.iteration = it;
+    faulty.channel = 0;
+    alg->ReduceSparseFaulty(f.group, inputs, starts, faulty, scratch, sum,
+                            stats);
+    if (faulty.excluded.size() != 1) continue;
+    saw_one = true;
+    const GroupComm sub(&f.topo, &f.cost, faulty.survivor_ranks);
+    std::vector<SparseVector> survivors;
+    for (GroupRank g = 0; g < f.group.size(); ++g) {
+      if (g != faulty.excluded[0]) survivors.push_back(inputs[g]);
+    }
+    ExpectMatchesChain(sub, survivors, faulty.survivor_starts, sum,
+                       faulty.sub_stats);
+  }
+  EXPECT_TRUE(saw_one) << "no iteration excluded exactly one member";
 }
 
 // ------------------------------------------------ multi-level allreduce ----

@@ -1,7 +1,10 @@
 // Unit + property tests for dense kernels, sparse vectors and CSR matrices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -199,6 +202,95 @@ TEST(SparseVector, AddToDenseScatters) {
   EXPECT_EQ(acc, (DenseVector{1.0, 7.0, 1.0}));
 }
 
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double p, double q) {
+                      return std::bit_cast<std::uint64_t>(p) ==
+                             std::bit_cast<std::uint64_t>(q);
+                    });
+}
+
+TEST(SparseVector, AssignFromDenseKeepsExactlyEntriesAboveTol) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const DenseVector dense{0.0, -0.0, nan,  sub, -sub, 0.5,
+                          -0.5, 1.0, -2.0, inf, -nan, 0.25};
+  SparseVector sv;
+  sv.AssignFromDense(dense);  // tol = 0: drops ±0.0 and NaN only
+  EXPECT_EQ(sv.dim(), dense.size());
+  EXPECT_EQ(std::vector<SparseVector::Index>(sv.indices().begin(),
+                                             sv.indices().end()),
+            (std::vector<SparseVector::Index>{3, 4, 5, 6, 7, 8, 9, 11}));
+  EXPECT_TRUE(SameBits(sv.values(), DenseVector{sub, -sub, 0.5, -0.5, 1.0,
+                                                -2.0, inf, 0.25}));
+
+  sv.AssignFromDense(dense, 0.5);  // |v| == tol is dropped
+  EXPECT_EQ(std::vector<SparseVector::Index>(sv.indices().begin(),
+                                             sv.indices().end()),
+            (std::vector<SparseVector::Index>{7, 8, 9}));
+  EXPECT_TRUE(SameBits(sv.values(), DenseVector{1.0, -2.0, inf}));
+
+  sv.AssignFromDense(DenseVector{});
+  EXPECT_EQ(sv.dim(), 0u);
+  EXPECT_TRUE(sv.empty());
+}
+
+TEST(SparseVector, AssignFromDenseReusesStorageAfterWarmUp) {
+  Rng rng(31);
+  const std::size_t dim = 257;
+  SparseVector sv;
+  sv.AssignFromDense(DenseVector(dim, 1.0));  // warm-up: every entry kept
+  const auto* idx = sv.indices().data();
+  const auto* val = sv.values().data();
+  for (int round = 0; round < 20; ++round) {
+    DenseVector dense(dim - static_cast<std::size_t>(round), 0.0);
+    for (auto& e : dense) {
+      if (rng.NextBool(0.1 * (round % 10))) e = rng.NextGaussian();
+    }
+    sv.AssignFromDense(dense);
+    EXPECT_EQ(sv, SparseVector::FromDense(dense));
+    if (!sv.empty()) {  // same buffers: no reallocation, so no allocation
+      EXPECT_EQ(sv.indices().data(), idx);
+      EXPECT_EQ(sv.values().data(), val);
+    }
+  }
+}
+
+TEST(SparseBlockFold, MatchesTheSumIntoChainBitwise) {
+  const double m0 = -0.0;
+  // Index 1 cancels to +0.0 (kept); 3 is a lone -0.0 (copied, sign kept);
+  // 4 lies outside the block [1, 4).
+  const SparseVector a(6, {0, 1, 3, 4}, {9.0, 1.5, m0, 2.0});
+  const SparseVector b(6, {1, 2}, {-1.5, 0.1});
+  const SparseVector c(6, {2, 5}, {0.2, 3.0});
+  SparseBlockFold fold;
+  fold.Reset(1, 4);
+  fold.Add(a);
+  fold.Add(b);
+  fold.Add(c);
+  SparseVector out(6, {0}, {7.0});
+  EXPECT_EQ(fold.AppendTo(out), 3u);
+
+  const auto chain = SparseVector::Sum(
+      SparseVector::Sum(a.Slice(1, 4), b.Slice(1, 4)), c.Slice(1, 4));
+  EXPECT_EQ(std::vector<SparseVector::Index>(out.indices().begin(),
+                                             out.indices().end()),
+            (std::vector<SparseVector::Index>{0, 1, 2, 3}));
+  EXPECT_TRUE(SameBits(out.values().subspan(1), chain.values()));
+  EXPECT_TRUE(std::signbit(out.values()[3]));
+
+  fold.Reset(4, 6);  // a second block appends after the first
+  fold.Add(a);
+  EXPECT_EQ(fold.AppendTo(out), 1u);
+  EXPECT_EQ(out.indices().back(), 4u);
+  fold.Reset(0, 1);
+  EXPECT_THROW(fold.AppendTo(out), InvalidArgument);  // not ascending
+  SparseVector narrow(3, {}, {});
+  fold.Reset(2, 5);
+  EXPECT_THROW(fold.AppendTo(narrow), InvalidArgument);  // beyond dim
+}
+
 /// Property: Sum agrees with dense addition for random vectors.
 class SparseSumProperty : public ::testing::TestWithParam<int> {};
 
@@ -374,11 +466,77 @@ TEST(DenseOps, CopyNormSqCopiesAndMatchesDotBitwise) {
   EXPECT_EQ(nrm, Dot(v, v));
 }
 
+// Every four-lane reduction must agree with its unfused counterpart bit for
+// bit in the default build too (where the compiler may contract a*b + c to
+// FMA), at every tail length and at news20's model dimension.
+class FourLanePins : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FourLanePins, FusedNormsEqualDotAndNorm2Bitwise) {
+  const std::size_t n = GetParam();
+  Rng rng(40 + n);
+  DenseVector x(n), y(n), z(n);
+  for (auto& e : x) e = rng.NextGaussian();
+  for (auto& e : y) e = rng.NextGaussian();
+  for (auto& e : z) e = rng.NextGaussian();
+
+  DenseVector t = y;
+  const double axpy = AxpyNormSq(0.37, x, t);
+  EXPECT_EQ(axpy, Dot(t, t));
+  EXPECT_EQ(std::sqrt(axpy), Norm2(t));
+
+  t = y;
+  const double xpay = XpayNormSq(-0.8, x, t);
+  EXPECT_EQ(xpay, Dot(t, t));
+  EXPECT_EQ(std::sqrt(xpay), Norm2(t));
+
+  DenseVector dst(n, 0.0);
+  const double copy = CopyNormSq(x, dst, z);
+  EXPECT_EQ(dst, x);
+  EXPECT_EQ(copy, Dot(z, z));
+  EXPECT_EQ(std::sqrt(copy), Norm2(z));
+
+  double dist = -1.0, nx = -1.0, ny = -1.0;
+  DistanceAndNorms(x, z, y, dist, nx, ny);
+  EXPECT_EQ(dist, DistanceL2(x, z));
+  EXPECT_EQ(nx, Norm2(x));
+  EXPECT_EQ(ny, Norm2(y));
+}
+
+// The summation order itself: lane k sums indices i = k (mod 4) over the
+// full quads, the tail joins lane 0, lanes combine as (l0+l1)+(l2+l3).
+// The first quad is (+2^53, -2^53, +2^53, -2^53); later +1s tie and round
+// away in lanes 0 and 2, but lanes 1 and 3 count theirs (+1 and +2 per
+// quad) exactly, and each pair cancels exactly. So the result is 3 per
+// later quad, and a tail term in another lane, a shifted lane, another
+// pairing or a left fold each change it at one of the lengths. Every term
+// is exact (y = 1), so FMA contraction cannot move a bit.
+TEST_P(FourLanePins, DotFollowsTheFourLaneOrder) {
+  const std::size_t n = GetParam();
+  DenseVector x(n, 1.0), y(n, 1.0);
+  double want = static_cast<double>(n);  // n < 4: all tail, exact
+  if (n >= 4) {
+    const double big = std::ldexp(1.0, 53);
+    x[0] = big;
+    x[1] = -big;
+    x[2] = big;
+    x[3] = -big;
+    for (std::size_t i = 7; i < n / 4 * 4; i += 4) x[i] = 2.0;
+    want = 3.0 * static_cast<double>(n / 4 - 1);
+  }
+  EXPECT_EQ(Dot(x, y), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, FourLanePins,
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                           13551));
+
 TEST(DenseOps, FusedKernelDimensionChecks) {
   DenseVector a(3), b(4);
   EXPECT_THROW(AxpyNormSq(1.0, a, b), InvalidArgument);
   EXPECT_THROW(XpayNormSq(1.0, a, b), InvalidArgument);
   EXPECT_THROW(CopyNormSq(a, b, a), InvalidArgument);
+  double d = 0.0, nx = 0.0, ny = 0.0;
+  EXPECT_THROW(DistanceAndNorms(a, b, a, d, nx, ny), InvalidArgument);
 }
 
 // The blocked Gemv/GemvT use a different (fixed, deterministic) summation

@@ -185,6 +185,45 @@ TEST(Tron, WorkspaceOverloadIsBitwiseIdentical) {
   }
 }
 
+// Step counts on a fixed 203-feature shard, pinned to the values the solver
+// produced before truncated CG learned to skip the dead p = r + beta p
+// update on its last pass. Caps 1 and 2 end every CG call on the step cap,
+// cap 10 mostly on the residual test; a skip that moved a step would show.
+TEST(Tron, StepCountsArePinnedAcrossCgCaps) {
+  data::SyntheticSpec spec;
+  spec.num_features = 203;
+  spec.num_train = 120;
+  spec.num_test = 1;
+  spec.mean_row_nnz = 10.0;
+  spec.seed = 17;
+  const auto ds = data::GenerateSynthetic(spec).train;
+  linalg::DenseVector v(ds.num_features()), z(ds.num_features());
+  Rng rng(9);
+  for (auto& e : v) e = 0.1 * rng.NextGaussian();
+  for (auto& e : z) e = 0.1 * rng.NextGaussian();
+
+  struct Pin {
+    double gradient_tolerance;
+    int max_cg_iterations, iterations, cg_iterations;
+  };
+  const Pin pins[] = {{1e-2, 1, 10, 10}, {1e-2, 2, 3, 6}, {1e-2, 10, 2, 6},
+                      {1e-6, 1, 36, 36}, {1e-6, 2, 9, 18}, {1e-6, 10, 5, 15}};
+  for (const Pin& pin : pins) {
+    ProximalLogistic f(&ds, 1.0);
+    f.SetIterationTerms(v, z);
+    TronOptions opt;
+    opt.gradient_tolerance = pin.gradient_tolerance;
+    opt.max_cg_iterations = pin.max_cg_iterations;
+    linalg::DenseVector x(ds.num_features(), 0.0);
+    const auto res = TronMinimize(f, x, opt);
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(res.iterations, pin.iterations)
+        << "tol " << pin.gradient_tolerance << " cap " << pin.max_cg_iterations;
+    EXPECT_EQ(res.cg_iterations, pin.cg_iterations)
+        << "tol " << pin.gradient_tolerance << " cap " << pin.max_cg_iterations;
+  }
+}
+
 TEST(Tron, ObjectiveNeverIncreases) {
   const auto ds = SmallDataset(9);
   ProximalLogistic f(&ds, 0.5);
