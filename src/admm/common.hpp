@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "admm/problem.hpp"
@@ -163,13 +162,6 @@ struct RunOptions {
   /// Ignored by engines that do not support warm starts.
   RunCheckpoint* checkpoint_out = nullptr;
   std::uint64_t checkpoint_at = 0;
-  /// Which transport executes the collectives. "sim" — the default and the
-  /// only in-process choice — is the deterministic virtual-time simulator.
-  /// Real-socket runs are one OS process per rank and are launched
-  /// externally (tools/psra_launch driving a worker built on
-  /// transport::TcpTransport + comm::WireCollectives; see DESIGN.md §11);
-  /// the engines reject any other value rather than silently simulating.
-  std::string transport = "sim";
 };
 
 /// Deterministic compute-time multiplier combining natural jitter and the

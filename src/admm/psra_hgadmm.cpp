@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 
 #include "admm/checkpoint.hpp"
 #include "admm/instrument.hpp"
@@ -177,8 +176,8 @@ struct PsraSeries {
 };
 
 /// Folds one collective invocation's stats into the hoisted metric slots.
-/// Split out of RunInterAllreduce so the batched path can run collectives in
-/// parallel and replay the registry updates serially, in formation order.
+/// Kept out of RunInterAllreduce so group collectives can run in parallel
+/// and replay the registry updates serially, in formation order.
 void AccumulateArMetrics(ArMetrics& am, const InterWorkspace& ws) {
   ++*am.invocations;
   *am.elements += ws.stats.elements_sent;
@@ -190,42 +189,38 @@ void AccumulateArMetrics(ArMetrics& am, const InterWorkspace& ws) {
   }
 }
 
+/// Adds one fault context's message-level counters to the run totals.
+void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
+  faults.dropped_messages += fc.dropped_messages;
+  faults.retries += fc.retries;
+  faults.delayed_messages += fc.delayed_messages;
+}
+
 /// Runs one inter-node allreduce over `w_inputs` (one dense vector per group
-/// member), leaving the dense sum and per-member finish times in `ws`. With
-/// a FaultContext the fault-tolerant entry points run instead (exactly the
-/// plain ones when the plan is empty).
+/// member), leaving the dense sum and per-member finish times in `ws`. The
+/// fault-tolerant entry points are exactly the plain ones when `fc.plan` is
+/// null or empty.
 void RunInterAllreduce(const comm::GroupComm& group,
                        const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
                        std::span<const simnet::VirtualTime> starts,
-                       InterWorkspace& ws, comm::FaultContext* fc = nullptr,
-                       ArMetrics* am = nullptr) {
+                       comm::FaultContext& fc, InterWorkspace& ws) {
   if (sparse_comm) {
     ws.sparse_inputs.resize(w_inputs.size());
     for (std::size_t i = 0; i < w_inputs.size(); ++i) {
       ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
     }
-    if (fc != nullptr) {
-      alg.ReduceSparseFaulty(group, ws.sparse_inputs, starts, *fc, ws.scratch,
-                             ws.sparse_sum, ws.stats);
-    } else {
-      alg.ReduceSparse(group, ws.sparse_inputs, starts, ws.scratch,
-                       ws.sparse_sum, ws.stats);
-    }
+    alg.ReduceSparseFaulty(group, ws.sparse_inputs, starts, fc, ws.scratch,
+                           ws.sparse_sum, ws.stats);
     ws.sparse_sum.ToDense(ws.sum);
     ws.result_nnz = ws.sparse_sum.nnz();
   } else {
-    if (fc != nullptr) {
-      alg.ReduceDenseFaulty(group, w_inputs, starts, *fc, ws.scratch, ws.sum,
-                            ws.stats);
-    } else {
-      alg.ReduceDense(group, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
-    }
+    alg.ReduceDenseFaulty(group, w_inputs, starts, fc, ws.scratch, ws.sum,
+                          ws.stats);
     ws.result_nnz = ws.sum.size();
   }
   ws.elements = ws.stats.elements_sent;
   ws.messages = ws.stats.messages_sent;
-  if (am != nullptr) AccumulateArMetrics(*am, ws);
 }
 
 /// Multi-rack counterpart of RunInterAllreduce: the recursive node -> rack
@@ -255,19 +250,21 @@ void RunMultiLevelAllreduce(comm::MultiLevelAllreduce& ml,
   ws.messages = ws.stats.messages_sent;
 }
 
-/// One formed group's collective context: the member leaders, their input
-/// snapshots and start times, the communicator, and the allreduce workspace.
-/// Slots are recycled across regrouping cycles by GroupSlotArena below, so a
-/// steady-state iteration leases fully warmed buffers.
+/// One formed group's collective context: the member nodes and leaders,
+/// their input snapshots and start times, the communicator, the fault
+/// context, and the allreduce workspace. Slots are recycled across
+/// regrouping cycles by GroupSlotArena below, so a steady-state iteration
+/// leases fully warmed buffers.
 struct GroupSlot {
   InterWorkspace iw;
+  comm::FaultContext fc;  // channel = the slot's place in formation order
+  std::vector<simnet::NodeId> members;      // member nodes, group order
   std::vector<simnet::Rank> leaders;        // member leaders, group order
   std::vector<linalg::DenseVector> inputs;  // leader aggregate snapshots
   std::vector<simnet::VirtualTime> starts;
   std::optional<comm::GroupComm> comm;  // rebound in place on reuse
-  std::span<const simnet::NodeId> members;  // view into the cycle's batch
-  simnet::VirtualTime start = 0.0;          // earliest collective start
-  std::uint64_t contributors = 0;           // workers behind the group sum
+  simnet::VirtualTime start = 0.0;      // earliest collective start
+  std::uint64_t contributors = 0;       // workers behind the group sum
   double wall = 0.0;  // measured host seconds of the collective (traced)
 };
 
@@ -371,15 +368,23 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     }
   }
 
-  // Per-node structures: member ranks, leader, intra-node communicator.
+  // Per-node structures: member ranks and the leader elected at start.
   std::vector<std::vector<simnet::Rank>> node_ranks(nodes);
   std::vector<simnet::Rank> leaders(nodes);
-  std::vector<comm::GroupComm> intra;
-  intra.reserve(nodes);
   for (simnet::NodeId n = 0; n < nodes; ++n) {
     node_ranks[n] = topo.RanksOnNode(n);
     leaders[n] = wlg::ElectLeader(topo, node_ranks[n], cfg_.leader_policy,
                                   cfg_.cluster.seed);
+  }
+  // Per-node views the iteration reads: live ranks, current leader and the
+  // intra-node communicator over the live ranks. They equal the static
+  // structures above unless a worker is down; the fault bookkeeping narrows
+  // them (and re-elects leaders) at the start of a faulty iteration.
+  std::vector<std::vector<simnet::Rank>> node_alive(node_ranks);
+  std::vector<simnet::Rank> cur_leaders(leaders);
+  std::vector<comm::GroupComm> intra;
+  intra.reserve(nodes);
+  for (simnet::NodeId n = 0; n < nodes; ++n) {
     intra.emplace_back(&topo, &cost, node_ranks[n]);
   }
   // Inter-node transfers optionally run in mixed precision: fp32 values on
@@ -422,24 +427,23 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   }
   std::vector<linalg::DenseVector> inputs;  // member w snapshots
   std::vector<simnet::VirtualTime> starts;
-  // Hierarchical-path scratch.
+  // Hierarchical/dynamic scratch: per-node reduce results (plus survivor
+  // inputs for a node with a worker down), the pooled group lifecycle
+  // (cycle batch + size-keyed collective slots) and the flattened
+  // cross-group consensus-update work list.
+  const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<comm::ReduceResult> red(nodes);
+  std::vector<std::vector<linalg::DenseVector>> node_inputs(nodes);
+  std::vector<std::vector<simnet::VirtualTime>> node_starts(nodes);
   comm::BroadcastResult bc;
   std::vector<simnet::VirtualTime> leader_ready(nodes);
   std::vector<simnet::VirtualTime> report(nodes);
-  std::vector<std::pair<std::vector<simnet::NodeId>, simnet::VirtualTime>>
-      groups;
-  std::vector<simnet::Rank> group_leaders(nodes);
-  std::vector<linalg::DenseVector> ginputs(nodes);
-  std::vector<simnet::VirtualTime> gstarts(nodes);
-  // Batched non-faulty hierarchical/dynamic path: the pooled group
-  // lifecycle (cycle batch + size-keyed collective slots) and the flattened
-  // cross-group consensus-update work list.
-  const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
+  std::vector<simnet::NodeId> active_nodes;
+  std::vector<wlg::LeaderReport> leader_reports;
+  active_nodes.reserve(nodes);
+  leader_reports.reserve(nodes);
   wlg::GroupWorkspace gws;
   gws.groups.Reserve(nodes);
-  std::vector<simnet::NodeId> all_nodes(nodes);
-  for (simnet::NodeId n = 0; n < nodes; ++n) all_nodes[n] = n;
   std::vector<simnet::VirtualTime> all_starts(world);
   GroupSlotArena garena(nodes);
   std::vector<GroupSlot*> gslots;
@@ -496,34 +500,24 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
                "(its running sum needs every sender in every round)");
 
   // ---- Fault-injection state -------------------------------------------
-  // Only touched on faulty runs: with an empty plan the iteration body below
-  // takes byte-for-byte the fault-free path (pinned by test_determinism).
+  // Bookkeeping only runs on faulty runs; with an empty plan every view
+  // keeps the static topology and the iteration body computes exactly the
+  // fault-free result (pinned by test_determinism).
   constexpr std::uint64_t kNever = ~std::uint64_t{0};
-  comm::FaultContext fctx;
+  comm::FaultContext fctx;  // the flat collective's; group slots own theirs
   fctx.plan = faulty ? &faults : nullptr;
   RunCheckpoint ckpt;
   std::vector<char> down_now;        // 1 = worker currently down
   std::vector<std::uint64_t> up_at;  // recovery iteration (kNever = none)
-  std::vector<simnet::Rank> alive;
-  std::vector<std::vector<simnet::Rank>> node_alive;
-  std::vector<std::optional<comm::GroupComm>> intra_alive;
-  std::vector<simnet::Rank> cur_leaders;
-  std::vector<char> node_active;  // node has >= 1 alive worker
-  std::vector<char> node_out;     // node dropped from the current round
-  std::vector<wlg::LeaderReport> leader_reports;
-  std::vector<simnet::NodeId> active_nodes;
+  std::vector<simnet::Rank> alive(everyone);  // view: the live workers
+  // Node sits out the rest of this round: its leader died mid-round, or its
+  // group's collective excluded it after exhausting retries.
+  std::vector<char> node_out(nodes, 0);
   std::optional<comm::GroupComm> flat_sub;  // survivor group, flat mode
   std::vector<simnet::Rank> zy_ranks;
-  std::vector<simnet::NodeId> live_members;
   if (faulty) {
     down_now.assign(world, 0);
     up_at.assign(world, kNever);
-    node_alive.assign(nodes, {});
-    intra_alive.assign(nodes, std::nullopt);
-    cur_leaders = leaders;
-    node_active.assign(nodes, 1);
-    node_out.assign(nodes, 0);
-    alive.reserve(world);
     // Iteration-0 checkpoint: a worker crashing before the first periodic
     // capture restarts from the common initial state.
     CaptureRunCheckpoint(ws, 0, everyone, ckpt,
@@ -568,7 +562,6 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     bool any_down = false;
     if (faulty) {
       fctx.iteration = iter;
-      fctx.channel = 0;
       for (std::size_t i = 0; i < world; ++i) {
         const auto r = static_cast<simnet::Rank>(i);
         if (down_now[i] != 0 && up_at[i] == iter) {
@@ -622,9 +615,8 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             node_alive[n].push_back(r);
           }
         }
-        node_active[n] = node_alive[n].empty() ? 0 : 1;
         node_out[n] = 0;
-        if (node_active[n] == 0) continue;
+        if (node_alive[n].empty()) continue;
         simnet::Rank lead = leaders[n];
         if (down_now[static_cast<std::size_t>(lead)] != 0) {
           lead = wlg::ReElectLeader(topo, node_alive[n], cfg_.leader_policy,
@@ -638,33 +630,22 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
               << cur_leaders[n] << ") at iter " << iter;
           cur_leaders[n] = lead;
         }
-        if (!intra_alive[n].has_value() ||
-            intra_alive[n]->members() != node_alive[n]) {
-          intra_alive[n].emplace(&topo, &cost, node_alive[n]);
-        }
+        if (intra[n].members() != node_alive[n]) intra[n].Rebind(node_alive[n]);
       }
     }
 
     // ---- x / w updates (parallel local computation, paper Alg. 1) --------
-    // On traced runs each worker's host seconds are measured inside the
-    // pooled loop (per-thread stopwatches), so the trace attributes wall
-    // time to the worker that spent it rather than an even split.
+    // Only live workers compute. On traced runs each worker's host seconds
+    // are measured inside the pooled loop (per-thread stopwatches), so the
+    // trace attributes wall time to the worker that spent it rather than an
+    // even split.
     std::vector<double>* const wall = eo.tracing() ? &xw_wall : nullptr;
-    if (faulty && any_down) {
-      ws.XWStepAll(alive, flops, wall);
-      for (const simnet::Rank r : alive) {
-        const auto i = static_cast<std::size_t>(r);
-        const double mult =
-            ComputeMultiplier(cfg_.cluster, topo, stragglers, r, iter);
-        ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
-      }
-    } else {
-      ws.XWStepAll(flops, wall);
-      for (std::size_t i = 0; i < world; ++i) {
-        const double mult = ComputeMultiplier(
-            cfg_.cluster, topo, stragglers, static_cast<simnet::Rank>(i), iter);
-        ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
-      }
+    ws.XWStepAll(alive, flops, wall);
+    for (const simnet::Rank r : alive) {
+      const auto i = static_cast<std::size_t>(r);
+      const double mult =
+          ComputeMultiplier(cfg_.cluster, topo, stragglers, r, iter);
+      ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
     }
     if (wall != nullptr) {
       eo.SpanAllWall("x_update", ledger, iter, xw_wall);
@@ -678,13 +659,15 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       // in directly; a private snapshot is taken only when mixed precision
       // or censoring must rewrite the payload first. On faulty runs with a
       // worker down, the collective degrades to the survivor set.
-      comm::FaultContext* const fc = faulty ? &fctx : nullptr;
-      const bool degraded = faulty && any_down;
+      const bool degraded = any_down;
       const bool mutate_inputs = cfg_.mixed_precision || censoring;
+      const comm::GroupComm* group = &*flat_global;
+      std::span<const linalg::DenseVector> w_inputs = ws.w_all();
       if (degraded) {
         if (!flat_sub.has_value() || flat_sub->members() != alive) {
           flat_sub.emplace(&topo, &cost_inter, alive);
         }
+        group = &*flat_sub;
         inputs.resize(alive.size());
         starts.resize(alive.size());
         for (std::size_t m = 0; m < alive.size(); ++m) {
@@ -693,8 +676,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[m]);
           starts[m] = ledger[i].clock;
         }
-        RunInterAllreduce(*flat_sub, *alg, cfg_.sparse_comm, inputs, starts,
-                          iw, fc, eo.on() ? &pm.ar : nullptr);
+        w_inputs = inputs;
       } else {
         starts.resize(world);
         if (mutate_inputs) {
@@ -704,38 +686,31 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[i]);
             if (censoring) apply_censoring(i, iter, inputs[i]);
           }
+          w_inputs = inputs;
         }
         for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
-        RunInterAllreduce(*flat_global, *alg, cfg_.sparse_comm,
-                          mutate_inputs ? std::span<const linalg::DenseVector>(
-                                              inputs)
-                                        : ws.w_all(),
-                          starts, iw, fc, eo.on() ? &pm.ar : nullptr);
       }
+      RunInterAllreduce(*group, *alg, cfg_.sparse_comm, w_inputs, starts, fctx,
+                        iw);
+      if (eo.on()) AccumulateArMetrics(pm.ar, iw);
       result.elements_sent += iw.elements;
       result.messages_sent += iw.messages;
       if (censoring) {
         linalg::Axpy(1.0, iw.sum, W_running);
         iw.sum = W_running;
       }
-      if (degraded) {
-        for (std::size_t m = 0; m < alive.size(); ++m) {
-          ledger.WaitUntil(static_cast<std::size_t>(alive[m]),
-                           iw.stats.finish_times[m]);
-        }
-      } else {
-        for (std::size_t i = 0; i < world; ++i) {
-          ledger.WaitUntil(i, iw.stats.finish_times[i]);
-        }
+      // The collective's members are exactly the live workers, in order.
+      for (std::size_t m = 0; m < alive.size(); ++m) {
+        ledger.WaitUntil(static_cast<std::size_t>(alive[m]),
+                         iw.stats.finish_times[m]);
       }
       if (eo.tracing()) {
         // w_allreduce on each participant's track, with the collective's
         // scatter-reduce / allgather stages nested inside where they fall
         // within the participant's own [start, finish] window.
         const simnet::VirtualTime sr = iw.stats.scatter_reduce_done;
-        const std::size_t np = degraded ? alive.size() : world;
-        for (std::size_t m = 0; m < np; ++m) {
-          const auto i = degraded ? static_cast<std::size_t>(alive[m]) : m;
+        for (const simnet::Rank r : alive) {
+          const auto i = static_cast<std::size_t>(r);
           const simnet::VirtualTime b = eo.mark(i);
           const simnet::VirtualTime e = ledger[i].clock;
           if (sr > b && sr < e) {
@@ -748,14 +723,13 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       // Consensus update over this round's participants. Members the
       // collective excluded after exhausting retries keep their state
       // frozen for the round, like a worker that timed out.
-      std::span<const simnet::Rank> participants(everyone);
-      if (degraded) participants = alive;
-      if (fc != nullptr && !fc->excluded.empty()) {
+      std::span<const simnet::Rank> participants(alive);
+      if (!fctx.excluded.empty()) {
         zy_ranks.clear();
         std::size_t e = 0;
         for (std::size_t m = 0; m < participants.size(); ++m) {
-          if (e < fc->excluded.size() &&
-              fc->excluded[e] == static_cast<comm::GroupRank>(m)) {
+          if (e < fctx.excluded.size() &&
+              fctx.excluded[e] == static_cast<comm::GroupRank>(m)) {
             ++e;
             continue;
           }
@@ -776,26 +750,41 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           eo.SpanWall("z_y_update", ledger, i, iter, zy_wall[i]);
         }
       }
-    } else if (!faulty) {
-      // ---- Hierarchical/dynamic, batched (the non-faulty hot path) --------
-      // Node reductions are independent, so all of them run as ONE
-      // ParallelFor over nodes. Each node's inputs are its workers' live w
-      // vectors — node n owns the contiguous rank range [n*wpn, (n+1)*wpn),
-      // so a subspan of w_all() replaces the per-member snapshot copies the
-      // serial flow used to make. Ledger charges, metrics and spans replay
-      // serially afterwards in node order, so every observable stream is
-      // identical to the one-node-at-a-time flow.
+    } else {
+      // ---- Hierarchical/dynamic: PSRA-HGADMM (paper Alg. 1-3) -------------
+      // Each phase (intra-node reduce, inter-group allreduce, consensus
+      // update) is ONE ParallelFor over nodes or formed groups, whose bodies
+      // only read the ledger and write node- or slot-local state. Ledger
+      // charges, metrics and spans then replay serially in node or formation
+      // order; nodes and groups are disjoint, so every observable stream is
+      // the one a one-at-a-time loop would produce. Faulty runs take the same
+      // flow over the live views (node_alive, cur_leaders, intra).
       for (std::size_t i = 0; i < world; ++i) all_starts[i] = ledger[i].clock;
       const bool walled = wall != nullptr;  // measured wall attribution on
       auto reduce_node = [&](std::size_t n) {
+        const auto& members = node_alive[n];
+        if (members.empty()) return;  // every worker on the node is down
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
-        const comm::GroupComm& ic = intra[n];
-        const comm::GroupRank leader_g = ic.LocalRank(leaders[n]);
-        comm::ReduceToLeader(
-            ic, leader_g, ws.w_all().subspan(n * wpn, wpn),
+        // Node n owns the contiguous rank range [n*wpn, (n+1)*wpn), so a
+        // whole node reads its workers' w vectors in place; a node with a
+        // worker down gathers its survivors' inputs instead.
+        std::span<const linalg::DenseVector> in =
+            ws.w_all().subspan(n * wpn, wpn);
+        std::span<const simnet::VirtualTime> st =
             std::span<const simnet::VirtualTime>(all_starts).subspan(n * wpn,
-                                                                     wpn),
-            red[n]);
+                                                                     wpn);
+        if (members.size() != wpn) {
+          node_inputs[n].resize(members.size());
+          node_starts[n].resize(members.size());
+          for (std::size_t m = 0; m < members.size(); ++m) {
+            node_inputs[n][m] = ws.w(members[m]);
+            node_starts[n][m] = all_starts[members[m]];
+          }
+          in = node_inputs[n];
+          st = node_starts[n];
+        }
+        comm::ReduceToLeader(intra[n], intra[n].LocalRank(cur_leaders[n]), in,
+                             st, red[n]);
         if (walled) red_wall[n] = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -805,8 +794,9 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         engine::SerialFor(static_cast<std::size_t>(nodes), reduce_node);
       }
       for (simnet::NodeId n = 0; n < nodes; ++n) {
-        const auto& members = node_ranks[n];
-        const simnet::Rank lead = leaders[n];
+        const auto& members = node_alive[n];
+        if (members.empty()) continue;
+        const simnet::Rank lead = cur_leaders[n];
         result.elements_sent += red[n].elements_sent;
         result.messages_sent += red[n].messages_sent;
         for (std::size_t m = 0; m < members.size(); ++m) {
@@ -834,26 +824,47 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Group formation into the pooled cycle batch ---------------------
+      // Only nodes with a live worker take part. A leader dying mid-round
+      // drops its node from the round: the hierarchical group is formed
+      // without it, and the GG withdraws it if it is still queued.
       if (cfg_.grouping == GroupingMode::kHierarchical) {
         simnet::VirtualTime all_ready = 0.0;
+        active_nodes.clear();
         for (simnet::NodeId n = 0; n < nodes; ++n) {
+          if (node_alive[n].empty()) continue;
+          if (const auto death = faults.LeaderDeathAt(n, iter)) {
+            kill_leader_mid_round(n, *death, iter);
+            continue;
+          }
+          active_nodes.push_back(n);
           all_ready = std::max(all_ready, leader_ready[n]);
         }
         gws.groups.Clear();
-        gws.groups.PushGroup(all_nodes, all_ready);
+        gws.groups.PushGroup(active_nodes, all_ready);
       } else {
         // Leaders report to the GG (one small message each, paper Alg. 3).
+        leader_reports.clear();
         for (simnet::NodeId n = 0; n < nodes; ++n) {
-          ledger.ChargeComm(leaders[n], request_cost);
+          if (node_alive[n].empty()) continue;
+          const simnet::Rank lead = cur_leaders[n];
+          ledger.ChargeComm(lead, request_cost);
           ++result.messages_sent;
-          report[n] = ledger[leaders[n]].clock;
+          report[n] = ledger[lead].clock;
+          wlg::LeaderReport lr;
+          lr.node = n;
+          lr.time = report[n];
+          if (const auto death = faults.LeaderDeathAt(n, iter)) {
+            lr.dies_at = report[n];  // dies right after reporting
+            kill_leader_mid_round(n, *death, iter);
+          }
+          leader_reports.push_back(lr);
           if (eo.on()) {
             ++*pm.gg_reports;
-            eo.Span("gg_report", ledger,
-                    static_cast<std::size_t>(leaders[n]), iter);
+            eo.Span("gg_report", ledger, static_cast<std::size_t>(lead),
+                    iter);
           }
         }
-        wlg::RunGroupingCycle(gg, report, gws);
+        wlg::RunGroupingCycle(gg, leader_reports, gws);
         for (std::size_t gi = 0; gi < gws.groups.size(); ++gi) {
           const wlg::GroupView& view = gws.groups.group(gi);
           const auto gmembers = gws.groups.members(view);
@@ -876,21 +887,37 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Inter-node allreduce, one ParallelFor across all groups ---------
-      // Every formed group leases a size-keyed slot (warm buffers + a
-      // rebindable communicator) and the collectives — which only read the
-      // ledger and write slot-local state — run concurrently. Registry and
-      // ledger updates replay serially in formation order below; groups are
-      // node-disjoint, so the replayed values match the serial flow exactly.
+      // Every formed group leases a size-keyed slot (warm buffers, a
+      // rebindable communicator, its own fault context) and the collectives
+      // run concurrently. A slot's fault channel is its position among this
+      // iteration's collectives in formation order, so fault coins do not
+      // depend on which thread runs which group.
       garena.RecycleAll();
       gslots.clear();
       const bool dyn = cfg_.grouping == GroupingMode::kDynamicGroups;
+      std::uint64_t channel = 0;
       for (std::size_t gi = 0; gi < gws.groups.size(); ++gi) {
         const wlg::GroupView& view = gws.groups.group(gi);
-        GroupSlot& slot = garena.Lease(view.size);
-        slot.members = gws.groups.members(view);
+        const auto formed = gws.groups.members(view);
+        // Leaders that died after their group formed sit the round out.
+        const auto live = static_cast<std::size_t>(
+            std::count_if(formed.begin(), formed.end(),
+                          [&](simnet::NodeId n) { return node_out[n] == 0; }));
+        if (live == 0) continue;  // no collective, so no channel either
+        GroupSlot& slot = garena.Lease(live);
+        slot.members.clear();
+        for (const simnet::NodeId n : formed) {
+          if (node_out[n] == 0) slot.members.push_back(n);
+        }
         // Dynamic groups start after the GG's notify message; the fixed
         // hierarchical group starts as soon as every leader is ready.
         slot.start = dyn ? view.formed_at + request_cost : view.formed_at;
+        slot.fc.plan = fctx.plan;
+        slot.fc.iteration = iter;
+        slot.fc.channel = channel++;
+        slot.fc.dropped_messages = 0;
+        slot.fc.retries = 0;
+        slot.fc.delayed_messages = 0;
         gslots.push_back(&slot);
       }
       auto run_group = [&](std::size_t gi) {
@@ -903,16 +930,17 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         slot.contributors = 0;
         for (std::size_t j = 0; j < gsize; ++j) {
           const simnet::NodeId n = slot.members[j];
-          slot.leaders[j] = leaders[n];
+          slot.leaders[j] = cur_leaders[n];
           slot.inputs[j] = red[n].value;
           if (cfg_.mixed_precision) linalg::RoundToFloat(slot.inputs[j]);
           slot.starts[j] = std::max(slot.start, ledger[slot.leaders[j]].clock);
-          slot.contributors += node_ranks[n].size();
+          slot.contributors += node_alive[n].size();
         }
         if (multi_rack) {
           // One hierarchical group spanning every node: run the collective
           // recursively (per rack, then across rack leaders). mlar is shared
-          // state, but multi_rack implies exactly one group per cycle.
+          // state, but multi_rack implies exactly one group per cycle (and
+          // no fault plan).
           RunMultiLevelAllreduce(*mlar, *alg, cfg_.sparse_comm, slot.inputs,
                                  slot.starts, slot.iw);
         } else {
@@ -922,7 +950,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             slot.comm.emplace(&topo, &cost_inter, slot.leaders);
           }
           RunInterAllreduce(*slot.comm, *alg, cfg_.sparse_comm, slot.inputs,
-                            slot.starts, slot.iw);
+                            slot.starts, slot.fc, slot.iw);
         }
         if (walled) slot.wall = engine::ThreadPool::ThreadSeconds() - t0;
       };
@@ -933,7 +961,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // Serial replay: metrics, leader waits, and the intra-node broadcast,
-      // group by group in formation order (the order the serial flow used).
+      // group by group in formation order.
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
         GroupSlot& slot = *gslots[gi];
         const std::size_t gsize = slot.members.size();
@@ -953,6 +981,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         result.elements_sent += slot.iw.elements;
         result.messages_sent += slot.iw.messages;
+        AddMessageFaults(slot.fc, result.faults);
         if (multi_rack) {
           // Stage-3 redistribution (rack leader -> its node leaders). It is
           // identical for every collective algorithm, so it is booked under
@@ -975,9 +1004,16 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           linalg::Axpy(1.0, slot.iw.sum, W_running);
           slot.iw.sum = W_running;
         }
+        // Nodes the collective timed out of this round contributed nothing
+        // to the sum: no broadcast, and their state stays frozen.
+        for (const comm::GroupRank g : slot.fc.excluded) {
+          const simnet::NodeId n = slot.members[g];
+          node_out[n] = 1;
+          slot.contributors -= node_alive[n].size();
+        }
         for (std::size_t j = 0; j < gsize; ++j) {
           const simnet::NodeId n = slot.members[j];
-          const simnet::Rank lead = leaders[n];
+          const simnet::Rank lead = slot.leaders[j];
           ledger.WaitUntil(lead, slot.iw.stats.finish_times[j]);
           if (eo.tracing()) {
             const auto li = static_cast<std::size_t>(lead);
@@ -993,13 +1029,13 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             eo.SpanWall("w_allreduce", ledger, li, iter,
                         slot.wall / static_cast<double>(gsize));
           }
+          if (node_out[n] != 0) continue;
 
           // Leader broadcasts W to its node (paper Alg. 1 step 11).
-          const auto& nmembers = node_ranks[n];
-          const comm::GroupRank leader_g = intra[n].LocalRank(lead);
+          const auto& nmembers = node_alive[n];
           const std::size_t elems =
               cfg_.sparse_comm ? slot.iw.result_nnz : d_sz;
-          comm::BroadcastFromLeader(intra[n], leader_g, elems,
+          comm::BroadcastFromLeader(intra[n], intra[n].LocalRank(lead), elems,
                                     ledger[lead].clock, bc);
           result.elements_sent += bc.elements_sent;
           result.messages_sent += bc.messages_sent;
@@ -1025,24 +1061,26 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       }
 
       // ---- Consensus update, flattened across all groups -------------------
-      // One worker per group computes z in full; every other member worker
+      // One worker per group computes z in full: the first live rank of the
+      // group's first node still in the round. Every other updating worker
       // adopts it (bitwise-identical, same shortcut as ZYStepAll) in a
       // single ParallelFor over the flattened (group, worker) list — one
       // fork-join for the whole cluster instead of one per node. Ledger
-      // charges and spans replay serially per worker afterwards, in the same
-      // per-worker order as the serial flow.
+      // charges and spans replay serially per worker afterwards.
       zy_first.clear();
       zy_copy_w.clear();
       zy_copy_src.clear();
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
-        const GroupSlot& slot = *gslots[gi];
-        const simnet::Rank gfirst = node_ranks[slot.members[0]][0];
-        zy_first.push_back(gfirst);
-        for (const simnet::NodeId n : slot.members) {
-          for (const simnet::Rank r : node_ranks[n]) {
-            if (r != gfirst) {
+        bool first = true;
+        for (const simnet::NodeId n : gslots[gi]->members) {
+          if (node_out[n] != 0) continue;
+          for (const simnet::Rank r : node_alive[n]) {
+            if (first) {
+              zy_first.push_back(r);
+              first = false;
+            } else {
               zy_copy_w.push_back(r);
-              zy_copy_src.push_back(gfirst);
+              zy_copy_src.push_back(zy_first.back());
             }
           }
         }
@@ -1078,243 +1116,16 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         engine::SerialFor(zy_copy_w.size(), zy_copy);
       }
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
-        const GroupSlot& slot = *gslots[gi];
-        for (const simnet::NodeId n : slot.members) {
-          for (const simnet::Rank r : node_ranks[n]) {
+        for (const simnet::NodeId n : gslots[gi]->members) {
+          if (node_out[n] != 0) continue;
+          for (const simnet::Rank r : node_alive[n]) {
             ledger.ChargeCompute(static_cast<std::size_t>(r),
                                  cost.ComputeTime(flops[r]));
           }
           if (eo.tracing()) {
-            for (const simnet::Rank r : node_ranks[n]) {
+            for (const simnet::Rank r : node_alive[n]) {
               const auto i = static_cast<std::size_t>(r);
               eo.SpanWall("z_y_update", ledger, i, iter, zy_wall[i]);
-            }
-          }
-        }
-      }
-    } else {
-      // ---- Hierarchical/dynamic under fault injection ----------------------
-      // The faulty path keeps the serial one-group-at-a-time flow: fault
-      // handling (timeouts, exclusions, regrouping) threads per-group state
-      // through the collective, and faulty iterations are rare and not
-      // performance-critical.
-      for (simnet::NodeId n = 0; n < nodes; ++n) {
-        if (node_active[n] == 0) continue;
-        const auto& members = node_alive[n];
-        const comm::GroupComm& ic = *intra_alive[n];
-        const simnet::Rank lead = cur_leaders[n];
-        const comm::GroupRank leader_g = ic.LocalRank(lead);
-        inputs.resize(members.size());
-        starts.resize(members.size());
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          inputs[m] = ws.w(members[m]);
-          starts[m] = ledger[members[m]].clock;
-        }
-        comm::ReduceToLeader(ic, leader_g, inputs, starts, red[n]);
-        result.elements_sent += red[n].elements_sent;
-        result.messages_sent += red[n].messages_sent;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          ledger.WaitUntil(members[m], red[n].finish_times[m]);
-        }
-        ledger.WaitUntil(lead, red[n].leader_ready);
-        if (eo.on()) {
-          *pm.intra_reduce_elements += red[n].elements_sent;
-          *pm.intra_reduce_messages += red[n].messages_sent;
-          *pm.intra_reduce_bytes +=
-              red[n].elements_sent * cfg_.cluster.cost.value_bytes;
-          if (eo.tracing()) {
-            for (std::size_t m = 0; m < members.size(); ++m) {
-              eo.Span("intra_reduce", ledger,
-                      static_cast<std::size_t>(members[m]), iter);
-            }
-          }
-        }
-        leader_ready[n] = ledger[lead].clock;
-      }
-
-      // ---- Group formation -------------------------------------------------
-      // Each formed group is (members, start time of its allreduce).
-      if (cfg_.grouping == GroupingMode::kHierarchical) {
-        // Rebuild the single group from the nodes still standing; a leader
-        // dying mid-round drops its node from this round.
-        simnet::VirtualTime all_ready = 0.0;
-        groups.clear();
-        active_nodes.clear();
-        for (simnet::NodeId n = 0; n < nodes; ++n) {
-          if (node_active[n] == 0) continue;
-          if (const auto death = faults.LeaderDeathAt(n, iter)) {
-            kill_leader_mid_round(n, *death, iter);
-            continue;
-          }
-          active_nodes.push_back(n);
-          all_ready = std::max(all_ready, leader_ready[n]);
-        }
-        groups.emplace_back(active_nodes, all_ready);
-      } else {
-        // Faulty dynamic grouping: only live nodes report; a leader dying
-        // right after its report is withdrawn from the GG queue (the
-        // survivors regroup) or, if its group already formed, excluded from
-        // that group below.
-        groups.clear();
-        leader_reports.clear();
-        for (simnet::NodeId n = 0; n < nodes; ++n) {
-          if (node_active[n] == 0) continue;
-          const simnet::Rank lead = cur_leaders[n];
-          ledger.ChargeComm(lead, request_cost);
-          ++result.messages_sent;
-          report[n] = ledger[lead].clock;
-          wlg::LeaderReport lr;
-          lr.node = n;
-          lr.time = report[n];
-          if (const auto death = faults.LeaderDeathAt(n, iter)) {
-            lr.dies_at = report[n];  // dies right after reporting
-            kill_leader_mid_round(n, *death, iter);
-          }
-          leader_reports.push_back(lr);
-          if (eo.on()) {
-            ++*pm.gg_reports;
-            eo.Span("gg_report", ledger, static_cast<std::size_t>(lead),
-                    iter);
-          }
-        }
-        for (auto& g : wlg::RunGroupingCycle(gg, leader_reports)) {
-          const simnet::VirtualTime start = g.formed_at + request_cost;
-          result.messages_sent += g.members.size();
-          if (eo.on()) {
-            *pm.gg_notifies += g.members.size();
-            if (eo.tracing()) {
-              simnet::VirtualTime first = g.formed_at;
-              for (const simnet::NodeId n : g.members) {
-                first = std::min(first, report[n]);
-              }
-              eo.AuxSpan(gg_track, "group_form", first, g.formed_at, iter);
-            }
-          }
-          PSRA_SLOG(kDebug, "wlg").At(g.formed_at)
-              << "survivors regrouped into " << g.members.size()
-              << " nodes, iter " << iter;
-          groups.emplace_back(std::move(g.members), start);
-        }
-      }
-
-      // ---- Inter-node allreduce within each group + intra broadcast --------
-      comm::FaultContext* const fc = faulty ? &fctx : nullptr;
-      for (const auto& [members, start] : groups) {
-        std::span<const simnet::NodeId> gmembers(members);
-        if (faulty) {
-          // Leaders that died after their group formed are excluded here
-          // (the ones that died while queued never made it into a group).
-          live_members.clear();
-          for (const simnet::NodeId n : gmembers) {
-            if (node_out[n] == 0) live_members.push_back(n);
-          }
-          gmembers = live_members;
-        }
-        const std::size_t gsize = gmembers.size();
-        if (gsize == 0) continue;
-        std::uint64_t contributors = 0;
-        for (std::size_t j = 0; j < gsize; ++j) {
-          const simnet::NodeId n = gmembers[j];
-          group_leaders[j] = faulty ? cur_leaders[n] : leaders[n];
-          ginputs[j] = red[n].value;
-          if (cfg_.mixed_precision) linalg::RoundToFloat(ginputs[j]);
-          gstarts[j] = std::max(start, ledger[group_leaders[j]].clock);
-          contributors += faulty ? node_alive[n].size() : node_ranks[n].size();
-        }
-        if (eo.on()) {
-          ++*pm.groups_formed;
-          pm.group_size->Observe(static_cast<double>(gsize));
-          for (std::size_t j = 0; j < gsize; ++j) {
-            const auto li = static_cast<std::size_t>(group_leaders[j]);
-            pm.gg_wait_s->Observe(
-                std::max(0.0, gstarts[j] - ledger[li].clock));
-            if (eo.tracing() && gstarts[j] > eo.mark(li)) {
-              eo.SpanAt("gg_wait", li, eo.mark(li), gstarts[j], iter);
-              eo.SetMark(li, gstarts[j]);
-            }
-          }
-        }
-        const comm::GroupComm inter(
-            &topo, &cost_inter,
-            {group_leaders.begin(), group_leaders.begin() + gsize});
-        RunInterAllreduce(inter, *alg, cfg_.sparse_comm,
-                          std::span(ginputs.data(), gsize),
-                          std::span(gstarts.data(), gsize), iw, fc,
-                          eo.on() ? &pm.ar : nullptr);
-        result.elements_sent += iw.elements;
-        result.messages_sent += iw.messages;
-        if (censoring) {  // fixed membership: fold deltas into the run sum
-          linalg::Axpy(1.0, iw.sum, W_running);
-          iw.sum = W_running;
-        }
-        if (fc != nullptr && !fc->excluded.empty()) {
-          // Nodes the collective timed out of this round contributed
-          // nothing to the sum; their workers skip the consensus update.
-          for (const comm::GroupRank g : fc->excluded) {
-            contributors -= node_alive[gmembers[g]].size();
-          }
-        }
-
-        std::size_t excl = 0;  // cursor into fc->excluded (sorted ascending)
-        for (std::size_t gi = 0; gi < gsize; ++gi) {
-          const simnet::NodeId n = gmembers[gi];
-          const simnet::Rank lead = faulty ? cur_leaders[n] : leaders[n];
-          ledger.WaitUntil(lead, iw.stats.finish_times[gi]);
-          if (eo.tracing()) {
-            const auto li = static_cast<std::size_t>(lead);
-            const simnet::VirtualTime b = eo.mark(li);
-            const simnet::VirtualTime e = ledger[li].clock;
-            const simnet::VirtualTime sr = iw.stats.scatter_reduce_done;
-            if (sr > b && sr < e) {
-              eo.SpanAt("scatter_reduce", li, b, sr, iter);
-              eo.SpanAt("allgather", li, sr, e, iter);
-            }
-            eo.Span("w_allreduce", ledger, li, iter);
-          }
-          if (fc != nullptr && excl < fc->excluded.size() &&
-              fc->excluded[excl] == static_cast<comm::GroupRank>(gi)) {
-            ++excl;  // timed out: no broadcast, node state frozen this round
-            continue;
-          }
-
-          // Leader broadcasts W to its node (paper Alg. 1 step 11).
-          const auto& nmembers = faulty ? node_alive[n] : node_ranks[n];
-          const comm::GroupComm& ic = faulty ? *intra_alive[n] : intra[n];
-          const comm::GroupRank leader_g = ic.LocalRank(lead);
-          const std::size_t elems =
-              cfg_.sparse_comm ? iw.result_nnz
-                               : static_cast<std::size_t>(problem.dim());
-          comm::BroadcastFromLeader(ic, leader_g, elems, ledger[lead].clock,
-                                    bc);
-          result.elements_sent += bc.elements_sent;
-          result.messages_sent += bc.messages_sent;
-          for (std::size_t m = 0; m < nmembers.size(); ++m) {
-            ledger.WaitUntil(nmembers[m], bc.finish_times[m]);
-          }
-          if (eo.on()) {
-            *pm.intra_bcast_elements += bc.elements_sent;
-            *pm.intra_bcast_messages += bc.messages_sent;
-            *pm.intra_bcast_bytes +=
-                bc.elements_sent *
-                (cfg_.sparse_comm ? cfg_.cluster.cost.value_bytes +
-                                        cfg_.cluster.cost.index_bytes
-                                  : cfg_.cluster.cost.value_bytes);
-            if (eo.tracing()) {
-              for (std::size_t m = 0; m < nmembers.size(); ++m) {
-                eo.Span("w_broadcast", ledger,
-                        static_cast<std::size_t>(nmembers[m]), iter);
-              }
-            }
-          }
-          ws.ZYStepAll(nmembers, iw.sum, contributors, flops);
-          for (std::size_t m = 0; m < nmembers.size(); ++m) {
-            const simnet::Rank r = nmembers[m];
-            ledger.ChargeCompute(r, cost.ComputeTime(flops[r]));
-          }
-          if (eo.tracing()) {
-            for (std::size_t m = 0; m < nmembers.size(); ++m) {
-              eo.Span("z_y_update", ledger,
-                      static_cast<std::size_t>(nmembers[m]), iter);
             }
           }
         }
@@ -1391,11 +1202,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     }
   }
 
-  if (faulty) {
-    result.faults.dropped_messages = fctx.dropped_messages;
-    result.faults.retries = fctx.retries;
-    result.faults.delayed_messages = fctx.delayed_messages;
-  }
+  AddMessageFaults(fctx, result.faults);
 
   result.final_z = ws.MeanZ();
   result.final_objective =

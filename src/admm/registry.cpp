@@ -19,13 +19,6 @@ RunResult RunAlgorithm(const std::string& name, const ClusterConfig& cluster,
                        const ConsensusProblem& problem,
                        const RunOptions& options) {
   const std::string n = ToLower(name);
-  if (options.transport != "sim") {
-    throw InvalidArgument(
-        "RunOptions.transport=\"" + options.transport +
-        "\": in-process engines run on the simulator transport only; "
-        "real-socket runs are one process per rank — use tools/psra_launch "
-        "with a transport worker (see DESIGN.md section 11)");
-  }
 
   auto run_psra = [&](GroupingMode mode, comm::AllreduceKind kind) {
     PsraConfig cfg;

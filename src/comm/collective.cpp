@@ -58,7 +58,7 @@ bool RunFaultProtocol(const GroupComm& group,
                       FaultContext& fc) {
   const auto& plan = *fc.plan;
   const auto& cfg = plan.config();
-  const std::uint64_t channel = fc.channel++;
+  const std::uint64_t channel = fc.channel;
   const GroupRank n = group.size();
 
   fc.excluded.clear();

@@ -105,9 +105,11 @@ struct AllreduceScratch {
 };
 
 /// Fault-injection context for the fault-tolerant Reduce* entry points.
-/// Callers keep one instance per run (like AllreduceScratch) and bump
-/// `iteration` each round; `channel` auto-increments per invocation so two
-/// collectives in the same iteration draw independent fault coins.
+/// Callers keep an instance per concurrent collective (like
+/// AllreduceScratch) and set `iteration` and `channel` before each call.
+/// The channel is the collective's position among the iteration's
+/// collectives in formation order, so two collectives in the same iteration
+/// draw independent fault coins however the host schedules them.
 ///
 /// Timeout/retry semantics (DESIGN.md "Fault model"): when the plan drops a
 /// member's transfer, the whole collective stalls for retry_timeout_s and
@@ -118,7 +120,7 @@ struct AllreduceScratch {
 struct FaultContext {
   const simnet::FaultPlan* plan = nullptr;  // null or empty plan: no faults
   std::uint64_t iteration = 0;              // 1-based engine iteration
-  std::uint64_t channel = 0;                // next collective id (auto-bumped)
+  std::uint64_t channel = 0;                // collective id, set by the caller
 
   // Cumulative accounting across invocations.
   std::size_t dropped_messages = 0;

@@ -104,9 +104,13 @@ struct Wire {
     std::byte* p = buf.data();
     std::memcpy(p, &nnz, sizeof(nnz));
     p += sizeof(nnz);
-    std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
-    p += nnz * sizeof(std::uint64_t);
-    std::memcpy(p, v.values().data(), nnz * sizeof(double));
+    // An empty vector's data() may be null, which memcpy does not accept
+    // even for a zero length.
+    if (nnz != 0) {
+      std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
+      p += nnz * sizeof(std::uint64_t);
+      std::memcpy(p, v.values().data(), nnz * sizeof(double));
+    }
     t.Post(members[dst], tag, buf);
   }
 
@@ -125,9 +129,11 @@ struct Wire {
                  "sparse payload size mismatch");
     idx.resize(nnz);
     val.resize(nnz);
-    std::memcpy(idx.data(), p, nnz * sizeof(std::uint64_t));
-    p += nnz * sizeof(std::uint64_t);
-    std::memcpy(val.data(), p, nnz * sizeof(double));
+    if (nnz != 0) {  // as in PostSparse: no null data() into memcpy
+      std::memcpy(idx.data(), p, nnz * sizeof(std::uint64_t));
+      p += nnz * sizeof(std::uint64_t);
+      std::memcpy(val.data(), p, nnz * sizeof(double));
+    }
     out = linalg::SparseVector(dim, idx, val);
   }
 };

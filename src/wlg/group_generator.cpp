@@ -55,41 +55,6 @@ bool GroupGenerator::EndCycleInto(GroupBatch& out) {
   return formed;
 }
 
-namespace {
-
-/// Copies a batch's groups into the vector-of-vectors form the convenience
-/// APIs return.
-void AppendFormations(const GroupBatch& batch, std::size_t first,
-                      std::vector<GroupFormation>& out) {
-  for (std::size_t i = first; i < batch.size(); ++i) {
-    const GroupView& v = batch.group(i);
-    const auto members = batch.members(v);
-    GroupFormation g;
-    g.members.assign(members.begin(), members.end());
-    g.formed_at = v.formed_at;
-    out.push_back(std::move(g));
-  }
-}
-
-}  // namespace
-
-std::optional<GroupFormation> GroupGenerator::Report(simnet::NodeId node,
-                                                     simnet::VirtualTime t) {
-  GroupBatch batch;
-  if (!ReportInto(node, t, batch)) return std::nullopt;
-  std::vector<GroupFormation> out;
-  AppendFormations(batch, 0, out);
-  return std::move(out.front());
-}
-
-std::optional<GroupFormation> GroupGenerator::EndCycle() {
-  GroupBatch batch;
-  if (!EndCycleInto(batch)) return std::nullopt;
-  std::vector<GroupFormation> out;
-  AppendFormations(batch, 0, out);
-  return std::move(out.front());
-}
-
 bool GroupGenerator::Withdraw(simnet::NodeId node) {
   PSRA_REQUIRE(node < num_leaders_, "node id out of range");
   const auto it = std::find(queue_.begin(), queue_.end(), node);
@@ -132,15 +97,6 @@ void RunGroupingCycle(GroupGenerator& gg, std::span<const LeaderReport> reports,
   (void)gg.EndCycleInto(ws.groups);
 }
 
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, std::span<const LeaderReport> reports) {
-  GroupWorkspace ws;
-  RunGroupingCycle(gg, reports, ws);
-  std::vector<GroupFormation> groups;
-  AppendFormations(ws.groups, 0, groups);
-  return groups;
-}
-
 void RunGroupingCycle(GroupGenerator& gg,
                       std::span<const simnet::VirtualTime> report_times,
                       GroupWorkspace& ws) {
@@ -163,15 +119,6 @@ void RunGroupingCycle(GroupGenerator& gg,
     (void)gg.ReportInto(n, report_times[n], ws.groups);
   }
   (void)gg.EndCycleInto(ws.groups);
-}
-
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, const std::vector<simnet::VirtualTime>& report_times) {
-  GroupWorkspace ws;
-  RunGroupingCycle(gg, std::span<const simnet::VirtualTime>(report_times), ws);
-  std::vector<GroupFormation> groups;
-  AppendFormations(ws.groups, 0, groups);
-  return groups;
 }
 
 }  // namespace psra::wlg

@@ -24,12 +24,6 @@
 
 namespace psra::wlg {
 
-struct GroupFormation {
-  std::vector<simnet::NodeId> members;
-  /// Virtual time the group was formed (report time of the last member).
-  simnet::VirtualTime formed_at = 0.0;
-};
-
 class GroupGenerator {
  public:
   /// `threshold` leaders form a group (>= 1); `num_leaders` total leaders in
@@ -40,25 +34,18 @@ class GroupGenerator {
   std::uint32_t num_leaders() const { return num_leaders_; }
 
   /// Leader of `node` reports at virtual time `t`. Reports within one cycle
-  /// must be delivered in non-decreasing time order (the engines sort
-  /// arrivals). Returns the formed group when this report fills the queue.
-  std::optional<GroupFormation> Report(simnet::NodeId node,
-                                       simnet::VirtualTime t);
-
-  /// Allocation-free Report: a formed group is appended to `out` instead of
-  /// being returned in a fresh vector, and the buffer queue keeps its
-  /// capacity. Returns true when this report formed a group.
+  /// must be delivered in non-decreasing time order (the cycle runners sort
+  /// arrivals). When this report fills the queue the formed group is
+  /// appended to `out` and true is returned; the buffer queue keeps its
+  /// capacity, so reporting is allocation-free in steady state.
   bool ReportInto(simnet::NodeId node, simnet::VirtualTime t, GroupBatch& out);
 
   /// Number of reports received in the current cycle.
   std::uint32_t ReportsThisCycle() const { return reports_this_cycle_; }
 
-  /// Residual queue contents as a final (smaller) group; empty optional if
-  /// the queue is empty. Resets the cycle either way.
-  std::optional<GroupFormation> EndCycle();
-
-  /// Allocation-free EndCycle: the residual group (if any) is appended to
-  /// `out`. Returns true when a group was appended.
+  /// Appends the residual queue contents to `out` as a final (smaller)
+  /// group, if the queue is not empty, and resets the cycle either way.
+  /// Returns true when a group was appended.
   bool EndCycleInto(GroupBatch& out);
 
   /// Leader of `node` died after reporting but before its group formed: the
@@ -79,15 +66,11 @@ class GroupGenerator {
   std::vector<bool> reported_;  // per-node guard within a cycle
 };
 
-/// Convenience: runs one full grouping cycle given every leader's report
-/// time, returning all formed groups (deterministic: ties broken by node id).
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, const std::vector<simnet::VirtualTime>& report_times);
-
-/// Allocation-free cycle used by the engine hot path: the formed groups land
-/// in ws.groups (cleared first) and the sort scratch lives in `ws`, so a
+/// Runs one full grouping cycle given every leader's report time
+/// (deterministic: ties broken by node id). The formed groups land in
+/// ws.groups (cleared first) and the sort scratch lives in `ws`, so a
 /// workspace reused across iterations performs no heap allocations in steady
-/// state. Identical formations to the vector-returning overload.
+/// state.
 void RunGroupingCycle(GroupGenerator& gg,
                       std::span<const simnet::VirtualTime> report_times,
                       GroupWorkspace& ws);
@@ -105,12 +88,9 @@ struct LeaderReport {
 /// Fault-aware grouping cycle over a SUBSET of leaders (dead nodes simply do
 /// not report). Report and death events are replayed in virtual-time order
 /// (ties: reports first, then by node id), so the regrouped memberships are
-/// deterministic.
-std::vector<GroupFormation> RunGroupingCycle(
-    GroupGenerator& gg, std::span<const LeaderReport> reports);
-
-/// Workspace variant of the fault-aware cycle (same formations; the event
-/// scratch and formed groups live in `ws`).
+/// deterministic. With every leader reporting and none dying it forms
+/// exactly the groups of the report-time overload above. The event scratch
+/// and formed groups live in `ws`, as above.
 void RunGroupingCycle(GroupGenerator& gg, std::span<const LeaderReport> reports,
                       GroupWorkspace& ws);
 

@@ -1,6 +1,7 @@
 // Steady-state allocation regression test: after warm-up, a PSRA-HGADMM
-// iteration must perform ZERO dynamic allocations — for flat AND dynamic
-// grouping, serial and pooled. This is the testable core of the
+// iteration must perform ZERO dynamic allocations — for every grouping,
+// serial and pooled, with and without message faults. This is the testable
+// core of the
 // bench_hotpath alloc gate: bench numbers need a quiet machine, but an
 // allocation count is deterministic, so it can fail a plain ctest run the
 // moment a hot-path std::vector sneaks back in.
@@ -45,6 +46,18 @@ PsraConfig SmallCluster(GroupingMode grouping) {
   cfg.cluster.workers_per_node = 2;
   cfg.grouping = grouping;
   cfg.sparse_comm = false;
+  return cfg;
+}
+
+/// SmallCluster under message faults only: drops that always resolve
+/// within the retry bound (0.1^13 per member never excludes anyone here)
+/// plus delays. Every iteration runs the fault protocol on every collective.
+PsraConfig DropDelayCluster(GroupingMode grouping) {
+  PsraConfig cfg = SmallCluster(grouping);
+  cfg.cluster.fault.message_drop_probability = 0.1;
+  cfg.cluster.fault.max_retries = 12;
+  cfg.cluster.fault.message_delay_probability = 0.2;
+  cfg.cluster.fault.message_delay_s = 1e-4;
   return cfg;
 }
 
@@ -103,6 +116,21 @@ TEST_P(AllocRegression, PooledIterationIsAllocationFree) {
   engine::ThreadPool pool(8);
   pool.ForceParallelDispatchForTesting();
   EXPECT_EQ(AllocsPerIter(problem, SmallCluster(GetParam()), &pool), 0u);
+}
+
+// Faulty runs take the same pooled iteration flow: each group slot owns its
+// fault context, so drawing fault coins, stalling for retries and delaying
+// messages allocate nothing once the slots are warm.
+TEST_P(AllocRegression, SerialFaultyIterationIsAllocationFree) {
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  EXPECT_EQ(AllocsPerIter(problem, DropDelayCluster(GetParam()), nullptr), 0u);
+}
+
+TEST_P(AllocRegression, PooledFaultyIterationIsAllocationFree) {
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  engine::ThreadPool pool(8);
+  pool.ForceParallelDispatchForTesting();
+  EXPECT_EQ(AllocsPerIter(problem, DropDelayCluster(GetParam()), &pool), 0u);
 }
 
 // The convergence timeline must ride for free: with a metrics-only

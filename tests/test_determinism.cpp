@@ -156,6 +156,29 @@ TEST_P(PoolDeterminism, FaultyRunsAreBitwiseIdenticalAcrossPools) {
   ExpectIdenticalRuns(serial, RunWithPool(problem, cfg, &pool8));
 }
 
+TEST_P(PoolDeterminism, NeverFiringPlanMatchesFaultFreeRun) {
+  // A plan whose only event is a crash after the last iteration makes the
+  // run faulty (fault bookkeeping, checkpoints, fault contexts on every
+  // collective) without ever injecting anything. The iteration flow is the
+  // same one fault-free runs take, so the result must be too, bit for bit.
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    auto cfg = SmallCluster(GetParam());
+    cfg.sparse_comm = sparse;
+    const RunResult clean = RunWithPool(problem, cfg, nullptr);
+
+    cfg.cluster.fault.crashes.push_back({/*rank=*/3, /*at_iteration=*/9,
+                                         /*down_iterations=*/2});
+    cfg.cluster.fault.checkpoint_every = 2;
+    ExpectIdenticalRuns(clean, RunWithPool(problem, cfg, nullptr));
+
+    engine::ThreadPool pool2(2);
+    pool2.ForceParallelDispatchForTesting();
+    ExpectIdenticalRuns(clean, RunWithPool(problem, cfg, &pool2));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllGroupings, PoolDeterminism,
                          ::testing::Values(GroupingMode::kFlat,
                                            GroupingMode::kHierarchical,

@@ -184,6 +184,129 @@ TEST(Faults, FaultyRunsAreReproducible) {
   EXPECT_EQ(std::memcmp(&a.makespan, &b.makespan, sizeof(double)), 0);
 }
 
+// ------------------------------------------------------ pinned integers ----
+// Runs under fault plans, pinned by the integers every fault coin feeds:
+// FaultStats (drops, retries, delays, deaths, re-elections), the traffic
+// counters and the iteration count. A coin drawn on the wrong channel, a
+// retry charged to the wrong group or an excluded node that still
+// broadcasts moves at least one of them.
+
+struct RunPin {
+  FaultStats faults;
+  std::size_t elements_sent = 0;
+  std::size_t messages_sent = 0;
+  std::uint64_t iterations_run = 0;
+};
+
+void ExpectPinned(const RunResult& r, const RunPin& pin) {
+  EXPECT_EQ(r.faults.worker_crashes, pin.faults.worker_crashes);
+  EXPECT_EQ(r.faults.recoveries, pin.faults.recoveries);
+  EXPECT_EQ(r.faults.leader_deaths, pin.faults.leader_deaths);
+  EXPECT_EQ(r.faults.leader_reelections, pin.faults.leader_reelections);
+  EXPECT_EQ(r.faults.dropped_messages, pin.faults.dropped_messages);
+  EXPECT_EQ(r.faults.retries, pin.faults.retries);
+  EXPECT_EQ(r.faults.delayed_messages, pin.faults.delayed_messages);
+  EXPECT_EQ(r.faults.down_worker_iterations,
+            pin.faults.down_worker_iterations);
+  EXPECT_EQ(r.elements_sent, pin.elements_sent);
+  EXPECT_EQ(r.messages_sent, pin.messages_sent);
+  EXPECT_EQ(r.iterations_run, pin.iterations_run);
+}
+
+/// Drops that always resolve within the retry bound, plus delays.
+simnet::FaultConfig DropDelayPlan() {
+  simnet::FaultConfig f;
+  f.message_drop_probability = 0.1;
+  f.max_retries = 12;
+  f.message_delay_probability = 0.2;
+  f.message_delay_s = 1e-4;
+  return f;
+}
+
+/// Crash-restart, a permanent crash, two leader deaths, and drops with a
+/// retry bound low enough that some collectives exclude a member.
+simnet::FaultConfig CrashDeathDropPlan() {
+  simnet::FaultConfig f;
+  f.crashes.push_back({/*rank=*/3, /*at_iteration=*/5, /*down_iterations=*/4});
+  f.crashes.push_back({/*rank=*/6, /*at_iteration=*/9, /*down_iterations=*/0});
+  f.leader_deaths.push_back({/*node=*/1, /*at_iteration=*/7,
+                             /*down_iterations=*/3});
+  f.leader_deaths.push_back({/*node=*/2, /*at_iteration=*/13,
+                             /*down_iterations=*/2});
+  f.message_drop_probability = 0.1;
+  f.max_retries = 2;
+  f.checkpoint_every = 4;
+  return f;
+}
+
+struct PinCase {
+  const char* name;
+  GroupingMode grouping;
+  bool sparse;
+  simnet::FaultConfig (*plan)();
+  RunPin pin;
+};
+
+TEST(FaultPins, FaultyRunsKeepTheirIntegers) {
+  const PinCase cases[] = {
+      {"flat dense drop/delay", GroupingMode::kFlat, false, DropDelayPlan,
+       {{0, 0, 0, 0, 37, 25, 30, 0}, 28000, 2240, 20}},
+      {"flat sparse drop/delay", GroupingMode::kFlat, true, DropDelayPlan,
+       {{0, 0, 0, 0, 37, 25, 30, 0}, 24175, 2240, 20}},
+      {"flat dense crash/death/drop", GroupingMode::kFlat, false,
+       CrashDeathDropPlan, {{2, 1, 0, 1, 28, 15, 0, 16}, 23800, 1664, 20}},
+      {"flat sparse crash/death/drop", GroupingMode::kFlat, true,
+       CrashDeathDropPlan, {{2, 1, 0, 1, 28, 15, 0, 16}, 20521, 1664, 20}},
+      {"hierarchical dense drop/delay", GroupingMode::kHierarchical, false,
+       DropDelayPlan, {{0, 0, 0, 0, 7, 7, 18, 0}, 28000, 640, 20}},
+      {"hierarchical sparse drop/delay", GroupingMode::kHierarchical, true,
+       DropDelayPlan, {{0, 0, 0, 0, 7, 7, 18, 0}, 27400, 640, 20}},
+      {"dynamic dense drop/delay", GroupingMode::kDynamicGroups, false,
+       DropDelayPlan, {{0, 0, 0, 0, 13, 12, 17, 0}, 24000, 480, 20}},
+      {"dynamic sparse drop/delay", GroupingMode::kDynamicGroups, true,
+       DropDelayPlan, {{0, 0, 0, 0, 13, 12, 17, 0}, 23462, 480, 20}},
+      {"hierarchical dense crash/death/drop", GroupingMode::kHierarchical,
+       false, CrashDeathDropPlan, {{2, 3, 2, 5, 10, 8, 0, 21}, 23000, 550, 20}},
+      {"hierarchical sparse crash/death/drop", GroupingMode::kHierarchical,
+       true, CrashDeathDropPlan, {{2, 3, 2, 5, 10, 8, 0, 21}, 22159, 550, 20}},
+      {"dynamic dense crash/death/drop", GroupingMode::kDynamicGroups, false,
+       CrashDeathDropPlan, {{2, 3, 2, 5, 10, 9, 0, 21}, 19000, 419, 20}},
+      {"dynamic sparse crash/death/drop", GroupingMode::kDynamicGroups, true,
+       CrashDeathDropPlan, {{2, 3, 2, 5, 10, 9, 0, 21}, 18121, 419, 20}},
+  };
+  for (const PinCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto cfg = BaseConfig(c.grouping);
+    cfg.sparse_comm = c.sparse;
+    cfg.cluster.fault = c.plan();
+    ExpectPinned(PsraHgAdmm(cfg).Run(Problem(), Options(20)), c.pin);
+  }
+}
+
+TEST(FaultPins, EmptiedSingletonGroupTakesNoChannel) {
+  // Threshold 1: every report forms a one-node group on the spot, so a
+  // leader dying right after its report empties a group that already
+  // formed. That group runs no collective and must not take a fault
+  // channel; otherwise every later group of the iteration draws its coins
+  // on a shifted channel and the drop counts move.
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    auto cfg = BaseConfig(GroupingMode::kDynamicGroups);
+    cfg.group_threshold = 1;
+    cfg.sparse_comm = sparse;
+    for (std::uint64_t it = 3; it <= 18; it += 3) {
+      cfg.cluster.fault.leader_deaths.push_back(
+          {static_cast<simnet::NodeId>(it % 4), it, /*down_iterations=*/1});
+    }
+    cfg.cluster.fault.message_drop_probability = 0.1;
+    cfg.cluster.fault.max_retries = 12;
+    cfg.cluster.fault.checkpoint_every = 3;
+    const RunPin pin{{0, 6, 6, 12, 9, 9, 0, 6}, sparse ? 13450u : 14200u, 302,
+                     20};
+    ExpectPinned(PsraHgAdmm(cfg).Run(Problem(), Options(20)), pin);
+  }
+}
+
 TEST(Faults, GadmmChainRecoversFromCrash) {
   const std::uint64_t iters = 24;
   GadmmConfig cfg;

@@ -13,14 +13,11 @@
 #include <cstring>
 #include <thread>
 
-#include "admm/problem.hpp"
-#include "admm/registry.hpp"
 #include "comm/collective.hpp"
 #include "comm/hierarchical.hpp"
 #include "comm/transport.hpp"
 #include "comm/wire_allreduce.hpp"
 #include "comm/wire_obs.hpp"
-#include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/wire.hpp"
 #include "support/rng.hpp"
@@ -653,32 +650,6 @@ TEST(TcpTransport, PortCollisionRetriesUpward) {
   std::uint16_t again = occupied;
   EXPECT_THROW(BindListener(again, 0), TransportError);
   close(blocker);
-}
-
-// --- RunOptions::transport ------------------------------------------------
-
-TEST(RunOptionsTransport, EnginesRejectNonSimTransport) {
-  // In-process engines are simulator-only; real-socket runs are one process
-  // per rank via tools/psra_launch. Anything but "sim" must be rejected up
-  // front instead of silently simulating.
-  data::SyntheticSpec spec;
-  spec.name = "tiny";
-  spec.num_features = 40;
-  spec.num_train = 80;
-  spec.num_test = 20;
-  spec.mean_row_nnz = 6.0;
-  spec.seed = 7;
-  const auto problem = admm::BuildProblem(spec, 4);
-  admm::ClusterConfig cluster;
-  cluster.num_nodes = 4;
-  admm::RunOptions opt;
-  opt.max_iterations = 1;
-  EXPECT_EQ(opt.transport, "sim");
-  opt.transport = "tcp";
-  EXPECT_THROW(admm::RunAlgorithm("psra-hgadmm", cluster, problem, opt),
-               psra::InvalidArgument);
-  opt.transport = "sim";
-  EXPECT_NO_THROW(admm::RunAlgorithm("psra-hgadmm", cluster, problem, opt));
 }
 
 TEST(TcpTransport, FromEnvRoundTrip) {

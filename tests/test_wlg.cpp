@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/status.hpp"
 #include "wlg/group_generator.hpp"
@@ -15,6 +17,32 @@ namespace {
 using simnet::NodeId;
 using simnet::Rank;
 using simnet::Topology;
+
+/// Members of every group in `batch`, in formation order.
+std::vector<std::vector<NodeId>> Members(const GroupBatch& batch) {
+  std::vector<std::vector<NodeId>> out;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto members = batch.members(batch.group(i));
+    out.emplace_back(members.begin(), members.end());
+  }
+  return out;
+}
+
+/// One grouping cycle over every leader's report time.
+GroupBatch TimeCycle(GroupGenerator& gg,
+                     const std::vector<simnet::VirtualTime>& times) {
+  GroupWorkspace ws;
+  RunGroupingCycle(gg, times, ws);
+  return ws.groups;
+}
+
+/// One fault-aware grouping cycle over the given leader reports.
+GroupBatch FaultyCycle(GroupGenerator& gg,
+                       const std::vector<LeaderReport>& reports) {
+  GroupWorkspace ws;
+  RunGroupingCycle(gg, reports, ws);
+  return ws.groups;
+}
 
 // ---------------------------------------------------------------- leader ----
 
@@ -56,95 +84,93 @@ TEST(Leader, RejectsMixedNodesAndEmpty) {
 
 TEST(GroupGenerator, FormsGroupAtThreshold) {
   GroupGenerator gg(3, 6);
-  EXPECT_FALSE(gg.Report(0, 1.0).has_value());
-  EXPECT_FALSE(gg.Report(1, 2.0).has_value());
-  const auto g = gg.Report(2, 3.0);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(g->members, (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(g->formed_at, 3.0);
+  GroupBatch batch;
+  EXPECT_FALSE(gg.ReportInto(0, 1.0, batch));
+  EXPECT_FALSE(gg.ReportInto(1, 2.0, batch));
+  ASSERT_TRUE(gg.ReportInto(2, 3.0, batch));
+  EXPECT_EQ(Members(batch), (std::vector<std::vector<NodeId>>{{0, 1, 2}}));
+  EXPECT_DOUBLE_EQ(batch.group(0).formed_at, 3.0);
   EXPECT_EQ(gg.QueueDepth(), 0u);
 }
 
 TEST(GroupGenerator, PaperFigure3Scenario) {
   // 6 nodes, threshold 3: leaders 0,1,2 then 3,4,5 form two groups.
   GroupGenerator gg(3, 6);
-  std::vector<GroupFormation> groups;
-  const std::vector<simnet::VirtualTime> times{1, 2, 3, 4, 5, 6};
-  auto formed = RunGroupingCycle(gg, times);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{3, 4, 5}));
+  const auto formed = TimeCycle(gg, {1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(Members(formed),
+            (std::vector<std::vector<NodeId>>{{0, 1, 2}, {3, 4, 5}}));
 }
 
 TEST(GroupGenerator, GroupsByArrivalOrderNotNodeId) {
   GroupGenerator gg(2, 4);
   // Node 3 is fastest, node 0 slowest.
-  const std::vector<simnet::VirtualTime> times{40.0, 20.0, 30.0, 10.0};
-  const auto formed = RunGroupingCycle(gg, times);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{3, 1}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{2, 0}));
-  EXPECT_DOUBLE_EQ(formed[0].formed_at, 20.0);
-  EXPECT_DOUBLE_EQ(formed[1].formed_at, 40.0);
+  const auto formed = TimeCycle(gg, {40.0, 20.0, 30.0, 10.0});
+  EXPECT_EQ(Members(formed),
+            (std::vector<std::vector<NodeId>>{{3, 1}, {2, 0}}));
+  EXPECT_DOUBLE_EQ(formed.group(0).formed_at, 20.0);
+  EXPECT_DOUBLE_EQ(formed.group(1).formed_at, 40.0);
 }
 
 TEST(GroupGenerator, ResidualFormsSmallerFinalGroup) {
   GroupGenerator gg(3, 5);
-  const std::vector<simnet::VirtualTime> times{1, 2, 3, 4, 5};
-  const auto formed = RunGroupingCycle(gg, times);
+  const auto formed = TimeCycle(gg, {1, 2, 3, 4, 5});
   ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members.size(), 3u);
-  EXPECT_EQ(formed[1].members.size(), 2u);  // residual flushed at cycle end
+  EXPECT_EQ(formed.group(0).size, 3u);
+  EXPECT_EQ(formed.group(1).size, 2u);  // residual flushed at cycle end
 }
 
 TEST(GroupGenerator, TieBreaksByNodeId) {
   GroupGenerator gg(2, 4);
-  const std::vector<simnet::VirtualTime> times{5.0, 5.0, 5.0, 5.0};
-  const auto formed = RunGroupingCycle(gg, times);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{2, 3}));
+  const auto formed = TimeCycle(gg, {5.0, 5.0, 5.0, 5.0});
+  EXPECT_EQ(Members(formed),
+            (std::vector<std::vector<NodeId>>{{0, 1}, {2, 3}}));
 }
 
 TEST(GroupGenerator, CycleResetsAfterAllReport) {
   GroupGenerator gg(2, 2);
-  ASSERT_TRUE(RunGroupingCycle(gg, {1.0, 2.0}).size() == 1);
+  ASSERT_EQ(TimeCycle(gg, {1.0, 2.0}).size(), 1u);
   // A fresh cycle must accept the same nodes again.
-  const auto formed = RunGroupingCycle(gg, {3.0, 4.0});
+  const auto formed = TimeCycle(gg, {3.0, 4.0});
   ASSERT_EQ(formed.size(), 1u);
-  EXPECT_DOUBLE_EQ(formed[0].formed_at, 4.0);
+  EXPECT_DOUBLE_EQ(formed.group(0).formed_at, 4.0);
 }
 
 TEST(GroupGenerator, DoubleReportInOneCycleThrows) {
   GroupGenerator gg(3, 4);
-  gg.Report(1, 1.0);
-  EXPECT_THROW(gg.Report(1, 2.0), InvalidArgument);
+  GroupBatch batch;
+  gg.ReportInto(1, 1.0, batch);
+  EXPECT_THROW(gg.ReportInto(1, 2.0, batch), InvalidArgument);
 }
 
 TEST(GroupGenerator, OutOfOrderTimeThrows) {
   GroupGenerator gg(3, 4);
-  gg.Report(0, 5.0);
-  EXPECT_THROW(gg.Report(1, 4.0), InvalidArgument);
+  GroupBatch batch;
+  gg.ReportInto(0, 5.0, batch);
+  EXPECT_THROW(gg.ReportInto(1, 4.0, batch), InvalidArgument);
 }
 
 TEST(GroupGenerator, EndCycleOnEmptyQueueReturnsNothing) {
   GroupGenerator gg(2, 2);
-  EXPECT_FALSE(gg.EndCycle().has_value());
+  GroupBatch batch;
+  EXPECT_FALSE(gg.EndCycleInto(batch));
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(GroupGenerator, ThresholdOneMakesSingletonGroups) {
   GroupGenerator gg(1, 3);
-  const auto formed = RunGroupingCycle(gg, {1.0, 2.0, 3.0});
+  const auto formed = TimeCycle(gg, {1.0, 2.0, 3.0});
   ASSERT_EQ(formed.size(), 3u);
-  for (const auto& g : formed) EXPECT_EQ(g.members.size(), 1u);
+  for (std::size_t i = 0; i < formed.size(); ++i) {
+    EXPECT_EQ(formed.group(i).size, 1u);
+  }
 }
 
 TEST(GroupGenerator, ThresholdEqualNodesActsAsFullBarrier) {
   GroupGenerator gg(4, 4);
-  const auto formed = RunGroupingCycle(gg, {4.0, 3.0, 2.0, 1.0});
+  const auto formed = TimeCycle(gg, {4.0, 3.0, 2.0, 1.0});
   ASSERT_EQ(formed.size(), 1u);
-  EXPECT_EQ(formed[0].members.size(), 4u);
-  EXPECT_DOUBLE_EQ(formed[0].formed_at, 4.0);
+  EXPECT_EQ(formed.group(0).size, 4u);
+  EXPECT_DOUBLE_EQ(formed.group(0).formed_at, 4.0);
 }
 
 TEST(GroupGenerator, RejectsBadConstruction) {
@@ -154,11 +180,10 @@ TEST(GroupGenerator, RejectsBadConstruction) {
 
 TEST(GroupGenerator, EveryNodeAppearsExactlyOncePerCycle) {
   GroupGenerator gg(3, 8);
-  const std::vector<simnet::VirtualTime> times{8, 1, 6, 2, 7, 3, 5, 4};
-  const auto formed = RunGroupingCycle(gg, times);
+  const auto formed = TimeCycle(gg, {8, 1, 6, 2, 7, 3, 5, 4});
   std::multiset<NodeId> seen;
-  for (const auto& g : formed) {
-    seen.insert(g.members.begin(), g.members.end());
+  for (const auto& members : Members(formed)) {
+    seen.insert(members.begin(), members.end());
   }
   EXPECT_EQ(seen.size(), 8u);
   for (NodeId n = 0; n < 8; ++n) EXPECT_EQ(seen.count(n), 1u);
@@ -189,25 +214,25 @@ TEST(Leader, ReElectionExcludesTheDeadLeader) {
 
 TEST(GroupGenerator, WithdrawRemovesQueuedReporter) {
   GroupGenerator gg(2, 4);
-  EXPECT_FALSE(gg.Report(0, 1.0).has_value());
+  GroupBatch batch;
+  EXPECT_FALSE(gg.ReportInto(0, 1.0, batch));
   EXPECT_EQ(gg.QueueDepth(), 1u);
   EXPECT_TRUE(gg.Withdraw(0));
   EXPECT_EQ(gg.QueueDepth(), 0u);
   EXPECT_FALSE(gg.Withdraw(0));  // already gone
 
   // The withdrawn slot is refilled by later reporters.
-  EXPECT_FALSE(gg.Report(1, 2.0).has_value());
-  const auto formed = gg.Report(2, 3.0);
-  ASSERT_TRUE(formed.has_value());
-  EXPECT_EQ(formed->members, (std::vector<NodeId>{1, 2}));
-  EXPECT_DOUBLE_EQ(formed->formed_at, 3.0);
+  EXPECT_FALSE(gg.ReportInto(1, 2.0, batch));
+  ASSERT_TRUE(gg.ReportInto(2, 3.0, batch));
+  EXPECT_EQ(Members(batch), (std::vector<std::vector<NodeId>>{{1, 2}}));
+  EXPECT_DOUBLE_EQ(batch.group(0).formed_at, 3.0);
 }
 
 TEST(GroupGenerator, WithdrawAfterFormationReturnsFalse) {
   GroupGenerator gg(2, 4);
-  gg.Report(0, 1.0);
-  const auto formed = gg.Report(1, 2.0);
-  ASSERT_TRUE(formed.has_value());
+  GroupBatch batch;
+  gg.ReportInto(0, 1.0, batch);
+  ASSERT_TRUE(gg.ReportInto(1, 2.0, batch));
   EXPECT_FALSE(gg.Withdraw(0));  // its group already formed
 }
 
@@ -221,11 +246,9 @@ TEST(GroupGenerator, FaultyCycleRegroupsAroundLeaderDeath) {
       {.node = 2, .time = 3.0, .dies_at = std::nullopt},
       {.node = 3, .time = 4.0, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{1, 2}));
-  EXPECT_DOUBLE_EQ(formed[0].formed_at, 3.0);
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{3}));
+  const auto formed = FaultyCycle(gg, reports);
+  EXPECT_EQ(Members(formed), (std::vector<std::vector<NodeId>>{{1, 2}, {3}}));
+  EXPECT_DOUBLE_EQ(formed.group(0).formed_at, 3.0);
 }
 
 TEST(GroupGenerator, FaultyCycleKeepsGroupsFormedBeforeTheDeath) {
@@ -238,10 +261,9 @@ TEST(GroupGenerator, FaultyCycleKeepsGroupsFormedBeforeTheDeath) {
       {.node = 2, .time = 6.0, .dies_at = std::nullopt},
       {.node = 3, .time = 7.0, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{2, 3}));
+  const auto formed = FaultyCycle(gg, reports);
+  EXPECT_EQ(Members(formed),
+            (std::vector<std::vector<NodeId>>{{0, 1}, {2, 3}}));
 }
 
 TEST(GroupGenerator, FaultyCycleWithSubsetOfLeaders) {
@@ -253,33 +275,52 @@ TEST(GroupGenerator, FaultyCycleWithSubsetOfLeaders) {
       {.node = 0, .time = 2.5, .dies_at = std::nullopt},
       {.node = 3, .time = 3.5, .dies_at = std::nullopt},
   };
-  const auto formed = RunGroupingCycle(gg, reports);
-  ASSERT_EQ(formed.size(), 2u);
-  EXPECT_EQ(formed[0].members, (std::vector<NodeId>{2, 0}));
-  EXPECT_EQ(formed[1].members, (std::vector<NodeId>{3}));
+  const auto formed = FaultyCycle(gg, reports);
+  EXPECT_EQ(Members(formed), (std::vector<std::vector<NodeId>>{{2, 0}, {3}}));
 }
 
 // ------------------------------------------------------- group workspace ----
 
-TEST(GroupWorkspace, BatchCycleMatchesVectorCycle) {
-  // The pooled RunGroupingCycle overload must form the exact groups (same
-  // membership, same order, same formed_at) as the allocating original.
-  GroupGenerator gg_vec(3, 8);
-  const std::vector<simnet::VirtualTime> times{5, 1, 7, 2, 8, 3, 6, 4};
-  const auto expected = RunGroupingCycle(gg_vec, times);
+TEST(GroupWorkspace, FaultAwareCycleMatchesReportTimeCycle) {
+  // The engine forms dynamic groups through the fault-aware overload on
+  // every run. Fed every node and no deaths, it must form exactly the groups
+  // of the report-time overload: same membership, same order, same
+  // formed_at bits, ties included, for every threshold and whatever order
+  // the reports arrive in.
+  const std::vector<std::vector<simnet::VirtualTime>> cases{
+      {5, 1, 7, 2, 8, 3, 6, 4},
+      {3, 3, 1, 3, 2, 2, 3, 1},  // ties across and within groups
+      {4, 4, 4, 4, 4, 4, 4, 4},  // one tie spanning every node
+      {0.5, 0.25, 0.75, 0.125, 0.5, 0.25, 0.875, 0.125},
+  };
+  for (const auto& times : cases) {
+    const auto n = static_cast<std::uint32_t>(times.size());
+    for (std::uint32_t threshold = 1; threshold <= n; ++threshold) {
+      GroupGenerator gg_times(threshold, n);
+      const GroupBatch expected = TimeCycle(gg_times, times);
 
-  GroupGenerator gg_ws(3, 8);
-  GroupWorkspace ws;
-  RunGroupingCycle(gg_ws, times, ws);
-  ASSERT_EQ(ws.groups.size(), expected.size());
-  for (std::size_t g = 0; g < expected.size(); ++g) {
-    const GroupView view = ws.groups.group(g);
-    const auto members = ws.groups.members(view);
-    ASSERT_EQ(members.size(), expected[g].members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      EXPECT_EQ(members[i], expected[g].members[i]);
+      std::vector<LeaderReport> reports;
+      for (NodeId node = 0; node < n; ++node) {
+        reports.push_back(
+            {.node = node, .time = times[node], .dies_at = std::nullopt});
+      }
+      for (int order = 0; order < 2; ++order) {
+        if (order == 1) std::reverse(reports.begin(), reports.end());
+        // One generator across two cycles, as the engine keeps it.
+        GroupGenerator gg_reports(threshold, n);
+        for (int cycle = 0; cycle < 2; ++cycle) {
+          const GroupBatch formed = FaultyCycle(gg_reports, reports);
+          SCOPED_TRACE("threshold " + std::to_string(threshold) + " order " +
+                       std::to_string(order) + " cycle " +
+                       std::to_string(cycle));
+          EXPECT_EQ(Members(formed), Members(expected));
+          ASSERT_EQ(formed.size(), expected.size());
+          for (std::size_t g = 0; g < formed.size(); ++g) {
+            EXPECT_EQ(formed.group(g).formed_at, expected.group(g).formed_at);
+          }
+        }
+      }
     }
-    EXPECT_DOUBLE_EQ(view.formed_at, expected[g].formed_at);
   }
 }
 
