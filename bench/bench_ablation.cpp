@@ -2,7 +2,7 @@
 // paper figure; it isolates each ingredient of PSRA-HGADMM:
 //
 //   A. Allreduce algorithm inside the WLG framework:
-//      psr (paper) vs ring vs rhd vs tree vs naive.
+//      psr (paper) vs ring vs naive.
 //   B. Sparse vs dense aggregate encoding.
 //   C. Group Generator threshold sweep (grouping-overhead vs wait tradeoff).
 //   D. Adaptive penalty (residual balancing) vs fixed rho.
@@ -64,8 +64,6 @@ int main(int argc, char** argv) {
     const std::pair<const char*, comm::AllreduceKind> kinds[] = {
         {"psr", comm::AllreduceKind::kPsr},
         {"ring", comm::AllreduceKind::kRing},
-        {"rhd", comm::AllreduceKind::kRhd},
-        {"tree", comm::AllreduceKind::kTree},
         {"naive", comm::AllreduceKind::kNaive},
     };
     for (const auto& [name, kind] : kinds) {

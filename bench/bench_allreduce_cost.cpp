@@ -101,17 +101,20 @@ int main(int argc, char** argv) {
       const auto inputs = MakeLayout(layout, n, c, dim, group);
       const std::vector<simnet::VirtualTime> starts(n, 0.0);
 
-      const auto ring = comm::MakeAllreduce("ring")->RunSparse(group, inputs,
-                                                               starts);
-      const auto psr = comm::MakeAllreduce("psr")->RunSparse(group, inputs,
-                                                             starts);
+      comm::AllreduceScratch scratch;
+      linalg::SparseVector sum;
+      comm::CommStats ring, psr;
+      comm::MakeAllreduce("ring")->ReduceSparse(group, inputs, starts, scratch,
+                                                sum, ring);
+      comm::MakeAllreduce("psr")->ReduceSparse(group, inputs, starts, scratch,
+                                               sum, psr);
       const double cd = static_cast<double>(c);
       const double nd = static_cast<double>(n);
       table.AddRow({layout, std::to_string(n),
-                    Table::Cell(ring.stats.all_done, 6),
-                    Table::Cell(psr.stats.all_done, 6),
-                    Table::Cell(psr.stats.all_done /
-                                    std::max(1e-12, ring.stats.all_done),
+                    Table::Cell(ring.all_done, 6),
+                    Table::Cell(psr.all_done, 6),
+                    Table::Cell(psr.all_done /
+                                    std::max(1e-12, ring.all_done),
                                 3),
                     Table::Cell(2.0 * cd * (nd - 1) / nd, 6),   // eq. 13/16 lo
                     Table::Cell(1.5 * cd * nd * (nd - 1), 6),   // eq. 13 hi

@@ -143,15 +143,16 @@ void BM_SparseAllreduce(benchmark::State& state) {
   }
   const std::vector<simnet::VirtualTime> starts(n, 0.0);
   const auto alg = comm::MakeAllreduce(kKind);
+  comm::AllreduceScratch scratch;
+  linalg::SparseVector sum;
+  comm::CommStats stats;
   for (auto _ : state) {
-    auto res = alg->RunSparse(group, inputs, starts);
-    benchmark::DoNotOptimize(res.stats.all_done);
+    alg->ReduceSparse(group, inputs, starts, scratch, sum, stats);
+    benchmark::DoNotOptimize(stats.all_done);
   }
 }
 BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kRing>)->Arg(8)->Arg(32);
 BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kPsr>)->Arg(8)->Arg(32);
-BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kRhd>)->Arg(8)->Arg(32);
-BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kTree>)->Arg(8)->Arg(32);
 
 void BM_SparseVectorSlice(benchmark::State& state) {
   Rng rng(5);

@@ -38,8 +38,6 @@ comm::AllreduceKind ParseKind(const std::string& name) {
   if (name == "naive") return comm::AllreduceKind::kNaive;
   if (name == "ring") return comm::AllreduceKind::kRing;
   if (name == "psr") return comm::AllreduceKind::kPsr;
-  if (name == "rhd") return comm::AllreduceKind::kRhd;
-  if (name == "tree") return comm::AllreduceKind::kTree;
   throw InvalidArgument("unknown algorithm token '" + name + "'");
 }
 
@@ -85,7 +83,7 @@ int main(int argc, char** argv) {
   cli.AddString("dataset", &dataset, "dataset profile (default smoke)");
   cli.AddDouble("scale", &scale, "profile scale (0 = dataset default)");
   cli.AddString("algorithm", &algorithm,
-                "inter-node collective: psr|ring|naive|rhd|tree");
+                "inter-node collective: psr|ring|naive");
   cli.AddBool("verify-pool", &verify_pool,
               "also run a short serial-vs-pooled prefix and require bitwise "
               "identical results");

@@ -5,7 +5,7 @@
 // bench/baselines/sweep_baseline.json).
 //
 // Algorithm tokens:
-//   psr | ring | naive | rhd | tree — PSRA-HGADMM with hierarchical
+//   psr | ring | naive — PSRA-HGADMM with hierarchical
 //       grouping (intra reduce -> ONE collective over all N leaders ->
 //       intra broadcast) and that inter-node collective, so the collective
 //       cost scales with N instead of degenerating to fixed-size dynamic
@@ -62,8 +62,6 @@ comm::AllreduceKind ParseKind(const std::string& name) {
   if (name == "naive") return comm::AllreduceKind::kNaive;
   if (name == "ring") return comm::AllreduceKind::kRing;
   if (name == "psr") return comm::AllreduceKind::kPsr;
-  if (name == "rhd") return comm::AllreduceKind::kRhd;
-  if (name == "tree") return comm::AllreduceKind::kTree;
   throw InvalidArgument("unknown algorithm token '" + name + "'");
 }
 
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
   cli.AddString("dataset", &dataset, "dataset profile");
   cli.AddDouble("scale", &scale, "profile scale (0 = dataset default)");
   cli.AddString("algorithms", &algorithms_csv,
-                "cells: psr|ring|naive|rhd|tree|admmlib|ad-admm|gadmm");
+                "cells: psr|ring|naive|admmlib|ad-admm|gadmm");
   cli.AddString("sparsity", &sparsity_csv, "sparse,dense");
   cli.AddString("out-dir", &out_dir, "directory for per-cell metrics.json");
   cli.AddString("solver", &solver,

@@ -58,24 +58,18 @@ int main(int argc, char** argv) {
   };
 
   const std::vector<simnet::VirtualTime> starts(n, 0.0);
+  comm::AllreduceScratch scratch;
   Table table({"layout", "algorithm", "span", "elements", "messages"});
   for (const std::string layout : {"uniform", "own-block", "concentrated"}) {
     const auto inputs = make_layout(layout);
     for (const std::string alg_name : {"ring", "psr"}) {
-      const auto alg = comm::MakeAllreduce(alg_name);
-      const auto res = alg->RunSparse(group, inputs, starts);
-      table.AddRow({layout, alg_name,
-                    FormatDuration(res.stats.Span(starts)),
-                    std::to_string(res.stats.elements_sent),
-                    std::to_string(res.stats.messages_sent)});
-
-      // Sanity: every worker received the same reduced vector.
-      for (const auto& out : res.outputs) {
-        if (!(out == res.outputs[0])) {
-          std::cerr << "BUG: outputs differ across workers\n";
-          return 1;
-        }
-      }
+      linalg::SparseVector sum;
+      comm::CommStats stats;
+      comm::MakeAllreduce(alg_name)->ReduceSparse(group, inputs, starts,
+                                                  scratch, sum, stats);
+      table.AddRow({layout, alg_name, FormatDuration(stats.Span(starts)),
+                    std::to_string(stats.elements_sent),
+                    std::to_string(stats.messages_sent)});
     }
   }
   table.Print(std::cout);

@@ -121,6 +121,12 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   const std::uint64_t first_iter = ApplyWarmStart(ws, options) + 1;
   engine::TimeLedger ledger(world);
   const auto ring = comm::MakeAllreduce(cfg_.allreduce);
+  // The ring collective's buffers, recycled across iterations.
+  comm::AllreduceScratch ring_scratch;
+  comm::CommStats ring_stats;
+  std::vector<linalg::SparseVector> sparse_w;
+  linalg::SparseVector sparse_sum;
+  linalg::DenseVector dense_sum;
   const auto d = static_cast<std::size_t>(problem.dim());
 
   RunResult result;
@@ -262,30 +268,22 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     const std::vector<simnet::VirtualTime> starts(nodes, fire);
     const comm::GroupComm inter(&topo, &cost, all_leaders);
 
-    std::vector<simnet::VirtualTime> finish;
-    comm::CommStats ring_stats;
-    std::size_t result_nnz = 0;
+    std::size_t result_nnz = d;
     if (cfg_.sparse_comm) {
-      std::vector<linalg::SparseVector> sv;
-      sv.reserve(nodes);
+      sparse_w.resize(nodes);
       for (simnet::NodeId n = 0; n < nodes; ++n) {
-        sv.push_back(linalg::SparseVector::FromDense(cache_w[n]));
+        sparse_w[n].AssignFromDense(cache_w[n]);
       }
-      auto res = ring->RunSparse(inter, sv, starts);
-      result.elements_sent += res.stats.elements_sent;
-      result.messages_sent += res.stats.messages_sent;
-      result_nnz = res.outputs[0].nnz();
-      finish = std::move(res.stats.finish_times);
-      ring_stats = std::move(res.stats);
+      ring->ReduceSparse(inter, sparse_w, starts, ring_scratch, sparse_sum,
+                         ring_stats);
+      result_nnz = sparse_sum.nnz();
     } else {
-      std::vector<linalg::DenseVector> dv(cache_w.begin(), cache_w.end());
-      auto res = ring->RunDense(inter, dv, starts);
-      result.elements_sent += res.stats.elements_sent;
-      result.messages_sent += res.stats.messages_sent;
-      result_nnz = d;
-      finish = std::move(res.stats.finish_times);
-      ring_stats = std::move(res.stats);
+      ring->ReduceDense(inter, cache_w, starts, ring_scratch, dense_sum,
+                        ring_stats);
     }
+    result.elements_sent += ring_stats.elements_sent;
+    result.messages_sent += ring_stats.messages_sent;
+    const std::vector<simnet::VirtualTime>& finish = ring_stats.finish_times;
     if (eo.on()) {
       ++*lm.ssp_rounds;
       *lm.ssp_stale += nodes - participants.size();

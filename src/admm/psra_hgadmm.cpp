@@ -197,9 +197,8 @@ void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
 }
 
 /// Runs one inter-node allreduce over `w_inputs` (one dense vector per group
-/// member), leaving the dense sum and per-member finish times in `ws`. The
-/// fault-tolerant entry points are exactly the plain ones when `fc.plan` is
-/// null or empty.
+/// member), leaving the dense sum and per-member finish times in `ws`. With
+/// a null or empty `fc.plan` this is exactly the fault-free collective.
 void RunInterAllreduce(const comm::GroupComm& group,
                        const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
@@ -210,13 +209,13 @@ void RunInterAllreduce(const comm::GroupComm& group,
     for (std::size_t i = 0; i < w_inputs.size(); ++i) {
       ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
     }
-    alg.ReduceSparseFaulty(group, ws.sparse_inputs, starts, fc, ws.scratch,
-                           ws.sparse_sum, ws.stats);
+    alg.ReduceSparse(group, ws.sparse_inputs, starts, ws.scratch,
+                     ws.sparse_sum, ws.stats, &fc);
     ws.sparse_sum.ToDense(ws.sum);
     ws.result_nnz = ws.sparse_sum.nnz();
   } else {
-    alg.ReduceDenseFaulty(group, w_inputs, starts, fc, ws.scratch, ws.sum,
-                          ws.stats);
+    alg.ReduceDense(group, w_inputs, starts, ws.scratch, ws.sum, ws.stats,
+                    &fc);
     ws.result_nnz = ws.sum.size();
   }
   ws.elements = ws.stats.elements_sent;

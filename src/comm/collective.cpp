@@ -1,8 +1,9 @@
 #include "comm/collective.hpp"
 
 #include <algorithm>
+#include <limits>
 
-#include "comm/allreduce_impl.hpp"
+#include "comm/schedule.hpp"
 #include "simnet/fault.hpp"
 #include "support/status.hpp"
 #include "support/string_util.hpp"
@@ -24,28 +25,178 @@ void CommStats::Reset(std::size_t n) {
   messages_sent = 0;
   bytes_sent = 0;
   rounds = 0;
-  total_send_time = 0.0;
-}
-
-void AllreduceAlgorithm::ReduceDense(
-    const GroupComm& group, std::span<const linalg::DenseVector> inputs,
-    std::span<const simnet::VirtualTime> starts, AllreduceScratch& /*scratch*/,
-    linalg::DenseVector& sum, CommStats& stats) const {
-  auto res = RunDense(group, inputs, starts);
-  sum = std::move(res.outputs[0]);
-  stats = std::move(res.stats);
-}
-
-void AllreduceAlgorithm::ReduceSparse(
-    const GroupComm& group, std::span<const linalg::SparseVector> inputs,
-    std::span<const simnet::VirtualTime> starts, AllreduceScratch& /*scratch*/,
-    linalg::SparseVector& sum, CommStats& stats) const {
-  auto res = RunSparse(group, inputs, starts);
-  sum = std::move(res.outputs[0]);
-  stats = std::move(res.stats);
 }
 
 namespace {
+
+/// The simulator executor: runs schedule `s` over every member at once.
+/// Each phase first times its sends — a send advances its sender's clock by
+/// the transfer time, and a member's clock ends the phase at the max of its
+/// own and its arrivals — then folds. A block's partial is its running fold,
+/// so the simulator keeps one fold per block: a forwarded partial is already
+/// in it, and only input slices are added, straight from `inputs`.
+template <typename V>
+void Simulate(const Schedule& s, const GroupComm& group,
+              std::span<const V> inputs,
+              std::span<const simnet::VirtualTime> starts,
+              AllreduceScratch& scratch, V& sum, CommStats& st) {
+  using P = Payload<V>;
+  const GroupRank n = group.size();
+  const std::uint64_t dim = P::Dim(inputs[0]);
+  const auto& cm = group.cost_model();
+  const std::size_t elem_bytes = group.pricing().PerElement(P::kSparse);
+  st.Reset(n);
+
+  auto& folds = std::get<std::vector<typename P::Fold>>(scratch.folds);
+  folds.resize(s.num_blocks());
+  P::Resize(sum, dim);
+  for (GroupRank b = 0; b < s.num_blocks(); ++b) {
+    const auto [lo, hi] = s.BlockRange(dim, b);
+    P::Reset(folds[b], sum, lo, hi, s.dense_folds_from_zero());
+  }
+
+  // A sparse block is appended to the sum once all n sources are folded
+  // into it and every lower block is in, while it is still warm in cache.
+  auto& folded = scratch.folded;
+  folded.assign(s.num_blocks(), 0);
+  GroupRank appended = 0;
+  auto add_slice = [&](GroupRank b, GroupRank from) {
+    const auto [lo, hi] = s.BlockRange(dim, b);
+    folds[b].Add(P::In(inputs[from], lo, hi));
+    ++folded[b];
+  };
+  auto own_slice_size = [&](GroupRank from, GroupRank b) {
+    const auto [lo, hi] = s.BlockRange(dim, b);
+    return P::Count(inputs[from], lo, hi);
+  };
+  auto append_final = [&] {
+    if constexpr (P::kSparse) {
+      while (appended < s.num_blocks() && folded[appended] == n) {
+        folds[appended++].AppendTo(sum);
+      }
+    }
+  };
+
+  auto& t = scratch.clock;
+  t.assign(starts.begin(), starts.end());
+  if (s.num_phases() == 0) {
+    add_slice(0, 0);
+    append_final();
+    st.scatter_reduce_done = t[0];
+  } else {
+    st.scatter_reduce_done = -std::numeric_limits<double>::infinity();
+  }
+  auto& send_clock = scratch.send_clock;
+  auto& arrival = scratch.arrival;
+  for (std::size_t p = 0; p < s.num_phases(); ++p) {
+    const SchedulePhase ph = s.phase(p);
+    send_clock.assign(t.begin(), t.end());
+    arrival.assign(t.begin(), t.end());
+    for (GroupRank from = 0; from < n; ++from) {
+      s.ForEachSend(p, from, [&](GroupRank to, GroupRank b) {
+        const std::size_t elems = ph.own_slice ? own_slice_size(from, b)
+                                               : folds[b].size();
+        if (P::kSparse && ph.skip_empty && elems == 0) return;
+        const simnet::Link link = group.LinkBetween(from, to);
+        send_clock[from] += P::kSparse ? cm.SparseTransferTime(link, elems)
+                                       : cm.DenseTransferTime(link, elems);
+        arrival[to] = std::max(arrival[to], send_clock[from]);
+        st.CountSend(elems, elem_bytes);
+      });
+    }
+    for (GroupRank m = 0; m < n; ++m) t[m] = std::max(arrival[m], send_clock[m]);
+    ++st.rounds;
+    if (!ph.reduce) continue;
+    for (GroupRank to = 0; to < n; ++to) {
+      bool receives = false;
+      s.ForEachRecv(p, to, [&](GroupRank from, GroupRank b) {
+        receives = true;
+        if (from == to || ph.own_slice) add_slice(b, from);  // else: a partial
+      });
+      if (receives) {
+        st.scatter_reduce_done = std::max(st.scatter_reduce_done, t[to]);
+      }
+      append_final();
+    }
+  }
+  if constexpr (P::kSparse) {
+    PSRA_CHECK(appended == s.num_blocks(), "schedule left a block unreduced");
+  }
+  st.finish_times.assign(t.begin(), t.end());
+  st.all_done = *std::max_element(t.begin(), t.end());
+}
+
+void FoldInto(linalg::DenseVector& acc, const linalg::DenseVector& x) {
+  linalg::Axpy(1.0, x, acc);
+}
+
+void FoldInto(linalg::SparseVector& acc, const linalg::SparseVector& x) {
+  acc = linalg::SparseVector::Sum(acc, x);
+}
+
+/// The binomial tree. Its reduce forwards each subtree's sum, so no single
+/// fold per block covers it: it keeps one partial per member instead of
+/// running a schedule. Reduce stage `bit`: every rank whose lowest set bit
+/// is `bit` sends its partial `bit` ranks down, which folds it into its
+/// own. Broadcast stage `bit`: every rank holding the sum (a multiple of
+/// 2*bit) sends it `bit` ranks up. Sends are sender-serialized as above.
+template <typename V>
+void SimulateTree(const GroupComm& group, std::span<const V> inputs,
+                  std::span<const simnet::VirtualTime> starts,
+                  AllreduceScratch& scratch, V& sum, CommStats& st) {
+  using P = Payload<V>;
+  const GroupRank n = group.size();
+  const std::uint64_t dim = P::Dim(inputs[0]);
+  const auto& cm = group.cost_model();
+  const std::size_t elem_bytes = group.pricing().PerElement(P::kSparse);
+  st.Reset(n);
+
+  auto& partial = std::get<std::vector<V>>(scratch.partials);
+  partial.assign(inputs.begin(), inputs.end());
+  auto& t = scratch.clock;
+  t.assign(starts.begin(), starts.end());
+  auto send = [&](GroupRank from, GroupRank to, const V& v) {
+    const std::size_t elems = P::Count(v, 0, dim);
+    const simnet::Link link = group.LinkBetween(from, to);
+    t[from] += P::kSparse ? cm.SparseTransferTime(link, elems)
+                          : cm.DenseTransferTime(link, elems);
+    t[to] = std::max(t[to], t[from]);
+    st.CountSend(elems, elem_bytes);
+  };
+
+  for (GroupRank bit = 1; bit < n; bit <<= 1) {
+    ++st.rounds;
+    for (GroupRank r = bit; r < n; r += 2 * bit) {
+      send(r, r - bit, partial[r]);
+      FoldInto(partial[r - bit], partial[r]);
+    }
+  }
+  st.scatter_reduce_done = t[0];
+  GroupRank top = 1;
+  while (top < n) top <<= 1;
+  for (GroupRank bit = top >> 1; bit >= 1; bit >>= 1) {
+    ++st.rounds;
+    for (GroupRank r = 0; r + bit < n; r += 2 * bit) {
+      send(r, r + bit, partial[0]);
+    }
+  }
+  sum = partial[0];
+  st.finish_times.assign(t.begin(), t.end());
+  st.all_done = *std::max_element(t.begin(), t.end());
+}
+
+template <typename V>
+void Run(AllreduceKind kind, const GroupComm& group,
+         std::span<const V> inputs,
+         std::span<const simnet::VirtualTime> starts,
+         AllreduceScratch& scratch, V& sum, CommStats& st) {
+  if (kind == AllreduceKind::kTree) {
+    SimulateTree(group, inputs, starts, scratch, sum, st);
+  } else {
+    Simulate(Schedule(kind, group.size()), group, inputs, starts, scratch,
+             sum, st);
+  }
+}
 
 /// Shared half of the fault protocol: applies per-member entry delays, then
 /// draws drop coins attempt by attempt. Each attempt with at least one drop
@@ -61,7 +212,6 @@ bool RunFaultProtocol(const GroupComm& group,
   const std::uint64_t channel = fc.channel;
   const GroupRank n = group.size();
 
-  fc.excluded.clear();
   fc.adj_starts.resize(n);
   for (GroupRank g = 0; g < n; ++g) {
     const simnet::Rank r = group.GlobalRank(g);
@@ -94,23 +244,28 @@ bool RunFaultProtocol(const GroupComm& group,
   return !fc.excluded.empty();
 }
 
-/// Splits the group into survivors (ranks + starts into fc) and returns
-/// whether group rank g is excluded via the sorted fc.excluded list.
-void CollectSurvivors(const GroupComm& group, FaultContext& fc) {
-  const GroupRank n = group.size();
+/// Copies the survivors' ranks, adjusted starts and inputs into fc, in group
+/// order, skipping the sorted fc.excluded members.
+template <typename V>
+std::vector<V>& CollectSurvivors(const GroupComm& group,
+                                 std::span<const V> inputs, FaultContext& fc) {
+  auto& survivors = std::get<std::vector<V>>(fc.survivor_inputs);
   fc.survivor_ranks.clear();
   fc.survivor_starts.clear();
-  std::size_t next_ex = 0;
-  for (GroupRank g = 0; g < n; ++g) {
+  survivors.resize(group.size() - fc.excluded.size());
+  std::size_t si = 0, next_ex = 0;
+  for (GroupRank g = 0; g < group.size(); ++g) {
     if (next_ex < fc.excluded.size() && fc.excluded[next_ex] == g) {
       ++next_ex;
       continue;
     }
     fc.survivor_ranks.push_back(group.GlobalRank(g));
     fc.survivor_starts.push_back(fc.adj_starts[g]);
+    survivors[si++] = inputs[g];
   }
   PSRA_REQUIRE(!fc.survivor_ranks.empty(),
                "fault plan excluded every member of a collective");
+  return survivors;
 }
 
 /// Maps the survivor-subgroup stats back onto the full group: excluded
@@ -134,130 +289,81 @@ void ExpandStats(const GroupComm& group, const FaultContext& fc,
   stats.messages_sent = fc.sub_stats.messages_sent;
   stats.bytes_sent = fc.sub_stats.bytes_sent;
   stats.rounds = fc.sub_stats.rounds;
-  stats.total_send_time = fc.sub_stats.total_send_time;
   stats.all_done =
       *std::max_element(stats.finish_times.begin(), stats.finish_times.end());
 }
 
-}  // namespace
-
-void AllreduceAlgorithm::ReduceDenseFaulty(
-    const GroupComm& group, std::span<const linalg::DenseVector> inputs,
-    std::span<const simnet::VirtualTime> starts, FaultContext& fc,
-    AllreduceScratch& scratch, linalg::DenseVector& sum,
-    CommStats& stats) const {
-  if (fc.plan == nullptr || fc.plan->Empty()) {
-    fc.excluded.clear();
-    ReduceDense(group, inputs, starts, scratch, sum, stats);
-    return;
+template <typename V>
+void Reduce(AllreduceKind kind, const GroupComm& group,
+            std::span<const V> inputs,
+            std::span<const simnet::VirtualTime> starts,
+            AllreduceScratch& scratch, V& sum, CommStats& stats,
+            FaultContext* fault) {
+  PSRA_REQUIRE(inputs.size() == group.size(),
+               "one input vector per group member required");
+  PSRA_REQUIRE(starts.size() == group.size(),
+               "one start time per group member required");
+  for (const V& v : inputs) {
+    PSRA_REQUIRE(Payload<V>::Dim(v) == Payload<V>::Dim(inputs[0]),
+                 "input dimension mismatch");
   }
-  detail::CheckDenseInputs(group, inputs, starts);
-  if (!RunFaultProtocol(group, starts, fc)) {
-    ReduceDense(group, inputs, fc.adj_starts, scratch, sum, stats);
-    return;
+  if (fault != nullptr) fault->excluded.clear();
+  if (fault == nullptr || fault->plan == nullptr || fault->plan->Empty()) {
+    Run(kind, group, inputs, starts, scratch, sum, stats);
+  } else if (!RunFaultProtocol(group, starts, *fault)) {
+    Run(kind, group, inputs,
+        std::span<const simnet::VirtualTime>(fault->adj_starts), scratch, sum,
+        stats);
+  } else {
+    FaultContext& fc = *fault;
+    const std::vector<V>& survivors = CollectSurvivors(group, inputs, fc);
+    const GroupComm sub(&group.topology(), &group.cost_model(),
+                        fc.survivor_ranks);
+    Run(kind, sub, std::span<const V>(survivors),
+        std::span<const simnet::VirtualTime>(fc.survivor_starts), scratch,
+        sum, fc.sub_stats);
+    ExpandStats(group, fc, stats);
   }
-  CollectSurvivors(group, fc);
-  fc.survivor_dense.resize(fc.survivor_ranks.size());
-  std::size_t si = 0, next_ex = 0;
-  for (GroupRank g = 0; g < group.size(); ++g) {
-    if (next_ex < fc.excluded.size() && fc.excluded[next_ex] == g) {
-      ++next_ex;
-      continue;
-    }
-    fc.survivor_dense[si++] = inputs[g];
-  }
-  const GroupComm sub(&group.topology(), &group.cost_model(),
-                      fc.survivor_ranks);
-  ReduceDense(sub, fc.survivor_dense, fc.survivor_starts, scratch, sum,
-              fc.sub_stats);
-  ExpandStats(group, fc, stats);
 }
 
-void AllreduceAlgorithm::ReduceSparseFaulty(
+}  // namespace
+
+std::string AllreduceAlgorithm::Name() const {
+  switch (kind_) {
+    case AllreduceKind::kNaive: return "naive";
+    case AllreduceKind::kRing: return "ring";
+    case AllreduceKind::kPsr: return "psr";
+    case AllreduceKind::kTree: return "tree";
+  }
+  return "?";
+}
+
+void AllreduceAlgorithm::ReduceDense(
+    const GroupComm& group, std::span<const linalg::DenseVector> inputs,
+    std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
+    linalg::DenseVector& sum, CommStats& stats, FaultContext* fault) const {
+  Reduce(kind_, group, inputs, starts, scratch, sum, stats, fault);
+}
+
+void AllreduceAlgorithm::ReduceSparse(
     const GroupComm& group, std::span<const linalg::SparseVector> inputs,
-    std::span<const simnet::VirtualTime> starts, FaultContext& fc,
-    AllreduceScratch& scratch, linalg::SparseVector& sum,
-    CommStats& stats) const {
-  if (fc.plan == nullptr || fc.plan->Empty()) {
-    fc.excluded.clear();
-    ReduceSparse(group, inputs, starts, scratch, sum, stats);
-    return;
-  }
-  detail::CheckSparseInputs(group, inputs, starts);
-  if (!RunFaultProtocol(group, starts, fc)) {
-    ReduceSparse(group, inputs, fc.adj_starts, scratch, sum, stats);
-    return;
-  }
-  CollectSurvivors(group, fc);
-  fc.survivor_sparse.resize(fc.survivor_ranks.size());
-  std::size_t si = 0, next_ex = 0;
-  for (GroupRank g = 0; g < group.size(); ++g) {
-    if (next_ex < fc.excluded.size() && fc.excluded[next_ex] == g) {
-      ++next_ex;
-      continue;
-    }
-    fc.survivor_sparse[si++] = inputs[g];
-  }
-  const GroupComm sub(&group.topology(), &group.cost_model(),
-                      fc.survivor_ranks);
-  ReduceSparse(sub, fc.survivor_sparse, fc.survivor_starts, scratch, sum,
-               fc.sub_stats);
-  ExpandStats(group, fc, stats);
+    std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
+    linalg::SparseVector& sum, CommStats& stats, FaultContext* fault) const {
+  Reduce(kind_, group, inputs, starts, scratch, sum, stats, fault);
 }
 
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(AllreduceKind kind) {
-  switch (kind) {
-    case AllreduceKind::kNaive: return std::make_unique<NaiveAllreduce>();
-    case AllreduceKind::kRing: return std::make_unique<RingAllreduce>();
-    case AllreduceKind::kPsr: return std::make_unique<PsrAllreduce>();
-    case AllreduceKind::kRhd: return std::make_unique<RhdAllreduce>();
-    case AllreduceKind::kTree: return std::make_unique<TreeAllreduce>();
-  }
-  throw InvalidArgument("unknown allreduce kind");
+  return std::make_unique<AllreduceAlgorithm>(kind);
 }
 
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(const std::string& name) {
-  const std::string n = ToLower(name);
-  if (n == "naive") return MakeAllreduce(AllreduceKind::kNaive);
-  if (n == "ring") return MakeAllreduce(AllreduceKind::kRing);
-  if (n == "psr") return MakeAllreduce(AllreduceKind::kPsr);
-  if (n == "rhd") return MakeAllreduce(AllreduceKind::kRhd);
-  if (n == "tree") return MakeAllreduce(AllreduceKind::kTree);
+  for (const auto kind : {AllreduceKind::kNaive, AllreduceKind::kRing,
+                          AllreduceKind::kPsr, AllreduceKind::kTree}) {
+    if (ToLower(name) == AllreduceAlgorithm(kind).Name()) {
+      return MakeAllreduce(kind);
+    }
+  }
   throw InvalidArgument("unknown allreduce algorithm: " + name);
 }
-
-namespace detail {
-
-std::uint64_t CheckDenseInputs(const GroupComm& group,
-                               std::span<const linalg::DenseVector> inputs,
-                               std::span<const simnet::VirtualTime> starts) {
-  PSRA_REQUIRE(inputs.size() == group.size(),
-               "one input vector per group member required");
-  PSRA_REQUIRE(starts.size() == group.size(),
-               "one start time per group member required");
-  PSRA_REQUIRE(!inputs.empty(), "empty group");
-  const std::uint64_t dim = inputs[0].size();
-  for (const auto& v : inputs) {
-    PSRA_REQUIRE(v.size() == dim, "input dimension mismatch");
-  }
-  return dim;
-}
-
-std::uint64_t CheckSparseInputs(const GroupComm& group,
-                                std::span<const linalg::SparseVector> inputs,
-                                std::span<const simnet::VirtualTime> starts) {
-  PSRA_REQUIRE(inputs.size() == group.size(),
-               "one input vector per group member required");
-  PSRA_REQUIRE(starts.size() == group.size(),
-               "one start time per group member required");
-  PSRA_REQUIRE(!inputs.empty(), "empty group");
-  const std::uint64_t dim = inputs[0].dim();
-  for (const auto& v : inputs) {
-    PSRA_REQUIRE(v.dim() == dim, "input dimension mismatch");
-  }
-  return dim;
-}
-
-}  // namespace detail
 
 }  // namespace psra::comm

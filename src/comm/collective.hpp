@@ -1,9 +1,9 @@
-// Allreduce collective interface and the shared timing model.
+// The allreduce entry API and the shared timing model.
 //
 // Execution model (DESIGN.md §2): collectives run over the virtual-time
 // simulator, so an algorithm receives *all* members' input vectors plus the
-// virtual time at which each member entered the collective, and returns each
-// member's output plus the virtual time at which each member finished. Costs
+// virtual time at which each member entered the collective, and returns the
+// group sum plus the virtual time at which each member finished. Costs
 // follow the paper's Section 4.2 accounting:
 //
 //   * transfers are SENDER-SERIALIZED: a worker's outgoing messages leave its
@@ -15,14 +15,19 @@
 //   * a step that needs data from another worker cannot begin before that
 //     data has arrived (pipeline/synchronization delays emerge naturally).
 //
-// All algorithms reduce in ascending group-rank order so dense and sparse
-// variants of every algorithm produce bitwise-identical sums.
+// Each of the paper's algorithms (psr, ring, naive) is one schedule in
+// comm/schedule.hpp; the simulator executor behind ReduceDense/ReduceSparse
+// prices it and the wire executor (comm/wire_allreduce.hpp) runs it over
+// real messages. The binomial tree, a baseline outside the paper, forwards
+// per-member subtree sums rather than blocks and is simulated on its own
+// (collective.cpp); the wire does not run it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/group.hpp"
@@ -55,20 +60,18 @@ struct CommStats {
   std::size_t bytes_sent = 0;
   /// Serialized communication rounds (hops) the algorithm performed: 2 for
   /// PSR/naive (scatter-reduce + allgather / gather + bcast), 2(N-1) for the
-  /// ring, O(log N) exchanges for rhd/tree.
+  /// ring, 2 ceil(log2 N) for the tree.
   std::size_t rounds = 0;
-  /// Sum over members of busy send time (the paper's "communication cost").
-  simnet::VirtualTime total_send_time = 0.0;
 
   /// Max finish minus max start: the wall-clock the collective added.
   simnet::VirtualTime Span(std::span<const simnet::VirtualTime> starts) const;
 
   /// Zeroes every field and sizes finish_times to `n` members, reusing its
-  /// storage. Called by the in-place Reduce* entry points.
+  /// storage.
   void Reset(std::size_t n);
 
   /// Books one posted message carrying `elems` elements priced at
-  /// `per_elem_bytes` (see ElemPricing). Every simulator timing loop counts
+  /// `per_elem_bytes` (see ElemPricing). The simulator executor counts
   /// traffic through this call — the same formula the wire executor uses —
   /// so counters are comparable across backends.
   void CountSend(std::size_t elems, std::size_t per_elem_bytes) {
@@ -79,32 +82,28 @@ struct CommStats {
   bool operator==(const CommStats& other) const = default;
 };
 
-/// Reusable buffers for the in-place Reduce* entry points. Callers keep one
-/// instance per call site and pass it to every invocation; each buffer grows
-/// to its working size on first use and is recycled afterwards, so
-/// steady-state collectives perform no heap allocation. The fields are
-/// algorithm-private scratch — callers must not read them.
+/// Reusable buffers for ReduceDense/ReduceSparse. Callers keep one instance
+/// per call site and pass it to every invocation; each buffer grows to its
+/// working size on first use and is recycled afterwards, so steady-state
+/// collectives perform no heap allocation. The fields are executor-private
+/// scratch — callers must not read them.
 struct AllreduceScratch {
-  // Virtual-time and size bookkeeping.
-  std::vector<simnet::VirtualTime> times_a;
-  std::vector<simnet::VirtualTime> times_b;
-  std::vector<simnet::VirtualTime> times_c;
-  std::vector<simnet::VirtualTime> times_d;
-  std::vector<std::size_t> sizes;
-  // Sparse payloads: the PSR owner's block fold and a merge accumulator.
-  linalg::SparseBlockFold sparse_fold;
-  linalg::SparseVector sparse_tmp;
-  // Ring block state: blocks[member][block] plus per-round in-flight copies.
-  std::vector<std::vector<linalg::DenseVector>> dense_ring;
-  std::vector<linalg::DenseVector> dense_in_flight;
-  std::vector<std::vector<linalg::SparseVector>> sparse_ring;
-  std::vector<linalg::SparseVector> sparse_in_flight;
-  // Per-member working vectors (rhd/tree).
-  std::vector<linalg::DenseVector> dense_values;
-  std::vector<linalg::SparseVector> sparse_values;
+  // Per-member clocks: current, sender-side busy-until, latest arrival.
+  std::vector<simnet::VirtualTime> clock;
+  std::vector<simnet::VirtualTime> send_clock;
+  std::vector<simnet::VirtualTime> arrival;
+  // One fold per block, by payload kind; dense folds write into the sum.
+  std::tuple<std::vector<linalg::DenseBlockFold>,
+             std::vector<linalg::SparseBlockFold>>
+      folds;
+  std::vector<GroupRank> folded;  // sources folded into each block
+  // Tree only: each member's subtree sum.
+  std::tuple<std::vector<linalg::DenseVector>,
+             std::vector<linalg::SparseVector>>
+      partials;
 };
 
-/// Fault-injection context for the fault-tolerant Reduce* entry points.
+/// Fault-injection context for ReduceDense/ReduceSparse.
 /// Callers keep an instance per concurrent collective (like
 /// AllreduceScratch) and set `iteration` and `channel` before each call.
 /// The channel is the collective's position among the iteration's
@@ -134,87 +133,50 @@ struct FaultContext {
   std::vector<simnet::VirtualTime> adj_starts;
   std::vector<simnet::Rank> survivor_ranks;
   std::vector<simnet::VirtualTime> survivor_starts;
-  std::vector<linalg::DenseVector> survivor_dense;
-  std::vector<linalg::SparseVector> survivor_sparse;
+  std::tuple<std::vector<linalg::DenseVector>,
+             std::vector<linalg::SparseVector>>
+      survivor_inputs;
   CommStats sub_stats;
 };
 
-struct DenseAllreduceResult {
-  /// outputs[g] = sum over members of inputs (same for all g).
-  std::vector<linalg::DenseVector> outputs;
-  CommStats stats;
-};
+/// kTree keeps its value 4 from when 3 was recursive halving-doubling.
+enum class AllreduceKind { kNaive, kRing, kPsr, kTree = 4 };
 
-struct SparseAllreduceResult {
-  std::vector<linalg::SparseVector> outputs;
-  CommStats stats;
-};
-
-/// Strategy interface: Ring-Allreduce, PSR-Allreduce, naive gather+bcast.
+/// One allreduce algorithm: its schedule (comm/schedule.hpp) run by the
+/// simulator executor, or for kTree the binomial tree.
 class AllreduceAlgorithm {
  public:
-  virtual ~AllreduceAlgorithm() = default;
+  explicit AllreduceAlgorithm(AllreduceKind kind) : kind_(kind) {}
 
-  virtual std::string Name() const = 0;
+  AllreduceKind kind() const { return kind_; }
+  std::string Name() const;
 
-  /// inputs.size() == starts.size() == group.size(); all inputs share a dim.
-  virtual DenseAllreduceResult RunDense(
-      const GroupComm& group, std::span<const linalg::DenseVector> inputs,
-      std::span<const simnet::VirtualTime> starts) const = 0;
+  /// Reduces one input per member (inputs.size() == starts.size() ==
+  /// group.size(), one shared dim): writes the group sum into `sum` and the
+  /// cost accounting into `stats`, drawing all temporaries from `scratch`.
+  /// With a non-null `fault` whose plan is non-empty, first applies the
+  /// plan's message delays, then runs the timeout + bounded-retry protocol
+  /// described on FaultContext; a null fault or a null/empty plan is the
+  /// plain path, bitwise and allocation-free.
+  void ReduceDense(const GroupComm& group,
+                   std::span<const linalg::DenseVector> inputs,
+                   std::span<const simnet::VirtualTime> starts,
+                   AllreduceScratch& scratch, linalg::DenseVector& sum,
+                   CommStats& stats, FaultContext* fault = nullptr) const;
 
-  virtual SparseAllreduceResult RunSparse(
-      const GroupComm& group, std::span<const linalg::SparseVector> inputs,
-      std::span<const simnet::VirtualTime> starts) const = 0;
+  /// Sparse counterpart, folding in the same order as ReduceDense.
+  void ReduceSparse(const GroupComm& group,
+                    std::span<const linalg::SparseVector> inputs,
+                    std::span<const simnet::VirtualTime> starts,
+                    AllreduceScratch& scratch, linalg::SparseVector& sum,
+                    CommStats& stats, FaultContext* fault = nullptr) const;
 
-  /// In-place reduction: writes the group sum (== RunDense().outputs[0],
-  /// bitwise) into `sum` and the cost accounting into `stats`, drawing all
-  /// temporaries from `scratch`. The base implementation delegates to
-  /// RunDense; algorithms override it to run allocation-free in steady state.
-  virtual void ReduceDense(const GroupComm& group,
-                           std::span<const linalg::DenseVector> inputs,
-                           std::span<const simnet::VirtualTime> starts,
-                           AllreduceScratch& scratch, linalg::DenseVector& sum,
-                           CommStats& stats) const;
-
-  /// Sparse counterpart; `sum` matches RunSparse().outputs[0] bitwise.
-  virtual void ReduceSparse(const GroupComm& group,
-                            std::span<const linalg::SparseVector> inputs,
-                            std::span<const simnet::VirtualTime> starts,
-                            AllreduceScratch& scratch,
-                            linalg::SparseVector& sum, CommStats& stats) const;
-
-  /// Fault-tolerant in-place reduction: applies `fc.plan`'s message delays,
-  /// then runs the timeout + bounded-retry protocol described on
-  /// FaultContext. With a null/empty plan this is EXACTLY ReduceDense —
-  /// bitwise-identical results and no extra allocation.
-  void ReduceDenseFaulty(const GroupComm& group,
-                         std::span<const linalg::DenseVector> inputs,
-                         std::span<const simnet::VirtualTime> starts,
-                         FaultContext& fc, AllreduceScratch& scratch,
-                         linalg::DenseVector& sum, CommStats& stats) const;
-
-  /// Sparse counterpart of ReduceDenseFaulty.
-  void ReduceSparseFaulty(const GroupComm& group,
-                          std::span<const linalg::SparseVector> inputs,
-                          std::span<const simnet::VirtualTime> starts,
-                          FaultContext& fc, AllreduceScratch& scratch,
-                          linalg::SparseVector& sum, CommStats& stats) const;
+ private:
+  AllreduceKind kind_;
 };
 
-enum class AllreduceKind { kNaive, kRing, kPsr, kRhd, kTree };
-
-/// Factory; names: "naive", "ring", "psr", "rhd", "tree".
+/// Factory; names: "naive", "ring", "psr", "tree".
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(AllreduceKind kind);
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(const std::string& name);
-
-namespace detail {
-/// Validates the common preconditions and returns the shared dimension.
-std::uint64_t CheckDenseInputs(const GroupComm& group,
-                               std::span<const linalg::DenseVector> inputs,
-                               std::span<const simnet::VirtualTime> starts);
-std::uint64_t CheckSparseInputs(const GroupComm& group,
-                                std::span<const linalg::SparseVector> inputs,
-                                std::span<const simnet::VirtualTime> starts);
-}  // namespace detail
 
 }  // namespace psra::comm

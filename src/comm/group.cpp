@@ -61,8 +61,7 @@ ElemPricing GroupComm::pricing() const {
 std::pair<std::uint64_t, std::uint64_t> GroupComm::BlockRange(
     std::uint64_t dim, GroupRank g) const {
   PSRA_REQUIRE(g < size(), "group rank out of range");
-  const std::uint64_t n = size();
-  return {dim * g / n, dim * (g + 1) / n};
+  return comm::BlockRange(dim, g, size());
 }
 
 }  // namespace psra::comm

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/pricing.hpp"
@@ -15,6 +16,14 @@ namespace psra::comm {
 
 /// Rank *within* a group (0 .. size-1); distinct from simnet::Rank (global).
 using GroupRank = std::uint32_t;
+
+/// Block b of [0, dim) split into nb contiguous blocks — the ownership every
+/// block-wise collective uses: [dim * b / nb, dim * (b + 1) / nb).
+inline std::pair<std::uint64_t, std::uint64_t> BlockRange(std::uint64_t dim,
+                                                          std::uint64_t b,
+                                                          std::uint64_t nb) {
+  return {dim * b / nb, dim * (b + 1) / nb};
+}
 
 class GroupComm {
  public:

@@ -1,6 +1,7 @@
 #include "comm/hierarchical.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "support/status.hpp"
 
@@ -15,7 +16,6 @@ void MergeTraffic(CommStats& agg, const CommStats& stage) {
   agg.messages_sent += stage.messages_sent;
   agg.bytes_sent += stage.bytes_sent;
   agg.rounds += stage.rounds;
-  agg.total_send_time += stage.total_send_time;
 }
 
 }  // namespace
@@ -49,14 +49,6 @@ MultiLevelAllreduce::MultiLevelAllreduce(const simnet::Topology* topo,
                                      rack_leaders_.end()));
 }
 
-void MultiLevelAllreduce::CheckCall(std::size_t inputs,
-                                    std::size_t starts) const {
-  const std::size_t n =
-      static_cast<std::size_t>(per_rack_) * rack_comms_.size();
-  PSRA_REQUIRE(inputs == n && starts == n,
-               "multi-level allreduce needs one input and start per member");
-}
-
 void MultiLevelAllreduce::Redistribute(std::size_t num_elements,
                                        const CommStats& root_stats,
                                        CommStats& stats) {
@@ -82,32 +74,53 @@ void MultiLevelAllreduce::Redistribute(std::size_t num_elements,
   }
 }
 
-void MultiLevelAllreduce::ReduceDense(const AllreduceAlgorithm& alg,
-                                      std::span<const linalg::DenseVector> inputs,
-                                      std::span<const simnet::VirtualTime> starts,
-                                      AllreduceScratch& scratch,
-                                      linalg::DenseVector& sum,
-                                      CommStats& stats) {
-  CheckCall(inputs.size(), starts.size());
+template <typename V>
+void MultiLevelAllreduce::Reduce(const AllreduceAlgorithm& alg,
+                                 std::span<const V> inputs,
+                                 std::span<const simnet::VirtualTime> starts,
+                                 AllreduceScratch& scratch, V& sum,
+                                 CommStats& stats) {
+  constexpr bool kSparse = std::is_same_v<V, linalg::SparseVector>;
   const std::size_t racks = rack_comms_.size();
+  PSRA_REQUIRE(inputs.size() == per_rack_ * racks &&
+                   starts.size() == per_rack_ * racks,
+               "multi-level allreduce needs one input and start per member");
+  auto reduce = [&](const GroupComm& group, std::span<const V> in,
+                    std::span<const simnet::VirtualTime> at, V& out) {
+    if constexpr (kSparse) {
+      alg.ReduceSparse(group, in, at, scratch, out, stage_stats_);
+    } else {
+      alg.ReduceDense(group, in, at, scratch, out, stage_stats_);
+    }
+  };
+  auto& rack_sums = std::get<std::vector<V>>(rack_sums_);
   stats.Reset(inputs.size());
-  rack_dense_.resize(racks);
+  rack_sums.resize(racks);
   root_starts_.resize(racks);
   for (std::size_t r = 0; r < racks; ++r) {
     const std::size_t base = r * per_rack_;
-    alg.ReduceDense(rack_comms_[r], inputs.subspan(base, per_rack_),
-                    starts.subspan(base, per_rack_), scratch, rack_dense_[r],
-                    stage_stats_);
+    reduce(rack_comms_[r], inputs.subspan(base, per_rack_),
+           starts.subspan(base, per_rack_), rack_sums[r]);
     for (std::size_t m = 0; m < per_rack_; ++m) {
       stats.finish_times[base + m] = stage_stats_.finish_times[m];
     }
     root_starts_[r] = stage_stats_.finish_times[0];
     MergeTraffic(stats, stage_stats_);
   }
-  alg.ReduceDense(*root_comm_, rack_dense_, root_starts_, scratch, sum,
-                  stage_stats_);
+  reduce(*root_comm_, rack_sums, root_starts_, sum);
   MergeTraffic(stats, stage_stats_);
-  Redistribute(sum.size(), stage_stats_, stats);
+  if constexpr (kSparse) {
+    Redistribute(sum.nnz(), stage_stats_, stats);
+  } else {
+    Redistribute(sum.size(), stage_stats_, stats);
+  }
+}
+
+void MultiLevelAllreduce::ReduceDense(
+    const AllreduceAlgorithm& alg, std::span<const linalg::DenseVector> inputs,
+    std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
+    linalg::DenseVector& sum, CommStats& stats) {
+  Reduce(alg, inputs, starts, scratch, sum, stats);
 }
 
 void MultiLevelAllreduce::ReduceSparse(
@@ -115,26 +128,7 @@ void MultiLevelAllreduce::ReduceSparse(
     std::span<const linalg::SparseVector> inputs,
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
     linalg::SparseVector& sum, CommStats& stats) {
-  CheckCall(inputs.size(), starts.size());
-  const std::size_t racks = rack_comms_.size();
-  stats.Reset(inputs.size());
-  rack_sparse_.resize(racks);
-  root_starts_.resize(racks);
-  for (std::size_t r = 0; r < racks; ++r) {
-    const std::size_t base = r * per_rack_;
-    alg.ReduceSparse(rack_comms_[r], inputs.subspan(base, per_rack_),
-                     starts.subspan(base, per_rack_), scratch, rack_sparse_[r],
-                     stage_stats_);
-    for (std::size_t m = 0; m < per_rack_; ++m) {
-      stats.finish_times[base + m] = stage_stats_.finish_times[m];
-    }
-    root_starts_[r] = stage_stats_.finish_times[0];
-    MergeTraffic(stats, stage_stats_);
-  }
-  alg.ReduceSparse(*root_comm_, rack_sparse_, root_starts_, scratch, sum,
-                   stage_stats_);
-  MergeTraffic(stats, stage_stats_);
-  Redistribute(sum.nnz(), stage_stats_, stats);
+  Reduce(alg, inputs, starts, scratch, sum, stats);
 }
 
 }  // namespace psra::comm

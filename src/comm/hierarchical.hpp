@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "comm/collective.hpp"
@@ -63,13 +64,16 @@ class MultiLevelAllreduce {
                     AllreduceScratch& scratch, linalg::SparseVector& sum,
                     CommStats& stats);
 
-  /// Stage-3 traffic of the last Reduce* call: the rack leaders' serialized
+  /// Stage-3 traffic of the last call: the rack leaders' serialized
   /// re-broadcast of the global sum to their rack peers.
   std::size_t redistribution_elements() const { return redist_elements_; }
   std::size_t redistribution_messages() const { return redist_messages_; }
 
  private:
-  void CheckCall(std::size_t inputs, std::size_t starts) const;
+  template <typename V>
+  void Reduce(const AllreduceAlgorithm& alg, std::span<const V> inputs,
+              std::span<const simnet::VirtualTime> starts,
+              AllreduceScratch& scratch, V& sum, CommStats& stats);
   void Redistribute(std::size_t num_elements, const CommStats& root_stats,
                     CommStats& stats);
 
@@ -77,10 +81,11 @@ class MultiLevelAllreduce {
   std::optional<GroupComm> root_comm_;  // over the rack leaders
   std::uint32_t per_rack_ = 0;
 
-  // Recycled call scratch.
+  // Recycled call scratch; the rack sums by payload kind.
   CommStats stage_stats_;
-  std::vector<linalg::DenseVector> rack_dense_;
-  std::vector<linalg::SparseVector> rack_sparse_;
+  std::tuple<std::vector<linalg::DenseVector>,
+             std::vector<linalg::SparseVector>>
+      rack_sums_;
   std::vector<simnet::VirtualTime> root_starts_;
   std::vector<simnet::Rank> rack_leaders_;
   BroadcastResult bcast_;

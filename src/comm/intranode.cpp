@@ -23,7 +23,6 @@ void ReduceToLeader(const GroupComm& group, GroupRank leader,
   out.leader_ready = 0.0;
   out.elements_sent = 0;
   out.messages_sent = 0;
-  out.total_send_time = 0.0;
 
   out.value.assign(dim, 0.0);
   for (GroupRank g = 0; g < group.size(); ++g) {
@@ -41,7 +40,6 @@ void ReduceToLeader(const GroupComm& group, GroupRank leader,
     out.leader_ready = std::max(out.leader_ready, done);
     out.elements_sent += dim;
     ++out.messages_sent;
-    out.total_send_time += cost;
   }
 }
 
@@ -62,7 +60,6 @@ void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
   out.finish_times.assign(group.size(), leader_start);
   out.elements_sent = 0;
   out.messages_sent = 0;
-  out.total_send_time = 0.0;
 
   simnet::VirtualTime clock = leader_start;
   for (GroupRank g = 0; g < group.size(); ++g) {
@@ -73,7 +70,6 @@ void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
     out.finish_times[g] = clock;
     out.elements_sent += num_elements;
     ++out.messages_sent;
-    out.total_send_time += cost;
   }
   out.finish_times[leader] = clock;
 }

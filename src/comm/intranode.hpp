@@ -21,7 +21,6 @@ struct ReduceResult {
   std::vector<simnet::VirtualTime> finish_times;
   std::size_t elements_sent = 0;
   std::size_t messages_sent = 0;
-  simnet::VirtualTime total_send_time = 0.0;
 };
 
 /// Members send their vectors to `leader` (parallel sends, each priced on its
@@ -41,7 +40,6 @@ struct BroadcastResult {
   std::vector<simnet::VirtualTime> finish_times;
   std::size_t elements_sent = 0;
   std::size_t messages_sent = 0;
-  simnet::VirtualTime total_send_time = 0.0;
 };
 
 /// Leader serializes one message per member (ascending group rank).

@@ -3,9 +3,9 @@
 // The paper's traffic accounting (eq. 11-16) prices a message as
 //     elements * per-element width
 // where a dense element ships its value only and a sparse element ships
-// value + index. Both the virtual-time simulator's timing loops
-// (allreduce_{psr,ring,naive,extra}.cpp) and the rank-local wire executor
-// (wire_allreduce.cpp, running over a real comm::Transport) book traffic
+// value + index. Both executors of the allreduce schedules — the
+// virtual-time simulator (collective.cpp) and the rank-local wire executor
+// (wire_allreduce.cpp, running over a real comm::Transport) — book traffic
 // through this one struct and the shared CountSend formula, so
 // bytes_sent / messages_sent / elements_sent are comparable across backends
 // BY CONSTRUCTION. The cross-backend conformance suite (tests/test_transport,

@@ -1,8 +1,11 @@
 #include "comm/wire_allreduce.hpp"
 
 #include <cstring>
+#include <optional>
 #include <string>
+#include <tuple>
 
+#include "comm/schedule.hpp"
 #include "obs/wire.hpp"
 #include "support/status.hpp"
 
@@ -12,15 +15,6 @@ namespace {
 
 using Rank = Transport::Rank;
 using Tag = Transport::Tag;
-
-const char* AlgName(AllreduceKind kind) {
-  switch (kind) {
-    case AllreduceKind::kPsr: return "psr";
-    case AllreduceKind::kRing: return "ring";
-    case AllreduceKind::kNaive: return "naive";
-    default: return "other";
-  }
-}
 
 /// RAII per-stage instrumentation: one span named after the stage plus one
 /// observation in the wire.phase.<stage>.wall_s histogram. `name` must be a
@@ -47,20 +41,17 @@ struct StageSpan {
   }
 };
 
-/// Same ownership split as GroupComm::BlockRange.
-std::pair<std::uint64_t, std::uint64_t> BlockRange(std::uint64_t dim,
-                                                   GroupRank g, GroupRank n) {
-  const std::uint64_t nn = n;
-  return {dim * g / nn, dim * (g + 1) / nn};
-}
-
 /// Group-rank addressing over the transport: members[g] is the transport
-/// rank of group rank g. Payloads are staged in reusable byte buffers.
+/// rank of group rank g. Frames are staged in reusable buffers, and every
+/// receive checks its frame against the shape of the vector it fills.
 struct Wire {
   Transport& t;
   std::span<const Rank> members;
   GroupRank me = 0;
   obs::WireObs* obs = nullptr;
+  std::vector<std::byte> bytes;
+  std::vector<std::uint64_t> idx;
+  std::vector<double> val;
 
   Wire(Transport& transport, std::span<const Rank> m,
        obs::WireObs* o = nullptr)
@@ -82,26 +73,17 @@ struct Wire {
 
   GroupRank size() const { return static_cast<GroupRank>(members.size()); }
 
-  void PostDense(GroupRank dst, Tag tag, std::span<const double> x) {
-    t.Post(members[dst], tag,
-           std::as_bytes(std::span<const double>(x)));
+  /// Dense frame: the raw doubles. Returns the elements posted.
+  std::size_t Post(GroupRank to, Tag tag, std::span<const double> x) {
+    t.Post(members[to], tag, std::as_bytes(x));
+    return x.size();
   }
 
-  /// Receives exactly `out.size()` doubles from group rank `src`.
-  void RecvDense(GroupRank src, Tag tag, std::span<double> out,
-                 std::vector<std::byte>& buf) {
-    t.Recv(members[src], tag, buf);
-    PSRA_REQUIRE(buf.size() == out.size() * sizeof(double),
-                 "dense payload size mismatch");
-    std::memcpy(out.data(), buf.data(), buf.size());
-  }
-
-  /// Sparse payload: u64 nnz | nnz * u64 index | nnz * double value.
-  void PostSparse(GroupRank dst, Tag tag, const linalg::SparseVector& v,
-                  std::vector<std::byte>& buf) {
+  /// Sparse frame: u64 nnz | nnz * u64 index | nnz * double value.
+  std::size_t Post(GroupRank to, Tag tag, const linalg::SparseVector& v) {
     const std::uint64_t nnz = v.nnz();
-    buf.resize(sizeof(std::uint64_t) * (1 + nnz) + sizeof(double) * nnz);
-    std::byte* p = buf.data();
+    bytes.resize(sizeof(std::uint64_t) * (1 + nnz) + sizeof(double) * nnz);
+    std::byte* p = bytes.data();
     std::memcpy(p, &nnz, sizeof(nnz));
     p += sizeof(nnz);
     // An empty vector's data() may be null, which memcpy does not accept
@@ -111,416 +93,140 @@ struct Wire {
       p += nnz * sizeof(std::uint64_t);
       std::memcpy(p, v.values().data(), nnz * sizeof(double));
     }
-    t.Post(members[dst], tag, buf);
+    t.Post(members[to], tag, bytes);
+    return nnz;
   }
 
-  void RecvSparse(GroupRank src, Tag tag, std::uint64_t dim,
-                  linalg::SparseVector& out, std::vector<std::byte>& buf,
-                  std::vector<std::uint64_t>& idx, std::vector<double>& val) {
-    t.Recv(members[src], tag, buf);
-    PSRA_REQUIRE(buf.size() >= sizeof(std::uint64_t),
+  /// Receives exactly out.size() doubles.
+  void Recv(GroupRank from, Tag tag, std::span<double> out) {
+    t.Recv(members[from], tag, bytes);
+    PSRA_REQUIRE(bytes.size() == out.size() * sizeof(double),
+                 "dense payload size mismatch");
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  }
+
+  /// Receives a sparse frame over out.dim() into `out`.
+  void Recv(GroupRank from, Tag tag, linalg::SparseVector& out) {
+    t.Recv(members[from], tag, bytes);
+    PSRA_REQUIRE(bytes.size() >= sizeof(std::uint64_t),
                  "sparse payload too short");
     std::uint64_t nnz = 0;
-    const std::byte* p = buf.data();
+    const std::byte* p = bytes.data();
     std::memcpy(&nnz, p, sizeof(nnz));
     p += sizeof(nnz);
-    PSRA_REQUIRE(buf.size() == sizeof(std::uint64_t) * (1 + nnz) +
-                                   sizeof(double) * nnz,
+    PSRA_REQUIRE(bytes.size() == sizeof(std::uint64_t) * (1 + nnz) +
+                                     sizeof(double) * nnz,
                  "sparse payload size mismatch");
     idx.resize(nnz);
     val.resize(nnz);
-    if (nnz != 0) {  // as in PostSparse: no null data() into memcpy
+    if (nnz != 0) {  // as in Post: no null data() into memcpy
       std::memcpy(idx.data(), p, nnz * sizeof(std::uint64_t));
       p += nnz * sizeof(std::uint64_t);
       std::memcpy(val.data(), p, nnz * sizeof(double));
     }
-    out = linalg::SparseVector(dim, idx, val);
+    out = linalg::SparseVector(out.dim(), idx, val);
   }
 };
 
-// Reused receive/serialize scratch, one set per collective invocation.
+/// Reused fold/receive scratch, one set per collective invocation.
 struct Scratch {
-  std::vector<std::byte> bytes;
-  std::vector<std::uint64_t> idx;
-  std::vector<double> val;
-  linalg::DenseVector dense_a, dense_b;
-  linalg::SparseVector sp_a, sp_b;
-  linalg::SparseBlockFold fold;
-  std::vector<linalg::SparseVector> sp_blocks;
-  std::vector<linalg::DenseVector> dn_blocks;
+  std::tuple<linalg::DenseBlockFold, linalg::SparseBlockFold> folds;
+  linalg::DenseVector dense;    // a received dense block
+  linalg::SparseVector sparse;  // a received sparse block or an own slice
+  std::vector<linalg::SparseVector> blocks;  // sparse blocks until the end
 };
 
-// ---------------------------------------------------------------------------
-// PSR (paper Section 4.2): direct scatter to block owners, then allgather.
-
-void PsrDense(Wire& w, Tag base, ElemPricing pr,
-              const linalg::DenseVector& input, linalg::DenseVector& out,
-              Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.size();
-  const std::size_t eb = pr.PerElement(false);
-  out.assign(dim, 0.0);
-  if (n == 1) {  // simulator arithmetic: sum = zeros + input
-    linalg::Axpy(1.0, input, out);
-    return;
-  }
-
-  const auto [mlo, mhi] = BlockRange(dim, w.me, n);
-  const std::size_t mlen = static_cast<std::size_t>(mhi - mlo);
-  auto& acc = sc.dense_a;
-  {
-    StageSpan stage(w.obs, "scatter_reduce");
-    // Scatter-reduce: post my slice of every foreign block to its owner.
-    for (GroupRank j = 0; j < n; ++j) {
-      if (j == w.me) continue;
-      const auto [lo, hi] = BlockRange(dim, j, n);
-      w.PostDense(j, base,
-                  std::span<const double>(input).subspan(lo, hi - lo));
-      st.CountSend(static_cast<std::size_t>(hi - lo), eb);
+/// The wire executor: this rank's part of schedule `s`. It posts the sends
+/// the schedule gives it, then receives and folds (or stores) its blocks in
+/// the schedule's order. Dense blocks live in `out` itself; sparse blocks in
+/// sc.blocks until they are concatenated into `out`.
+template <typename V>
+void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
+                 const V& input, V& out, Scratch& sc, WireStats& st) {
+  using P = Payload<V>;
+  const std::uint64_t dim = P::Dim(input);
+  const std::size_t eb = pr.PerElement(P::kSparse);
+  auto& fold = std::get<typename P::Fold>(sc.folds);
+  if constexpr (P::kSparse) sc.blocks.resize(s.num_blocks());
+  P::Resize(out, dim);
+  // Block b as this rank holds it.
+  auto held = [&](GroupRank b) -> decltype(auto) {
+    if constexpr (P::kSparse) {
+      return (sc.blocks[b]);
+    } else {
+      const auto [lo, hi] = s.BlockRange(dim, b);
+      return std::span<double>(out).subspan(lo, hi - lo);
     }
-    ++st.rounds;
-
-    // Reduce my block in ascending contributor order into zeros.
-    acc.assign(mlen, 0.0);
-    for (GroupRank g = 0; g < n; ++g) {
-      if (g == w.me) {
-        linalg::Axpy(1.0, std::span<const double>(input).subspan(mlo, mlen),
-                     acc);
-      } else {
-        auto& recv = sc.dense_b;
-        recv.resize(mlen);
-        w.RecvDense(g, base, recv, sc.bytes);
-        linalg::Axpy(1.0, recv, acc);
-      }
-    }
-  }
-
-  {
-    StageSpan stage(w.obs, "allgather");
-    // Allgather: broadcast my reduced block, collect the others.
-    for (GroupRank m = 0; m < n; ++m) {
-      if (m == w.me) continue;
-      w.PostDense(m, base + 1, acc);
-      st.CountSend(mlen, eb);
-    }
-    std::copy(acc.begin(), acc.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(mlo));
-    for (GroupRank b = 0; b < n; ++b) {
-      if (b == w.me) continue;
-      const auto [lo, hi] = BlockRange(dim, b, n);
-      w.RecvDense(b, base + 1,
-                  std::span<double>(out.data() + lo,
-                                    static_cast<std::size_t>(hi - lo)),
-                  sc.bytes);
-    }
-    ++st.rounds;
-  }
-}
-
-void PsrSparse(Wire& w, Tag base, ElemPricing pr,
-               const linalg::SparseVector& input, linalg::SparseVector& out,
-               Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.dim();
-  const std::size_t eb = pr.PerElement(true);
-  if (n == 1) {  // simulator: reduced block = inputs[0] slice, concatenated
-    out = input;
-    return;
-  }
-
-  const auto [mlo, mhi] = BlockRange(dim, w.me, n);
-  auto& acc = sc.sp_b;
-  {
-    StageSpan stage(w.obs, "scatter_reduce");
-    // Scatter-reduce: ship my slice of every foreign block to its owner.
-    // Empty slices still travel (the owner expects one frame per
-    // contributor) but are NOT counted — exactly where the simulator skips
-    // them.
-    for (GroupRank j = 0; j < n; ++j) {
-      if (j == w.me) continue;
-      const auto [lo, hi] = BlockRange(dim, j, n);
-      input.SliceInto(lo, hi, sc.sp_a);
-      w.PostSparse(j, base, sc.sp_a, sc.bytes);
-      if (sc.sp_a.nnz() > 0) st.CountSend(sc.sp_a.nnz(), eb);
-    }
-    ++st.rounds;
-
-    // Reduce my block with the simulator's block fold, contributors in
-    // ascending group-rank order.
-    sc.fold.Reset(mlo, mhi);
-    for (GroupRank g = 0; g < n; ++g) {
-      if (g == w.me) {
-        sc.fold.Add(input);
-      } else {
-        w.RecvSparse(g, base, dim, sc.sp_a, sc.bytes, sc.idx, sc.val);
-        sc.fold.Add(sc.sp_a);
-      }
-    }
-    acc.Clear(dim);
-    sc.fold.AppendTo(acc);
-  }
-
-  auto& blocks = sc.sp_blocks;
-  {
-    StageSpan stage(w.obs, "allgather");
-    // Allgather the reduced blocks; empty reduced blocks ship but don't
-    // count.
-    for (GroupRank m = 0; m < n; ++m) {
-      if (m == w.me) continue;
-      w.PostSparse(m, base + 1, acc, sc.bytes);
-      if (acc.nnz() > 0) st.CountSend(acc.nnz(), eb);
-    }
-    blocks.resize(n);
-    blocks[w.me] = acc;
-    for (GroupRank b = 0; b < n; ++b) {
-      if (b == w.me) continue;
-      w.RecvSparse(b, base + 1, dim, blocks[b], sc.bytes, sc.idx, sc.val);
-    }
-    ++st.rounds;
-  }
-  linalg::SparseVector::ConcatDisjointInto(blocks, out);
-}
-
-// ---------------------------------------------------------------------------
-// Ring: pipelined scatter-reduce + allgather. The receiver folds the
-// incoming partial INTO its local block (dst += src) — the simulator's
-// RingRunner order, which is NOT ascending-rank.
-
-template <typename Block, typename PostFn, typename RecvFn, typename SizeFn,
-          typename ReduceFn>
-void RingSchedule(Wire& w, Tag base, ElemPricing pr, bool sparse,
-                  std::vector<Block>& blocks, PostFn post, RecvFn recv,
-                  SizeFn size, ReduceFn reduce, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::int64_t me = w.me;
-  auto mod = [n](std::int64_t v) {
-    return static_cast<GroupRank>(((v % n) + n) % n);
   };
-  const GroupRank succ = mod(me + 1);
-  const GroupRank pred = mod(me - 1);
-  const std::size_t eb = pr.PerElement(sparse);
-
-  Block incoming{};
-  {
-    StageSpan stage(w.obs, "scatter_reduce");
-    // Scatter-reduce: after round r I own a deeper partial of block
-    // (me-r-1).
-    for (GroupRank r = 0; r + 1 < n; ++r) {
-      const GroupRank s = mod(me - r);
-      post(succ, base, blocks[s]);
-      st.CountSend(size(blocks[s]), eb);
-      ++st.rounds;
-      const GroupRank b = mod(static_cast<std::int64_t>(pred) - r);
-      recv(pred, base, incoming);
-      reduce(blocks[b], incoming);
-    }
-  }
-  {
-    StageSpan stage(w.obs, "allgather");
-    // Allgather: circulate the completed blocks, replacing local copies.
-    for (GroupRank r = 0; r + 1 < n; ++r) {
-      const GroupRank s = mod(me + 1 - r);
-      post(succ, base + 1, blocks[s]);
-      st.CountSend(size(blocks[s]), eb);
-      ++st.rounds;
-      const GroupRank b = mod(static_cast<std::int64_t>(pred) + 1 - r);
-      recv(pred, base + 1, incoming);
-      blocks[b] = incoming;
-    }
-  }
-}
-
-void RingDense(Wire& w, Tag base, ElemPricing pr,
-               const linalg::DenseVector& input, linalg::DenseVector& out,
-               Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.size();
-  auto& blocks = sc.dn_blocks;
-  blocks.resize(n);
-  for (GroupRank b = 0; b < n; ++b) {
-    const auto [lo, hi] = BlockRange(dim, b, n);
-    blocks[b].assign(input.begin() + static_cast<std::ptrdiff_t>(lo),
-                     input.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
-  if (n > 1) {
-    RingSchedule<linalg::DenseVector>(
-        w, base, pr, /*sparse=*/false, blocks,
-        [&](GroupRank dst, Tag tag, const linalg::DenseVector& x) {
-          w.PostDense(dst, tag, x);
-        },
-        [&](GroupRank src, Tag tag, linalg::DenseVector& x) {
-          w.t.Recv(w.members[src], tag, sc.bytes);
-          x.resize(sc.bytes.size() / sizeof(double));
-          std::memcpy(x.data(), sc.bytes.data(), sc.bytes.size());
-        },
-        [](const linalg::DenseVector& x) { return x.size(); },
-        [](linalg::DenseVector& dst, const linalg::DenseVector& src) {
-          linalg::Axpy(1.0, src, dst);
-        },
-        st);
-  }
-  out.resize(dim);
-  for (GroupRank b = 0; b < n; ++b) {
-    const auto [lo, hi] = BlockRange(dim, b, n);
-    std::copy(blocks[b].begin(), blocks[b].end(),
-              out.begin() + static_cast<std::ptrdiff_t>(lo));
-  }
-}
-
-void RingSparse(Wire& w, Tag base, ElemPricing pr,
-                const linalg::SparseVector& input, linalg::SparseVector& out,
-                Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.dim();
-  auto& blocks = sc.sp_blocks;
-  blocks.resize(n);
-  for (GroupRank b = 0; b < n; ++b) {
-    const auto [lo, hi] = BlockRange(dim, b, n);
-    input.SliceInto(lo, hi, blocks[b]);
-  }
-  if (n > 1) {
-    RingSchedule<linalg::SparseVector>(
-        w, base, pr, /*sparse=*/true, blocks,
-        [&](GroupRank dst, Tag tag, const linalg::SparseVector& x) {
-          w.PostSparse(dst, tag, x, sc.bytes);
-        },
-        [&](GroupRank src, Tag tag, linalg::SparseVector& x) {
-          w.RecvSparse(src, tag, dim, x, sc.bytes, sc.idx, sc.val);
-        },
-        [](const linalg::SparseVector& x) { return x.nnz(); },
-        [](linalg::SparseVector& dst, const linalg::SparseVector& src) {
-          dst = linalg::SparseVector::Sum(dst, src);
-        },
-        st);
-  }
-  linalg::SparseVector::ConcatDisjointInto(blocks, out);
-}
-
-// ---------------------------------------------------------------------------
-// Naive: gather everything at group rank 0, reduce there, broadcast back.
-
-void NaiveDense(Wire& w, Tag base, ElemPricing pr,
-                const linalg::DenseVector& input, linalg::DenseVector& out,
-                Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.size();
-  const std::size_t eb = pr.PerElement(false);
-  if (n == 1) {  // simulator arithmetic: sum = zeros + input
-    out.assign(dim, 0.0);
-    linalg::Axpy(1.0, input, out);
-    return;
-  }
-  if (w.me == 0) {
-    {
-      StageSpan stage(w.obs, "gather");
-      out.assign(dim, 0.0);
-      auto& recv = sc.dense_a;
-      recv.resize(dim);
-      for (GroupRank g = 0; g < n; ++g) {
-        if (g == 0) {
-          linalg::Axpy(1.0, input, out);
-        } else {
-          w.RecvDense(g, base, recv, sc.bytes);
-          linalg::Axpy(1.0, recv, out);
-        }
+  constexpr GroupRank kNone = ~GroupRank{0};
+  GroupRank folding = kNone;
+  auto end_fold = [&] {
+    if constexpr (P::kSparse) {
+      if (folding != kNone) {
+        held(folding).Clear(dim);
+        fold.AppendTo(held(folding));
       }
-      ++st.rounds;  // gather phase
     }
-    StageSpan stage(w.obs, "broadcast");
-    for (GroupRank g = 1; g < n; ++g) {
-      w.PostDense(g, base + 1, out);
-      st.CountSend(dim, eb);
+    folding = kNone;
+  };
+  auto fold_in = [&](GroupRank b, const auto& x) {
+    if (b != folding) {
+      end_fold();
+      const auto [lo, hi] = s.BlockRange(dim, b);
+      P::Reset(fold, out, lo, hi, s.dense_folds_from_zero());
+      folding = b;
     }
-    ++st.rounds;  // broadcast phase
-  } else {
-    {
-      StageSpan stage(w.obs, "gather");
-      w.PostDense(0, base, input);
-      st.CountSend(dim, eb);
-      ++st.rounds;
-    }
-    StageSpan stage(w.obs, "broadcast");
-    out.resize(dim);
-    w.RecvDense(0, base + 1, out, sc.bytes);
-    ++st.rounds;
-  }
-}
+    fold.Add(x);
+  };
 
-void NaiveSparse(Wire& w, Tag base, ElemPricing pr,
-                 const linalg::SparseVector& input, linalg::SparseVector& out,
-                 Scratch& sc, WireStats& st) {
-  const GroupRank n = w.size();
-  const std::uint64_t dim = input.dim();
-  const std::size_t eb = pr.PerElement(true);
-  if (n == 1) {  // simulator: sum = inputs[0]
-    out = input;
-    return;
+  if (s.num_phases() == 0) {  // a lone rank folds its own input once
+    fold_in(0, P::In(input, 0, dim));
+    end_fold();
   }
-  if (w.me == 0) {
-    {
-      StageSpan stage(w.obs, "gather");
-      out = input;  // inputs[0], then SumInto ascending
-      for (GroupRank g = 1; g < n; ++g) {
-        w.RecvSparse(g, base, dim, sc.sp_a, sc.bytes, sc.idx, sc.val);
-        linalg::SparseVector::SumInto(out, sc.sp_a, sc.sp_b);
-        std::swap(out, sc.sp_b);
+  std::optional<StageSpan> stage;
+  for (std::size_t p = 0; p < s.num_phases(); ++p) {
+    const SchedulePhase ph = s.phase(p);
+    if (!stage || std::strcmp(stage->name, ph.stage) != 0) {
+      stage.reset();
+      stage.emplace(w.obs, ph.stage);
+    }
+    const Tag tag = base + (ph.reduce ? 0 : 1);
+    s.ForEachSend(p, w.me, [&](GroupRank to, GroupRank b) {
+      const auto [lo, hi] = s.BlockRange(dim, b);
+      std::size_t elems = 0;
+      if (!ph.own_slice) {
+        elems = w.Post(to, tag, held(b));
+      } else if constexpr (P::kSparse) {
+        input.SliceInto(lo, hi, sc.sparse);
+        elems = w.Post(to, tag, sc.sparse);
+      } else {
+        elems = w.Post(to, tag, P::In(input, lo, hi));
       }
-      ++st.rounds;
-    }
-    StageSpan stage(w.obs, "broadcast");
-    // Broadcast: the simulator books every message, even a zero-nnz sum.
-    for (GroupRank g = 1; g < n; ++g) {
-      w.PostSparse(g, base + 1, out, sc.bytes);
-      st.CountSend(out.nnz(), eb);
-    }
+      if (!(P::kSparse && ph.skip_empty && elems == 0)) st.CountSend(elems, eb);
+    });
     ++st.rounds;
-  } else {
-    {
-      StageSpan stage(w.obs, "gather");
-      // Empty contributions ship but don't count (simulator skips them).
-      w.PostSparse(0, base, input, sc.bytes);
-      if (input.nnz() > 0) st.CountSend(input.nnz(), eb);
-      ++st.rounds;
-    }
-    StageSpan stage(w.obs, "broadcast");
-    w.RecvSparse(0, base + 1, dim, out, sc.bytes, sc.idx, sc.val);
-    ++st.rounds;
+    s.ForEachRecv(p, w.me, [&](GroupRank from, GroupRank b) {
+      const auto [lo, hi] = s.BlockRange(dim, b);
+      if (!ph.reduce) {
+        if constexpr (P::kSparse) held(b).Clear(dim);
+        w.Recv(from, tag, held(b));
+      } else if (from == w.me) {
+        fold_in(b, P::In(input, lo, hi));
+      } else if constexpr (P::kSparse) {
+        sc.sparse.Clear(dim);
+        w.Recv(from, tag, sc.sparse);
+        fold_in(b, sc.sparse);
+      } else {
+        sc.dense.resize(static_cast<std::size_t>(hi - lo));
+        w.Recv(from, tag, std::span<double>(sc.dense));
+        fold_in(b, std::span<const double>(sc.dense));
+      }
+    });
+    end_fold();
   }
-}
-
-void RunDense(AllreduceKind kind, Wire& w, Tag base, ElemPricing pr,
-              const linalg::DenseVector& input, linalg::DenseVector& out,
-              Scratch& sc, WireStats& st) {
-  switch (kind) {
-    case AllreduceKind::kPsr:
-      PsrDense(w, base, pr, input, out, sc, st);
-      return;
-    case AllreduceKind::kRing:
-      RingDense(w, base, pr, input, out, sc, st);
-      return;
-    case AllreduceKind::kNaive:
-      NaiveDense(w, base, pr, input, out, sc, st);
-      return;
-    default:
-      throw InvalidArgument("wire collectives support psr, ring and naive");
-  }
-}
-
-void RunSparse(AllreduceKind kind, Wire& w, Tag base, ElemPricing pr,
-               const linalg::SparseVector& input, linalg::SparseVector& out,
-               Scratch& sc, WireStats& st) {
-  switch (kind) {
-    case AllreduceKind::kPsr:
-      PsrSparse(w, base, pr, input, out, sc, st);
-      return;
-    case AllreduceKind::kRing:
-      RingSparse(w, base, pr, input, out, sc, st);
-      return;
-    case AllreduceKind::kNaive:
-      NaiveSparse(w, base, pr, input, out, sc, st);
-      return;
-    default:
-      throw InvalidArgument("wire collectives support psr, ring and naive");
+  stage.reset();
+  if constexpr (P::kSparse) {
+    linalg::SparseVector::ConcatDisjointInto(sc.blocks, out);
   }
 }
 
@@ -541,67 +247,14 @@ void FinishCollective(obs::WireObs* obs, const char* span_name,
   obs->iteration = 0;
 }
 
-}  // namespace
-
-Transport::Tag WireCollectives::NextBaseTag() {
-  const Tag base = epoch_ * kTagsPerEpoch;
-  PSRA_CHECK(base + kTagsPerEpoch <= Transport::kMaxCollectiveTag,
-             "wire collective tag space exhausted");
-  ++epoch_;
-  return base;
-}
-
-void WireCollectives::AllreduceDense(AllreduceKind kind,
-                                     std::span<const Transport::Rank> members,
-                                     const linalg::DenseVector& input,
-                                     linalg::DenseVector& out, WireStats& st) {
-  st.Reset();
-  Wire w(transport_, members, obs_);
-  Scratch sc;
-  const Tag base = NextBaseTag();
-  if (obs_ == nullptr) {
-    RunDense(kind, w, base, pricing_, input, out, sc, st);
-    return;
-  }
-  obs_->iteration = epoch_;  // 1-based collective epoch, lockstep everywhere
-  const double begin = obs_->Now();
-  RunDense(kind, w, base, pricing_, input, out, sc, st);
-  FinishCollective(obs_, "wire_allreduce", AlgName(kind), begin);
-}
-
-void WireCollectives::AllreduceSparse(AllreduceKind kind,
-                                      std::span<const Transport::Rank> members,
-                                      const linalg::SparseVector& input,
-                                      linalg::SparseVector& out,
-                                      WireStats& st) {
-  st.Reset();
-  Wire w(transport_, members, obs_);
-  Scratch sc;
-  const Tag base = NextBaseTag();
-  if (obs_ == nullptr) {
-    RunSparse(kind, w, base, pricing_, input, out, sc, st);
-    return;
-  }
-  obs_->iteration = epoch_;
-  const double begin = obs_->Now();
-  RunSparse(kind, w, base, pricing_, input, out, sc, st);
-  FinishCollective(obs_, "wire_allreduce", AlgName(kind), begin);
-}
-
-namespace {
-
 /// Shared rack/leader geometry for the multi-level entry points.
 struct Hierarchy {
   std::span<const Rank> rack;     // my rack's members
   std::vector<Rank> leaders;      // first member of each rack
-  std::uint32_t my_rack = 0;
   bool is_leader = false;
-  Rank my_leader = 0;             // transport rank of my rack's leader
-  std::uint32_t per_rack = 0;
 
   Hierarchy(const Transport& t, std::span<const Rank> members,
-            std::uint32_t per_rack_in) {
-    per_rack = per_rack_in;
+            std::uint32_t per_rack) {
     PSRA_REQUIRE(per_rack > 0 && members.size() % per_rack == 0,
                  "members must split into equal racks");
     const std::size_t racks = members.size() / per_rack;
@@ -615,11 +268,8 @@ struct Hierarchy {
     for (std::size_t r = 0; r < racks; ++r) {
       leaders.push_back(members[r * per_rack]);
     }
-    my_rack = static_cast<std::uint32_t>(my_index / per_rack);
-    rack = members.subspan(static_cast<std::size_t>(my_rack) * per_rack,
-                           per_rack);
+    rack = members.subspan(my_index - my_index % per_rack, per_rack);
     is_leader = my_index % per_rack == 0;
-    my_leader = rack[0];
   }
 };
 
@@ -631,13 +281,39 @@ void FoldStageTraffic(WireStats& st, const WireStats& stage) {
 
 }  // namespace
 
-void WireCollectives::MultiLevelDense(AllreduceKind kind,
-                                      std::span<const Transport::Rank> members,
-                                      std::uint32_t per_rack,
-                                      const linalg::DenseVector& input,
-                                      linalg::DenseVector& out, WireStats& st) {
+Transport::Tag WireCollectives::NextBaseTag() {
+  const Tag base = epoch_ * kTagsPerEpoch;
+  PSRA_CHECK(base + kTagsPerEpoch <= Transport::kMaxCollectiveTag,
+             "wire collective tag space exhausted");
+  ++epoch_;
+  return base;
+}
+
+template <typename V>
+void WireCollectives::Allreduce(AllreduceKind kind,
+                                std::span<const Transport::Rank> members,
+                                const V& input, V& out, WireStats& st) {
   st.Reset();
-  Hierarchy h(transport_, members, per_rack);
+  Wire w(transport_, members, obs_);
+  Scratch sc;
+  const Tag base = NextBaseTag();
+  // 1-based collective epoch, lockstep everywhere.
+  if (obs_ != nullptr) obs_->iteration = epoch_;
+  const double begin = obs_ != nullptr ? obs_->Now() : 0.0;
+  RunSchedule(Schedule(kind, w.size()), w, base, pricing_, input, out, sc, st);
+  if (obs_ != nullptr) {
+    FinishCollective(obs_, "wire_allreduce", AllreduceAlgorithm(kind).Name(),
+                     begin);
+  }
+}
+
+template <typename V>
+void WireCollectives::MultiLevel(AllreduceKind kind,
+                                 std::span<const Transport::Rank> members,
+                                 std::uint32_t per_rack, const V& input,
+                                 V& out, WireStats& st) {
+  st.Reset();
+  const Hierarchy h(transport_, members, per_rack);
   // Epochs advance identically on every rank, leader or not.
   const Tag rack_tag = NextBaseTag();
   const Tag root_tag = NextBaseTag();
@@ -647,90 +323,70 @@ void WireCollectives::MultiLevelDense(AllreduceKind kind,
 
   Scratch sc;
   WireStats stage;
-  linalg::DenseVector rack_sum;
+  V rack_sum;
   {
     Wire w(transport_, h.rack, obs_);
-    RunDense(kind, w, rack_tag, pricing_, input, rack_sum, sc, stage);
+    RunSchedule(Schedule(kind, w.size()), w, rack_tag, pricing_, input,
+                rack_sum, sc, stage);
   }
   FoldStageTraffic(st, stage);
   st.rack_rounds = stage.rounds;
 
+  Wire rack(transport_, h.rack);
   if (h.is_leader) {
     stage.Reset();
     Wire w(transport_, h.leaders, obs_);
-    RunDense(kind, w, root_tag, pricing_, rack_sum, out, sc, stage);
+    RunSchedule(Schedule(kind, w.size()), w, root_tag, pricing_, rack_sum,
+                out, sc, stage);
     FoldStageTraffic(st, stage);
     st.root_rounds = stage.rounds;
     // Redistribute: serialize the global sum to my rack peers (ascending),
     // accounted separately like the simulator's stage 3.
     StageSpan redist(obs_, "redistribute");
-    for (std::size_t m = 1; m < h.rack.size(); ++m) {
-      transport_.Post(h.rack[m], redist_tag,
-                      std::as_bytes(std::span<const double>(out)));
-      st.redist_elements += out.size();
+    for (GroupRank m = 1; m < rack.size(); ++m) {
+      st.redist_elements += rack.Post(m, redist_tag, out);
       ++st.redist_messages;
     }
   } else {
     StageSpan redist(obs_, "redistribute");
-    std::vector<std::byte> buf;
-    transport_.Recv(h.my_leader, redist_tag, buf);
-    out.resize(buf.size() / sizeof(double));
-    std::memcpy(out.data(), buf.data(), buf.size());
+    Payload<V>::Resize(out, Payload<V>::Dim(input));
+    rack.Recv(0, redist_tag, out);
   }
   st.rounds = st.rack_rounds + st.root_rounds;
   if (obs_ != nullptr) {
     FinishCollective(obs_, "wire_multilevel",
-                     std::string(AlgName(kind)) + "_ml", obs_begin);
+                     AllreduceAlgorithm(kind).Name() + "_ml", obs_begin);
   }
+}
+
+void WireCollectives::AllreduceDense(AllreduceKind kind,
+                                     std::span<const Transport::Rank> members,
+                                     const linalg::DenseVector& input,
+                                     linalg::DenseVector& out, WireStats& st) {
+  Allreduce(kind, members, input, out, st);
+}
+
+void WireCollectives::AllreduceSparse(AllreduceKind kind,
+                                      std::span<const Transport::Rank> members,
+                                      const linalg::SparseVector& input,
+                                      linalg::SparseVector& out,
+                                      WireStats& st) {
+  Allreduce(kind, members, input, out, st);
+}
+
+void WireCollectives::MultiLevelDense(AllreduceKind kind,
+                                      std::span<const Transport::Rank> members,
+                                      std::uint32_t per_rack,
+                                      const linalg::DenseVector& input,
+                                      linalg::DenseVector& out, WireStats& st) {
+  MultiLevel(kind, members, per_rack, input, out, st);
 }
 
 void WireCollectives::MultiLevelSparse(
     AllreduceKind kind, std::span<const Transport::Rank> members,
     std::uint32_t per_rack, const linalg::SparseVector& input,
     linalg::SparseVector& out, WireStats& st) {
-  st.Reset();
-  Hierarchy h(transport_, members, per_rack);
-  const Tag rack_tag = NextBaseTag();
-  const Tag root_tag = NextBaseTag();
-  const Tag redist_tag = NextBaseTag();
-  const double obs_begin = obs_ != nullptr ? obs_->Now() : 0.0;
-  if (obs_ != nullptr) obs_->iteration = epoch_;
-
-  Scratch sc;
-  WireStats stage;
-  linalg::SparseVector rack_sum;
-  {
-    Wire w(transport_, h.rack, obs_);
-    RunSparse(kind, w, rack_tag, pricing_, input, rack_sum, sc, stage);
-  }
-  FoldStageTraffic(st, stage);
-  st.rack_rounds = stage.rounds;
-
-  if (h.is_leader) {
-    stage.Reset();
-    Wire w(transport_, h.leaders, obs_);
-    RunSparse(kind, w, root_tag, pricing_, rack_sum, out, sc, stage);
-    FoldStageTraffic(st, stage);
-    st.root_rounds = stage.rounds;
-    StageSpan redist(obs_, "redistribute");
-    Wire rack_wire(transport_, h.rack);
-    for (std::size_t m = 1; m < h.rack.size(); ++m) {
-      rack_wire.PostSparse(static_cast<GroupRank>(m), redist_tag, out,
-                           sc.bytes);
-      st.redist_elements += out.nnz();
-      ++st.redist_messages;
-    }
-  } else {
-    StageSpan redist(obs_, "redistribute");
-    Wire rack_wire(transport_, h.rack);
-    rack_wire.RecvSparse(0, redist_tag, input.dim(), out, sc.bytes, sc.idx,
-                         sc.val);
-  }
-  st.rounds = st.rack_rounds + st.root_rounds;
-  if (obs_ != nullptr) {
-    FinishCollective(obs_, "wire_multilevel",
-                     std::string(AlgName(kind)) + "_ml", obs_begin);
-  }
+  MultiLevel(kind, members, per_rack, input, out, st);
 }
 
 }  // namespace psra::comm

@@ -1,33 +1,23 @@
 // SPMD allreduce collectives over a comm::Transport.
 //
 // The simulator's collectives are omniscient: one call sees every member's
-// input and computes the sum with a fixed floating-point fold order. These
-// are the rank-local counterparts — each rank contributes only its own
-// vector and exchanges real messages — written to mirror each simulator
-// algorithm's fold order EXACTLY, so the reduced values are bitwise
-// identical to the simulator's across every backend:
-//
-//   psr    dense:  owner accumulates block contributions in ascending
-//                  group-rank order into a zero-initialized block (the
-//                  simulator's zeros + Axpy fold restricted to the block);
-//          sparse: owner folds the block contributions in ascending
-//                  group-rank order through linalg::SparseBlockFold, the
-//                  simulator's own block reduce.
-//   ring   both:   receiver folds the incoming partial INTO its local block
-//                  (dst += src) following the ring schedule — deliberately
-//                  NOT ascending-rank order, because that is what the
-//                  simulator's RingRunner computes.
-//   naive  dense:  root folds all vectors ascending into zeros + Axpy;
-//          sparse: root starts from rank 0's vector, SumInto ascending.
+// input. These are the rank-local counterparts — each rank contributes only
+// its own vector and exchanges real messages — and they run the very
+// schedules the simulator prices (comm/schedule.hpp: psr, ring, naive). Each
+// rank posts the sends its schedule gives it and folds what it receives in
+// the schedule's fold order, so the reduced values are bitwise identical to
+// the simulator's by construction.
 //
 // Traffic accounting goes through the same CountSend formula and
-// ElemPricing the simulator uses, and messages are counted exactly where
-// the simulator counts them (notably: PSR and the naive sparse gather skip
-// EMPTY sparse payloads in the counters — the wire still ships a
-// zero-length frame so receivers never block on a message that is not
-// coming, but the counters stay comparable). Summing WireStats across all
-// ranks therefore reproduces the simulator's aggregate CommStats traffic,
-// and per-rank `rounds` equals the simulator's phase count.
+// ElemPricing the simulator uses, and a send counts exactly when the
+// simulator counts it: an empty sparse payload in a skip_empty phase (psr,
+// the naive gather) still travels as a zero-length frame, so its receiver
+// never blocks on a message that is not coming, but is not counted. Summing
+// WireStats across all ranks therefore reproduces the simulator's aggregate
+// CommStats traffic, and per-rank `rounds` equals the simulator's phase
+// count. A dense frame must carry exactly the length its schedule step
+// expects and a sparse frame must match its own header and the vector's
+// dimension; a mismatch throws InvalidArgument.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +81,7 @@ class WireCollectives {
 
   /// Flat allreduce over `members` (distinct transport ranks; order defines
   /// group rank and therefore the fold order). The calling rank must be a
-  /// member; `out` receives the group sum. Supported kinds: kPsr, kRing,
-  /// kNaive.
+  /// member; `out` receives the group sum.
   void AllreduceDense(AllreduceKind kind,
                       std::span<const Transport::Rank> members,
                       const linalg::DenseVector& input,
@@ -120,6 +109,13 @@ class WireCollectives {
                         linalg::SparseVector& out, WireStats& st);
 
  private:
+  template <typename V>
+  void Allreduce(AllreduceKind kind, std::span<const Transport::Rank> members,
+                 const V& input, V& out, WireStats& st);
+  template <typename V>
+  void MultiLevel(AllreduceKind kind, std::span<const Transport::Rank> members,
+                  std::uint32_t per_rack, const V& input, V& out,
+                  WireStats& st);
   Transport::Tag NextBaseTag();
 
   Transport& transport_;

@@ -5,9 +5,12 @@
 // validate dimensions via PSRA_REQUIRE.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
+
+#include "support/status.hpp"
 
 namespace psra::linalg {
 
@@ -94,5 +97,34 @@ std::size_t CountNonzeros(std::span<const double> x, double tol = 0.0);
 /// Rounds every entry through IEEE single precision (mixed-precision
 /// communication: values are transmitted as fp32 and widened back).
 void RoundToFloat(std::span<double> x);
+
+/// Dense counterpart of SparseBlockFold, folding in place into a block of
+/// the caller's vector: either from zeros (every contribution is added) or
+/// from the first contribution (copied, later ones added), in Add() order.
+class DenseBlockFold {
+ public:
+  void Reset(std::span<double> block, bool from_zero) {
+    acc_ = block;
+    started_ = from_zero;
+    if (from_zero) SetZero(block);
+  }
+
+  /// Folds in one contribution to the block (block-sized).
+  void Add(std::span<const double> x) {
+    if (started_) {
+      Axpy(1.0, x, acc_);
+    } else {
+      PSRA_REQUIRE(x.size() == acc_.size(), "fold contribution size mismatch");
+      std::copy(x.begin(), x.end(), acc_.begin());
+    }
+    started_ = true;
+  }
+
+  std::size_t size() const { return acc_.size(); }
+
+ private:
+  std::span<double> acc_;
+  bool started_ = false;
+};
 
 }  // namespace psra::linalg

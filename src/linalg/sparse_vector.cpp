@@ -214,6 +214,8 @@ void SparseBlockFold::Reset(Index lo, Index hi) {
   PSRA_REQUIRE(lo <= hi, "bad fold range");
   lo_ = lo;
   hi_ = hi;
+  size_ = 0;
+  counted_ = true;
   acc_.resize(static_cast<std::size_t>(hi - lo));
   present_.assign(static_cast<std::size_t>(hi - lo), 0);
 }
@@ -230,6 +232,16 @@ void SparseBlockFold::Add(const SparseVector& v) {
     acc_[b] = present_[b] != 0 ? folded : value;
     present_[b] = 1;
   }
+  counted_ = false;
+}
+
+std::size_t SparseBlockFold::size() const {
+  if (!counted_) {
+    size_ = static_cast<std::size_t>(
+        std::count(present_.begin(), present_.end(), 1));
+    counted_ = true;
+  }
+  return size_;
 }
 
 std::size_t SparseBlockFold::AppendTo(SparseVector& out) const {

@@ -139,9 +139,15 @@ class SparseBlockFold {
   /// count. `out` must have dimension >= hi and no entry at or above lo.
   std::size_t AppendTo(SparseVector& out) const;
 
+  /// Entries folded so far (the count AppendTo would return). Counted on
+  /// the first call after an Add, so the fold loop itself does no counting.
+  std::size_t size() const;
+
  private:
   Index lo_ = 0;
   Index hi_ = 0;
+  mutable std::size_t size_ = 0;
+  mutable bool counted_ = true;
   std::vector<double> acc_;             // valid where present_ is set
   std::vector<unsigned char> present_;  // one flag per block index
 };

@@ -330,14 +330,14 @@ TEST(Censoring, ZeroThresholdIsExactlyPlainRun) {
   EXPECT_EQ(a.elements_sent, b.elements_sent);
 }
 
-// --------------------------------------------- extra collectives in ADMM ----
+// --------------------------------------- non-PSR collectives in ADMM ----
 
 class ExtraCollectiveInAdmm
     : public ::testing::TestWithParam<comm::AllreduceKind> {};
 
 TEST_P(ExtraCollectiveInAdmm, ProducesSameModelAsPsr) {
   // In full-barrier mode the collective choice must not change the math.
-  const auto cluster = TinyCluster(5, 1);  // odd size exercises RHD folding
+  const auto cluster = TinyCluster(5, 1);  // odd: uneven blocks, partial tree
   const auto p = BuildProblem(TinySpec(), cluster.world_size());
   RunOptions opt;
   opt.max_iterations = 8;
@@ -355,8 +355,7 @@ TEST_P(ExtraCollectiveInAdmm, ProducesSameModelAsPsr) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ExtraCollectiveInAdmm,
-                         ::testing::Values(comm::AllreduceKind::kRhd,
-                                           comm::AllreduceKind::kTree,
+                         ::testing::Values(comm::AllreduceKind::kTree,
                                            comm::AllreduceKind::kNaive,
                                            comm::AllreduceKind::kRing));
 

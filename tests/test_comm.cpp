@@ -14,8 +14,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 
-#include "comm/allreduce_impl.hpp"
 #include "comm/collective.hpp"
 #include "comm/group.hpp"
 #include "comm/hierarchical.hpp"
@@ -138,6 +138,26 @@ DenseVector SumDense(const std::vector<DenseVector>& inputs) {
   return sum;
 }
 
+/// One collective on a fresh scratch: returns its stats and, through `sum`
+/// when given, the group sum.
+template <typename V>
+CommStats Reduce(AllreduceKind kind, const GroupComm& group,
+                 const std::vector<V>& inputs,
+                 std::span<const VirtualTime> starts, V* sum = nullptr) {
+  AllreduceScratch scratch;
+  V out;
+  CommStats stats;
+  if constexpr (std::is_same_v<V, SparseVector>) {
+    MakeAllreduce(kind)->ReduceSparse(group, inputs, starts, scratch, out,
+                                      stats);
+  } else {
+    MakeAllreduce(kind)->ReduceDense(group, inputs, starts, scratch, out,
+                                     stats);
+  }
+  if (sum != nullptr) *sum = std::move(out);
+  return stats;
+}
+
 // ------------------------------------------------------------ GroupComm ----
 
 TEST(GroupComm, RankMappingAndBlocks) {
@@ -176,7 +196,6 @@ class AllreduceCorrectness
 TEST_P(AllreduceCorrectness, DenseOutputsEqualSum) {
   const auto [kind, n] = GetParam();
   Fixture f(static_cast<std::uint32_t>(n));
-  const auto alg = MakeAllreduce(kind);
 
   Rng rng(static_cast<std::uint64_t>(n) * 7 + 1);
   std::vector<DenseVector> inputs(n);
@@ -186,22 +205,20 @@ TEST_P(AllreduceCorrectness, DenseOutputsEqualSum) {
   }
   const auto expected = SumDense(inputs);
 
-  const auto res = alg->RunDense(f.group, inputs, ZeroStarts(n));
-  ASSERT_EQ(res.outputs.size(), static_cast<std::size_t>(n));
-  for (const auto& out : res.outputs) {
-    ASSERT_EQ(out.size(), expected.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_NEAR(out[i], expected[i], 1e-12);
-    }
+  DenseVector out;
+  const auto stats = Reduce(kind, f.group, inputs, ZeroStarts(n), &out);
+  ASSERT_EQ(out.size(), expected.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_NEAR(out[i], expected[i], 1e-12);
   }
-  for (auto ft : res.stats.finish_times) EXPECT_GE(ft, 0.0);
-  EXPECT_GE(res.stats.all_done, res.stats.scatter_reduce_done);
+  ASSERT_EQ(stats.finish_times.size(), static_cast<std::size_t>(n));
+  for (auto ft : stats.finish_times) EXPECT_GE(ft, 0.0);
+  EXPECT_GE(stats.all_done, stats.scatter_reduce_done);
 }
 
 TEST_P(AllreduceCorrectness, SparseOutputsEqualSum) {
   const auto [kind, n] = GetParam();
   Fixture f(static_cast<std::uint32_t>(n));
-  const auto alg = MakeAllreduce(kind);
 
   Rng rng(static_cast<std::uint64_t>(n) * 13 + 2);
   const std::uint64_t dim = 40;
@@ -216,35 +233,34 @@ TEST_P(AllreduceCorrectness, SparseOutputsEqualSum) {
     inputs.push_back(SparseVector::FromDense(d));
   }
 
-  const auto res = alg->RunSparse(f.group, inputs, ZeroStarts(n));
-  for (const auto& out : res.outputs) {
-    const auto dense = out.ToDense();
-    ASSERT_EQ(dense.size(), dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_NEAR(dense[i], expected[i], 1e-12);
-    }
+  SparseVector out;
+  Reduce(kind, f.group, inputs, ZeroStarts(n), &out);
+  const auto dense = out.ToDense();
+  ASSERT_EQ(dense.size(), dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    EXPECT_NEAR(dense[i], expected[i], 1e-12);
   }
 }
 
 TEST_P(AllreduceCorrectness, RespectsStartTimes) {
   const auto [kind, n] = GetParam();
   Fixture f(static_cast<std::uint32_t>(n));
-  const auto alg = MakeAllreduce(kind);
   std::vector<DenseVector> inputs(n, DenseVector(8, 1.0));
   std::vector<VirtualTime> starts(n, 0.0);
   starts[0] = 100.0;  // one late worker delays everyone's completion
-  const auto res = alg->RunDense(f.group, inputs, starts);
+  const auto stats = Reduce(kind, f.group, inputs, starts);
   if (n > 1) {
-    EXPECT_GE(res.stats.all_done, 100.0);
+    EXPECT_GE(stats.all_done, 100.0);
   }
   for (int i = 0; i < n; ++i) {
-    EXPECT_GE(res.stats.finish_times[i], starts[i]);
+    EXPECT_GE(stats.finish_times[i], starts[i]);
   }
 }
 
-// The in-place Reduce* entry points must reproduce Run*'s sum and stats
-// bitwise, including when the scratch and output buffers are reused across
-// calls (the engine's steady-state pattern).
+// A scratch and output buffers that already served other shapes (the
+// engine's steady-state pattern) must reproduce a fresh call's sum and stats
+// bitwise. The names recall the allocating RunDense/RunSparse entry points
+// these once compared against; a call on a fresh scratch takes their place.
 TEST_P(AllreduceCorrectness, ReduceDenseMatchesRunDense) {
   const auto [kind, n] = GetParam();
   Fixture f(static_cast<std::uint32_t>(n));
@@ -257,15 +273,19 @@ TEST_P(AllreduceCorrectness, ReduceDenseMatchesRunDense) {
     for (auto& e : v) e = rng.NextGaussian();
   }
   const auto starts = ZeroStarts(n);
-  const auto res = alg->RunDense(f.group, inputs, starts);
+  DenseVector want;
+  const auto want_stats = Reduce(kind, f.group, inputs, starts, &want);
 
   AllreduceScratch scratch;
   DenseVector sum;
   CommStats stats;
+  const Fixture other(9);
+  const std::vector<DenseVector> wide(9, DenseVector(41, -1.5));
+  alg->ReduceDense(other.group, wide, ZeroStarts(9), scratch, sum, stats);
   for (int pass = 0; pass < 2; ++pass) {  // second pass reuses warm buffers
     alg->ReduceDense(f.group, inputs, starts, scratch, sum, stats);
-    EXPECT_EQ(sum, res.outputs[0]);
-    EXPECT_EQ(stats, res.stats);
+    EXPECT_EQ(sum, want);
+    EXPECT_EQ(stats, want_stats);
   }
 }
 
@@ -285,15 +305,20 @@ TEST_P(AllreduceCorrectness, ReduceSparseMatchesRunSparse) {
     inputs.push_back(SparseVector::FromDense(d));
   }
   const auto starts = ZeroStarts(n);
-  const auto res = alg->RunSparse(f.group, inputs, starts);
+  SparseVector want;
+  const auto want_stats = Reduce(kind, f.group, inputs, starts, &want);
 
   AllreduceScratch scratch;
   SparseVector sum;
   CommStats stats;
+  const Fixture other(9);
+  const std::vector<SparseVector> wide(
+      9, SparseVector(77, {0, 5, 76}, {1.0, -2.0, 3.0}));
+  alg->ReduceSparse(other.group, wide, ZeroStarts(9), scratch, sum, stats);
   for (int pass = 0; pass < 2; ++pass) {
     alg->ReduceSparse(f.group, inputs, starts, scratch, sum, stats);
-    EXPECT_EQ(sum, res.outputs[0]);
-    EXPECT_EQ(stats, res.stats);
+    EXPECT_EQ(sum, want);
+    EXPECT_EQ(stats, want_stats);
   }
 }
 
@@ -302,7 +327,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(AllreduceKind::kNaive,
                                          AllreduceKind::kRing,
                                          AllreduceKind::kPsr,
-                                         AllreduceKind::kRhd,
                                          AllreduceKind::kTree),
                        ::testing::Values(1, 2, 3, 5, 8, 16)));
 
@@ -318,10 +342,10 @@ TEST(CostAnalysis, UniformLayoutBothAlgorithmsHitBestCase) {
   const auto inputs = UniformLayout(n, 16, q);
   const double best = 2.0 * q * (n - 1);
 
-  const auto ring = RingAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  const auto psr = PsrAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(ring.stats.all_done, best, 1e-9);
-  EXPECT_NEAR(psr.stats.all_done, best, 1e-9);
+  const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(ring.all_done, best, 1e-9);
+  EXPECT_NEAR(psr.all_done, best, 1e-9);
 }
 
 TEST(CostAnalysis, OwnBlockLayoutGivesPsrZeroScatterCost) {
@@ -329,10 +353,10 @@ TEST(CostAnalysis, OwnBlockLayoutGivesPsrZeroScatterCost) {
   const std::uint32_t n = 4, q = 6;
   Fixture f(n);
   const auto inputs = OwnBlockLayout(n, 8, q);
-  const auto psr = PsrAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(psr.stats.scatter_reduce_done, 0.0, 1e-12);
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(psr.scatter_reduce_done, 0.0, 1e-12);
   // Allgather: every owner serializes its q-element block to n-1 peers.
-  EXPECT_NEAR(psr.stats.all_done, static_cast<double>(q) * (n - 1), 1e-9);
+  EXPECT_NEAR(psr.all_done, static_cast<double>(q) * (n - 1), 1e-9);
 }
 
 TEST(CostAnalysis, HotBlockLayoutMatchesPaperWorstCaseBound) {
@@ -341,14 +365,14 @@ TEST(CostAnalysis, HotBlockLayoutMatchesPaperWorstCaseBound) {
   Fixture f(n);
   const auto inputs = HotBlockLayout(n, 16, q);
 
-  const auto psr = PsrAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(psr.stats.all_done, static_cast<double>(q) * n, 1e-9);
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(psr.all_done, static_cast<double>(q) * n, 1e-9);
 
-  const auto ring = RingAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(ring.stats.all_done, 2.0 * q * (n - 1), 1e-9);
+  const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(ring.all_done, 2.0 * q * (n - 1), 1e-9);
 
   // PSR beats Ring whenever N > 2 (paper's conclusion).
-  EXPECT_LT(psr.stats.all_done, ring.stats.all_done);
+  EXPECT_LT(psr.all_done, ring.all_done);
 }
 
 TEST(CostAnalysis, DisjointBlockLayoutIsRingsWorstCase) {
@@ -360,14 +384,13 @@ TEST(CostAnalysis, DisjointBlockLayoutIsRingsWorstCase) {
   const auto inputs = DisjointBlockLayout(n, static_cast<std::uint64_t>(q) * n,
                                           q);
 
-  const auto ring = RingAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(ring.stats.all_done, 1.5 * q * n * (n - 1), 1e-9);
+  const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(ring.all_done, 1.5 * q * n * (n - 1), 1e-9);
 
-  const auto psr = PsrAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
   // PSR: scatter q (parallel direct sends), allgather (n-1)*n*q serialized.
-  EXPECT_NEAR(psr.stats.all_done, q + static_cast<double>(n) * (n - 1) * q,
-              1e-9);
-  EXPECT_LT(psr.stats.all_done, ring.stats.all_done);
+  EXPECT_NEAR(psr.all_done, q + static_cast<double>(n) * (n - 1) * q, 1e-9);
+  EXPECT_LT(psr.all_done, ring.all_done);
 }
 
 TEST(CostAnalysis, DensePsrAndRingAreEquivalent) {
@@ -380,10 +403,10 @@ TEST(CostAnalysis, DensePsrAndRingAreEquivalent) {
   const double theta_d = 0.5;  // 8 bytes / 16 B/s
   const double expect = 2.0 * (n - 1) * (dim / n) * theta_d;
 
-  const auto ring = RingAllreduce().RunDense(f.group, inputs, ZeroStarts(n));
-  const auto psr = PsrAllreduce().RunDense(f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(ring.stats.all_done, expect, 1e-9);
-  EXPECT_NEAR(psr.stats.all_done, expect, 1e-9);
+  const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+  EXPECT_NEAR(ring.all_done, expect, 1e-9);
+  EXPECT_NEAR(psr.all_done, expect, 1e-9);
 }
 
 /// Property sweep: for random sparse inputs with exactly c nonzeros per
@@ -407,21 +430,21 @@ TEST_P(CostBoundsProperty, PaperBoundsHold) {
     inputs.emplace_back(dim, std::move(idx), std::move(val));
   }
 
-  const auto ring = RingAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
-  const auto psr = PsrAllreduce().RunSparse(f.group, inputs, ZeroStarts(n));
+  const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
 
   const double cd = static_cast<double>(c);
   // eq. 13: 2c(N-1)/N <= T_ring <= 1.5cN(N-1)
-  EXPECT_GE(ring.stats.all_done, 2.0 * cd * (n - 1) / n - 1e-9);
-  EXPECT_LE(ring.stats.all_done, 1.5 * cd * n * (n - 1) + 1e-9);
+  EXPECT_GE(ring.all_done, 2.0 * cd * (n - 1) / n - 1e-9);
+  EXPECT_LE(ring.all_done, 1.5 * cd * n * (n - 1) + 1e-9);
   // eq. 16 lower bound also applies to PSR, and PSR always stays within
   // Ring's worst-case envelope (the paper's headline comparison).
-  EXPECT_GE(psr.stats.all_done, 2.0 * cd * (n - 1) / n - 1e-9);
-  EXPECT_LE(psr.stats.all_done, 1.5 * cd * n * (n - 1) + 1e-9);
+  EXPECT_GE(psr.all_done, 2.0 * cd * (n - 1) / n - 1e-9);
+  EXPECT_LE(psr.all_done, 1.5 * cd * n * (n - 1) + 1e-9);
 
   // Both moved every element at least once.
-  EXPECT_GT(ring.stats.elements_sent, 0u);
-  EXPECT_GT(psr.stats.elements_sent, 0u);
+  EXPECT_GT(ring.elements_sent, 0u);
+  EXPECT_GT(psr.elements_sent, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CostBoundsProperty, ::testing::Range(0, 20));
@@ -430,11 +453,11 @@ TEST(CostAnalysis, NaiveSerializesThroughRoot) {
   const std::uint32_t n = 4;
   Fixture f(n);
   std::vector<DenseVector> inputs(n, DenseVector(10, 1.0));
-  const auto res = NaiveAllreduce().RunDense(f.group, inputs, ZeroStarts(n));
+  const auto res = Reduce(AllreduceKind::kNaive, f.group, inputs, ZeroStarts(n));
   const double theta_d = 0.5;
   // Gather: parallel 10-elem sends (5 s). Broadcast: 3 serialized sends.
-  EXPECT_NEAR(res.stats.scatter_reduce_done, 10 * theta_d, 1e-9);
-  EXPECT_NEAR(res.stats.all_done, 10 * theta_d + 3 * 10 * theta_d, 1e-9);
+  EXPECT_NEAR(res.scatter_reduce_done, 10 * theta_d, 1e-9);
+  EXPECT_NEAR(res.all_done, 10 * theta_d + 3 * 10 * theta_d, 1e-9);
 }
 
 TEST(CostAnalysis, SingleMemberIsFree) {
@@ -442,10 +465,12 @@ TEST(CostAnalysis, SingleMemberIsFree) {
   std::vector<DenseVector> inputs(1, DenseVector(10, 2.0));
   for (auto kind : {AllreduceKind::kNaive, AllreduceKind::kRing,
                     AllreduceKind::kPsr}) {
-    const auto res = MakeAllreduce(kind)->RunDense(f.group, inputs, {{5.0}});
-    EXPECT_DOUBLE_EQ(res.stats.all_done, 5.0) << MakeAllreduce(kind)->Name();
-    EXPECT_EQ(res.stats.elements_sent, 0u);
-    EXPECT_EQ(res.outputs[0], inputs[0]);
+    const std::vector<VirtualTime> starts{5.0};
+    DenseVector sum;
+    const auto res = Reduce(kind, f.group, inputs, starts, &sum);
+    EXPECT_DOUBLE_EQ(res.all_done, 5.0) << MakeAllreduce(kind)->Name();
+    EXPECT_EQ(res.elements_sent, 0u);
+    EXPECT_EQ(sum, inputs[0]);
   }
 }
 
@@ -460,7 +485,6 @@ TEST_P(RandomStartProperty, CorrectAndCausal) {
   Rng rng(static_cast<std::uint64_t>(seed) + 501);
   const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.NextBelow(9));
   Fixture f(n);
-  const auto alg = MakeAllreduce(kind);
 
   const std::uint64_t dim = 30;
   std::vector<DenseVector> inputs(n);
@@ -473,14 +497,15 @@ TEST_P(RandomStartProperty, CorrectAndCausal) {
     starts[i] = rng.NextDouble(0.0, 50.0);
   }
 
-  const auto res = alg->RunDense(f.group, inputs, starts);
+  DenseVector sum;
+  const auto res = Reduce(kind, f.group, inputs, starts, &sum);
   const double max_start = *std::max_element(starts.begin(), starts.end());
-  EXPECT_GE(res.stats.all_done, max_start);
+  EXPECT_GE(res.all_done, max_start);
   for (std::uint32_t i = 0; i < n; ++i) {
-    EXPECT_GE(res.stats.finish_times[i], starts[i]);
-    for (std::size_t k = 0; k < dim; ++k) {
-      EXPECT_NEAR(res.outputs[i][k], expected[k], 1e-12);
-    }
+    EXPECT_GE(res.finish_times[i], starts[i]);
+  }
+  for (std::size_t k = 0; k < dim; ++k) {
+    EXPECT_NEAR(sum[k], expected[k], 1e-12);
   }
 }
 
@@ -489,49 +514,31 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(AllreduceKind::kNaive,
                                          AllreduceKind::kRing,
                                          AllreduceKind::kPsr,
-                                         AllreduceKind::kRhd,
                                          AllreduceKind::kTree),
                        ::testing::Range(0, 6)));
 
 TEST(ExtraCollectives, MessageCountsMatchTheory) {
-  // Dense, power-of-two group: RHD sends 2*log2(N) messages per rank; Tree
-  // sends N-1 up and N-1 down in total.
+  // Tree sends N-1 messages up and N-1 down in total.
   const std::uint32_t n = 8;
   Fixture f(n);
   std::vector<DenseVector> inputs(n, DenseVector(64, 1.0));
-  const auto starts = ZeroStarts(n);
-
-  const auto rhd = RhdAllreduce().RunDense(f.group, inputs, starts);
-  EXPECT_EQ(rhd.stats.messages_sent, n * 2 * 3);  // 2 log2(8) per rank
-
-  const auto tree = TreeAllreduce().RunDense(f.group, inputs, starts);
-  EXPECT_EQ(tree.stats.messages_sent, 2 * (n - 1));
-}
-
-TEST(ExtraCollectives, RhdFinishesBeforeTree) {
-  // Total elements moved are equal (2d(N-1)/N per rank vs (N-1) full-vector
-  // hops overall), but RHD's exchanged blocks halve every round while Tree
-  // ships the full vector along a serial log-depth chain — its critical
-  // path is strictly longer.
-  const std::uint32_t n = 8;
-  Fixture f(n);
-  std::vector<DenseVector> inputs(n, DenseVector(64, 1.0));
-  const auto starts = ZeroStarts(n);
-  const auto rhd = RhdAllreduce().RunDense(f.group, inputs, starts);
-  const auto tree = TreeAllreduce().RunDense(f.group, inputs, starts);
-  EXPECT_EQ(rhd.stats.elements_sent, tree.stats.elements_sent);
-  EXPECT_LT(rhd.stats.all_done, tree.stats.all_done);
+  const auto tree = Reduce(AllreduceKind::kTree, f.group, inputs,
+                           ZeroStarts(n));
+  EXPECT_EQ(tree.messages_sent, 2 * (n - 1));
 }
 
 TEST(Collective, InputValidation) {
   Fixture f(3);
-  const auto alg = MakeAllreduce("ring");
   std::vector<DenseVector> two(2, DenseVector(4, 1.0));
-  EXPECT_THROW(alg->RunDense(f.group, two, ZeroStarts(3)), InvalidArgument);
+  EXPECT_THROW(Reduce(AllreduceKind::kRing, f.group, two, ZeroStarts(3)),
+               InvalidArgument);
   std::vector<DenseVector> ragged{DenseVector(4, 1.0), DenseVector(5, 1.0),
                                   DenseVector(4, 1.0)};
-  EXPECT_THROW(alg->RunDense(f.group, ragged, ZeroStarts(3)), InvalidArgument);
+  EXPECT_THROW(Reduce(AllreduceKind::kRing, f.group, ragged, ZeroStarts(3)),
+               InvalidArgument);
   EXPECT_THROW(MakeAllreduce("bogus"), InvalidArgument);
+  EXPECT_EQ(MakeAllreduce("PSR")->kind(), AllreduceKind::kPsr);
+  EXPECT_EQ(MakeAllreduce("tree")->kind(), AllreduceKind::kTree);
 }
 
 // ------------------------------------------------------------ intranode ----
@@ -597,7 +604,7 @@ TEST(FaultyReduce, NullOrEmptyPlanIsExactlyThePlainPath) {
   FaultContext fc;  // null plan
   DenseVector sum;
   CommStats stats;
-  alg->ReduceDenseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+  alg->ReduceDense(f.group, inputs, starts, scratch, sum, stats, &fc);
   EXPECT_EQ(sum, plain_sum);
   EXPECT_EQ(stats, plain_stats);
   EXPECT_TRUE(fc.excluded.empty());
@@ -605,7 +612,7 @@ TEST(FaultyReduce, NullOrEmptyPlanIsExactlyThePlainPath) {
 
   const simnet::FaultPlan empty_plan;  // empty plan behaves the same
   fc.plan = &empty_plan;
-  alg->ReduceDenseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+  alg->ReduceDense(f.group, inputs, starts, scratch, sum, stats, &fc);
   EXPECT_EQ(sum, plain_sum);
   EXPECT_EQ(stats, plain_stats);
 }
@@ -638,7 +645,7 @@ TEST(FaultyReduce, ResolvedDropsKeepTheSumAndDelayTheFinish) {
     fc.iteration = it;
     fc.channel = 0;
     const std::size_t before = fc.dropped_messages;
-    alg->ReduceDenseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+    alg->ReduceDense(f.group, inputs, starts, scratch, sum, stats, &fc);
     ASSERT_TRUE(fc.excluded.empty());
     EXPECT_EQ(sum, plain_sum);  // retries leave the arithmetic untouched
     if (fc.dropped_messages > before) {
@@ -675,7 +682,7 @@ TEST(FaultyReduce, ExhaustedRetriesDegradeToSurvivors) {
   for (std::uint64_t it = 1; it <= 32 && !saw_exclusion; ++it) {
     fc.iteration = it;
     fc.channel = 0;
-    alg->ReduceDenseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+    alg->ReduceDense(f.group, inputs, starts, scratch, sum, stats, &fc);
     if (fc.excluded.empty() || fc.excluded.size() >= f.group.size()) continue;
     saw_exclusion = true;
 
@@ -725,16 +732,16 @@ TEST(FaultyReduce, SparseAndDenseFaultyPathsAgree) {
     fd.iteration = it;
     DenseVector dsum;
     CommStats dstats;
-    alg->ReduceDenseFaulty(f.group, dense_inputs, starts, fd, scratch, dsum,
-                           dstats);
+    alg->ReduceDense(f.group, dense_inputs, starts, scratch, dsum, dstats,
+                     &fd);
 
     FaultContext fs;
     fs.plan = &plan;
     fs.iteration = it;
     SparseVector ssum;
     CommStats sstats;
-    alg->ReduceSparseFaulty(f.group, sparse_inputs, starts, fs, scratch, ssum,
-                            sstats);
+    alg->ReduceSparse(f.group, sparse_inputs, starts, scratch, ssum, sstats,
+                      &fs);
 
     // Identical fault draws -> identical exclusions and identical sums.
     EXPECT_EQ(fd.excluded, fs.excluded) << "iteration " << it;
@@ -786,7 +793,6 @@ void ChainPsrSparse(const GroupComm& group,
         group.cost_model().SparseTransferTime(group.LinkBetween(a, b), elems);
     clock += cost;
     st.CountSend(elems, eb);
-    st.total_send_time += cost;
   };
   std::vector<VirtualTime> ready(starts.begin(), starts.end()), sr_done(n);
   for (GroupRank i = 0; i < n; ++i) {
@@ -964,7 +970,7 @@ TEST(PsrSparseFold, FaultyEntryMatchesTheMergeChain) {
   fc.plan = &empty_plan;
   SparseVector sum;
   CommStats stats;
-  alg->ReduceSparseFaulty(f.group, inputs, starts, fc, scratch, sum, stats);
+  alg->ReduceSparse(f.group, inputs, starts, scratch, sum, stats, &fc);
   ExpectMatchesChain(f.group, inputs, starts, sum, stats);
 
   // One member excluded: the survivors' reduce matches the chain over the
@@ -979,8 +985,7 @@ TEST(PsrSparseFold, FaultyEntryMatchesTheMergeChain) {
   for (std::uint64_t it = 1; it <= 200 && !saw_one; ++it) {
     faulty.iteration = it;
     faulty.channel = 0;
-    alg->ReduceSparseFaulty(f.group, inputs, starts, faulty, scratch, sum,
-                            stats);
+    alg->ReduceSparse(f.group, inputs, starts, scratch, sum, stats, &faulty);
     if (faulty.excluded.size() != 1) continue;
     saw_one = true;
     const GroupComm sub(&f.topo, &f.cost, faulty.survivor_ranks);

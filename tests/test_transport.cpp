@@ -12,9 +12,11 @@
 
 #include <cstring>
 #include <thread>
+#include <tuple>
 
 #include "comm/collective.hpp"
 #include "comm/hierarchical.hpp"
+#include "comm/schedule.hpp"
 #include "comm/transport.hpp"
 #include "comm/wire_allreduce.hpp"
 #include "comm/wire_obs.hpp"
@@ -143,8 +145,21 @@ std::vector<Transport::Rank> AllRanks(std::uint32_t n) {
   return m;
 }
 
+/// Sends schedule `kind` gives group rank `r` of `n`, over all phases.
+std::uint64_t ScheduledSends(AllreduceKind kind, std::uint32_t n,
+                             std::uint32_t r) {
+  const comm::Schedule s(kind, n);
+  std::uint64_t sends = 0;
+  for (std::size_t p = 0; p < s.num_phases(); ++p) {
+    s.ForEachSend(p, r, [&](comm::GroupRank, comm::GroupRank) { ++sends; });
+  }
+  return sends;
+}
+
 /// Asserts the wire run over `n` inproc ranks reproduces the simulator:
-/// values bitwise, per-rank rounds equal, aggregate traffic equal.
+/// values bitwise, per-rank rounds equal, aggregate traffic equal, and every
+/// rank posts exactly the frames its schedule gives it (empty sparse frames
+/// included).
 void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
                           std::uint64_t dim, bool sparse, bool with_empty) {
   SimSide sim(n);
@@ -155,6 +170,7 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
   std::vector<DenseVector> dense_out(n);
   std::vector<SparseVector> sparse_out(n);
   std::vector<WireStats> wire(n);
+  std::vector<std::uint64_t> posted(n);
 
   CommStats sim_stats;
   DenseVector sim_dense;
@@ -170,6 +186,7 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
     RunInproc(n, [&](std::uint32_t r, Transport& t) {
       WireCollectives wc(t, sim.group.pricing());
       wc.AllreduceSparse(kind, members, inputs[r], sparse_out[r], wire[r]);
+      posted[r] = t.stats().messages_posted;
     });
     for (std::uint32_t r = 0; r < n; ++r) {
       ASSERT_TRUE(BitwiseEqual(sparse_out[r], sim_sparse))
@@ -182,6 +199,7 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
     RunInproc(n, [&](std::uint32_t r, Transport& t) {
       WireCollectives wc(t, sim.group.pricing());
       wc.AllreduceDense(kind, members, inputs[r], dense_out[r], wire[r]);
+      posted[r] = t.stats().messages_posted;
     });
     for (std::uint32_t r = 0; r < n; ++r) {
       ASSERT_TRUE(BitwiseEqual(dense_out[r], sim_dense))
@@ -193,6 +211,8 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
   for (std::uint32_t r = 0; r < n; ++r) {
     EXPECT_EQ(wire[r].rounds, sim_stats.rounds)
         << "rank " << r << " rounds (n=" << n << ")";
+    EXPECT_EQ(posted[r], ScheduledSends(kind, n, r))
+        << "rank " << r << " frames posted (n=" << n << ")";
     agg.elements_sent += wire[r].elements_sent;
     agg.messages_sent += wire[r].messages_sent;
     agg.bytes_sent += wire[r].bytes_sent;
@@ -314,36 +334,56 @@ INSTANTIATE_TEST_SUITE_P(
                         "naive_sparse_empty"}),
     [](const auto& info) { return info.param.name; });
 
-TEST(WireConformance, HierarchicalMatchesSimulator) {
-  // 3 racks x 2 node leaders; PSR at both levels (the paper's headline
-  // configuration), then Ring to cover the non-ascending fold.
-  for (AllreduceKind kind : {AllreduceKind::kPsr, AllreduceKind::kRing}) {
-    const std::uint32_t racks = 3, per_rack = 2, n = racks * per_rack;
-    const std::uint64_t dim = 64;
+/// Multi-level (rack -> root -> redistribute) runs of every algorithm, on
+/// two rack geometries; sparse cases give rank 0 an empty contribution.
+class WireHierarchicalConformance
+    : public ::testing::TestWithParam<ConformanceCase> {};
+
+TEST_P(WireHierarchicalConformance, MatchesSimulator) {
+  const auto& c = GetParam();
+  const auto alg = comm::MakeAllreduce(c.kind);
+  for (const auto& [racks, per_rack, dim] :
+       {std::tuple{3u, 2u, 64u}, std::tuple{2u, 3u, 60u}}) {
+    const std::uint32_t n = racks * per_rack;
     SimSide sim(n, racks);
     std::vector<Rank> members(n);
     for (std::uint32_t i = 0; i < n; ++i) members[i] = i;
     comm::MultiLevelAllreduce ml(&sim.topo, &sim.cost, members);
-    const auto alg = comm::MakeAllreduce(kind);
     const std::vector<VirtualTime> starts(n, 0.0);
-
-    std::vector<DenseVector> inputs;
-    for (std::uint32_t r = 0; r < n; ++r) inputs.push_back(MakeDense(r, dim));
-    comm::AllreduceScratch scratch;
-    DenseVector sim_sum;
-    CommStats sim_stats;
-    ml.ReduceDense(*alg, inputs, starts, scratch, sim_sum, sim_stats);
-
-    std::vector<DenseVector> outs(n);
-    std::vector<WireStats> wire(n);
     const auto wire_members = AllRanks(n);
-    RunInproc(n, [&](std::uint32_t r, Transport& t) {
-      WireCollectives wc(t, sim.group.pricing());
-      wc.MultiLevelDense(kind, wire_members, per_rack, inputs[r], outs[r],
-                         wire[r]);
-    });
-    for (std::uint32_t r = 0; r < n; ++r) {
-      ASSERT_TRUE(BitwiseEqual(outs[r], sim_sum)) << "rank " << r;
+    comm::AllreduceScratch scratch;
+    CommStats sim_stats;
+    std::vector<WireStats> wire(n);
+    if (c.sparse) {
+      std::vector<SparseVector> inputs;
+      for (std::uint32_t r = 0; r < n; ++r) {
+        inputs.push_back(MakeSparse(r, dim, c.with_empty));
+      }
+      SparseVector sim_sum;
+      ml.ReduceSparse(*alg, inputs, starts, scratch, sim_sum, sim_stats);
+      std::vector<SparseVector> outs(n);
+      RunInproc(n, [&](std::uint32_t r, Transport& t) {
+        WireCollectives wc(t, sim.group.pricing());
+        wc.MultiLevelSparse(c.kind, wire_members, per_rack, inputs[r],
+                            outs[r], wire[r]);
+      });
+      for (std::uint32_t r = 0; r < n; ++r) {
+        ASSERT_TRUE(BitwiseEqual(outs[r], sim_sum)) << "rank " << r;
+      }
+    } else {
+      std::vector<DenseVector> inputs;
+      for (std::uint32_t r = 0; r < n; ++r) inputs.push_back(MakeDense(r, dim));
+      DenseVector sim_sum;
+      ml.ReduceDense(*alg, inputs, starts, scratch, sim_sum, sim_stats);
+      std::vector<DenseVector> outs(n);
+      RunInproc(n, [&](std::uint32_t r, Transport& t) {
+        WireCollectives wc(t, sim.group.pricing());
+        wc.MultiLevelDense(c.kind, wire_members, per_rack, inputs[r], outs[r],
+                           wire[r]);
+      });
+      for (std::uint32_t r = 0; r < n; ++r) {
+        ASSERT_TRUE(BitwiseEqual(outs[r], sim_sum)) << "rank " << r;
+      }
     }
     // Aggregate: the simulator books each rack stage once plus the root
     // stage once; redistribution is reported separately.
@@ -367,51 +407,69 @@ TEST(WireConformance, HierarchicalMatchesSimulator) {
   }
 }
 
-TEST(WireConformance, SparseHierarchicalMatchesSimulator) {
-  const std::uint32_t racks = 2, per_rack = 3, n = racks * per_rack;
-  const std::uint64_t dim = 60;
-  SimSide sim(n, racks);
-  std::vector<Rank> members(n);
-  for (std::uint32_t i = 0; i < n; ++i) members[i] = i;
-  comm::MultiLevelAllreduce ml(&sim.topo, &sim.cost, members);
-  const auto alg = comm::MakeAllreduce(AllreduceKind::kPsr);
-  const std::vector<VirtualTime> starts(n, 0.0);
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, WireHierarchicalConformance,
+    ::testing::Values(
+        ConformanceCase{AllreduceKind::kPsr, false, false, "psr_dense"},
+        ConformanceCase{AllreduceKind::kPsr, true, true, "psr_sparse_empty"},
+        ConformanceCase{AllreduceKind::kRing, false, false, "ring_dense"},
+        ConformanceCase{AllreduceKind::kRing, true, true, "ring_sparse_empty"},
+        ConformanceCase{AllreduceKind::kNaive, false, false, "naive_dense"},
+        ConformanceCase{AllreduceKind::kNaive, true, true,
+                        "naive_sparse_empty"}),
+    [](const auto& info) { return info.param.name; });
 
-  std::vector<SparseVector> inputs;
-  for (std::uint32_t r = 0; r < n; ++r) {
-    inputs.push_back(MakeSparse(r, dim, /*with_empty=*/true));
+// Every dense receive checks its frame against the length its schedule step
+// expects, so a malformed peer cannot write past the receiving block.
+TEST(WireFrames, MalformedDenseFramesThrow) {
+  const ElemPricing pricing;
+  const std::vector<Transport::Rank> members{0, 1};
+  auto bytes_of = [](const std::vector<double>& v) {
+    return std::as_bytes(std::span<const double>(v));
+  };
+  DenseVector out;
+  WireStats st;
+  {  // 12 bytes where Ring's scatter round expects a 2-double block
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 0, std::vector<std::byte>(12));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.AllreduceDense(AllreduceKind::kRing, members,
+                                   DenseVector(4, 1.0), out, st),
+                 psra::InvalidArgument);
   }
-  comm::AllreduceScratch scratch;
-  SparseVector sim_sum;
-  CommStats sim_stats;
-  ml.ReduceSparse(*alg, inputs, starts, scratch, sim_sum, sim_stats);
+  {  // a well-formed 3-double allgather frame where the block holds 1
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 0, bytes_of({1.0}));
+    mesh.endpoint(0).Post(1, 1, bytes_of({1.0, 2.0, 3.0}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.AllreduceDense(AllreduceKind::kRing, members,
+                                   DenseVector(2, 1.0), out, st),
+                 psra::InvalidArgument);
+  }
+  {  // a short redistribution frame to a multi-level non-leader: the rack
+     // stage (naive, tags 0-1) completes, redistribution (tag 8) is short
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 1, bytes_of({2.0, 2.0, 2.0, 2.0}));
+    mesh.endpoint(0).Post(1, 8, bytes_of({2.0, 2.0, 2.0}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.MultiLevelDense(AllreduceKind::kNaive, members,
+                                    /*per_rack=*/2, DenseVector(4, 1.0), out,
+                                    st),
+                 psra::InvalidArgument);
+  }
+}
 
-  std::vector<SparseVector> outs(n);
-  std::vector<WireStats> wire(n);
-  const auto wire_members = AllRanks(n);
-  RunInproc(n, [&](std::uint32_t r, Transport& t) {
-    WireCollectives wc(t, sim.group.pricing());
-    wc.MultiLevelSparse(AllreduceKind::kPsr, wire_members, per_rack,
-                        inputs[r], outs[r], wire[r]);
-  });
-  WireStats agg;
-  std::size_t rounds = 0, redist_elems = 0, redist_msgs = 0;
-  for (std::uint32_t r = 0; r < n; ++r) {
-    ASSERT_TRUE(BitwiseEqual(outs[r], sim_sum)) << "rank " << r;
-    agg.elements_sent += wire[r].elements_sent;
-    agg.messages_sent += wire[r].messages_sent;
-    agg.bytes_sent += wire[r].bytes_sent;
-    redist_elems += wire[r].redist_elements;
-    redist_msgs += wire[r].redist_messages;
-    if (r % per_rack == 0) rounds += wire[r].rack_rounds;
-  }
-  rounds += wire[0].root_rounds;
-  EXPECT_EQ(agg.elements_sent, sim_stats.elements_sent);
-  EXPECT_EQ(agg.messages_sent, sim_stats.messages_sent);
-  EXPECT_EQ(agg.bytes_sent, sim_stats.bytes_sent);
-  EXPECT_EQ(rounds, sim_stats.rounds);
-  EXPECT_EQ(redist_elems, ml.redistribution_elements());
-  EXPECT_EQ(redist_msgs, ml.redistribution_messages());
+// The binomial tree has no schedule, so the wire refuses it before sending.
+TEST(WireSchedules, TreeHasNone) {
+  InprocMesh mesh(2);
+  WireCollectives wc(mesh.endpoint(0), ElemPricing{});
+  const std::vector<Transport::Rank> members{0, 1};
+  DenseVector out;
+  WireStats st;
+  EXPECT_THROW(wc.AllreduceDense(AllreduceKind::kTree, members,
+                                 DenseVector(4, 1.0), out, st),
+               psra::InvalidArgument);
+  EXPECT_EQ(mesh.endpoint(0).stats().messages_posted, 0u);
 }
 
 // --- observability collection plane ---------------------------------------
