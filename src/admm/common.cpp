@@ -24,21 +24,6 @@ double ComputeMultiplier(const ClusterConfig& cluster,
   return mult;
 }
 
-bool UseGramSolver(const LocalSolverOptions& solver, std::uint64_t rows,
-                   std::uint64_t cols) {
-  switch (solver.mode) {
-    case LocalSolverOptions::Mode::kCg:
-      return false;
-    case LocalSolverOptions::Mode::kGram:
-      return true;
-    case LocalSolverOptions::Mode::kAuto:
-      return cols > 0 && cols <= solver.max_gram_dim &&
-             static_cast<double>(rows) >=
-                 solver.tall_ratio * static_cast<double>(cols);
-  }
-  return false;
-}
-
 WorkerSet::WorkerSet(const ConsensusProblem* problem,
                      const RunOptions* options)
     : problem_(problem), options_(options), rho_(problem->rho) {
@@ -49,26 +34,19 @@ WorkerSet::WorkerSet(const ConsensusProblem* problem,
   const auto d = static_cast<std::size_t>(problem_->dim());
   local_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    local_.emplace_back(&problem_->shards[i], problem_->rho);
-    // Tall-vs-wide selection is per worker: shard shapes differ, and the
-    // Gram buffer is preallocated here so XWStep stays allocation-free.
-    local_.back().SetUseGramHessian(
-        UseGramSolver(options_->local_solver, problem_->shards[i].num_samples(),
-                      problem_->shards[i].num_features()));
+    local_.emplace_back(&problem_->shards[i], options_->local_solver,
+                        problem_->rho);
   }
   x_.assign(n, linalg::DenseVector(d, 0.0));
   y_.assign(n, linalg::DenseVector(d, 0.0));
   w_.assign(n, linalg::DenseVector(d, 0.0));
   z_.assign(n, linalg::DenseVector(d, 0.0));
-  tron_ws_.resize(n);
 }
 
 double WorkerSet::XWStep(std::size_t i) {
   PSRA_REQUIRE(i < local_.size(), "worker index out of range");
   solver::FlopCounter flops;
-  local_[i].SetRho(rho_);
-  local_[i].SetIterationTerms(y_[i], z_[i]);
-  solver::TronMinimize(local_[i], x_[i], options_->tron, &flops, tron_ws_[i]);
+  local_[i].Solve(x_[i], y_[i], z_[i], rho_, options_->tron, &flops);
   solver::WLocal(rho_, x_[i], y_[i], w_[i], &flops);
   return flops.flops;
 }

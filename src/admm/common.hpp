@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "admm/local_solver.hpp"
 #include "admm/problem.hpp"
 #include "admm/trace.hpp"
 #include "engine/ledger.hpp"
@@ -14,7 +15,6 @@
 #include "simnet/fault.hpp"
 #include "simnet/straggler.hpp"
 #include "simnet/topology.hpp"
-#include "solver/logistic.hpp"
 #include "solver/prox.hpp"
 #include "solver/tron.hpp"
 
@@ -98,33 +98,6 @@ class ProgressSink {
   virtual void Report(const ProgressUpdate& update) = 0;
 };
 
-/// Local x-subproblem solver selection (DESIGN.md §14). The CG mode is the
-/// matrix-free TRON/CG path every engine has always used; the Gram mode
-/// enables the transpose-reduction Hessian (A^T D A accumulated once per
-/// outer Newton iteration, Hessian-vector products as dense d x d matvecs
-/// that never re-stream the shard — arXiv:1504.02147). Auto picks per
-/// worker from the shard shape. Changing the mode changes the summation
-/// order of the x-update, so the default stays kCg: existing runs remain
-/// bitwise-identical to every committed baseline.
-struct LocalSolverOptions {
-  enum class Mode {
-    kCg,    ///< matrix-free TRON/CG (default; baseline-exact)
-    kAuto,  ///< Gram on tall shards (rows >= tall_ratio * cols), CG otherwise
-    kGram,  ///< Gram Hessian on every worker
-  };
-  Mode mode = Mode::kCg;
-  /// kAuto threshold: a shard is "tall" when rows >= tall_ratio * cols.
-  double tall_ratio = 4.0;
-  /// kAuto refuses the Gram path above this feature dimension (the packed
-  /// Gram is d(d+1)/2 doubles per worker; 2048 caps it at 16 MiB).
-  std::uint64_t max_gram_dim = 2048;
-};
-
-/// Per-worker selection: true when `solver` says this shard shape should run
-/// the Gram-accelerated Hessian path.
-bool UseGramSolver(const LocalSolverOptions& solver, std::uint64_t rows,
-                   std::uint64_t cols);
-
 struct RunOptions {
   std::uint64_t max_iterations = 100;
   solver::TronOptions tron;
@@ -191,8 +164,9 @@ class WorkerSet {
   /// the caller does not need to mutate its input snapshots.
   std::span<const linalg::DenseVector> w_all() const { return w_; }
 
-  /// Runs the x-update (TRON on eq. 4) and w computation (eq. 8) for worker
-  /// i against its current z_i/y_i. Returns flops performed.
+  /// Runs the x-update (eq. 4, column-compacted: see LocalSolver) and w
+  /// computation (eq. 8) for worker i against its current z_i/y_i. Returns
+  /// flops performed.
   double XWStep(std::size_t i);
 
   /// Runs XWStep for all workers, optionally on the host pool. flops_out
@@ -281,12 +255,10 @@ class WorkerSet {
   const ConsensusProblem* problem_;
   const RunOptions* options_;
   double rho_;
-  std::vector<solver::ProximalLogistic> local_;
+  std::vector<LocalSolver> local_;
   std::vector<linalg::DenseVector> x_, y_, w_, z_;
-  // Preallocated per-worker TRON workspaces and reduction scratch. Mutable
-  // because they are caches: const methods (ComputeResiduals, MeanZInto)
-  // recycle them instead of allocating per call.
-  mutable std::vector<solver::TronWorkspace> tron_ws_;
+  // Reduction scratch. Mutable because it is a cache: const methods
+  // (ComputeResiduals, MeanZInto) recycle it instead of allocating per call.
   mutable linalg::DenseVector mean_scratch_;
   mutable std::vector<double> norm_primal_, norm_x_, norm_y_;
 };

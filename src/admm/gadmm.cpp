@@ -124,14 +124,10 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
   // Chain state. neighbor_copy[n][side]: worker n's latest copy of
   // x_{n-1} (side 0) / x_{n+1} (side 1). last_sent[n][side]: the model n's
   // neighbor on that side last received from n (quantization reference).
-  std::vector<solver::ProximalLogistic> local;
+  std::vector<LocalSolver> local;
   local.reserve(world);
   for (std::size_t n = 0; n < world; ++n) {
-    local.emplace_back(&problem.shards[n], rho);
-    // Same tall-vs-wide transpose-reduction selection as WorkerSet.
-    local.back().SetUseGramHessian(
-        UseGramSolver(options.local_solver, problem.shards[n].num_samples(),
-                      problem.shards[n].num_features()));
+    local.emplace_back(&problem.shards[n], options.local_solver, rho);
   }
   std::vector<linalg::DenseVector> x(world, linalg::DenseVector(d, 0.0));
   std::vector<linalg::DenseVector> lambda(world > 1 ? world - 1 : 0,
@@ -176,32 +172,31 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
     return cost.LatencyOf(link) + bytes / cost.BandwidthOf(link);
   };
 
-  // TRON solve of the chain x_n subproblem against current neighbor copies.
+  // Eq. 4 solve of the chain x_n subproblem against current neighbor copies:
+  // an interior worker's two proximal terms are one of weight 2 rho around
+  // their midpoint.
   linalg::DenseVector v(d), center(d);
   auto update_x = [&](std::size_t n, std::uint64_t iter) {
     solver::FlopCounter flops;
     const bool has_left = n > 0, has_right = n + 1 < world;
+    double weight = rho;
     if (has_left && has_right) {
       for (std::size_t i = 0; i < d; ++i) {
         center[i] = 0.5 * (neighbor_copy[n][0][i] + neighbor_copy[n][1][i]);
         v[i] = lambda[n][i] - lambda[n - 1][i];
       }
-      local[n].SetRho(2.0 * rho);
+      weight = 2.0 * rho;
     } else if (has_right) {  // head of the chain
       center = neighbor_copy[n][1];
       v = lambda[n];
-      local[n].SetRho(rho);
     } else if (has_left) {  // tail of the chain
       center = neighbor_copy[n][0];
       for (std::size_t i = 0; i < d; ++i) v[i] = -lambda[n - 1][i];
-      local[n].SetRho(rho);
     } else {  // single worker: plain regularized fit around 0
       linalg::SetZero(center);
       linalg::SetZero(v);
-      local[n].SetRho(rho);
     }
-    local[n].SetIterationTerms(v, center);
-    solver::TronMinimize(local[n], x[n], options.tron, &flops);
+    local[n].Solve(x[n], v, center, weight, options.tron, &flops);
     const double mult = ComputeMultiplier(cfg_.cluster, topo, stragglers,
                                           static_cast<simnet::Rank>(n), iter);
     ledger.ChargeCompute(n, cost.ComputeTime(flops.flops) * mult);

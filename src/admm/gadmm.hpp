@@ -20,9 +20,10 @@
 // The x_n update
 //   argmin f_n(x) + lambda_{n-1}^T (x_prev - x) + lambda_n^T (x - x_next)
 //          + rho/2 (||x_prev - x||^2 + ||x - x_next||^2)
-// is mapped onto the shared ProximalLogistic solver: the sum of the two
-// quadratic proximal terms equals rho ||x - (x_prev+x_next)/2||^2 + const,
-// and the linear terms fold into v = lambda_n - lambda_{n-1}.
+// is mapped onto the consensus engines' LocalSolver (eq. 4, column-compacted):
+// the sum of the two quadratic proximal terms equals
+// rho ||x - (x_prev+x_next)/2||^2 + const, and the linear terms fold into
+// v = lambda_n - lambda_{n-1}.
 //
 // Note: unlike the consensus algorithms there is no global z; metrics are
 // evaluated on the chain-average model, and the L1 term is handled by each

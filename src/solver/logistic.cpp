@@ -78,6 +78,7 @@ void ProximalLogistic::SetIterationTerms(std::span<const double> v,
   PSRA_REQUIRE(z.size() == dim(), "proximal center dimension mismatch");
   v_ = v;
   z_ = z;
+  terms_set_ = true;
 }
 
 std::uint64_t ProximalLogistic::dim() const { return shard_->num_features(); }
@@ -88,8 +89,7 @@ std::uint64_t ProximalLogistic::num_samples() const {
 double ProximalLogistic::Value(std::span<const double> x,
                                FlopCounter* flops) const {
   PSRA_REQUIRE(x.size() == dim(), "dimension mismatch");
-  PSRA_REQUIRE(!v_.empty() && !z_.empty(),
-               "SetIterationTerms must be called first");
+  PSRA_REQUIRE(terms_set_, "SetIterationTerms must be called first");
   double acc = LogisticValue(*shard_, x, flops);
   double prox = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -107,8 +107,7 @@ double ProximalLogistic::ValueAndGradient(std::span<const double> x,
                                           FlopCounter* flops) const {
   PSRA_REQUIRE(x.size() == dim() && grad.size() == dim(),
                "dimension mismatch");
-  PSRA_REQUIRE(!v_.empty() && !z_.empty(),
-               "SetIterationTerms must be called first");
+  PSRA_REQUIRE(terms_set_, "SetIterationTerms must be called first");
   const auto& m = shard_->features();
   const auto n = static_cast<std::size_t>(num_samples());
 

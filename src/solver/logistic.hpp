@@ -85,6 +85,8 @@ class ProximalLogistic {
   double rho_;
   std::span<const double> v_;
   std::span<const double> z_;
+  // Set by SetIterationTerms (spans of a zero-dimension problem are empty).
+  bool terms_set_ = false;
   // Scratch: per-sample weights sigma*(1-sigma) for Hessian products, margin
   // buffers and per-sample coefficient vectors. Mutable because they are
   // caches, not state; they grow once to num_samples() and are recycled, so

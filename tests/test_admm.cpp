@@ -4,15 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "admm/ad_admm.hpp"
 #include "admm/admmlib.hpp"
+#include "admm/gadmm.hpp"
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
 #include "admm/reference.hpp"
 #include "admm/registry.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
 #include "solver/metrics.hpp"
+#include "solver/prox.hpp"
+#include "solver/tron.hpp"
+#include "support/rng.hpp"
 #include "support/status.hpp"
 
 namespace psra::admm {
@@ -212,6 +220,235 @@ TEST(LocalSolver, AutoHeuristicPicksGramOnTallShards) {
   EXPECT_FALSE(UseGramSolver(opt, 4000, 100));
   opt.mode = LocalSolverOptions::Mode::kGram;
   EXPECT_TRUE(UseGramSolver(opt, 10, 100));  // forced, shape-independent
+}
+
+// Columns some row of `shard` touches.
+std::vector<char> TouchedColumns(const data::Dataset& shard) {
+  std::vector<char> touched(shard.num_features(), 0);
+  const auto& m = shard.features();
+  for (std::uint64_t r = 0; r < m.rows(); ++r) {
+    for (const auto j : m.RowIndices(r)) touched[j] = 1;
+  }
+  return touched;
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void FillGaussian(std::span<double> v, Rng& rng) {
+  for (auto& e : v) e = rng.NextGaussian();
+}
+
+// 4 workers x 10 rows of ~6 nonzeros over 400 features: every shard touches
+// a few dozen columns.
+data::SyntheticSpec WideSpec() {
+  auto spec = TinySpec();
+  spec.num_features = 400;
+  spec.num_train = 40;
+  spec.mean_row_nnz = 6.0;
+  return spec;
+}
+
+TEST(LocalSolver, UntouchedCoordinatesTakeTheClosedForm) {
+  // On a column no row of the shard touches, eq. 4 decouples into
+  // y_j x_j + rho/2 (x_j - z_j)^2: the x-update must land exactly on its
+  // minimizer z_j - y_j / rho.
+  const double rho = 0.7;
+  const auto p = BuildProblem(WideSpec(), 4, /*lambda=*/1.0, rho);
+  RunOptions opt;
+  WorkerSet ws(&p, &opt);
+  Rng rng(11);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    SCOPED_TRACE(i);
+    FillGaussian(ws.x(i), rng);
+    FillGaussian(ws.y(i), rng);
+    FillGaussian(ws.z(i), rng);
+    ws.XWStep(i);
+    const auto touched = TouchedColumns(p.shards[i]);
+    std::size_t untouched = 0;
+    for (std::size_t j = 0; j < p.dim(); ++j) {
+      if (touched[j] != 0) continue;
+      ++untouched;
+      const double expect = ws.z(i)[j] - ws.y(i)[j] / rho;
+      ASSERT_TRUE(SameBits({&ws.x(i)[j], 1}, {&expect, 1})) << "column " << j;
+    }
+    EXPECT_GT(untouched, p.dim() / 2);
+  }
+}
+
+TEST(LocalSolver, CompactedSolveIsTronOnTheCompactedShard) {
+  // Renumber the shard onto its occupied columns here, independently of
+  // LocalSolver, and run a plain TronMinimize there: the touched
+  // coordinates must agree bitwise, and the flop count must be TRON's plus
+  // 2 per closed-form coordinate.
+  const double rho = 0.7;
+  const auto p = BuildProblem(WideSpec(), 4, /*lambda=*/1.0, rho);
+  const auto& shard = p.shards[1];
+  const auto d = static_cast<std::size_t>(p.dim());
+  const auto touched = TouchedColumns(shard);
+  std::vector<std::uint64_t> cols, id(d, 0);
+  for (std::size_t j = 0; j < d; ++j) {
+    if (touched[j] == 0) continue;
+    id[j] = cols.size();
+    cols.push_back(j);
+  }
+  const auto& m = shard.features();
+  linalg::CsrMatrix::Builder builder(cols.size());
+  for (std::uint64_t r = 0; r < m.rows(); ++r) {
+    std::vector<std::uint64_t> row;
+    for (const auto j : m.RowIndices(r)) row.push_back(id[j]);
+    builder.AddRow(row, m.RowValues(r));
+  }
+  const data::Dataset compact(builder.Build(), shard.labels());
+
+  Rng rng(5);
+  linalg::DenseVector x(d), v(d), z(d);
+  FillGaussian(x, rng);
+  FillGaussian(v, rng);
+  FillGaussian(z, rng);
+  linalg::DenseVector xc, vc, zc;
+  for (const auto j : cols) {
+    xc.push_back(x[j]);
+    vc.push_back(v[j]);
+    zc.push_back(z[j]);
+  }
+  solver::ProximalLogistic f(&compact, rho);
+  f.SetIterationTerms(vc, zc);
+  solver::FlopCounter tron_flops;
+  solver::TronMinimize(f, xc, solver::TronOptions{}, &tron_flops);
+
+  LocalSolver local(&shard, LocalSolverOptions{}, rho);
+  ASSERT_TRUE(local.copies_shard());
+  EXPECT_EQ(local.occupied(), cols.size());
+  solver::FlopCounter flops;
+  local.Solve(x, v, z, rho, solver::TronOptions{}, &flops);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    ASSERT_TRUE(SameBits({&x[cols[k]], 1}, {&xc[k], 1})) << "column " << cols[k];
+  }
+  EXPECT_EQ(flops.flops,
+            tron_flops.flops + 2.0 * static_cast<double>(d - cols.size()));
+}
+
+TEST(LocalSolver, ShardTouchingEveryColumnIsSolvedInPlace) {
+  // 40 rows of ~4 nonzeros over 10 features touch every column: the solver
+  // reads the shard without a copy, and the x-update must be bitwise the
+  // full-width TronMinimize + WLocal, flops included.
+  auto spec = TinySpec();
+  spec.num_features = 10;
+  spec.num_train = 80;
+  spec.mean_row_nnz = 4.0;
+  const double rho = 0.7;
+  const auto p = BuildProblem(spec, 2, /*lambda=*/1.0, rho);
+  const LocalSolver local(&p.shards[0], LocalSolverOptions{}, rho);
+  EXPECT_EQ(local.occupied(), p.dim());
+  EXPECT_FALSE(local.copies_shard());
+
+  RunOptions opt;
+  WorkerSet ws(&p, &opt);
+  Rng rng(9);
+  FillGaussian(ws.x(0), rng);
+  FillGaussian(ws.y(0), rng);
+  FillGaussian(ws.z(0), rng);
+  linalg::DenseVector x = ws.x(0), w(p.dim());
+  solver::ProximalLogistic f(&p.shards[0], rho);
+  f.SetIterationTerms(ws.y(0), ws.z(0));
+  solver::FlopCounter expect;
+  solver::TronMinimize(f, x, opt.tron, &expect);
+  solver::WLocal(rho, x, ws.y(0), w, &expect);
+
+  EXPECT_EQ(ws.XWStep(0), expect.flops);
+  EXPECT_TRUE(SameBits(ws.x(0), x));
+  EXPECT_TRUE(SameBits(ws.w(0), w));
+}
+
+TEST(LocalSolver, AutoDecidesOnOccupiedColumns) {
+  // 100 rows over d = 4096 that touch only 20 columns: tall in R^{d_i}, so
+  // kAuto takes the Gram path (full-width d would have kept it on CG).
+  const std::uint64_t d = 4096;
+  linalg::CsrMatrix::Builder builder(d);
+  std::vector<double> labels;
+  for (std::uint64_t r = 0; r < 100; ++r) {
+    const std::uint64_t a = 200 * (r % 20), b = 200 * ((r + 7) % 20);
+    const std::vector<std::uint64_t> cols{std::min(a, b), std::max(a, b)};
+    const std::vector<double> vals{1.0, 0.5 + 0.01 * static_cast<double>(r)};
+    builder.AddRow(cols, vals);
+    labels.push_back(r % 3 == 0 ? -1.0 : 1.0);
+  }
+  const data::Dataset shard(builder.Build(), labels);
+  LocalSolverOptions opt;
+  opt.mode = LocalSolverOptions::Mode::kAuto;
+  EXPECT_FALSE(UseGramSolver(opt, 100, d));
+  LocalSolver gram(&shard, opt, 1.0);
+  EXPECT_EQ(gram.occupied(), 20u);
+  EXPECT_TRUE(gram.uses_gram());
+
+  // The compacted Gram solve reaches the compacted CG solve's minimizer.
+  LocalSolver cg(&shard, LocalSolverOptions{}, 1.0);
+  ASSERT_FALSE(cg.uses_gram());
+  Rng rng(17);
+  linalg::DenseVector v(d), z(d);
+  FillGaussian(v, rng);
+  FillGaussian(z, rng);
+  linalg::DenseVector xg(d, 0.0), xc(d, 0.0);
+  solver::TronOptions tight;
+  tight.gradient_tolerance = 1e-10;
+  gram.Solve(xg, v, z, 1.0, tight, nullptr);
+  cg.Solve(xc, v, z, 1.0, tight, nullptr);
+  EXPECT_LT(linalg::DistanceL2(xg, xc), 1e-6);
+}
+
+TEST(LocalSolver, ShardWithNoOccupiedColumnIsAllClosedForm) {
+  // Striped over 4 workers, worker 2 owns rows 2, 6, 10, ...; emptying
+  // those rows leaves it a shard that touches no column (d_i = 0).
+  const auto gen = data::GenerateSynthetic(TinySpec());
+  const auto& m = gen.train.features();
+  linalg::CsrMatrix::Builder builder(m.cols());
+  for (std::uint64_t r = 0; r < m.rows(); ++r) {
+    if (r % 4 == 2) {
+      builder.AddRow(std::span<const std::uint64_t>{},
+                     std::span<const double>{});
+    } else {
+      builder.AddRow(m.RowIndices(r), m.RowValues(r));
+    }
+  }
+  const double rho = 0.7;
+  const auto p = BuildProblemFromData(
+      "empty-shard", data::Dataset(builder.Build(), gen.train.labels()),
+      gen.test, 4, /*lambda=*/1.0, rho);
+  ASSERT_EQ(p.shards[2].nnz(), 0u);
+  ASSERT_GT(p.shards[2].num_samples(), 0u);
+  EXPECT_EQ(LocalSolver(&p.shards[2], LocalSolverOptions{}, rho).occupied(),
+            0u);
+
+  RunOptions opt;
+  WorkerSet ws(&p, &opt);
+  Rng rng(13);
+  FillGaussian(ws.y(2), rng);
+  FillGaussian(ws.z(2), rng);
+  const double flops = ws.XWStep(2);
+  for (std::size_t j = 0; j < p.dim(); ++j) {
+    const double expect = ws.z(2)[j] - ws.y(2)[j] / rho;
+    ASSERT_TRUE(SameBits({&ws.x(2)[j], 1}, {&expect, 1})) << "column " << j;
+  }
+  // TRON in R^0 evaluates the loss once (12 flops per row, nothing per
+  // column); then 2 per closed-form coordinate and 2 per WLocal coordinate.
+  const auto n = static_cast<double>(p.shards[2].num_samples());
+  EXPECT_EQ(flops, 12.0 * n + 4.0 * static_cast<double>(p.dim()));
+
+  // Both LocalSolver callers run end to end with the empty shard among
+  // their workers (GADMM does not optimize eq. 17, so it is held to its
+  // model quality instead; see test_gadmm).
+  PsraConfig cfg;
+  cfg.cluster = TinyCluster(4, 1);
+  const auto psra = PsraHgAdmm(cfg).Run(p, ShortRun(10));
+  EXPECT_LT(psra.trace.back().objective, psra.trace.front().objective);
+  GadmmConfig chain;
+  chain.cluster = cfg.cluster;
+  const auto gadmm = Gadmm(chain).Run(p, ShortRun(10));
+  EXPECT_TRUE(std::isfinite(gadmm.final_objective));
+  EXPECT_GT(gadmm.final_accuracy, 0.65);
 }
 
 TEST(PsraHgAdmm, GramSolverModeAgreesWithCgOnModel) {
