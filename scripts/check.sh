@@ -250,8 +250,9 @@ if [[ -z "${PSRA_CHECK_SANITIZE:-}" ]]; then
   # path: the pooled-lifecycle work is regressed if dynamic/pool drops more
   # than 5% below flat/pool. The committed full-run artifact carries the
   # headline numbers and is held to the 5% bar exactly; the quick run this
-  # script just produced is single-rep and noisy, so it gets a looser 10%
-  # tripwire that still catches a serialized or deoptimized dynamic path.
+  # script just produced is best-of-3 over far fewer iterations and noisier,
+  # so it gets a looser 10% tripwire that still catches a serialized or
+  # deoptimized dynamic path.
   gap_gate() {
     awk -F'"dynamic_pool_over_flat_pool": ' -v floor="$2" -v label="$1" '
       NF > 1 {

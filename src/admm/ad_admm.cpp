@@ -8,7 +8,7 @@
 
 #include "linalg/sparse_vector.hpp"
 #include "simnet/event_queue.hpp"
-#include "solver/metrics.hpp"
+#include "solver/prox.hpp"
 #include "support/log.hpp"
 #include "support/status.hpp"
 
@@ -33,6 +33,13 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
   PSRA_REQUIRE(options.warm_start == nullptr,
                "AD-ADMM does not support warm starts (async master state is "
                "not checkpointed)");
+  PSRA_REQUIRE(options.checkpoint_out == nullptr,
+               "AD-ADMM cannot capture a run checkpoint (async master state "
+               "is not checkpointed)");
+  PSRA_REQUIRE(!options.stopping.enabled,
+               "AD-ADMM has no residual-based stopping test");
+  PSRA_REQUIRE(!options.adaptive_rho.enabled,
+               "AD-ADMM has no adaptive penalty");
   const simnet::CostModel cost(cfg_.cluster.cost);
   const simnet::StragglerModel stragglers(topo, cfg_.cluster.straggler);
   // The asynchronous exchange exercises the message-level fault knobs: a
@@ -64,15 +71,10 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
   std::uint64_t* c_reply_elements = nullptr;
   std::uint64_t* c_reply_messages = nullptr;
   std::uint64_t* c_z_updates = nullptr;
-  obs::TimeSeries* ts_objective = nullptr;
-  obs::TimeSeries* ts_rho = nullptr;
-  obs::TimeSeries* ts_bytes = nullptr;
-  obs::TimeSeries* ts_participants = nullptr;
-  std::uint64_t prev_report_bytes = 0;
   const std::uint64_t report_elem_bytes =
-      cfg_.classic_exchange
-          ? cfg_.cluster.cost.value_bytes
-          : cfg_.cluster.cost.value_bytes + cfg_.cluster.cost.index_bytes;
+      comm::ElemPricing{cfg_.cluster.cost.value_bytes,
+                        cfg_.cluster.cost.index_bytes}
+          .PerElement(!cfg_.classic_exchange);
   if (eo.on()) {
     auto& m = eo.metrics();
     master_track = eo.AddAuxTrack("master");
@@ -82,14 +84,13 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
     c_reply_elements = &m.Counter("comm.master.reply.elements");
     c_reply_messages = &m.Counter("comm.master.reply.messages");
     c_z_updates = &m.Counter("master.z_updates");
-    // Convergence timeline: the async master has no synchronous residual
-    // pair, so the timeline carries the consensus objective plus the
-    // barrier shape (how many reports each z-update consumed).
-    ts_objective = eo.Series("ts.objective");
-    ts_rho = eo.Series("ts.rho");
-    ts_bytes = eo.Series("ts.bytes");
-    ts_participants = eo.Series("ts.participants");
   }
+  // Convergence timeline: the async master has no synchronous residual
+  // pair, so the row carries the consensus objective plus the barrier shape
+  // (how many reports each z-update consumed).
+  RunEpilogue epi(eo, problem, options, result, ResidualSeries::kNone,
+                  {c_report_bytes});
+  obs::TimeSeries* const ts_participants = eo.Series("ts.participants");
 
   // --- Master state -------------------------------------------------------
   std::vector<linalg::DenseVector> w_latest(world,
@@ -139,6 +140,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
 
   auto do_update = [&](simnet::VirtualTime now) {
     ++K;
+    result.iterations_run = K;
     if (c_z_updates != nullptr) ++*c_z_updates;
     linalg::DenseVector W(d, 0.0);
     for (std::size_t j = 0; j < world; ++j) {
@@ -154,19 +156,9 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
     // Timeline row for z-update K, sampled before the reply loop below
     // re-enters start_compute (whose next-round report traffic must land in
     // the NEXT row's bytes delta, not this one's).
-    if (eo.on()) {
-      eo.BeginTimelineRow(K);
-      ts_objective->Append(
-          solver::GlobalObjective(problem.train, z_global, problem.lambda));
-      ts_rho->Append(problem.rho);
-      ts_bytes->Append(
-          static_cast<double>(*c_report_bytes - prev_report_bytes));
-      prev_report_bytes = *c_report_bytes;
+    epi.Row(K, z_global, problem.rho);
+    if (ts_participants != nullptr) {
       ts_participants->Append(static_cast<double>(waiting.size()));
-    }
-    if (options.progress != nullptr) {
-      options.progress->Report(
-          {K, options.max_iterations, 0.0, 0.0, problem.rho});
     }
 
     // Reply serialized to every waiting worker (ascending rank for
@@ -199,19 +191,8 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
     }
     waiting.clear();
     fresh_count = 0;
-
-    if (options.record_trace &&
-        (K % options.eval_every == 0 || K == options.max_iterations)) {
-      IterationRecord rec;
-      rec.iteration = K;
-      rec.objective =
-          solver::GlobalObjective(problem.train, z_global, problem.lambda);
-      rec.accuracy = solver::Accuracy(problem.test, z_global);
-      rec.cal_time = ledger.MeanCalTime();
-      rec.comm_time = ledger.MeanCommTime();
-      rec.makespan = ledger.MaxClock();
-      result.trace.push_back(rec);
-    }
+    // The record samples the ledger after the replies went out.
+    epi.Record(ledger);
   };
 
   // Report arrival at the master. Lives outside the scheduled callback so
@@ -236,14 +217,25 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
     }
   };
 
+  // Books one report transmission of worker j (`span` names its trace span).
+  auto count_report = [&](std::size_t j, std::size_t elems, const char* span) {
+    result.elements_sent += elems;
+    ++result.messages_sent;
+    if (eo.on()) {
+      *c_report_elements += elems;
+      ++*c_report_messages;
+      *c_report_bytes += elems * report_elem_bytes;
+      eo.Span(span, ledger, j, worker_iter[j]);
+    }
+  };
+
   // Worker j computes x/w and schedules its report's arrival at the master.
   start_compute = [&](std::size_t j) {
     ++worker_iter[j];
     eo.Mark(ledger, j);
     const double flops = ws.XWStep(j);
-    const double mult =
-        ComputeMultiplier(cfg_.cluster, topo, stragglers,
-                          static_cast<simnet::Rank>(j), worker_iter[j]);
+    const double mult = ComputeMultiplier(
+        cfg_.cluster, stragglers, static_cast<simnet::Rank>(j), worker_iter[j]);
     ledger.ChargeCompute(j, cost.ComputeTime(flops) * mult);
     eo.Span("x_update", ledger, j, worker_iter[j]);
 
@@ -260,14 +252,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
                                  static_cast<simnet::Rank>(j), attempt)) {
         ledger.ChargeComm(j, send_cost);  // the transfer that was lost
         ledger.ChargeComm(j, cfg_.cluster.fault.retry_timeout_s);
-        result.elements_sent += elems;
-        ++result.messages_sent;
-        if (eo.on()) {
-          *c_report_elements += elems;
-          ++*c_report_messages;
-          *c_report_bytes += elems * report_elem_bytes;
-          eo.Span("fault_retry", ledger, j, worker_iter[j]);
-        }
+        count_report(j, elems, "fault_retry");
         ++result.faults.dropped_messages;
         ++result.faults.retries;
         ++attempt;
@@ -277,14 +262,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
       }
     }
     ledger.ChargeComm(j, send_cost);
-    result.elements_sent += elems;
-    ++result.messages_sent;
-    if (eo.on()) {
-      *c_report_elements += elems;
-      ++*c_report_messages;
-      *c_report_bytes += elems * report_elem_bytes;
-      eo.Span("report_send", ledger, j, worker_iter[j]);
-    }
+    count_report(j, elems, "report_send");
 
     simnet::VirtualTime arrival = ledger[j].clock;
     if (faulty) {
@@ -312,27 +290,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
     queue.Run();
   }
 
-  for (std::size_t j = 0; j < world; ++j) ws.z(j) = z_global;
-  result.final_z = z_global;
-  result.final_objective =
-      solver::GlobalObjective(problem.train, result.final_z, problem.lambda);
-  result.final_accuracy = solver::Accuracy(problem.test, result.final_z);
-  result.total_cal_time = ledger.MeanCalTime();
-  result.total_comm_time = ledger.MeanCommTime();
-  result.makespan = ledger.MaxClock();
-  if (eo.on()) {
-    auto& m = eo.metrics();
-    m.Counter("engine.iterations") += K;
-    m.Counter("fault.dropped_messages") += result.faults.dropped_messages;
-    m.Counter("fault.retries") += result.faults.retries;
-    m.Counter("fault.delayed_messages") += result.faults.delayed_messages;
-    m.Gauge("run.makespan_s") = result.makespan;
-    m.Gauge("run.cal_time_s") = result.total_cal_time;
-    m.Gauge("run.comm_time_s") = result.total_comm_time;
-    m.Gauge("run.iterations") = static_cast<double>(K);
-    eo.PublishTimelineSummary();
-    result.metrics = m;
-  }
+  epi.Finish(z_global, ledger);
   return result;
 }
 

@@ -7,7 +7,6 @@
 #include "admm/instrument.hpp"
 #include "comm/intranode.hpp"
 #include "linalg/sparse_vector.hpp"
-#include "solver/metrics.hpp"
 #include "support/status.hpp"
 
 namespace psra::admm {
@@ -22,79 +21,22 @@ AdmmLib::AdmmLib(const AdmmLibConfig& config) : cfg_(config) {
 namespace {
 
 /// Hoisted metric slots (stable MetricsRegistry references) for the ADMMLib
-/// engine, mirroring psra_hgadmm's PsraMetrics. Null slots mean "not
-/// recording". The ssp.* family is ADMMLib-specific: one round per fired
-/// barrier, stale contributions counted per non-participant.
+/// engine: the collective slots it shares with PSRA plus the ssp.* family —
+/// one round per fired barrier, stale contributions counted per
+/// non-participant. Null slots mean "not recording".
 struct LibMetrics {
-  std::uint64_t* ar_invocations = nullptr;
-  std::uint64_t* ar_elements = nullptr;
-  std::uint64_t* ar_messages = nullptr;
-  std::uint64_t* ar_bytes = nullptr;
-  std::uint64_t* ar_rounds = nullptr;
-  obs::Histogram* fill = nullptr;
-  std::uint64_t* intra_reduce_elements = nullptr;
-  std::uint64_t* intra_reduce_messages = nullptr;
-  std::uint64_t* intra_reduce_bytes = nullptr;
-  std::uint64_t* intra_bcast_elements = nullptr;
-  std::uint64_t* intra_bcast_messages = nullptr;
-  std::uint64_t* intra_bcast_bytes = nullptr;
+  CollectiveMetrics coll;
   std::uint64_t* ssp_rounds = nullptr;
   std::uint64_t* ssp_stale = nullptr;
   obs::Histogram* participants = nullptr;
-  double dim = 1.0;
 
   void Hoist(obs::MetricsRegistry& m, const std::string& alg_name, bool sparse,
              double d) {
-    const std::string p = "comm.allreduce." + alg_name + ".";
-    ar_invocations = &m.Counter(p + "invocations");
-    ar_elements = &m.Counter(p + "elements");
-    ar_messages = &m.Counter(p + "messages");
-    ar_bytes = &m.Counter(p + "bytes");
-    ar_rounds = &m.Counter(p + "rounds");
-    if (sparse) {
-      static constexpr double kFillBounds[] = {0.01, 0.05, 0.1, 0.25,
-                                               0.5,  0.75, 0.9, 1.0};
-      fill = &m.Histo("comm.allreduce.fill_ratio", kFillBounds);
-      dim = d;
-    }
-    intra_reduce_elements = &m.Counter("comm.intra.reduce.elements");
-    intra_reduce_messages = &m.Counter("comm.intra.reduce.messages");
-    intra_reduce_bytes = &m.Counter("comm.intra.reduce.bytes");
-    intra_bcast_elements = &m.Counter("comm.intra.bcast.elements");
-    intra_bcast_messages = &m.Counter("comm.intra.bcast.messages");
-    intra_bcast_bytes = &m.Counter("comm.intra.bcast.bytes");
+    coll.Hoist(m, alg_name, sparse, d);
     ssp_rounds = &m.Counter("ssp.rounds");
     ssp_stale = &m.Counter("ssp.stale_contributions");
     static constexpr double kPartBounds[] = {1, 2, 4, 8, 16, 32};
     participants = &m.Histo("ssp.participants", kPartBounds);
-  }
-};
-
-/// Hoisted convergence-timeline series (DESIGN.md §13) plus the cumulative
-/// counter values at the previous row (per-iteration byte/round deltas).
-struct LibSeries {
-  obs::TimeSeries* primal = nullptr;
-  obs::TimeSeries* dual = nullptr;
-  obs::TimeSeries* objective = nullptr;
-  obs::TimeSeries* rho = nullptr;
-  obs::TimeSeries* staleness = nullptr;
-  obs::TimeSeries* bytes = nullptr;
-  obs::TimeSeries* rounds = nullptr;
-  std::uint64_t prev_bytes = 0;
-  std::uint64_t prev_rounds = 0;
-
-  void Hoist(EngineObs& eo) {
-    primal = eo.Series("ts.primal_residual");
-    dual = eo.Series("ts.dual_residual");
-    objective = eo.Series("ts.objective");
-    rho = eo.Series("ts.rho");
-    staleness = eo.Series("ts.ssp_staleness");
-    bytes = eo.Series("ts.bytes");
-    rounds = eo.Series("ts.rounds");
-  }
-
-  std::uint64_t BytesNow(const LibMetrics& lm) const {
-    return *lm.ar_bytes + *lm.intra_reduce_bytes + *lm.intra_bcast_bytes;
   }
 };
 
@@ -107,6 +49,10 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
                               cfg_.cluster.num_racks);
   PSRA_REQUIRE(problem.num_workers() == topo.world_size(),
                "problem must be partitioned into one shard per worker");
+  PSRA_REQUIRE(!options.stopping.enabled,
+               "ADMMLib has no residual-based stopping test");
+  PSRA_REQUIRE(!options.adaptive_rho.enabled,
+               "ADMMLib has no adaptive penalty");
   const simnet::CostModel cost(cfg_.cluster.cost);
   const simnet::StragglerModel stragglers(topo, cfg_.cluster.straggler);
   const auto world = static_cast<std::size_t>(topo.world_size());
@@ -138,22 +84,21 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   // bitwise-identical to an uninstrumented one (pinned by test_obs).
   EngineObs eo(options.obs, world);
   LibMetrics lm;
-  LibSeries conv;
   if (eo.on()) {
     lm.Hoist(eo.metrics(), ring->Name(), cfg_.sparse_comm,
              static_cast<double>(problem.dim()));
-    conv.Hoist(eo);
   }
-  // Residual/objective telemetry state (observe-only: ComputeResiduals and
-  // MeanZInto recycle scratch and never touch algorithm state). On a warm
-  // start the dual-residual reference is the restored consensus mean — what
-  // the uninterrupted run would hold — so a split run's timeline rows match
-  // the full run's exactly.
-  linalg::DenseVector z_prev_mean;
-  if (eo.on() || options.progress != nullptr) {
-    z_prev_mean.assign(d, 0.0);
-    if (first_iter > 1) ws.MeanZInto(z_prev_mean);
-  }
+  RunEpilogue epi(eo, problem, options, result, ResidualSeries::kPrimalDual,
+                  {lm.coll.bytes, lm.coll.reduce_bytes, lm.coll.bcast_bytes});
+  obs::TimeSeries* const staleness = eo.Series("ts.ssp_staleness");
+  CounterDelta rounds(eo, "ts.rounds", {lm.coll.rounds});
+  // Residual state (observe-only: ComputeResiduals and MeanZInto recycle
+  // scratch and never touch algorithm state). On a warm start the
+  // dual-residual reference is the restored consensus mean — what the
+  // uninterrupted run would hold — so a split run's timeline rows match the
+  // full run's exactly.
+  linalg::DenseVector z_prev_mean(d, 0.0);
+  if (first_iter > 1) ws.MeanZInto(z_prev_mean);
 
   // Node-level helpers.
   std::vector<std::vector<simnet::Rank>> node_ranks(nodes);
@@ -168,38 +113,38 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   }
 
   // Runs the local computation of one node (x/w updates for its workers and
-  // the intra-node reduce) and returns the node-level sum; `iteration` keys
-  // the jitter/straggler draw.
+  // the intra-node reduce) into red[n], whose value is the node-level sum;
+  // local_iter[n] keys the jitter/straggler draw. Node n owns the contiguous
+  // rank range [n*wpn, (n+1)*wpn), so the reduce reads its workers' w in
+  // place, and each node's result is recycled across rounds.
+  const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<std::uint64_t> local_iter(nodes, 0);
-  auto compute_node = [&](simnet::NodeId n) -> linalg::DenseVector {
+  std::vector<comm::ReduceResult> red(nodes);
+  std::vector<simnet::VirtualTime> member_starts(wpn);
+  auto compute_node = [&](simnet::NodeId n) {
     ++local_iter[n];
     const auto& members = node_ranks[n];
-    std::vector<linalg::DenseVector> inputs(members.size());
-    std::vector<simnet::VirtualTime> starts(members.size());
     for (std::size_t m = 0; m < members.size(); ++m) {
       const simnet::Rank r = members[m];
       eo.Mark(ledger, static_cast<std::size_t>(r));
       const double flops = ws.XWStep(r);
-      const double mult = ComputeMultiplier(cfg_.cluster, topo, stragglers, r,
-                                            local_iter[n]);
+      const double mult =
+          ComputeMultiplier(cfg_.cluster, stragglers, r, local_iter[n]);
       ledger.ChargeCompute(r, cost.ComputeTime(flops) * mult);
       eo.Span("x_update", ledger, static_cast<std::size_t>(r), local_iter[n]);
-      inputs[m] = ws.w(r);
-      starts[m] = ledger[r].clock;
+      member_starts[m] = ledger[r].clock;
     }
-    auto red = comm::ReduceToLeader(intra[n], intra[n].LocalRank(leaders[n]),
-                                    inputs, starts);
-    result.elements_sent += red.elements_sent;
-    result.messages_sent += red.messages_sent;
+    comm::ReduceToLeader(intra[n], intra[n].LocalRank(leaders[n]),
+                         ws.w_all().subspan(n * wpn, wpn), member_starts,
+                         red[n]);
+    result.elements_sent += red[n].elements_sent;
+    result.messages_sent += red[n].messages_sent;
     for (std::size_t m = 0; m < members.size(); ++m) {
-      ledger.WaitUntil(members[m], red.finish_times[m]);
+      ledger.WaitUntil(members[m], red[n].finish_times[m]);
     }
-    ledger.WaitUntil(leaders[n], red.leader_ready);
+    ledger.WaitUntil(leaders[n], red[n].leader_ready);
     if (eo.on()) {
-      *lm.intra_reduce_elements += red.elements_sent;
-      *lm.intra_reduce_messages += red.messages_sent;
-      *lm.intra_reduce_bytes +=
-          red.elements_sent * cfg_.cluster.cost.value_bytes;
+      lm.coll.BookReduce(intra[n], red[n]);
       if (eo.tracing()) {
         for (std::size_t m = 0; m < members.size(); ++m) {
           const auto i = static_cast<std::size_t>(members[m]);
@@ -209,17 +154,15 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
         }
       }
     }
-    return std::move(red.value);
   };
 
-  // SSP state.
-  std::vector<linalg::DenseVector> node_w(nodes);   // freshest node sum
+  // SSP state. red[n].value is node n's freshest sum.
   std::vector<linalg::DenseVector> cache_w(nodes, linalg::DenseVector(d, 0.0));
   std::vector<simnet::VirtualTime> ready(nodes);
   std::vector<std::uint64_t> last_contrib(nodes, 0);
 
   for (simnet::NodeId n = 0; n < nodes; ++n) {
-    node_w[n] = compute_node(n);
+    compute_node(n);
     ready[n] = ledger[leaders[n]].clock;
   }
 
@@ -227,17 +170,27 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   // ts.* delta is pure per-round — a warm-started run (whose pre-loop pass
   // re-runs the restored round's x-updates) then produces the same rows as
   // the uninterrupted run.
-  if (eo.on()) {
-    conv.prev_bytes = conv.BytesNow(lm);
-    conv.prev_rounds = *lm.ar_rounds;
-  }
+  epi.BaselineBytes();
+  rounds.Baseline();
 
+  // Ring-Allreduce over ALL leaders: the ring topology is fixed in
+  // ADMMLib's hierarchical architecture, so every node's communication
+  // thread joins each round, contributing its freshest *cached* w (stale
+  // for non-participants). This is what keeps ADMMLib's communication
+  // cost roughly independent of stragglers but high: 2(N-1) pipelined
+  // rounds over every leader, every iteration.
+  const comm::GroupComm inter(&topo, &cost, leaders);
+  std::vector<simnet::VirtualTime> sorted(nodes);
+  std::vector<simnet::VirtualTime> starts(nodes);
+  std::vector<simnet::NodeId> participants;
+  participants.reserve(nodes);
+  comm::BroadcastResult bc;
   linalg::DenseVector W(d, 0.0);
   for (std::uint64_t k = first_iter; k <= options.max_iterations; ++k) {
     result.iterations_run = k;
     // Fire time: the barrier-th smallest ready time, pushed later by any
     // node whose contribution would otherwise exceed Max_delay.
-    std::vector<simnet::VirtualTime> sorted(ready.begin(), ready.end());
+    sorted.assign(ready.begin(), ready.end());
     std::nth_element(sorted.begin(),
                      sorted.begin() + (barrier_nodes - 1), sorted.end());
     simnet::VirtualTime fire = sorted[barrier_nodes - 1];
@@ -247,26 +200,18 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
       }
     }
 
-    std::vector<simnet::NodeId> participants;
+    participants.clear();
     for (simnet::NodeId n = 0; n < nodes; ++n) {
       if (ready[n] <= fire) participants.push_back(n);
     }
     PSRA_CHECK(!participants.empty(), "SSP round fired with no participants");
 
     for (simnet::NodeId n : participants) {
-      cache_w[n] = node_w[n];
+      cache_w[n] = red[n].value;
       last_contrib[n] = k;
     }
 
-    // Ring-Allreduce over ALL leaders: the ring topology is fixed in
-    // ADMMLib's hierarchical architecture, so every node's communication
-    // thread joins each round, contributing its freshest *cached* w (stale
-    // for non-participants). This is what keeps ADMMLib's communication
-    // cost roughly independent of stragglers but high: 2(N-1) pipelined
-    // rounds over every leader, every iteration.
-    std::vector<simnet::Rank> all_leaders(leaders.begin(), leaders.end());
-    const std::vector<simnet::VirtualTime> starts(nodes, fire);
-    const comm::GroupComm inter(&topo, &cost, all_leaders);
+    starts.assign(nodes, fire);
 
     std::size_t result_nnz = d;
     if (cfg_.sparse_comm) {
@@ -288,14 +233,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
       ++*lm.ssp_rounds;
       *lm.ssp_stale += nodes - participants.size();
       lm.participants->Observe(static_cast<double>(participants.size()));
-      ++*lm.ar_invocations;
-      *lm.ar_elements += ring_stats.elements_sent;
-      *lm.ar_messages += ring_stats.messages_sent;
-      *lm.ar_bytes += ring_stats.bytes_sent;
-      *lm.ar_rounds += ring_stats.rounds;
-      if (lm.fill != nullptr) {
-        lm.fill->Observe(static_cast<double>(result_nnz) / lm.dim);
-      }
+      lm.coll.BookAllreduce(ring_stats, result_nnz);
     }
 
     // Global aggregate (the ring's output): fresh + stale terms.
@@ -332,20 +270,11 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
         eo.Span("w_allreduce", ledger, li, k);
       }
       const std::size_t elems = cfg_.sparse_comm ? result_nnz : d;
-      auto bc = comm::BroadcastFromLeader(intra[n],
-                                          intra[n].LocalRank(leaders[n]),
-                                          elems, ledger[leaders[n]].clock);
+      comm::BroadcastFromLeader(intra[n], intra[n].LocalRank(leaders[n]),
+                                elems, ledger[leaders[n]].clock, bc);
       result.elements_sent += bc.elements_sent;
       result.messages_sent += bc.messages_sent;
-      if (eo.on()) {
-        *lm.intra_bcast_elements += bc.elements_sent;
-        *lm.intra_bcast_messages += bc.messages_sent;
-        *lm.intra_bcast_bytes +=
-            bc.elements_sent *
-            (cfg_.sparse_comm ? cfg_.cluster.cost.value_bytes +
-                                    cfg_.cluster.cost.index_bytes
-                              : cfg_.cluster.cost.value_bytes);
-      }
+      if (eo.on()) lm.coll.BookBroadcast(intra[n], bc, cfg_.sparse_comm);
       for (std::size_t m = 0; m < node_ranks[n].size(); ++m) {
         const simnet::Rank r = node_ranks[n][m];
         const auto i = static_cast<std::size_t>(r);
@@ -365,43 +294,22 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
       if (options.checkpoint_out != nullptr && k == options.checkpoint_at) {
         CaptureRunCheckpoint(ws, k, node_ranks[n], *options.checkpoint_out);
       }
-      node_w[n] = compute_node(n);
+      compute_node(n);
       ready[n] = ledger[leaders[n]].clock;
     }
 
-    // ---- Convergence timeline (one row per SSP round) --------------------
-    // Sampled after the round's consensus + local updates, from virtual-time
-    // state and hoisted counters only (bitwise-identical across pool sizes).
-    if (eo.on() || options.progress != nullptr) {
-      const WorkerSet::Residuals res = ws.ComputeResiduals(z_prev_mean);
-      ws.MeanZInto(z_prev_mean);
-      if (eo.on()) {
-        eo.BeginTimelineRow(k);
-        conv.primal->Append(res.primal);
-        conv.dual->Append(res.dual);
-        // z_prev_mean was just refreshed to this round's consensus mean.
-        conv.objective->Append(solver::GlobalObjective(
-            problem.train, z_prev_mean, problem.lambda));
-        conv.rho->Append(ws.rho());
-        conv.staleness->Append(
-            static_cast<double>(nodes - participants.size()));
-        const std::uint64_t byt = conv.BytesNow(lm);
-        const std::uint64_t rnd = *lm.ar_rounds;
-        conv.bytes->Append(static_cast<double>(byt - conv.prev_bytes));
-        conv.rounds->Append(static_cast<double>(rnd - conv.prev_rounds));
-        conv.prev_bytes = byt;
-        conv.prev_rounds = rnd;
-      }
-      if (options.progress != nullptr) {
-        options.progress->Report(
-            {k, options.max_iterations, res.primal, res.dual, ws.rho()});
-      }
+    // ---- Residuals, timeline row, progress, trace record -----------------
+    // Sampled after the round's consensus + local updates; z_prev_mean is
+    // refreshed to this round's consensus mean, the model the row and the
+    // record evaluate.
+    const WorkerSet::Residuals res = ws.ComputeResiduals(z_prev_mean);
+    ws.MeanZInto(z_prev_mean);
+    epi.Row(k, z_prev_mean, ws.rho(), res.primal, res.dual);
+    if (staleness != nullptr) {
+      staleness->Append(static_cast<double>(nodes - participants.size()));
     }
-
-    if (options.record_trace &&
-        (k % options.eval_every == 0 || k == options.max_iterations)) {
-      result.trace.push_back(ws.Evaluate(k, ledger));
-    }
+    rounds.Append();
+    epi.Record(ledger);
 
     // The per-node captures above took the algorithm state; the metrics
     // snapshot waits until the whole round is booked.
@@ -411,23 +319,9 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     }
   }
 
-  result.final_z = ws.MeanZ();
-  result.final_objective =
-      solver::GlobalObjective(problem.train, result.final_z, problem.lambda);
-  result.final_accuracy = solver::Accuracy(problem.test, result.final_z);
-  result.total_cal_time = ledger.MeanCalTime();
-  result.total_comm_time = ledger.MeanCommTime();
-  result.makespan = ledger.MaxClock();
-  if (eo.on()) {
-    auto& m = eo.metrics();
-    m.Counter("engine.iterations") += result.iterations_run;
-    m.Gauge("run.makespan_s") = result.makespan;
-    m.Gauge("run.cal_time_s") = result.total_cal_time;
-    m.Gauge("run.comm_time_s") = result.total_comm_time;
-    m.Gauge("run.iterations") = static_cast<double>(result.iterations_run);
-    eo.PublishTimelineSummary();
-    result.metrics = m;
-  }
+  // z_prev_mean holds the last round's consensus mean (the start state when
+  // no round ran); the x-updates after a node's z/y step leave z alone.
+  epi.Finish(z_prev_mean, ledger);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "admm/instrument.hpp"
 #include "solver/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -10,7 +11,6 @@
 namespace psra::admm {
 
 double ComputeMultiplier(const ClusterConfig& cluster,
-                         const simnet::Topology& topo,
                          const simnet::StragglerModel& stragglers,
                          simnet::Rank worker, std::uint64_t iteration) {
   double mult = stragglers.ComputeMultiplier(worker, iteration);
@@ -20,7 +20,6 @@ double ComputeMultiplier(const ClusterConfig& cluster,
     Rng wr = iter_rng.Fork(worker);
     mult *= wr.NextDouble(1.0, 1.0 + cluster.compute_jitter);
   }
-  (void)topo;
   return mult;
 }
 
@@ -57,13 +56,7 @@ void WorkerSet::XWStepAll(std::vector<double>& flops_out,
   PSRA_REQUIRE(wall_out == nullptr || wall_out->size() == size(),
                "wall_out size mismatch");
   auto body = [&](std::size_t i) {
-    if (wall_out != nullptr) {
-      const double t0 = engine::ThreadPool::ThreadSeconds();
-      flops_out[i] = XWStep(i);
-      (*wall_out)[i] = engine::ThreadPool::ThreadSeconds() - t0;
-    } else {
-      flops_out[i] = XWStep(i);
-    }
+    flops_out[i] = TimedStep(wall_out, i, [&] { return XWStep(i); });
   };
   if (options_->pool != nullptr) {
     options_->pool->ParallelFor(static_cast<std::size_t>(size()), body);
@@ -80,13 +73,7 @@ void WorkerSet::XWStepAll(std::span<const simnet::Rank> ranks,
                "wall_out size mismatch");
   auto body = [&](std::size_t k) {
     const auto i = static_cast<std::size_t>(ranks[k]);
-    if (wall_out != nullptr) {
-      const double t0 = engine::ThreadPool::ThreadSeconds();
-      flops_out[i] = XWStep(i);
-      (*wall_out)[i] = engine::ThreadPool::ThreadSeconds() - t0;
-    } else {
-      flops_out[i] = XWStep(i);
-    }
+    flops_out[i] = TimedStep(wall_out, i, [&] { return XWStep(i); });
   };
   if (options_->pool != nullptr) {
     options_->pool->ParallelFor(ranks.size(), body);
@@ -136,22 +123,11 @@ void WorkerSet::ZYStepAll(std::span<const simnet::Rank> ranks,
   // the virtual flops of the computation they replace — the simulated
   // cluster still does the work on every worker.
   const auto first = static_cast<std::size_t>(ranks.front());
-  if (wall_out != nullptr) {
-    const double t0 = engine::ThreadPool::ThreadSeconds();
-    flops_out[first] = ZYStep(first, W, num_contributors);
-    (*wall_out)[first] = engine::ThreadPool::ThreadSeconds() - t0;
-  } else {
-    flops_out[first] = ZYStep(first, W, num_contributors);
-  }
+  flops_out[first] = TimedStep(
+      wall_out, first, [&] { return ZYStep(first, W, num_contributors); });
   auto body = [&](std::size_t k) {
     const auto i = static_cast<std::size_t>(ranks[k + 1]);
-    if (wall_out != nullptr) {
-      const double t0 = engine::ThreadPool::ThreadSeconds();
-      flops_out[i] = ZYStepFrom(i, first);
-      (*wall_out)[i] = engine::ThreadPool::ThreadSeconds() - t0;
-    } else {
-      flops_out[i] = ZYStepFrom(i, first);
-    }
+    flops_out[i] = TimedStep(wall_out, i, [&] { return ZYStepFrom(i, first); });
   };
   if (options_->pool != nullptr) {
     options_->pool->ParallelFor(ranks.size() - 1, body);
@@ -238,12 +214,6 @@ double WorkerSet::MaybeAdaptRho(const AdaptiveRhoConfig& cfg,
   return rho_;
 }
 
-linalg::DenseVector WorkerSet::MeanZ() const {
-  linalg::DenseVector out;
-  MeanZInto(out);
-  return out;
-}
-
 void WorkerSet::MeanZInto(linalg::DenseVector& out) const {
   const auto d = static_cast<std::size_t>(dim());
   const double inv_n = 1.0 / static_cast<double>(z_.size());
@@ -270,19 +240,109 @@ void WorkerSet::MeanZInto(linalg::DenseVector& out) const {
   }
 }
 
-IterationRecord WorkerSet::Evaluate(std::uint64_t iteration,
-                                    const engine::TimeLedger& ledger) const {
-  IterationRecord rec;
-  rec.iteration = iteration;
-  const linalg::DenseVector zbar = MeanZ();
-  rec.objective =
-      solver::GlobalObjective(problem_->train, zbar, problem_->lambda);
-  rec.accuracy = solver::Accuracy(problem_->test, zbar);
-  rec.relative_error = 0.0;  // filled by RunResult::ApplyReference
+RunEpilogue::RunEpilogue(
+    EngineObs& eo, const ConsensusProblem& problem, const RunOptions& options,
+    RunResult& result, ResidualSeries residuals,
+    std::initializer_list<const std::uint64_t*> byte_counters)
+    : eo_(eo),
+      problem_(problem),
+      options_(options),
+      result_(result),
+      bytes_(eo, "ts.bytes", byte_counters) {
+  if (!eo_.on()) return;
+  objective_ = eo_.Series("ts.objective");
+  rho_ = eo_.Series("ts.rho");
+  if (residuals != ResidualSeries::kNone) {
+    primal_ = eo_.Series("ts.primal_residual");
+  }
+  if (residuals == ResidualSeries::kPrimalDual) {
+    dual_ = eo_.Series("ts.dual_residual");
+  }
+}
+
+void RunEpilogue::Row(std::uint64_t iteration, const linalg::DenseVector& model,
+                      double rho, double primal, double dual) {
+  row_.iteration = iteration;
+  row_.rho = rho;
+  row_.primal_residual = primal;
+  row_.dual_residual = dual;
+  model_ = &model;
+  row_has_objective_ = eo_.on();
+  // Samples come from virtual-time state and hoisted counters only, so the
+  // timeline is bitwise-identical across pool sizes; appends are plain
+  // stores into pooled chunks (0 allocs/iter, pinned by test_alloc).
+  if (eo_.on()) {
+    row_.objective =
+        solver::GlobalObjective(problem_.train, model, problem_.lambda);
+    // Every hoisted series receives exactly one sample per row: the core
+    // here, the engine's own series right after Row returns.
+    eo_.timeline().BeginIteration(iteration);
+    objective_->Append(row_.objective);
+    rho_->Append(rho);
+    bytes_.Append();
+    if (primal_ != nullptr) primal_->Append(primal);
+    if (dual_ != nullptr) dual_->Append(dual);
+  }
+  if (options_.progress != nullptr) {
+    options_.progress->Report(
+        {iteration, options_.max_iterations, primal, dual, rho});
+  }
+}
+
+void RunEpilogue::Record(const engine::TimeLedger& ledger) {
+  const std::uint64_t it = row_.iteration;
+  if (!options_.record_trace ||
+      (it % options_.eval_every != 0 && it != options_.max_iterations)) {
+    return;
+  }
+  IterationRecord rec = row_;
+  if (!row_has_objective_) {
+    rec.objective =
+        solver::GlobalObjective(problem_.train, *model_, problem_.lambda);
+  }
+  rec.accuracy = solver::Accuracy(problem_.test, *model_);
   rec.cal_time = ledger.MeanCalTime();
   rec.comm_time = ledger.MeanCommTime();
   rec.makespan = ledger.MaxClock();
-  return rec;
+  result_.trace.push_back(rec);
+}
+
+void RunEpilogue::Finish(const linalg::DenseVector& final_model,
+                         const engine::TimeLedger& ledger) {
+  RunResult& r = result_;
+  r.final_z = final_model;
+  r.final_objective =
+      solver::GlobalObjective(problem_.train, r.final_z, problem_.lambda);
+  r.final_accuracy = solver::Accuracy(problem_.test, r.final_z);
+  r.total_cal_time = ledger.MeanCalTime();
+  r.total_comm_time = ledger.MeanCommTime();
+  r.makespan = ledger.MaxClock();
+  if (!eo_.on()) return;
+  auto& m = eo_.metrics();
+  m.Counter("engine.iterations") += r.iterations_run;
+  m.Counter("engine.censored_sends") += r.censored_sends;
+  m.Counter("fault.worker_crashes") += r.faults.worker_crashes;
+  m.Counter("fault.recoveries") += r.faults.recoveries;
+  m.Counter("fault.leader_deaths") += r.faults.leader_deaths;
+  m.Counter("fault.leader_reelections") += r.faults.leader_reelections;
+  m.Counter("fault.dropped_messages") += r.faults.dropped_messages;
+  m.Counter("fault.retries") += r.faults.retries;
+  m.Counter("fault.delayed_messages") += r.faults.delayed_messages;
+  m.Counter("fault.down_worker_iterations") += r.faults.down_worker_iterations;
+  m.Gauge("run.makespan_s") = r.makespan;
+  m.Gauge("run.cal_time_s") = r.total_cal_time;
+  m.Gauge("run.comm_time_s") = r.total_comm_time;
+  m.Gauge("run.iterations") = static_cast<double>(r.iterations_run);
+  // Early-stop outcome (Boyd §3.3): lets any metrics.json distinguish a
+  // converged run from a max-iteration exit, and records how many
+  // iterations the tolerance took when it was reached.
+  m.Gauge("stopping.converged") = r.stopped_early ? 1.0 : 0.0;
+  m.Gauge("stopping.iterations_to_tolerance") =
+      r.stopped_early ? static_cast<double>(r.iterations_run) : 0.0;
+  // The per-series summary gauges (ts.*.samples/first/last/...) ride every
+  // metrics.json.
+  eo_.timeline().PublishSummary(m);
+  r.metrics = m;
 }
 
 }  // namespace psra::admm

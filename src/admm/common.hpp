@@ -80,7 +80,7 @@ struct StoppingConfig {
 
 /// One engine iteration's headline state, pushed to a ProgressSink when the
 /// caller asked for live progress. Fields an engine does not track (e.g.
-/// residual norms outside PSRA) stay zero.
+/// AD-ADMM's residual norms) stay zero.
 struct ProgressUpdate {
   std::uint64_t iteration = 0;
   std::uint64_t max_iterations = 0;
@@ -109,6 +109,8 @@ struct RunOptions {
   /// Record an IterationRecord every `eval_every` iterations (plus the last).
   std::uint64_t eval_every = 1;
   bool record_trace = true;
+  /// Residual-driven rho and stopping: PSRA-HGADMM implements both; the
+  /// other engines reject an enabled config instead of ignoring it.
   AdaptiveRhoConfig adaptive_rho;
   StoppingConfig stopping;
   /// Optional observability sink (spans + metrics). Null — the default —
@@ -132,15 +134,27 @@ struct RunOptions {
   /// into this checkpoint right after iteration `checkpoint_at` completes.
   /// Together with `warm_start` this is the split-run facility: run to K,
   /// capture, and a fresh Run resumes from K + 1 with identical algebra.
-  /// Ignored by engines that do not support warm starts.
+  /// Engines that do not support warm starts reject it.
   RunCheckpoint* checkpoint_out = nullptr;
   std::uint64_t checkpoint_at = 0;
 };
 
+/// Runs `step` (which returns flops) and, when `wall` is non-null, stores
+/// the host seconds it took on the calling thread into (*wall)[i]: the
+/// per-worker wall attribution the tracer reads. Untraced runs pass null
+/// and skip the clock reads.
+template <typename Step>
+double TimedStep(std::vector<double>* wall, std::size_t i, Step&& step) {
+  if (wall == nullptr) return step();
+  const double t0 = engine::ThreadPool::ThreadSeconds();
+  const double flops = step();
+  (*wall)[i] = engine::ThreadPool::ThreadSeconds() - t0;
+  return flops;
+}
+
 /// Deterministic compute-time multiplier combining natural jitter and the
 /// straggler model for (worker, iteration).
 double ComputeMultiplier(const ClusterConfig& cluster,
-                         const simnet::Topology& topo,
                          const simnet::StragglerModel& stragglers,
                          simnet::Rank worker, std::uint64_t iteration);
 
@@ -213,12 +227,10 @@ class WorkerSet {
   /// Returns the virtual flops of the full computation being replaced.
   double ZYStepFrom(std::size_t i, std::size_t src);
 
-  /// Mean of per-worker z (the consensus model used for metrics).
-  linalg::DenseVector MeanZ() const;
-
-  /// In-place MeanZ: fills `out` reusing its storage. Coordinate chunks run
-  /// on the host pool, but each coordinate accumulates over workers in
-  /// ascending order, so the result is bitwise-identical for any pool size.
+  /// Mean of per-worker z (the consensus model used for metrics), written
+  /// into `out` reusing its storage. Coordinate chunks run on the host pool,
+  /// but each coordinate accumulates over workers in ascending order, so the
+  /// result is bitwise-identical for any pool size.
   void MeanZInto(linalg::DenseVector& out) const;
 
   /// Current penalty parameter (problem rho, possibly adapted since).
@@ -245,11 +257,6 @@ class WorkerSet {
 
   /// Applies the residual-balancing rho update; returns the new rho.
   double MaybeAdaptRho(const AdaptiveRhoConfig& cfg, const Residuals& res);
-
-  /// Evaluates objective/accuracy of MeanZ() and the ledger's cumulative
-  /// times into an IterationRecord (not charged to virtual time).
-  IterationRecord Evaluate(std::uint64_t iteration,
-                           const engine::TimeLedger& ledger) const;
 
  private:
   const ConsensusProblem* problem_;

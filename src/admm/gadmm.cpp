@@ -7,7 +7,6 @@
 #include <span>
 #include <cmath>
 
-#include "solver/metrics.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -66,6 +65,12 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
   PSRA_REQUIRE(options.warm_start == nullptr,
                "GADMM does not support warm starts (chain duals are not "
                "checkpointed)");
+  PSRA_REQUIRE(options.checkpoint_out == nullptr,
+               "GADMM cannot capture a run checkpoint (chain duals are not "
+               "checkpointed)");
+  PSRA_REQUIRE(!options.stopping.enabled,
+               "GADMM has no residual-based stopping test");
+  PSRA_REQUIRE(!options.adaptive_rho.enabled, "GADMM has no adaptive penalty");
   const simnet::CostModel cost(cfg_.cluster.cost);
   const simnet::StragglerModel stragglers(topo, cfg_.cluster.straggler);
   const simnet::FaultPlan faults(cfg_.cluster.fault);
@@ -101,25 +106,13 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
     static constexpr double kTimeBounds[] = {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
     h_recovery = &m.Histo("fault.recovery_latency_s", kTimeBounds);
   }
-  // Hoisted convergence-timeline series (DESIGN.md §13). GADMM has no
-  // consensus z, so its "primal residual" is the chain-link disagreement
-  // sqrt(sum_n ||x_n - x_{n+1}||^2), which goes to zero at consensus.
-  obs::TimeSeries* ts_primal = nullptr;
-  obs::TimeSeries* ts_objective = nullptr;
-  obs::TimeSeries* ts_rho = nullptr;
-  obs::TimeSeries* ts_bytes = nullptr;
-  obs::TimeSeries* ts_messages = nullptr;
-  std::uint64_t prev_push_bytes = 0;
-  std::uint64_t prev_push_messages = 0;
-  linalg::DenseVector tl_mean;  // reusable mean-model buffer (telemetry only)
-  if (eo.on()) {
-    ts_primal = eo.Series("ts.primal_residual");
-    ts_objective = eo.Series("ts.objective");
-    ts_rho = eo.Series("ts.rho");
-    ts_bytes = eo.Series("ts.bytes");
-    ts_messages = eo.Series("ts.messages");
-    tl_mean.assign(d, 0.0);
-  }
+  // Convergence timeline (DESIGN.md §13). GADMM has no consensus z: the
+  // row and the record evaluate the mean model, and the "primal residual" is
+  // the chain-link disagreement sqrt(sum_n ||x_n - x_{n+1}||^2), which goes
+  // to zero at consensus.
+  RunEpilogue epi(eo, problem, options, result, ResidualSeries::kPrimal,
+                  {c_push_bytes});
+  CounterDelta messages(eo, "ts.messages", {c_push_messages});
 
   // Chain state. neighbor_copy[n][side]: worker n's latest copy of
   // x_{n-1} (side 0) / x_{n+1} (side 1). last_sent[n][side]: the model n's
@@ -197,9 +190,21 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
       linalg::SetZero(v);
     }
     local[n].Solve(x[n], v, center, weight, options.tron, &flops);
-    const double mult = ComputeMultiplier(cfg_.cluster, topo, stragglers,
+    const double mult = ComputeMultiplier(cfg_.cluster, stragglers,
                                           static_cast<simnet::Rank>(n), iter);
     ledger.ChargeCompute(n, cost.ComputeTime(flops.flops) * mult);
+  };
+
+  // Worker n pays for and counts one model transfer to `to`.
+  auto send = [&](std::size_t n, std::size_t to) {
+    ledger.ChargeComm(n, transfer_time(n, to));
+    result.elements_sent += d;
+    ++result.messages_sent;
+    if (c_push_messages != nullptr) {
+      *c_push_elements += d;
+      ++*c_push_messages;
+      *c_push_bytes += push_bytes;
+    }
   };
 
   // Worker n pushes its model to neighbor `to`; the receiver's copy and the
@@ -212,14 +217,7 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
     if (faulty && down_now[to] != 0) {
       // The sender does not know its neighbor is dead: the transfer is paid
       // for and counted, but never delivered.
-      ledger.ChargeComm(n, transfer_time(n, to));
-      result.elements_sent += d;
-      ++result.messages_sent;
-      if (c_push_messages != nullptr) {
-        *c_push_elements += d;
-        ++*c_push_messages;
-        *c_push_bytes += push_bytes;
-      }
+      send(n, to);
       return;
     }
     if (cfg_.quantization_bits == 0) {
@@ -231,26 +229,13 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
                     cfg_.quantization_bits, rng);
       last_sent[n][side_sender] = wire;
     }
-    const simnet::VirtualTime t = transfer_time(n, to);
-    ledger.ChargeComm(n, t);
-    result.elements_sent += d;
-    ++result.messages_sent;
-    if (c_push_messages != nullptr) {
-      *c_push_elements += d;
-      ++*c_push_messages;
-      *c_push_bytes += push_bytes;
-    }
+    send(n, to);
     neighbor_copy[to][side_receiver] = wire;
     // Receiver cannot proceed before the arrival.
     ledger.WaitUntil(to, ledger[n].clock);
   };
 
-  auto mean_model = [&] {
-    linalg::DenseVector m(d, 0.0);
-    for (const auto& xi : x) linalg::Axpy(1.0, xi, m);
-    linalg::Scale(1.0 / static_cast<double>(world), m);
-    return m;
-  };
+  linalg::DenseVector mean_x(d, 0.0);  // the model the epilogue evaluates
   auto chain_disagreement = [&] {
     double acc = 0.0;
     for (std::size_t n = 0; n + 1 < world; ++n) {
@@ -344,68 +329,16 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
       }
     }
 
-    // ---- Convergence timeline (one row per iteration) --------------------
-    if (eo.on() || options.progress != nullptr) {
-      const double disagreement = chain_disagreement();
-      if (eo.on()) {
-        eo.BeginTimelineRow(iter);
-        ts_primal->Append(disagreement);
-        linalg::SetZero(tl_mean);
-        for (const auto& xi : x) linalg::Axpy(1.0, xi, tl_mean);
-        linalg::Scale(1.0 / static_cast<double>(world), tl_mean);
-        ts_objective->Append(
-            solver::GlobalObjective(problem.train, tl_mean, problem.lambda));
-        ts_rho->Append(rho);
-        const std::uint64_t byt = *c_push_bytes;
-        const std::uint64_t msg = *c_push_messages;
-        ts_bytes->Append(static_cast<double>(byt - prev_push_bytes));
-        ts_messages->Append(static_cast<double>(msg - prev_push_messages));
-        prev_push_bytes = byt;
-        prev_push_messages = msg;
-      }
-      if (options.progress != nullptr) {
-        options.progress->Report(
-            {iter, options.max_iterations, disagreement, 0.0, rho});
-      }
-    }
-
-    if (options.record_trace &&
-        (iter % options.eval_every == 0 || iter == options.max_iterations)) {
-      IterationRecord rec;
-      rec.iteration = iter;
-      const auto m = mean_model();
-      rec.objective = solver::GlobalObjective(problem.train, m,
-                                              problem.lambda);
-      rec.accuracy = solver::Accuracy(problem.test, m);
-      rec.cal_time = ledger.MeanCalTime();
-      rec.comm_time = ledger.MeanCommTime();
-      rec.makespan = ledger.MaxClock();
-      rec.rho = rho;
-      result.trace.push_back(rec);
-    }
+    // ---- Timeline row, progress, trace record ----------------------------
+    linalg::SetZero(mean_x);
+    for (const auto& xi : x) linalg::Axpy(1.0, xi, mean_x);
+    linalg::Scale(1.0 / static_cast<double>(world), mean_x);
+    epi.Row(iter, mean_x, rho, chain_disagreement());
+    messages.Append();
+    epi.Record(ledger);
   }
 
-  result.final_z = mean_model();
-  result.final_objective =
-      solver::GlobalObjective(problem.train, result.final_z, problem.lambda);
-  result.final_accuracy = solver::Accuracy(problem.test, result.final_z);
-  result.total_cal_time = ledger.MeanCalTime();
-  result.total_comm_time = ledger.MeanCommTime();
-  result.makespan = ledger.MaxClock();
-  if (eo.on()) {
-    auto& m = eo.metrics();
-    m.Counter("engine.iterations") += result.iterations_run;
-    m.Counter("fault.worker_crashes") += result.faults.worker_crashes;
-    m.Counter("fault.recoveries") += result.faults.recoveries;
-    m.Counter("fault.down_worker_iterations") +=
-        result.faults.down_worker_iterations;
-    m.Gauge("run.makespan_s") = result.makespan;
-    m.Gauge("run.cal_time_s") = result.total_cal_time;
-    m.Gauge("run.comm_time_s") = result.total_comm_time;
-    m.Gauge("run.iterations") = static_cast<double>(result.iterations_run);
-    eo.PublishTimelineSummary();
-    result.metrics = m;
-  }
+  epi.Finish(mean_x, ledger);
   return result;
 }
 

@@ -26,16 +26,28 @@
 // MetricsRegistry (which must stay byte-identical across pool sizes) and
 // never feeds back into the TimeLedger, so virtual-time results remain
 // bitwise deterministic.
+//
+// Below EngineObs sit the pieces every engine shares on top of it: the
+// counter-delta timeline series, the collective traffic slots PSRA and
+// ADMMLib book into, and RunEpilogue — the timeline row core, progress
+// report, trace record and run summary, written once for all engines.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "admm/common.hpp"
+#include "comm/collective.hpp"
+#include "comm/intranode.hpp"
 #include "engine/ledger.hpp"
 #include "obs/obs.hpp"
+#include "support/status.hpp"
 #include "support/stopwatch.hpp"
 
 namespace psra::admm {
@@ -57,6 +69,7 @@ class EngineObs {
   bool tracing() const { return ctx_ != nullptr && ctx_->tracing; }
   obs::MetricsRegistry& metrics() { return ctx_->metrics; }
   obs::SpanTracer& tracer() { return ctx_->tracer; }
+  obs::TimeSeriesRecorder& timeline() { return ctx_->timeline; }
 
   /// Registers an auxiliary track (e.g. "group generator", "master").
   obs::TrackId AddAuxTrack(std::string name) {
@@ -68,19 +81,6 @@ class EngineObs {
   /// behind a null check, exactly like hoisted Counter()/Gauge() slots.
   obs::TimeSeries* Series(const char* name) {
     return ctx_ != nullptr ? &ctx_->timeline.Series(name) : nullptr;
-  }
-
-  /// Starts a timeline row for `iteration`; every hoisted series must then
-  /// receive exactly one sample before the next row begins.
-  void BeginTimelineRow(std::uint64_t iteration) {
-    if (ctx_ != nullptr) ctx_->timeline.BeginIteration(iteration);
-  }
-
-  /// Publishes the per-series summary gauges (ts.*.samples/first/last/...)
-  /// into the registry; engines call this once from their final metrics
-  /// block so the timeline's footprint rides every metrics.json.
-  void PublishTimelineSummary() {
-    if (ctx_ != nullptr) ctx_->timeline.PublishSummary(ctx_->metrics);
   }
 
   /// Re-reads worker i's mark from the ledger and restarts the wall lap
@@ -205,6 +205,177 @@ class EngineObs {
   std::vector<simnet::VirtualTime> marks_;
   Stopwatch watch_;
   double last_wall_ = 0.0;
+};
+
+/// A timeline series sampled as the per-row change of a sum of hoisted
+/// registry counters (traffic bytes, rounds, invocations, ...): turns the
+/// registry's running totals into per-iteration deltas. Without a context
+/// the series is null and Baseline/Append do nothing; null counters (a slot
+/// the run does not hoist) count as zero.
+class CounterDelta {
+ public:
+  CounterDelta(EngineObs& eo, const char* series,
+               std::initializer_list<const std::uint64_t*> counters)
+      : series_(eo.Series(series)) {
+    PSRA_CHECK(counters.size() <= counters_.size(), "too many counters");
+    std::copy(counters.begin(), counters.end(), counters_.begin());
+  }
+
+  /// Takes the counters' current total as the next row's reference, so
+  /// traffic booked before the loop stays out of the first row.
+  void Baseline() {
+    if (series_ != nullptr) prev_ = Total();
+  }
+
+  /// Appends the change since the previous row (or the baseline).
+  void Append() {
+    if (series_ == nullptr) return;
+    const std::uint64_t now = Total();
+    series_->Append(static_cast<double>(now - prev_));
+    prev_ = now;
+  }
+
+ private:
+  std::uint64_t Total() const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t* c : counters_) {
+      if (c != nullptr) total += *c;
+    }
+    return total;
+  }
+
+  obs::TimeSeries* series_ = nullptr;
+  std::array<const std::uint64_t*, 4> counters_{};
+  std::uint64_t prev_ = 0;
+};
+
+/// The collective traffic slots PSRA and ADMMLib share, hoisted once per
+/// run: the inter-node allreduce (comm.allreduce.<alg>.*, plus the fill
+/// ratio of sparse results) and the intra-node reduce and broadcast
+/// (comm.intra.*). Each Book* call adds one result. Bytes are priced by the
+/// group's ElemPricing, the width the collectives themselves book.
+struct CollectiveMetrics {
+  std::uint64_t* invocations = nullptr;
+  std::uint64_t* elements = nullptr;
+  std::uint64_t* messages = nullptr;
+  std::uint64_t* bytes = nullptr;
+  std::uint64_t* rounds = nullptr;
+  obs::Histogram* fill = nullptr;  // sparse payloads only
+  double dim = 1.0;
+  std::uint64_t* reduce_elements = nullptr;
+  std::uint64_t* reduce_messages = nullptr;
+  std::uint64_t* reduce_bytes = nullptr;
+  std::uint64_t* bcast_elements = nullptr;
+  std::uint64_t* bcast_messages = nullptr;
+  std::uint64_t* bcast_bytes = nullptr;
+
+  void Hoist(obs::MetricsRegistry& m, const std::string& alg_name, bool sparse,
+             double d) {
+    const std::string p = "comm.allreduce." + alg_name + ".";
+    invocations = &m.Counter(p + "invocations");
+    elements = &m.Counter(p + "elements");
+    messages = &m.Counter(p + "messages");
+    bytes = &m.Counter(p + "bytes");
+    rounds = &m.Counter(p + "rounds");
+    if (sparse) {
+      static constexpr double kFillBounds[] = {0.01, 0.05, 0.1, 0.25,
+                                               0.5,  0.75, 0.9, 1.0};
+      fill = &m.Histo("comm.allreduce.fill_ratio", kFillBounds);
+      dim = d;
+    }
+    reduce_elements = &m.Counter("comm.intra.reduce.elements");
+    reduce_messages = &m.Counter("comm.intra.reduce.messages");
+    reduce_bytes = &m.Counter("comm.intra.reduce.bytes");
+    bcast_elements = &m.Counter("comm.intra.bcast.elements");
+    bcast_messages = &m.Counter("comm.intra.bcast.messages");
+    bcast_bytes = &m.Counter("comm.intra.bcast.bytes");
+  }
+
+  /// One allreduce invocation; `result_nnz` feeds the sparse fill ratio.
+  void BookAllreduce(const comm::CommStats& st, std::size_t result_nnz) {
+    ++*invocations;
+    *elements += st.elements_sent;
+    *messages += st.messages_sent;
+    *bytes += st.bytes_sent;
+    *rounds += st.rounds;
+    if (fill != nullptr) fill->Observe(static_cast<double>(result_nnz) / dim);
+  }
+
+  /// One node's (dense) reduce to its leader over `node`.
+  void BookReduce(const comm::GroupComm& node, const comm::ReduceResult& r) {
+    *reduce_elements += r.elements_sent;
+    *reduce_messages += r.messages_sent;
+    *reduce_bytes += r.elements_sent * node.pricing().PerElement(false);
+  }
+
+  /// One leader's broadcast of the aggregate over `node`.
+  void BookBroadcast(const comm::GroupComm& node,
+                     const comm::BroadcastResult& b, bool sparse) {
+    *bcast_elements += b.elements_sent;
+    *bcast_messages += b.messages_sent;
+    *bcast_bytes += b.elements_sent * node.pricing().PerElement(sparse);
+  }
+};
+
+/// Which consensus residuals an engine's timeline rows carry.
+enum class ResidualSeries { kNone, kPrimal, kPrimalDual };
+
+/// The per-iteration epilogue and the run summary, written once for every
+/// engine (DESIGN.md §9, §13). Per iteration an engine calls
+///
+///   epi.Row(iter, model, rho, primal, dual);  // timeline row core, progress
+///   ... appends its own series ...
+///   epi.Record(ledger);                       // IterationRecord on cadence
+///
+/// and after its loop epi.Finish(final_model, ledger). `model` is the
+/// consensus model the row and the record evaluate; it must stay unchanged
+/// between Row and Record. Residuals an engine does not track pass as 0.
+///
+/// The row core is ts.objective, ts.rho, ts.bytes (the per-row delta of the
+/// engine's traffic byte counters) and the residual series `residuals`
+/// names. The summary fills RunResult's final model, objective, accuracy and
+/// ledger totals and, with a context, publishes the same 16 keys for every
+/// engine: engine.{iterations,censored_sends}, fault.* from
+/// RunResult::faults, run.* and stopping.*.
+class RunEpilogue {
+ public:
+  RunEpilogue(EngineObs& eo, const ConsensusProblem& problem,
+              const RunOptions& options, RunResult& result,
+              ResidualSeries residuals,
+              std::initializer_list<const std::uint64_t*> byte_counters);
+
+  /// Takes the byte counters' current total as the first row's reference.
+  void BaselineBytes() { bytes_.Baseline(); }
+
+  /// Starts the timeline row for `iteration` with the core samples (with a
+  /// context) and reports progress (with a sink).
+  void Row(std::uint64_t iteration, const linalg::DenseVector& model,
+           double rho, double primal = 0.0, double dual = 0.0);
+
+  /// Appends the row's IterationRecord when its iteration is on the
+  /// eval_every cadence (or the last), with the ledger's Cal, Comm and
+  /// makespan as they stand now.
+  void Record(const engine::TimeLedger& ledger);
+
+  /// The run summary (see the class comment).
+  void Finish(const linalg::DenseVector& final_model,
+              const engine::TimeLedger& ledger);
+
+ private:
+  EngineObs& eo_;
+  const ConsensusProblem& problem_;
+  const RunOptions& options_;
+  RunResult& result_;
+  obs::TimeSeries* objective_ = nullptr;
+  obs::TimeSeries* rho_ = nullptr;
+  obs::TimeSeries* primal_ = nullptr;
+  obs::TimeSeries* dual_ = nullptr;
+  CounterDelta bytes_;
+  // The current row. Its objective is valid when the row was recorded to
+  // the timeline; Record evaluates the model otherwise.
+  IterationRecord row_;
+  const linalg::DenseVector* model_ = nullptr;
+  bool row_has_objective_ = false;
 };
 
 }  // namespace psra::admm

@@ -12,7 +12,6 @@
 #include "comm/intranode.hpp"
 #include "linalg/sparse_vector.hpp"
 #include "simnet/fault.hpp"
-#include "solver/metrics.hpp"
 #include "support/log.hpp"
 #include "support/status.hpp"
 #include "wlg/group_generator.hpp"
@@ -58,40 +57,19 @@ struct InterWorkspace {
   linalg::SparseVector sparse_sum;
   /// Dense group sum (the aggregate W); finish times live in stats.
   linalg::DenseVector sum;
-  std::size_t elements = 0;
-  std::size_t messages = 0;
   std::size_t result_nnz = 0;
-};
-
-/// Hoisted per-collective metric slots (stable MetricsRegistry references).
-/// Null `invocations` means "not recording"; `fill` is set only for sparse
-/// payloads (it observes result_nnz / dim per invocation).
-struct ArMetrics {
-  std::uint64_t* invocations = nullptr;
-  std::uint64_t* elements = nullptr;
-  std::uint64_t* messages = nullptr;
-  std::uint64_t* bytes = nullptr;
-  std::uint64_t* rounds = nullptr;
-  obs::Histogram* fill = nullptr;
-  double dim = 1.0;
 };
 
 /// Every metric slot the PSRA engine updates, hoisted once per run so the
 /// per-iteration updates are plain integer adds.
 struct PsraMetrics {
-  ArMetrics ar;
+  CollectiveMetrics coll;
   obs::Histogram* group_size = nullptr;
   obs::Histogram* gg_wait_s = nullptr;
   obs::Histogram* recovery_s = nullptr;
   std::uint64_t* gg_reports = nullptr;
   std::uint64_t* gg_notifies = nullptr;
   std::uint64_t* groups_formed = nullptr;
-  std::uint64_t* intra_reduce_elements = nullptr;
-  std::uint64_t* intra_reduce_messages = nullptr;
-  std::uint64_t* intra_reduce_bytes = nullptr;
-  std::uint64_t* intra_bcast_elements = nullptr;
-  std::uint64_t* intra_bcast_messages = nullptr;
-  std::uint64_t* intra_bcast_bytes = nullptr;
   std::uint64_t* rack_bcast_elements = nullptr;
   std::uint64_t* rack_bcast_messages = nullptr;
   std::uint64_t* rack_bcast_bytes = nullptr;
@@ -107,18 +85,7 @@ struct PsraMetrics {
 
   void Hoist(obs::MetricsRegistry& m, const std::string& alg_name, bool sparse,
              double dim) {
-    const std::string p = "comm.allreduce." + alg_name + ".";
-    ar.invocations = &m.Counter(p + "invocations");
-    ar.elements = &m.Counter(p + "elements");
-    ar.messages = &m.Counter(p + "messages");
-    ar.bytes = &m.Counter(p + "bytes");
-    ar.rounds = &m.Counter(p + "rounds");
-    if (sparse) {
-      static constexpr double kFillBounds[] = {0.01, 0.05, 0.1, 0.25,
-                                               0.5,  0.75, 0.9, 1.0};
-      ar.fill = &m.Histo("comm.allreduce.fill_ratio", kFillBounds);
-      ar.dim = dim;
-    }
+    coll.Hoist(m, alg_name, sparse, dim);
     static constexpr double kSizeBounds[] = {1, 2, 4, 8, 16, 32};
     static constexpr double kTimeBounds[] = {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
     group_size = &m.Histo("wlg.group_size", kSizeBounds);
@@ -127,67 +94,8 @@ struct PsraMetrics {
     gg_reports = &m.Counter("comm.gg.reports");
     gg_notifies = &m.Counter("comm.gg.notifies");
     groups_formed = &m.Counter("wlg.groups_formed");
-    intra_reduce_elements = &m.Counter("comm.intra.reduce.elements");
-    intra_reduce_messages = &m.Counter("comm.intra.reduce.messages");
-    intra_reduce_bytes = &m.Counter("comm.intra.reduce.bytes");
-    intra_bcast_elements = &m.Counter("comm.intra.bcast.elements");
-    intra_bcast_messages = &m.Counter("comm.intra.bcast.messages");
-    intra_bcast_bytes = &m.Counter("comm.intra.bcast.bytes");
   }
 };
-
-/// Hoisted convergence-timeline series (DESIGN.md §13) plus the cumulative
-/// counter values at the previous row, which turn the registry's running
-/// totals into per-iteration deltas. Series handles are stable for the
-/// ObsContext's lifetime, so appends are plain stores.
-struct PsraSeries {
-  obs::TimeSeries* primal = nullptr;
-  obs::TimeSeries* dual = nullptr;
-  obs::TimeSeries* objective = nullptr;
-  obs::TimeSeries* rho = nullptr;
-  obs::TimeSeries* active_groups = nullptr;
-  obs::TimeSeries* regroups = nullptr;
-  obs::TimeSeries* bytes = nullptr;
-  obs::TimeSeries* rounds = nullptr;
-  std::uint64_t prev_invocations = 0;
-  std::uint64_t prev_groups = 0;
-  std::uint64_t prev_bytes = 0;
-  std::uint64_t prev_rounds = 0;
-
-  void Hoist(EngineObs& eo) {
-    primal = eo.Series("ts.primal_residual");
-    dual = eo.Series("ts.dual_residual");
-    objective = eo.Series("ts.objective");
-    rho = eo.Series("ts.rho");
-    active_groups = eo.Series("ts.active_groups");
-    regroups = eo.Series("ts.regroup_events");
-    bytes = eo.Series("ts.bytes");
-    rounds = eo.Series("ts.rounds");
-  }
-
-  /// Cumulative collective payload bytes across the engine's channels
-  /// (inter-group allreduce + intra-node reduce/bcast + rack bcast).
-  std::uint64_t BytesNow(const PsraMetrics& pm) const {
-    std::uint64_t b = *pm.ar.bytes + *pm.intra_reduce_bytes +
-                      *pm.intra_bcast_bytes;
-    if (pm.rack_bcast_bytes != nullptr) b += *pm.rack_bcast_bytes;
-    return b;
-  }
-};
-
-/// Folds one collective invocation's stats into the hoisted metric slots.
-/// Kept out of RunInterAllreduce so group collectives can run in parallel
-/// and replay the registry updates serially, in formation order.
-void AccumulateArMetrics(ArMetrics& am, const InterWorkspace& ws) {
-  ++*am.invocations;
-  *am.elements += ws.stats.elements_sent;
-  *am.messages += ws.stats.messages_sent;
-  *am.bytes += ws.stats.bytes_sent;
-  *am.rounds += ws.stats.rounds;
-  if (am.fill != nullptr) {
-    am.fill->Observe(static_cast<double>(ws.result_nnz) / am.dim);
-  }
-}
 
 /// Adds one fault context's message-level counters to the run totals.
 void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
@@ -197,56 +105,38 @@ void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
 }
 
 /// Runs one inter-node allreduce over `w_inputs` (one dense vector per group
-/// member), leaving the dense sum and per-member finish times in `ws`. With
-/// a null or empty `fc.plan` this is exactly the fault-free collective.
-void RunInterAllreduce(const comm::GroupComm& group,
-                       const comm::AllreduceAlgorithm& alg, bool sparse_comm,
+/// member), leaving the dense sum, per-member finish times and traffic in
+/// `ws`. It runs as one collective over `group` under `fc` (a null or empty
+/// plan is exactly the fault-free collective), or, with a non-null `ml`, as
+/// the recursive node -> rack -> cluster collective, which takes no faults.
+void RunInterAllreduce(const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
                        std::span<const simnet::VirtualTime> starts,
-                       comm::FaultContext& fc, InterWorkspace& ws) {
+                       const comm::GroupComm* group, comm::FaultContext* fc,
+                       comm::MultiLevelAllreduce* ml, InterWorkspace& ws) {
   if (sparse_comm) {
     ws.sparse_inputs.resize(w_inputs.size());
     for (std::size_t i = 0; i < w_inputs.size(); ++i) {
       ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
     }
-    alg.ReduceSparse(group, ws.sparse_inputs, starts, ws.scratch,
-                     ws.sparse_sum, ws.stats, &fc);
-    ws.sparse_sum.ToDense(ws.sum);
-    ws.result_nnz = ws.sparse_sum.nnz();
-  } else {
-    alg.ReduceDense(group, w_inputs, starts, ws.scratch, ws.sum, ws.stats,
-                    &fc);
-    ws.result_nnz = ws.sum.size();
-  }
-  ws.elements = ws.stats.elements_sent;
-  ws.messages = ws.stats.messages_sent;
-}
-
-/// Multi-rack counterpart of RunInterAllreduce: the recursive node -> rack
-/// -> cluster collective fills the same InterWorkspace contract (global sum,
-/// per-leader finish times, traffic totals), so the batched replay below
-/// consumes either interchangeably.
-void RunMultiLevelAllreduce(comm::MultiLevelAllreduce& ml,
-                            const comm::AllreduceAlgorithm& alg,
-                            bool sparse_comm,
-                            std::span<const linalg::DenseVector> w_inputs,
-                            std::span<const simnet::VirtualTime> starts,
-                            InterWorkspace& ws) {
-  if (sparse_comm) {
-    ws.sparse_inputs.resize(w_inputs.size());
-    for (std::size_t i = 0; i < w_inputs.size(); ++i) {
-      ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
+    if (ml != nullptr) {
+      ml->ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch,
+                       ws.sparse_sum, ws.stats);
+    } else {
+      alg.ReduceSparse(*group, ws.sparse_inputs, starts, ws.scratch,
+                       ws.sparse_sum, ws.stats, fc);
     }
-    ml.ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch, ws.sparse_sum,
-                    ws.stats);
     ws.sparse_sum.ToDense(ws.sum);
     ws.result_nnz = ws.sparse_sum.nnz();
   } else {
-    ml.ReduceDense(alg, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
+    if (ml != nullptr) {
+      ml->ReduceDense(alg, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
+    } else {
+      alg.ReduceDense(*group, w_inputs, starts, ws.scratch, ws.sum, ws.stats,
+                      fc);
+    }
     ws.result_nnz = ws.sum.size();
   }
-  ws.elements = ws.stats.elements_sent;
-  ws.messages = ws.stats.messages_sent;
 }
 
 /// One formed group's collective context: the member nodes and leaders,
@@ -355,17 +245,24 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   // to an uninstrumented one (pinned by test_obs).
   EngineObs eo(options.obs, world);
   PsraMetrics pm;
-  PsraSeries conv;
   obs::TrackId gg_track = 0;
   if (eo.on()) {
     pm.Hoist(eo.metrics(), alg->Name(), cfg_.sparse_comm,
              static_cast<double>(problem.dim()));
     if (multi_rack) pm.HoistRack(eo.metrics());
-    conv.Hoist(eo);
     if (cfg_.grouping == GroupingMode::kDynamicGroups) {
       gg_track = eo.AddAuxTrack("group generator");
     }
   }
+  // Convergence timeline (DESIGN.md §13): the shared row core — ts.bytes
+  // sums the traffic of every channel (inter-group allreduce, intra-node
+  // reduce/bcast, rack bcast) — plus the group churn and collective rounds.
+  RunEpilogue epi(eo, problem, options, result, ResidualSeries::kPrimalDual,
+                  {pm.coll.bytes, pm.coll.reduce_bytes, pm.coll.bcast_bytes,
+                   pm.rack_bcast_bytes});
+  CounterDelta active_groups(eo, "ts.active_groups", {pm.coll.invocations});
+  CounterDelta regroups(eo, "ts.regroup_events", {pm.groups_formed});
+  CounterDelta rounds(eo, "ts.rounds", {pm.coll.rounds});
 
   // Per-node structures: member ranks and the leader elected at start.
   std::vector<std::vector<simnet::Rank>> node_ranks(nodes);
@@ -545,12 +442,10 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   // Baseline the delta-series counters on whatever setup traffic is already
   // booked, so every ts.* delta is pure per-iteration traffic — which is
   // what makes a warm-started run's rows match the uninterrupted run's.
-  if (eo.on()) {
-    conv.prev_invocations = *pm.ar.invocations;
-    conv.prev_groups = *pm.groups_formed;
-    conv.prev_bytes = conv.BytesNow(pm);
-    conv.prev_rounds = *pm.ar.rounds;
-  }
+  epi.BaselineBytes();
+  active_groups.Baseline();
+  regroups.Baseline();
+  rounds.Baseline();
 
   for (std::uint64_t iter = first_iter; iter <= options.max_iterations;
        ++iter) {
@@ -643,7 +538,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     for (const simnet::Rank r : alive) {
       const auto i = static_cast<std::size_t>(r);
       const double mult =
-          ComputeMultiplier(cfg_.cluster, topo, stragglers, r, iter);
+          ComputeMultiplier(cfg_.cluster, stragglers, r, iter);
       ledger.ChargeCompute(i, cost.ComputeTime(flops[i]) * mult);
     }
     if (wall != nullptr) {
@@ -689,11 +584,11 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
       }
-      RunInterAllreduce(*group, *alg, cfg_.sparse_comm, w_inputs, starts, fctx,
-                        iw);
-      if (eo.on()) AccumulateArMetrics(pm.ar, iw);
-      result.elements_sent += iw.elements;
-      result.messages_sent += iw.messages;
+      RunInterAllreduce(*alg, cfg_.sparse_comm, w_inputs, starts, group, &fctx,
+                        nullptr, iw);
+      if (eo.on()) pm.coll.BookAllreduce(iw.stats, iw.result_nnz);
+      result.elements_sent += iw.stats.elements_sent;
+      result.messages_sent += iw.stats.messages_sent;
       if (censoring) {
         linalg::Axpy(1.0, iw.sum, W_running);
         iw.sum = W_running;
@@ -803,10 +698,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         ledger.WaitUntil(lead, red[n].leader_ready);
         if (eo.on()) {
-          *pm.intra_reduce_elements += red[n].elements_sent;
-          *pm.intra_reduce_messages += red[n].messages_sent;
-          *pm.intra_reduce_bytes +=
-              red[n].elements_sent * cfg_.cluster.cost.value_bytes;
+          pm.coll.BookReduce(intra[n], red[n]);
           if (eo.tracing()) {
             // The node's measured reduce wall is shared evenly among its
             // members (the pool thread did the whole node's reduce at once).
@@ -935,22 +827,18 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           slot.starts[j] = std::max(slot.start, ledger[slot.leaders[j]].clock);
           slot.contributors += node_alive[n].size();
         }
-        if (multi_rack) {
-          // One hierarchical group spanning every node: run the collective
-          // recursively (per rack, then across rack leaders). mlar is shared
-          // state, but multi_rack implies exactly one group per cycle (and
-          // no fault plan).
-          RunMultiLevelAllreduce(*mlar, *alg, cfg_.sparse_comm, slot.inputs,
-                                 slot.starts, slot.iw);
-        } else {
-          if (slot.comm.has_value()) {
-            slot.comm->Rebind(slot.leaders);
-          } else {
-            slot.comm.emplace(&topo, &cost_inter, slot.leaders);
-          }
-          RunInterAllreduce(*slot.comm, *alg, cfg_.sparse_comm, slot.inputs,
-                            slot.starts, slot.fc, slot.iw);
+        // With several racks the one hierarchical group spanning every node
+        // runs the collective recursively (per rack, then across rack
+        // leaders). mlar is shared state, but multi_rack implies exactly one
+        // group per cycle (and no fault plan).
+        if (!multi_rack && slot.comm.has_value()) {
+          slot.comm->Rebind(slot.leaders);
+        } else if (!multi_rack) {
+          slot.comm.emplace(&topo, &cost_inter, slot.leaders);
         }
+        RunInterAllreduce(*alg, cfg_.sparse_comm, slot.inputs, slot.starts,
+                          slot.comm ? &*slot.comm : nullptr, &slot.fc,
+                          mlar ? &*mlar : nullptr, slot.iw);
         if (walled) slot.wall = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -976,10 +864,10 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
               eo.SetMark(li, slot.starts[j]);
             }
           }
-          AccumulateArMetrics(pm.ar, slot.iw);
+          pm.coll.BookAllreduce(slot.iw.stats, slot.iw.result_nnz);
         }
-        result.elements_sent += slot.iw.elements;
-        result.messages_sent += slot.iw.messages;
+        result.elements_sent += slot.iw.stats.elements_sent;
+        result.messages_sent += slot.iw.stats.messages_sent;
         AddMessageFaults(slot.fc, result.faults);
         if (multi_rack) {
           // Stage-3 redistribution (rack leader -> its node leaders). It is
@@ -994,9 +882,9 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             *pm.rack_bcast_elements += relems;
             *pm.rack_bcast_messages += rmsgs;
             *pm.rack_bcast_bytes +=
-                relems * (cfg_.sparse_comm ? inter_cost_cfg.value_bytes +
-                                                 inter_cost_cfg.index_bytes
-                                           : inter_cost_cfg.value_bytes);
+                relems * comm::ElemPricing{inter_cost_cfg.value_bytes,
+                                           inter_cost_cfg.index_bytes}
+                             .PerElement(cfg_.sparse_comm);
           }
         }
         if (censoring) {  // fixed membership: fold deltas into the run sum
@@ -1042,13 +930,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             ledger.WaitUntil(nmembers[m], bc.finish_times[m]);
           }
           if (eo.on()) {
-            *pm.intra_bcast_elements += bc.elements_sent;
-            *pm.intra_bcast_messages += bc.messages_sent;
-            *pm.intra_bcast_bytes +=
-                bc.elements_sent *
-                (cfg_.sparse_comm ? cfg_.cluster.cost.value_bytes +
-                                        cfg_.cluster.cost.index_bytes
-                                  : cfg_.cluster.cost.value_bytes);
+            pm.coll.BookBroadcast(intra[n], bc, cfg_.sparse_comm);
             if (eo.tracing()) {
               for (std::size_t m = 0; m < nmembers.size(); ++m) {
                 eo.Span("w_broadcast", ledger,
@@ -1084,28 +966,18 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           }
         }
       }
+      std::vector<double>* const zwall = walled ? &zy_wall : nullptr;
       auto zy_group = [&](std::size_t gi) {
         const GroupSlot& slot = *gslots[gi];
         const auto i = static_cast<std::size_t>(zy_first[gi]);
-        if (walled) {
-          const double t0 = engine::ThreadPool::ThreadSeconds();
-          flops[i] = ws.ZYStep(i, slot.iw.sum, slot.contributors);
-          zy_wall[i] = engine::ThreadPool::ThreadSeconds() - t0;
-        } else {
-          flops[i] = ws.ZYStep(i, slot.iw.sum, slot.contributors);
-        }
+        flops[i] = TimedStep(zwall, i, [&] {
+          return ws.ZYStep(i, slot.iw.sum, slot.contributors);
+        });
       };
       auto zy_copy = [&](std::size_t k) {
         const auto i = static_cast<std::size_t>(zy_copy_w[k]);
-        if (walled) {
-          const double t0 = engine::ThreadPool::ThreadSeconds();
-          flops[i] =
-              ws.ZYStepFrom(i, static_cast<std::size_t>(zy_copy_src[k]));
-          zy_wall[i] = engine::ThreadPool::ThreadSeconds() - t0;
-        } else {
-          flops[i] =
-              ws.ZYStepFrom(i, static_cast<std::size_t>(zy_copy_src[k]));
-        }
+        const auto src = static_cast<std::size_t>(zy_copy_src[k]);
+        flops[i] = TimedStep(zwall, i, [&] { return ws.ZYStepFrom(i, src); });
       };
       if (options.pool != nullptr) {
         options.pool->ParallelFor(gslots.size(), zy_group);
@@ -1138,46 +1010,14 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
     ws.MeanZInto(z_prev_mean);
     const double rho_now = ws.MaybeAdaptRho(options.adaptive_rho, residuals);
 
-    // ---- Convergence timeline (one row per iteration) --------------------
-    // Samples come from virtual-time state and hoisted counters only, so the
-    // timeline is bitwise-identical across pool sizes; appends are plain
-    // stores into pooled chunks (0 allocs/iter, pinned by test_alloc).
-    if (eo.on()) {
-      eo.BeginTimelineRow(iter);
-      conv.primal->Append(residuals.primal);
-      conv.dual->Append(residuals.dual);
-      // z_prev_mean was just refreshed: it holds THIS iteration's consensus
-      // mean, so the objective is evaluated allocation-free on it.
-      conv.objective->Append(
-          solver::GlobalObjective(problem.train, z_prev_mean, problem.lambda));
-      conv.rho->Append(rho_now);
-      const std::uint64_t inv = *pm.ar.invocations;
-      const std::uint64_t grp = *pm.groups_formed;
-      const std::uint64_t byt = conv.BytesNow(pm);
-      const std::uint64_t rnd = *pm.ar.rounds;
-      conv.active_groups->Append(static_cast<double>(inv - conv.prev_invocations));
-      conv.regroups->Append(static_cast<double>(grp - conv.prev_groups));
-      conv.bytes->Append(static_cast<double>(byt - conv.prev_bytes));
-      conv.rounds->Append(static_cast<double>(rnd - conv.prev_rounds));
-      conv.prev_invocations = inv;
-      conv.prev_groups = grp;
-      conv.prev_bytes = byt;
-      conv.prev_rounds = rnd;
-    }
-    if (options.progress != nullptr) {
-      options.progress->Report({iter, options.max_iterations, residuals.primal,
-                                residuals.dual, rho_now});
-    }
-
-    // ---- Metrics ----------------------------------------------------------
-    if (options.record_trace &&
-        (iter % options.eval_every == 0 || iter == options.max_iterations)) {
-      IterationRecord rec = ws.Evaluate(iter, ledger);
-      rec.primal_residual = residuals.primal;
-      rec.dual_residual = residuals.dual;
-      rec.rho = rho_now;
-      result.trace.push_back(rec);
-    }
+    // ---- Timeline row, progress, trace record ----------------------------
+    // z_prev_mean was just refreshed: it holds THIS iteration's consensus
+    // mean, so the row and the record evaluate it allocation-free.
+    epi.Row(iter, z_prev_mean, rho_now, residuals.primal, residuals.dual);
+    active_groups.Append();
+    regroups.Append();
+    rounds.Append();
+    epi.Record(ledger);
 
     // ---- Periodic checkpoint (fault runs only) ---------------------------
     // Captures the live workers' state; a down worker's slot keeps its last
@@ -1202,40 +1042,9 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   }
 
   AddMessageFaults(fctx, result.faults);
-
-  result.final_z = ws.MeanZ();
-  result.final_objective =
-      solver::GlobalObjective(problem.train, result.final_z, problem.lambda);
-  result.final_accuracy = solver::Accuracy(problem.test, result.final_z);
-  result.total_cal_time = ledger.MeanCalTime();
-  result.total_comm_time = ledger.MeanCommTime();
-  result.makespan = ledger.MaxClock();
-  if (eo.on()) {
-    auto& m = eo.metrics();
-    m.Counter("engine.iterations") += result.iterations_run;
-    m.Counter("engine.censored_sends") += result.censored_sends;
-    m.Counter("fault.worker_crashes") += result.faults.worker_crashes;
-    m.Counter("fault.recoveries") += result.faults.recoveries;
-    m.Counter("fault.leader_deaths") += result.faults.leader_deaths;
-    m.Counter("fault.leader_reelections") += result.faults.leader_reelections;
-    m.Counter("fault.dropped_messages") += result.faults.dropped_messages;
-    m.Counter("fault.retries") += result.faults.retries;
-    m.Counter("fault.delayed_messages") += result.faults.delayed_messages;
-    m.Counter("fault.down_worker_iterations") +=
-        result.faults.down_worker_iterations;
-    m.Gauge("run.makespan_s") = result.makespan;
-    m.Gauge("run.cal_time_s") = result.total_cal_time;
-    m.Gauge("run.comm_time_s") = result.total_comm_time;
-    m.Gauge("run.iterations") = static_cast<double>(result.iterations_run);
-    // Early-stop outcome (Boyd §3.3): lets any metrics.json distinguish a
-    // converged run from a max-iteration exit, and records how many
-    // iterations the tolerance took when it was reached.
-    m.Gauge("stopping.converged") = result.stopped_early ? 1.0 : 0.0;
-    m.Gauge("stopping.iterations_to_tolerance") =
-        result.stopped_early ? static_cast<double>(result.iterations_run) : 0.0;
-    eo.PublishTimelineSummary();
-    result.metrics = m;
-  }
+  // z_prev_mean holds the mean z every exit leaves: refreshed by the last
+  // iteration run, or the start state when none ran.
+  epi.Finish(z_prev_mean, ledger);
   return result;
 }
 

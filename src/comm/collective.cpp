@@ -126,76 +126,13 @@ void Simulate(const Schedule& s, const GroupComm& group,
   st.all_done = *std::max_element(t.begin(), t.end());
 }
 
-void FoldInto(linalg::DenseVector& acc, const linalg::DenseVector& x) {
-  linalg::Axpy(1.0, x, acc);
-}
-
-void FoldInto(linalg::SparseVector& acc, const linalg::SparseVector& x) {
-  acc = linalg::SparseVector::Sum(acc, x);
-}
-
-/// The binomial tree. Its reduce forwards each subtree's sum, so no single
-/// fold per block covers it: it keeps one partial per member instead of
-/// running a schedule. Reduce stage `bit`: every rank whose lowest set bit
-/// is `bit` sends its partial `bit` ranks down, which folds it into its
-/// own. Broadcast stage `bit`: every rank holding the sum (a multiple of
-/// 2*bit) sends it `bit` ranks up. Sends are sender-serialized as above.
-template <typename V>
-void SimulateTree(const GroupComm& group, std::span<const V> inputs,
-                  std::span<const simnet::VirtualTime> starts,
-                  AllreduceScratch& scratch, V& sum, CommStats& st) {
-  using P = Payload<V>;
-  const GroupRank n = group.size();
-  const std::uint64_t dim = P::Dim(inputs[0]);
-  const auto& cm = group.cost_model();
-  const std::size_t elem_bytes = group.pricing().PerElement(P::kSparse);
-  st.Reset(n);
-
-  auto& partial = std::get<std::vector<V>>(scratch.partials);
-  partial.assign(inputs.begin(), inputs.end());
-  auto& t = scratch.clock;
-  t.assign(starts.begin(), starts.end());
-  auto send = [&](GroupRank from, GroupRank to, const V& v) {
-    const std::size_t elems = P::Count(v, 0, dim);
-    const simnet::Link link = group.LinkBetween(from, to);
-    t[from] += P::kSparse ? cm.SparseTransferTime(link, elems)
-                          : cm.DenseTransferTime(link, elems);
-    t[to] = std::max(t[to], t[from]);
-    st.CountSend(elems, elem_bytes);
-  };
-
-  for (GroupRank bit = 1; bit < n; bit <<= 1) {
-    ++st.rounds;
-    for (GroupRank r = bit; r < n; r += 2 * bit) {
-      send(r, r - bit, partial[r]);
-      FoldInto(partial[r - bit], partial[r]);
-    }
-  }
-  st.scatter_reduce_done = t[0];
-  GroupRank top = 1;
-  while (top < n) top <<= 1;
-  for (GroupRank bit = top >> 1; bit >= 1; bit >>= 1) {
-    ++st.rounds;
-    for (GroupRank r = 0; r + bit < n; r += 2 * bit) {
-      send(r, r + bit, partial[0]);
-    }
-  }
-  sum = partial[0];
-  st.finish_times.assign(t.begin(), t.end());
-  st.all_done = *std::max_element(t.begin(), t.end());
-}
-
 template <typename V>
 void Run(AllreduceKind kind, const GroupComm& group,
          std::span<const V> inputs,
          std::span<const simnet::VirtualTime> starts,
          AllreduceScratch& scratch, V& sum, CommStats& st) {
-  if (kind == AllreduceKind::kTree) {
-    SimulateTree(group, inputs, starts, scratch, sum, st);
-  } else {
-    Simulate(Schedule(kind, group.size()), group, inputs, starts, scratch,
-             sum, st);
-  }
+  Simulate(Schedule(kind, group.size()), group, inputs, starts, scratch, sum,
+           st);
 }
 
 /// Shared half of the fault protocol: applies per-member entry delays, then
@@ -333,7 +270,6 @@ std::string AllreduceAlgorithm::Name() const {
     case AllreduceKind::kNaive: return "naive";
     case AllreduceKind::kRing: return "ring";
     case AllreduceKind::kPsr: return "psr";
-    case AllreduceKind::kTree: return "tree";
   }
   return "?";
 }
@@ -358,7 +294,7 @@ std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(AllreduceKind kind) {
 
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(const std::string& name) {
   for (const auto kind : {AllreduceKind::kNaive, AllreduceKind::kRing,
-                          AllreduceKind::kPsr, AllreduceKind::kTree}) {
+                          AllreduceKind::kPsr}) {
     if (ToLower(name) == AllreduceAlgorithm(kind).Name()) {
       return MakeAllreduce(kind);
     }

@@ -18,9 +18,7 @@
 // Each of the paper's algorithms (psr, ring, naive) is one schedule in
 // comm/schedule.hpp; the simulator executor behind ReduceDense/ReduceSparse
 // prices it and the wire executor (comm/wire_allreduce.hpp) runs it over
-// real messages. The binomial tree, a baseline outside the paper, forwards
-// per-member subtree sums rather than blocks and is simulated on its own
-// (collective.cpp); the wire does not run it.
+// real messages.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +58,7 @@ struct CommStats {
   std::size_t bytes_sent = 0;
   /// Serialized communication rounds (hops) the algorithm performed: 2 for
   /// PSR/naive (scatter-reduce + allgather / gather + bcast), 2(N-1) for the
-  /// ring, 2 ceil(log2 N) for the tree.
+  /// ring.
   std::size_t rounds = 0;
 
   /// Max finish minus max start: the wall-clock the collective added.
@@ -97,10 +95,6 @@ struct AllreduceScratch {
              std::vector<linalg::SparseBlockFold>>
       folds;
   std::vector<GroupRank> folded;  // sources folded into each block
-  // Tree only: each member's subtree sum.
-  std::tuple<std::vector<linalg::DenseVector>,
-             std::vector<linalg::SparseVector>>
-      partials;
 };
 
 /// Fault-injection context for ReduceDense/ReduceSparse.
@@ -139,11 +133,10 @@ struct FaultContext {
   CommStats sub_stats;
 };
 
-/// kTree keeps its value 4 from when 3 was recursive halving-doubling.
-enum class AllreduceKind { kNaive, kRing, kPsr, kTree = 4 };
+enum class AllreduceKind { kNaive, kRing, kPsr };
 
 /// One allreduce algorithm: its schedule (comm/schedule.hpp) run by the
-/// simulator executor, or for kTree the binomial tree.
+/// simulator executor.
 class AllreduceAlgorithm {
  public:
   explicit AllreduceAlgorithm(AllreduceKind kind) : kind_(kind) {}
@@ -175,7 +168,7 @@ class AllreduceAlgorithm {
   AllreduceKind kind_;
 };
 
-/// Factory; names: "naive", "ring", "psr", "tree".
+/// Factory; names: "naive", "ring", "psr".
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(AllreduceKind kind);
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(const std::string& name);
 

@@ -43,14 +43,6 @@ void ReduceToLeader(const GroupComm& group, GroupRank leader,
   }
 }
 
-ReduceResult ReduceToLeader(const GroupComm& group, GroupRank leader,
-                            std::span<const linalg::DenseVector> inputs,
-                            std::span<const simnet::VirtualTime> starts) {
-  ReduceResult out;
-  ReduceToLeader(group, leader, inputs, starts, out);
-  return out;
-}
-
 void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
                          std::size_t num_elements,
                          simnet::VirtualTime leader_start,
@@ -72,14 +64,6 @@ void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
     ++out.messages_sent;
   }
   out.finish_times[leader] = clock;
-}
-
-BroadcastResult BroadcastFromLeader(const GroupComm& group, GroupRank leader,
-                                    std::size_t num_elements,
-                                    simnet::VirtualTime leader_start) {
-  BroadcastResult out;
-  BroadcastFromLeader(group, leader, num_elements, leader_start, out);
-  return out;
 }
 
 }  // namespace psra::comm

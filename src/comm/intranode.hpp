@@ -24,12 +24,8 @@ struct ReduceResult {
 };
 
 /// Members send their vectors to `leader` (parallel sends, each priced on its
-/// own link); the leader reduces in ascending group-rank order.
-ReduceResult ReduceToLeader(const GroupComm& group, GroupRank leader,
-                            std::span<const linalg::DenseVector> inputs,
-                            std::span<const simnet::VirtualTime> starts);
-
-/// In-place overload: fills `out`, reusing its buffers across calls.
+/// own link); the leader reduces in ascending group-rank order. Fills `out`,
+/// reusing its buffers across calls.
 void ReduceToLeader(const GroupComm& group, GroupRank leader,
                     std::span<const linalg::DenseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
@@ -42,12 +38,8 @@ struct BroadcastResult {
   std::size_t messages_sent = 0;
 };
 
-/// Leader serializes one message per member (ascending group rank).
-BroadcastResult BroadcastFromLeader(const GroupComm& group, GroupRank leader,
-                                    std::size_t num_elements,
-                                    simnet::VirtualTime leader_start);
-
-/// In-place overload: fills `out`, reusing its buffers across calls.
+/// Leader serializes one message per member (ascending group rank). Fills
+/// `out`, reusing its buffers across calls.
 void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
                          std::size_t num_elements,
                          simnet::VirtualTime leader_start,

@@ -27,10 +27,6 @@
 //   naive  one block. gather: every rank sends its vector to rank 0, which
 //          folds ranks 0..n-1; broadcast: rank 0 sends the sum to every rank.
 //
-// The binomial tree, a baseline outside the paper, forwards subtree sums
-// rather than blocks; it has no schedule and only the simulator runs it
-// (collective.cpp).
-//
 // Three rules keep the two backends and the payload kinds bitwise equal
 // (DESIGN.md §11):
 //   1. dense psr and naive folds start from zeros; ring and every sparse
@@ -60,10 +56,7 @@ struct SchedulePhase {
 
 class Schedule {
  public:
-  Schedule(AllreduceKind kind, GroupRank n) : kind_(kind), n_(n) {
-    PSRA_REQUIRE(kind != AllreduceKind::kTree,
-                 "schedules cover psr, ring and naive; tree has none");
-  }
+  Schedule(AllreduceKind kind, GroupRank n) : kind_(kind), n_(n) {}
 
   GroupRank num_blocks() const {
     return kind_ == AllreduceKind::kNaive ? 1 : n_;
@@ -87,8 +80,6 @@ class Schedule {
       case AllreduceKind::kNaive:
         return p == 0 ? SchedulePhase{"gather", true, true, true}
                       : SchedulePhase{"broadcast", false, false, false};
-      case AllreduceKind::kTree:
-        break;
     }
     throw InvalidArgument("unknown allreduce kind");
   }
@@ -120,8 +111,6 @@ class Schedule {
           for (GroupRank to = 1; to < n_; ++to) fn(to, GroupRank{0});
         }
         return;
-      case AllreduceKind::kTree:
-        return;
     }
   }
 
@@ -149,8 +138,6 @@ class Schedule {
           for (GroupRank from = 0; from < n_; ++from) fn(from, GroupRank{0});
         }
         if (p == 1 && to != 0) fn(GroupRank{0}, GroupRank{0});
-        return;
-      case AllreduceKind::kTree:
         return;
     }
   }

@@ -10,6 +10,7 @@
 
 #include "admm/ad_admm.hpp"
 #include "admm/admmlib.hpp"
+#include "admm/checkpoint.hpp"
 #include "admm/gadmm.hpp"
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
@@ -555,6 +556,53 @@ TEST(Registry, UnknownNameThrows) {
   const auto cluster = TinyCluster(1, 2);
   const auto p = BuildProblem(TinySpec(), cluster.world_size());
   EXPECT_THROW(RunAlgorithm("sgd", cluster, p, ShortRun(1)), InvalidArgument);
+}
+
+// An engine rejects a RunOptions feature it does not implement instead of
+// silently running without it: residual-based stopping and adaptive rho
+// exist only in PSRA-HGADMM, and only the engines whose state a
+// RunCheckpoint holds can capture one.
+TEST(Registry, EnginesRejectOptionsTheyDoNotImplement) {
+  const auto cluster = TinyCluster(2, 2);
+  const auto p = BuildProblem(TinySpec(), cluster.world_size());
+  RunCheckpoint ckpt;
+  const struct {
+    const char* algorithm;
+    const char* option;
+    bool accepted;
+  } cases[] = {
+      {"psra-hgadmm", "stopping", true},
+      {"psra-hgadmm", "adaptive_rho", true},
+      {"psra-hgadmm", "checkpoint_out", true},
+      {"admmlib", "stopping", false},
+      {"admmlib", "adaptive_rho", false},
+      {"admmlib", "checkpoint_out", true},
+      {"ad-admm", "stopping", false},
+      {"ad-admm", "adaptive_rho", false},
+      {"ad-admm", "checkpoint_out", false},
+      {"gadmm", "stopping", false},
+      {"gadmm", "adaptive_rho", false},
+      {"gadmm", "checkpoint_out", false},
+      {"q-gadmm", "stopping", false},
+  };
+  for (const auto& c : cases) {
+    RunOptions opt = ShortRun(2);
+    const std::string option = c.option;
+    if (option == "stopping") opt.stopping.enabled = true;
+    if (option == "adaptive_rho") opt.adaptive_rho.enabled = true;
+    if (option == "checkpoint_out") {
+      opt.checkpoint_out = &ckpt;
+      opt.checkpoint_at = 1;
+    }
+    if (c.accepted) {
+      EXPECT_NO_THROW(RunAlgorithm(c.algorithm, cluster, p, opt))
+          << c.algorithm << " " << c.option;
+    } else {
+      EXPECT_THROW(RunAlgorithm(c.algorithm, cluster, p, opt),
+                   InvalidArgument)
+          << c.algorithm << " " << c.option;
+    }
+  }
 }
 
 // ------------------------------------------------- paper-shape properties ----

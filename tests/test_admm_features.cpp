@@ -337,7 +337,7 @@ class ExtraCollectiveInAdmm
 
 TEST_P(ExtraCollectiveInAdmm, ProducesSameModelAsPsr) {
   // In full-barrier mode the collective choice must not change the math.
-  const auto cluster = TinyCluster(5, 1);  // odd: uneven blocks, partial tree
+  const auto cluster = TinyCluster(5, 1);  // odd: uneven blocks
   const auto p = BuildProblem(TinySpec(), cluster.world_size());
   RunOptions opt;
   opt.max_iterations = 8;
@@ -355,8 +355,7 @@ TEST_P(ExtraCollectiveInAdmm, ProducesSameModelAsPsr) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ExtraCollectiveInAdmm,
-                         ::testing::Values(comm::AllreduceKind::kTree,
-                                           comm::AllreduceKind::kNaive,
+                         ::testing::Values(comm::AllreduceKind::kNaive,
                                            comm::AllreduceKind::kRing));
 
 }  // namespace

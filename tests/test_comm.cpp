@@ -326,8 +326,7 @@ INSTANTIATE_TEST_SUITE_P(
     KindsAndSizes, AllreduceCorrectness,
     ::testing::Combine(::testing::Values(AllreduceKind::kNaive,
                                          AllreduceKind::kRing,
-                                         AllreduceKind::kPsr,
-                                         AllreduceKind::kTree),
+                                         AllreduceKind::kPsr),
                        ::testing::Values(1, 2, 3, 5, 8, 16)));
 
 // ------------------------------------------------ paper cost analysis ----
@@ -513,19 +512,8 @@ INSTANTIATE_TEST_SUITE_P(
     KindsAndSeeds, RandomStartProperty,
     ::testing::Combine(::testing::Values(AllreduceKind::kNaive,
                                          AllreduceKind::kRing,
-                                         AllreduceKind::kPsr,
-                                         AllreduceKind::kTree),
+                                         AllreduceKind::kPsr),
                        ::testing::Range(0, 6)));
-
-TEST(ExtraCollectives, MessageCountsMatchTheory) {
-  // Tree sends N-1 messages up and N-1 down in total.
-  const std::uint32_t n = 8;
-  Fixture f(n);
-  std::vector<DenseVector> inputs(n, DenseVector(64, 1.0));
-  const auto tree = Reduce(AllreduceKind::kTree, f.group, inputs,
-                           ZeroStarts(n));
-  EXPECT_EQ(tree.messages_sent, 2 * (n - 1));
-}
 
 TEST(Collective, InputValidation) {
   Fixture f(3);
@@ -538,7 +526,8 @@ TEST(Collective, InputValidation) {
                InvalidArgument);
   EXPECT_THROW(MakeAllreduce("bogus"), InvalidArgument);
   EXPECT_EQ(MakeAllreduce("PSR")->kind(), AllreduceKind::kPsr);
-  EXPECT_EQ(MakeAllreduce("tree")->kind(), AllreduceKind::kTree);
+  // Only the schedule-backed algorithms (naive, ring, psr) have names.
+  EXPECT_THROW(MakeAllreduce("tree"), InvalidArgument);
 }
 
 // ------------------------------------------------------------ intranode ----
@@ -550,7 +539,8 @@ TEST(IntraNode, ReduceToLeaderSumsAndTimes) {
   const GroupComm g(&topo, &cost, {0, 1, 2, 3});
 
   std::vector<DenseVector> inputs(4, DenseVector(16, 1.0));
-  const auto res = ReduceToLeader(g, 0, inputs, ZeroStarts(4));
+  ReduceResult res;
+  ReduceToLeader(g, 0, inputs, ZeroStarts(4), res);
   EXPECT_EQ(res.value, DenseVector(16, 4.0));
   // Bus theta_d = 8/160 = 0.05; three parallel 16-element sends.
   EXPECT_NEAR(res.leader_ready, 16 * 0.05, 1e-9);
@@ -561,7 +551,8 @@ TEST(IntraNode, BroadcastSerializesFromLeader) {
   const Topology topo(1, 3);
   const simnet::CostModel cost(Fixture::MakeConfig());
   const GroupComm g(&topo, &cost, {0, 1, 2});
-  const auto res = BroadcastFromLeader(g, 0, 16, 10.0);
+  BroadcastResult res;
+  BroadcastFromLeader(g, 0, 16, 10.0, res);
   const double t = 16 * 0.05;
   EXPECT_NEAR(res.finish_times[1], 10.0 + t, 1e-9);
   EXPECT_NEAR(res.finish_times[2], 10.0 + 2 * t, 1e-9);
@@ -574,7 +565,8 @@ TEST(IntraNode, LeaderStartGatesReduce) {
   const GroupComm g(&topo, &cost, {0, 1});
   std::vector<DenseVector> inputs(2, DenseVector(4, 1.0));
   std::vector<VirtualTime> starts{50.0, 0.0};
-  const auto res = ReduceToLeader(g, 0, inputs, starts);
+  ReduceResult res;
+  ReduceToLeader(g, 0, inputs, starts, res);
   EXPECT_GE(res.leader_ready, 50.0);
 }
 

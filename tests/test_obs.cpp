@@ -663,8 +663,8 @@ TEST(EngineTimeline, EveryEngineRecordsItsSeriesTaxonomy) {
     opt.obs = &obs;
     const auto res = admm::RunAlgorithm(c.algorithm, cluster, problem, opt);
     // One row per completed update round — engine.iterations is the
-    // cross-family iteration count (the async master leaves
-    // RunResult::iterations_run at 0 by design).
+    // cross-family iteration count (the async master's is its z-update
+    // count, as is its RunResult::iterations_run).
     EXPECT_EQ(obs.timeline.rows(),
               res.metrics.counters().at("engine.iterations"))
         << c.algorithm;
@@ -677,6 +677,132 @@ TEST(EngineTimeline, EveryEngineRecordsItsSeriesTaxonomy) {
     EXPECT_EQ(obs.timeline.series().size(), c.series.size()) << c.algorithm;
     std::ostringstream os;
     EXPECT_NO_THROW(obs.timeline.WriteJsonl(os)) << c.algorithm;
+  }
+}
+
+// One epilogue writes every engine's run summary and trace records: with
+// obs attached, each engine publishes exactly the same 16 summary keys, they
+// agree with its RunResult, and each trace record's objective, rho and
+// residuals are that iteration's timeline samples, bit for bit, wherever the
+// engine records the series. Message drops and delays make the fault
+// counters of the engines that model them nonzero.
+TEST(EngineEpilogue, EveryEngineWritesOneSummaryAndMatchingTraceRows) {
+  const auto problem = BuildProblem(ObsSpec(), 8);
+  admm::ClusterConfig cluster;
+  cluster.num_nodes = 4;
+  cluster.workers_per_node = 2;
+  cluster.fault.message_drop_probability = 0.1;
+  cluster.fault.max_retries = 12;
+  cluster.fault.message_delay_probability = 0.2;
+  cluster.fault.message_delay_s = 1e-4;
+  RunOptions opt;
+  opt.max_iterations = 5;
+  opt.eval_every = 2;
+
+  const std::vector<std::string> want = {
+      "counters.engine.censored_sends",
+      "counters.engine.iterations",
+      "counters.fault.delayed_messages",
+      "counters.fault.down_worker_iterations",
+      "counters.fault.dropped_messages",
+      "counters.fault.leader_deaths",
+      "counters.fault.leader_reelections",
+      "counters.fault.recoveries",
+      "counters.fault.retries",
+      "counters.fault.worker_crashes",
+      "gauges.run.cal_time_s",
+      "gauges.run.comm_time_s",
+      "gauges.run.iterations",
+      "gauges.run.makespan_s",
+      "gauges.stopping.converged",
+      "gauges.stopping.iterations_to_tolerance",
+  };
+  const auto is_summary = [](const std::string& key) {
+    for (const char* p : {"engine.", "fault.", "run.", "stopping."}) {
+      if (key.rfind(p, 0) == 0) return true;
+    }
+    return false;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+
+  for (const std::string& name : admm::AlgorithmNames()) {
+    obs::ObsContext obs;
+    obs.tracing = false;
+    opt.obs = &obs;
+    const RunResult res = admm::RunAlgorithm(name, cluster, problem, opt);
+    const auto& counters = res.metrics.counters();
+    const auto& gauges = res.metrics.gauges();
+
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : counters) {
+      if (is_summary(key)) keys.push_back("counters." + key);
+    }
+    for (const auto& [key, value] : gauges) {
+      if (is_summary(key)) keys.push_back("gauges." + key);
+    }
+    ASSERT_EQ(keys, want) << name;
+
+    EXPECT_EQ(counters.at("engine.iterations"), res.iterations_run) << name;
+    EXPECT_EQ(counters.at("engine.censored_sends"), res.censored_sends)
+        << name;
+    const admm::FaultStats& f = res.faults;
+    EXPECT_EQ(counters.at("fault.worker_crashes"), f.worker_crashes) << name;
+    EXPECT_EQ(counters.at("fault.recoveries"), f.recoveries) << name;
+    EXPECT_EQ(counters.at("fault.leader_deaths"), f.leader_deaths) << name;
+    EXPECT_EQ(counters.at("fault.leader_reelections"), f.leader_reelections)
+        << name;
+    EXPECT_EQ(counters.at("fault.dropped_messages"), f.dropped_messages)
+        << name;
+    EXPECT_EQ(counters.at("fault.retries"), f.retries) << name;
+    EXPECT_EQ(counters.at("fault.delayed_messages"), f.delayed_messages)
+        << name;
+    EXPECT_EQ(counters.at("fault.down_worker_iterations"),
+              f.down_worker_iterations)
+        << name;
+    EXPECT_TRUE(same_bits(gauges.at("run.makespan_s"), res.makespan)) << name;
+    EXPECT_TRUE(same_bits(gauges.at("run.cal_time_s"), res.total_cal_time))
+        << name;
+    EXPECT_TRUE(same_bits(gauges.at("run.comm_time_s"), res.total_comm_time))
+        << name;
+    EXPECT_EQ(gauges.at("run.iterations"),
+              static_cast<double>(res.iterations_run))
+        << name;
+    EXPECT_EQ(gauges.at("stopping.converged"), res.stopped_early ? 1.0 : 0.0)
+        << name;
+    EXPECT_EQ(gauges.at("stopping.iterations_to_tolerance"),
+              res.stopped_early ? static_cast<double>(res.iterations_run)
+                                : 0.0)
+        << name;
+
+    ASSERT_FALSE(res.trace.empty()) << name;
+    const obs::TimeSeries* objective = obs.timeline.Find("ts.objective");
+    const obs::TimeSeries* rho = obs.timeline.Find("ts.rho");
+    const obs::TimeSeries* primal = obs.timeline.Find("ts.primal_residual");
+    const obs::TimeSeries* dual = obs.timeline.Find("ts.dual_residual");
+    ASSERT_NE(objective, nullptr) << name;
+    ASSERT_NE(rho, nullptr) << name;
+    for (const auto& rec : res.trace) {
+      std::size_t row = 0;
+      while (row < obs.timeline.rows() &&
+             obs.timeline.IterationAt(row) != rec.iteration) {
+        ++row;
+      }
+      ASSERT_LT(row, obs.timeline.rows()) << name << " " << rec.iteration;
+      EXPECT_TRUE(same_bits(rec.objective, (*objective)[row]))
+          << name << " " << rec.iteration;
+      EXPECT_TRUE(same_bits(rec.rho, (*rho)[row]))
+          << name << " " << rec.iteration;
+      if (primal != nullptr) {
+        EXPECT_TRUE(same_bits(rec.primal_residual, (*primal)[row]))
+            << name << " " << rec.iteration;
+      }
+      if (dual != nullptr) {
+        EXPECT_TRUE(same_bits(rec.dual_residual, (*dual)[row]))
+            << name << " " << rec.iteration;
+      }
+    }
   }
 }
 

@@ -459,19 +459,6 @@ TEST(WireFrames, MalformedDenseFramesThrow) {
   }
 }
 
-// The binomial tree has no schedule, so the wire refuses it before sending.
-TEST(WireSchedules, TreeHasNone) {
-  InprocMesh mesh(2);
-  WireCollectives wc(mesh.endpoint(0), ElemPricing{});
-  const std::vector<Transport::Rank> members{0, 1};
-  DenseVector out;
-  WireStats st;
-  EXPECT_THROW(wc.AllreduceDense(AllreduceKind::kTree, members,
-                                 DenseVector(4, 1.0), out, st),
-               psra::InvalidArgument);
-  EXPECT_EQ(mesh.endpoint(0).stats().messages_posted, 0u);
-}
-
 // --- observability collection plane ---------------------------------------
 
 TEST(WireObsCollection, FourRankPlaneMergesMetricsAndLanes) {
