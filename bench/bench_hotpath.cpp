@@ -65,36 +65,19 @@ std::uint64_t RunOnce(const admm::ConsensusProblem& problem,
   return res.iterations_run;
 }
 
-Measurement Measure(const admm::ConsensusProblem& problem,
-                    const admm::PsraConfig& cfg, engine::ThreadPool* pool,
-                    std::uint64_t k1, std::uint64_t k2, int reps) {
-  // Warm-up run: populates every lazily grown workspace so the measured
-  // runs see steady state from iteration one.
+/// Steady-state allocations per iteration by the delta method; the run
+/// before the counted ones populates every lazily grown workspace.
+double AllocsPerIter(const admm::ConsensusProblem& problem,
+                     const admm::PsraConfig& cfg, engine::ThreadPool* pool,
+                     std::uint64_t k1, std::uint64_t k2) {
   (void)RunOnce(problem, cfg, pool, k1);
-
   const std::uint64_t a0 = engine::AllocCount();
   (void)RunOnce(problem, cfg, pool, k1);
   const std::uint64_t a1 = engine::AllocCount();
-
-  Measurement m;
-  // Best-of-`reps` wall time: the minimum is the standard estimator least
-  // affected by scheduler/co-tenant interference. Allocations are counted
-  // on the first rep only (they are deterministic across reps).
-  double best_secs = 0.0;
-  std::uint64_t a2 = a1;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    m.iterations = RunOnce(problem, cfg, pool, k2);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (rep == 0) a2 = engine::AllocCount();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    if (rep == 0 || secs < best_secs) best_secs = secs;
-  }
-  m.iters_per_sec =
-      best_secs > 0 ? static_cast<double>(m.iterations) / best_secs : 0.0;
-  m.allocs_per_iter = static_cast<double>((a2 - a1) - (a1 - a0)) /
-                      static_cast<double>(k2 - k1);
-  return m;
+  (void)RunOnce(problem, cfg, pool, k2);
+  const std::uint64_t a2 = engine::AllocCount();
+  return static_cast<double>((a2 - a1) - (a1 - a0)) /
+         static_cast<double>(k2 - k1);
 }
 
 void EmitJson(std::ostream& os, const std::string& grouping,
@@ -141,6 +124,8 @@ int main(int argc, char** argv) {
   struct Row {
     std::string grouping;
     std::string host;
+    admm::PsraConfig cfg;
+    engine::ThreadPool* pool = nullptr;
     Measurement m;
   };
   std::vector<Row> rows;
@@ -149,10 +134,31 @@ int main(int argc, char** argv) {
     const std::string gname =
         grouping == admm::GroupingMode::kFlat ? "flat" : "dynamic";
     const auto cfg = MakeConfig(grouping);
-    rows.push_back(
-        {gname, "serial", Measure(problem, cfg, nullptr, k1, k2, reps)});
-    rows.push_back({gname, "pool" + std::to_string(threads),
-                    Measure(problem, cfg, &pool, k1, k2, reps)});
+    rows.push_back({gname, "serial", cfg, nullptr, {}});
+    rows.push_back({gname, "pool" + std::to_string(threads), cfg, &pool, {}});
+  }
+  for (Row& row : rows) {
+    row.m.allocs_per_iter = AllocsPerIter(problem, row.cfg, row.pool, k1, k2);
+  }
+  // Best-of-`reps` wall time per row: the minimum is the standard estimator
+  // least affected by scheduler/co-tenant interference. Reps interleave
+  // across rows, so a noisy stretch of the host lands on every row (and on
+  // both sides of the dynamic/flat gap) instead of on one row's reps.
+  std::vector<double> best_secs(rows.size(), 0.0);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      rows[r].m.iterations = RunOnce(problem, rows[r].cfg, rows[r].pool, k2);
+      const auto t1 = std::chrono::steady_clock::now();
+      const double secs = std::chrono::duration<double>(t1 - t0).count();
+      if (rep == 0 || secs < best_secs[r]) best_secs[r] = secs;
+    }
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r].m.iters_per_sec =
+        best_secs[r] > 0
+            ? static_cast<double>(rows[r].m.iterations) / best_secs[r]
+            : 0.0;
   }
 
   for (const auto& row : rows) {

@@ -7,6 +7,7 @@
 #include "admm/instrument.hpp"
 #include "comm/intranode.hpp"
 #include "linalg/sparse_vector.hpp"
+#include "simnet/fault.hpp"
 #include "support/status.hpp"
 
 namespace psra::admm {
@@ -53,6 +54,8 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
                "ADMMLib has no residual-based stopping test");
   PSRA_REQUIRE(!options.adaptive_rho.enabled,
                "ADMMLib has no adaptive penalty");
+  PSRA_REQUIRE(simnet::FaultPlan(cfg_.cluster.fault).Empty(),
+               "ADMMLib models no faults; run it with an empty fault plan");
   const simnet::CostModel cost(cfg_.cluster.cost);
   const simnet::StragglerModel stragglers(topo, cfg_.cluster.straggler);
   const auto world = static_cast<std::size_t>(topo.world_size());
@@ -93,7 +96,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   obs::TimeSeries* const staleness = eo.Series("ts.ssp_staleness");
   CounterDelta rounds(eo, "ts.rounds", {lm.coll.rounds});
   // Residual state (observe-only: ComputeResiduals and MeanZInto recycle
-  // scratch and never touch algorithm state). On a warm start the
+  // scratch and caches and never touch algorithm state). On a warm start the
   // dual-residual reference is the restored consensus mean — what the
   // uninterrupted run would hold — so a split run's timeline rows match the
   // full run's exactly.
@@ -299,11 +302,10 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     }
 
     // ---- Residuals, timeline row, progress, trace record -----------------
-    // Sampled after the round's consensus + local updates; z_prev_mean is
-    // refreshed to this round's consensus mean, the model the row and the
-    // record evaluate.
-    const WorkerSet::Residuals res = ws.ComputeResiduals(z_prev_mean);
-    ws.MeanZInto(z_prev_mean);
+    // Sampled after the round's consensus + local updates; the call
+    // advances z_prev_mean to this round's consensus mean, the model the
+    // row and the record evaluate.
+    const WorkerSet::Residuals res = ws.ComputeResiduals(&z_prev_mean);
     epi.Row(k, z_prev_mean, ws.rho(), res.primal, res.dual);
     if (staleness != nullptr) {
       staleness->Append(static_cast<double>(nodes - participants.size()));

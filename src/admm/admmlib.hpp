@@ -13,7 +13,9 @@
 // non-participants — exactly SSP's stale-parameter behaviour, which is what
 // degrades ADMMLib's per-iteration convergence relative to the BSP
 // PSRA-HGADMM in Figure 5. Ring-Allreduce timing is charged to the
-// participants' Leaders.
+// participants' Leaders. ADMMLib models no faults: Run rejects a non-empty
+// ClusterConfig::fault (DESIGN.md §8), as it rejects stopping and adaptive
+// rho.
 #pragma once
 
 #include <string>

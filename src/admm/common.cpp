@@ -40,11 +40,17 @@ WorkerSet::WorkerSet(const ConsensusProblem* problem,
   y_.assign(n, linalg::DenseVector(d, 0.0));
   w_.assign(n, linalg::DenseVector(d, 0.0));
   z_.assign(n, linalg::DenseVector(d, 0.0));
+  norm_primal_.assign(n, 0.0);
+  norm_x_.assign(n, 0.0);
+  norm_y_.assign(n, 0.0);
+  norms_fresh_.assign(n, 0);
+  stale_.reserve(n);
 }
 
 double WorkerSet::XWStep(std::size_t i) {
   PSRA_REQUIRE(i < local_.size(), "worker index out of range");
   solver::FlopCounter flops;
+  norms_fresh_[i] = 0;
   local_[i].Solve(x_[i], y_[i], z_[i], rho_, options_->tron, &flops);
   solver::WLocal(rho_, x_[i], y_[i], w_[i], &flops);
   return flops.flops;
@@ -92,6 +98,7 @@ void WorkerSet::RestoreWorker(std::size_t i, const linalg::DenseVector& x,
   x_[i] = x;
   y_[i] = y;
   z_[i] = z;
+  norms_fresh_[i] = 0;
   solver::WLocal(rho_, x_[i], y_[i], w_[i], /*flops=*/nullptr);
 }
 
@@ -104,6 +111,7 @@ double WorkerSet::ZYStep(std::size_t i, std::span<const double> W,
   zcfg.lambda = problem_->lambda;
   zcfg.rho = rho_;
   zcfg.num_workers = num_contributors;
+  norms_fresh_[i] = 0;
   solver::ZYUpdate(zcfg, W, x_[i], z_[i], y_[i], &flops);
   return flops.flops;
 }
@@ -138,11 +146,13 @@ void WorkerSet::ZYStepAll(std::span<const simnet::Rank> ranks,
 
 double WorkerSet::ZYStepFrom(std::size_t i, std::size_t src) {
   PSRA_REQUIRE(i < z_.size() && src < z_.size(), "worker index out of range");
-  solver::FlopCounter flops;
-  flops.Add(3.0 * static_cast<double>(z_[src].size()));  // ZUpdate's charge
-  z_[i] = z_[src];
-  solver::YUpdate(rho_, x_[i], z_[i], y_[i], &flops);
-  return flops.flops;
+  // ZUpdate's and YUpdate's charges; the norms ride along uncharged, as the
+  // residuals always have.
+  const auto d = static_cast<double>(z_[src].size());
+  linalg::CopyZUpdateY(rho_, x_[i], z_[src], z_[i], y_[i], norm_primal_[i],
+                       norm_x_[i], norm_y_[i]);
+  norms_fresh_[i] = 1;
+  return 3.0 * d + 3.0 * d;
 }
 
 void WorkerSet::SetRho(double rho) {
@@ -155,20 +165,24 @@ WorkerSet::Residuals WorkerSet::ComputeResiduals(
   PSRA_REQUIRE(z_prev_mean.size() == dim(), "z_prev dimension mismatch");
   const std::size_t n = x_.size();
 
-  // Per-worker norms are independent, so they can run on the pool; the
-  // squares are then folded serially in ascending worker order, which keeps
-  // the sums bitwise-identical to a fully serial pass.
-  norm_primal_.resize(n);
-  norm_x_.resize(n);
-  norm_y_.resize(n);
-  auto body = [&](std::size_t i) {
+  // Re-stream only the workers whose cached norms are stale. Per-worker
+  // norms are independent, so they can run on the pool (when there is more
+  // than one); the squares are then folded serially in ascending worker
+  // order, which keeps the sums bitwise-identical to a fully serial pass.
+  stale_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (norms_fresh_[i] == 0) stale_.push_back(i);
+  }
+  auto body = [&](std::size_t k) {
+    const std::size_t i = stale_[k];
     linalg::DistanceAndNorms(x_[i], z_[i], y_[i], norm_primal_[i], norm_x_[i],
                              norm_y_[i]);
+    norms_fresh_[i] = 1;
   };
-  if (options_->pool != nullptr) {
-    options_->pool->ParallelFor(n, body);
+  if (options_->pool != nullptr && stale_.size() > 1) {
+    options_->pool->ParallelFor(stale_.size(), body);
   } else {
-    engine::SerialFor(n, body);
+    engine::SerialFor(stale_.size(), body);
   }
 
   Residuals res;
@@ -185,6 +199,14 @@ WorkerSet::Residuals WorkerSet::ComputeResiduals(
   res.x_norm = std::sqrt(x_sq);
   res.y_norm = std::sqrt(y_sq);
   res.z_norm = sqrt_n * linalg::Norm2(mean_scratch_);
+  return res;
+}
+
+WorkerSet::Residuals WorkerSet::ComputeResiduals(
+    linalg::DenseVector* z_mean) const {
+  PSRA_REQUIRE(z_mean != nullptr, "null consensus mean");
+  const Residuals res = ComputeResiduals(std::span<const double>(*z_mean));
+  z_mean->swap(mean_scratch_);  // this iteration's mean, no copy
   return res;
 }
 

@@ -166,10 +166,13 @@ class WorkerSet {
   std::uint64_t size() const { return problem_->num_workers(); }
   std::uint64_t dim() const { return problem_->dim(); }
 
-  linalg::DenseVector& x(std::size_t i) { return x_[i]; }
-  linalg::DenseVector& y(std::size_t i) { return y_[i]; }
+  /// Mutable access to x, y and z drops the worker's cached residual norms
+  /// (see ComputeResiduals), so write through the returned reference before
+  /// the worker's next ZYStepFrom, not after it.
+  linalg::DenseVector& x(std::size_t i) { return Touch(i, x_); }
+  linalg::DenseVector& y(std::size_t i) { return Touch(i, y_); }
   linalg::DenseVector& w(std::size_t i) { return w_[i]; }
-  linalg::DenseVector& z(std::size_t i) { return z_[i]; }
+  linalg::DenseVector& z(std::size_t i) { return Touch(i, z_); }
   const linalg::DenseVector& x(std::size_t i) const { return x_[i]; }
   const linalg::DenseVector& y(std::size_t i) const { return y_[i]; }
   const linalg::DenseVector& z(std::size_t i) const { return z_[i]; }
@@ -223,7 +226,8 @@ class WorkerSet {
   /// The copy half of the ZYStepAll shortcut, exposed for callers that batch
   /// the consensus update across groups themselves: worker i adopts worker
   /// `src`'s freshly computed z (bitwise-identical to recomputing it — z
-  /// depends only on the shared aggregate) and runs its own y-update.
+  /// depends only on the shared aggregate) and runs its own y-update. The
+  /// same sweep caches worker i's residual norms for ComputeResiduals.
   /// Returns the virtual flops of the full computation being replaced.
   double ZYStepFrom(std::size_t i, std::size_t src);
 
@@ -249,7 +253,15 @@ class WorkerSet {
     double y_norm = 0.0;  // sqrt(sum_i ||y_i||^2)
     double z_norm = 0.0;  // sqrt(N) * ||z_mean||
   };
+  /// Per-worker norms come from a cache that ZYStepFrom's sweep fills; only
+  /// workers whose x, y or z changed since (XWStep, ZYStep, RestoreWorker, a
+  /// mutable accessor) or that never took the sweep are re-streamed. Every
+  /// result is bitwise what re-streaming all workers gives.
   Residuals ComputeResiduals(std::span<const double> z_prev_mean) const;
+  /// Same residuals against `*z_mean`, which holds the previous consensus
+  /// mean on entry and this iteration's mean (bitwise MeanZInto) on return:
+  /// the dual residual needs that mean anyway, so callers skip MeanZInto.
+  Residuals ComputeResiduals(linalg::DenseVector* z_mean) const;
 
   /// Evaluates the Boyd-style stopping test.
   static bool ShouldStop(const StoppingConfig& cfg, const Residuals& res,
@@ -264,10 +276,21 @@ class WorkerSet {
   double rho_;
   std::vector<LocalSolver> local_;
   std::vector<linalg::DenseVector> x_, y_, w_, z_;
-  // Reduction scratch. Mutable because it is a cache: const methods
-  // (ComputeResiduals, MeanZInto) recycle it instead of allocating per call.
+  linalg::DenseVector& Touch(std::size_t i,
+                             std::vector<linalg::DenseVector>& v) {
+    norms_fresh_[i] = 0;
+    return v[i];
+  }
+
+  // Reduction scratch and the per-worker norm cache. Mutable because they
+  // are caches: const methods (ComputeResiduals, MeanZInto) recycle them
+  // instead of allocating per call. norm_*_[i] hold ||x_i - z_i||, ||x_i||
+  // and ||y_i|| of the current state while norms_fresh_[i] is set (a char
+  // per worker, so pooled steps write disjoint bytes).
   mutable linalg::DenseVector mean_scratch_;
   mutable std::vector<double> norm_primal_, norm_x_, norm_y_;
+  mutable std::vector<char> norms_fresh_;
+  mutable std::vector<std::size_t> stale_;
 };
 
 }  // namespace psra::admm

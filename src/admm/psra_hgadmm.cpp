@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "admm/checkpoint.hpp"
 #include "admm/instrument.hpp"
@@ -46,13 +47,13 @@ std::string PsraHgAdmm::Name() const {
 
 namespace {
 
-/// Per-run workspace for the inter-node allreduce: sparse conversion
-/// buffers, the collective's scratch, and the result fields. One instance
-/// lives across all iterations of Run, so the steady-state exchange is
-/// allocation-free.
+/// Per-run workspace for the inter-node allreduce: the sparse inputs, the
+/// collective's scratch, and the result fields. One instance lives across
+/// all iterations of Run, so the steady-state exchange is allocation-free.
 struct InterWorkspace {
   comm::AllreduceScratch scratch;
   comm::CommStats stats;
+  /// One packed input per member (sparse comm), filled by the caller.
   std::vector<linalg::SparseVector> sparse_inputs;
   linalg::SparseVector sparse_sum;
   /// Dense group sum (the aggregate W); finish times live in stats.
@@ -104,21 +105,18 @@ void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
   faults.delayed_messages += fc.delayed_messages;
 }
 
-/// Runs one inter-node allreduce over `w_inputs` (one dense vector per group
-/// member), leaving the dense sum, per-member finish times and traffic in
-/// `ws`. It runs as one collective over `group` under `fc` (a null or empty
-/// plan is exactly the fault-free collective), or, with a non-null `ml`, as
-/// the recursive node -> rack -> cluster collective, which takes no faults.
+/// Runs one inter-node allreduce over one input per group member: the
+/// packed `ws.sparse_inputs` with sparse comm, `w_inputs` otherwise. Leaves
+/// the dense sum, per-member finish times and traffic in `ws`. It runs as
+/// one collective over `group` under `fc` (a null or empty plan is exactly
+/// the fault-free collective), or, with a non-null `ml`, as the recursive
+/// node -> rack -> cluster collective, which takes no faults.
 void RunInterAllreduce(const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
                        std::span<const simnet::VirtualTime> starts,
                        const comm::GroupComm* group, comm::FaultContext* fc,
                        comm::MultiLevelAllreduce* ml, InterWorkspace& ws) {
   if (sparse_comm) {
-    ws.sparse_inputs.resize(w_inputs.size());
-    for (std::size_t i = 0; i < w_inputs.size(); ++i) {
-      ws.sparse_inputs[i].AssignFromDense(w_inputs[i]);
-    }
     if (ml != nullptr) {
       ml->ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch,
                        ws.sparse_sum, ws.stats);
@@ -140,16 +138,18 @@ void RunInterAllreduce(const comm::AllreduceAlgorithm& alg, bool sparse_comm,
 }
 
 /// One formed group's collective context: the member nodes and leaders,
-/// their input snapshots and start times, the communicator, the fault
-/// context, and the allreduce workspace. Slots are recycled across
-/// regrouping cycles by GroupSlotArena below, so a steady-state iteration
-/// leases fully warmed buffers.
+/// their start times, the communicator, the fault context, and the
+/// allreduce workspace. Slots are recycled across regrouping cycles by
+/// GroupSlotArena below, so a steady-state iteration leases fully warmed
+/// buffers.
 struct GroupSlot {
   InterWorkspace iw;
   comm::FaultContext fc;  // channel = the slot's place in formation order
-  std::vector<simnet::NodeId> members;      // member nodes, group order
-  std::vector<simnet::Rank> leaders;        // member leaders, group order
-  std::vector<linalg::DenseVector> inputs;  // leader aggregate snapshots
+  std::vector<simnet::NodeId> members;  // member nodes, group order
+  std::vector<simnet::Rank> leaders;    // member leaders, group order
+  // Dense comm: the member nodes' aggregates, swapped in for the collective
+  // and back out after it (iw.sparse_inputs likewise with sparse comm).
+  std::vector<linalg::DenseVector> inputs;
   std::vector<simnet::VirtualTime> starts;
   std::optional<comm::GroupComm> comm;  // rebound in place on reuse
   simnet::VirtualTime start = 0.0;      // earliest collective start
@@ -324,11 +324,13 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   std::vector<linalg::DenseVector> inputs;  // member w snapshots
   std::vector<simnet::VirtualTime> starts;
   // Hierarchical/dynamic scratch: per-node reduce results (plus survivor
-  // inputs for a node with a worker down), the pooled group lifecycle
-  // (cycle batch + size-keyed collective slots) and the flattened
-  // cross-group consensus-update work list.
+  // inputs for a node with a worker down, and the packed aggregate with
+  // sparse comm), the pooled group lifecycle (cycle batch + size-keyed
+  // collective slots) and the flattened cross-group consensus-update work
+  // list.
   const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<comm::ReduceResult> red(nodes);
+  std::vector<linalg::SparseVector> node_sparse(nodes);
   std::vector<std::vector<linalg::DenseVector>> node_inputs(nodes);
   std::vector<std::vector<simnet::VirtualTime>> node_starts(nodes);
   comm::BroadcastResult bc;
@@ -369,26 +371,31 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   const auto d_sz = static_cast<std::size_t>(problem.dim());
   std::vector<linalg::DenseVector> last_sent;
   linalg::DenseVector W_running;
+  // Delta scratch, one per concurrent sender: the hierarchical node phase
+  // censors every node on the pool; the flat path's serial loop uses [0].
+  std::vector<linalg::DenseVector> censor_scratch;
+  std::vector<char> node_censored(nodes, 0);
   if (censoring) {
     last_sent.assign(num_senders, linalg::DenseVector(d_sz, 0.0));
     W_running.assign(d_sz, 0.0);
+    censor_scratch.resize(nodes);
   }
   // Replaces the sender's raw aggregate with its delta (or zero when
   // censored) and reports whether it was censored.
-  linalg::DenseVector censor_scratch;
   auto apply_censoring = [&](std::size_t sender, std::uint64_t iter,
-                             linalg::DenseVector& value) {
-    linalg::Subtract(value, last_sent[sender], censor_scratch);
+                             linalg::DenseVector& value,
+                             linalg::DenseVector& scratch) {
+    linalg::Subtract(value, last_sent[sender], scratch);
     const double tau = cfg_.censor_threshold *
                        std::pow(cfg_.censor_decay, static_cast<double>(iter));
-    if (linalg::Norm2(censor_scratch) < tau) {
-      linalg::SetZero(censor_scratch);
-      value = censor_scratch;
-      ++result.censored_sends;
-      return;
+    if (linalg::Norm2(scratch) < tau) {
+      linalg::SetZero(scratch);
+      value = scratch;
+      return true;
     }
     last_sent[sender] = value;
-    value = censor_scratch;
+    value = scratch;
+    return false;
   };
 
   PSRA_REQUIRE(!(censoring && faulty),
@@ -578,11 +585,25 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           for (std::size_t i = 0; i < world; ++i) {
             inputs[i] = ws.w(i);
             if (cfg_.mixed_precision) linalg::RoundToFloat(inputs[i]);
-            if (censoring) apply_censoring(i, iter, inputs[i]);
+            if (censoring &&
+                apply_censoring(i, iter, inputs[i], censor_scratch[0])) {
+              ++result.censored_sends;
+            }
           }
           w_inputs = inputs;
         }
         for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
+      }
+      if (cfg_.sparse_comm) {  // pack every member's input on the pool
+        iw.sparse_inputs.resize(w_inputs.size());
+        auto pack = [&](std::size_t m) {
+          iw.sparse_inputs[m].AssignFromDense(w_inputs[m]);
+        };
+        if (options.pool != nullptr) {
+          options.pool->ParallelFor(w_inputs.size(), pack);
+        } else {
+          engine::SerialFor(w_inputs.size(), pack);
+        }
       }
       RunInterAllreduce(*alg, cfg_.sparse_comm, w_inputs, starts, group, &fctx,
                         nullptr, iw);
@@ -679,6 +700,15 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         comm::ReduceToLeader(intra[n], intra[n].LocalRank(cur_leaders[n]), in,
                              st, red[n]);
+        // The node's collective input, prepared here once: censor, round to
+        // fp32 (mixed precision), then pack (sparse comm). The group
+        // collective reads it in place.
+        linalg::DenseVector& agg = red[n].value;
+        if (censoring) {
+          node_censored[n] = apply_censoring(n, iter, agg, censor_scratch[n]);
+        }
+        if (cfg_.mixed_precision) linalg::RoundToFloat(agg);
+        if (cfg_.sparse_comm) node_sparse[n].AssignFromDense(agg);
         if (walled) red_wall[n] = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -710,7 +740,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             }
           }
         }
-        if (censoring) apply_censoring(n, iter, red[n].value);
+        if (censoring) result.censored_sends += node_censored[n];
         leader_ready[n] = ledger[lead].clock;
       }
 
@@ -811,19 +841,34 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         slot.fc.delayed_messages = 0;
         gslots.push_back(&slot);
       }
+      // The collective reads the node aggregates in place: each member's is
+      // swapped into the slot's input vector for the call and back after
+      // it, so every buffer keeps its owner (and its capacity).
+      auto swap_inputs = [&](GroupSlot& slot) {
+        for (std::size_t j = 0; j < slot.members.size(); ++j) {
+          const simnet::NodeId n = slot.members[j];
+          if (cfg_.sparse_comm) {
+            std::swap(slot.iw.sparse_inputs[j], node_sparse[n]);
+          } else {
+            std::swap(slot.inputs[j], red[n].value);
+          }
+        }
+      };
       auto run_group = [&](std::size_t gi) {
         GroupSlot& slot = *gslots[gi];
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
         const std::size_t gsize = slot.members.size();
         slot.leaders.resize(gsize);
-        slot.inputs.resize(gsize);
+        if (cfg_.sparse_comm) {
+          slot.iw.sparse_inputs.resize(gsize);
+        } else {
+          slot.inputs.resize(gsize);
+        }
         slot.starts.resize(gsize);
         slot.contributors = 0;
         for (std::size_t j = 0; j < gsize; ++j) {
           const simnet::NodeId n = slot.members[j];
           slot.leaders[j] = cur_leaders[n];
-          slot.inputs[j] = red[n].value;
-          if (cfg_.mixed_precision) linalg::RoundToFloat(slot.inputs[j]);
           slot.starts[j] = std::max(slot.start, ledger[slot.leaders[j]].clock);
           slot.contributors += node_alive[n].size();
         }
@@ -836,9 +881,11 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         } else if (!multi_rack) {
           slot.comm.emplace(&topo, &cost_inter, slot.leaders);
         }
+        swap_inputs(slot);
         RunInterAllreduce(*alg, cfg_.sparse_comm, slot.inputs, slot.starts,
                           slot.comm ? &*slot.comm : nullptr, &slot.fc,
                           mlar ? &*mlar : nullptr, slot.iw);
+        swap_inputs(slot);
         if (walled) slot.wall = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -1005,14 +1052,13 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
 
     // ---- Residuals, adaptive penalty, stopping ---------------------------
     // Residual norms piggyback on the existing aggregation traffic (two
-    // scalars), so no extra virtual time is charged.
-    const WorkerSet::Residuals residuals = ws.ComputeResiduals(z_prev_mean);
-    ws.MeanZInto(z_prev_mean);
+    // scalars), so no extra virtual time is charged. The call also advances
+    // z_prev_mean to THIS iteration's consensus mean.
+    const WorkerSet::Residuals residuals = ws.ComputeResiduals(&z_prev_mean);
     const double rho_now = ws.MaybeAdaptRho(options.adaptive_rho, residuals);
 
     // ---- Timeline row, progress, trace record ----------------------------
-    // z_prev_mean was just refreshed: it holds THIS iteration's consensus
-    // mean, so the row and the record evaluate it allocation-free.
+    // The row and the record evaluate the refreshed mean allocation-free.
     epi.Row(iter, z_prev_mean, rho_now, residuals.primal, residuals.dual);
     active_groups.Append();
     regroups.Append();

@@ -277,6 +277,42 @@ void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
   norm_y = std::sqrt(sy.Total());
 }
 
+void CopyZUpdateY(double rho, std::span<const double> x,
+                  std::span<const double> z_src, std::span<double> z,
+                  std::span<double> y, double& dist_xz, double& norm_x,
+                  double& norm_y) {
+  PSRA_REQUIRE(x.size() == z_src.size() && x.size() == z.size() &&
+                   x.size() == y.size(),
+               "copy-z-update-y dimension mismatch");
+  const std::size_t n = x.size();
+  FourLaneSum sd, sx, sy;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    Quad xq{}, zq{}, yq{};
+    Load(xq, x.data() + i);
+    Load(zq, z_src.data() + i);
+    Load(yq, y.data() + i);
+    Store(z.data() + i, zq);
+    const Quad d = xq - zq;
+    yq += rho * d;
+    Store(y.data() + i, yq);
+    sd.AddQuad(d * d);
+    sx.AddQuad(xq * xq);
+    sy.AddQuad(yq * yq);
+  }
+  for (; i < n; ++i) {
+    const double d = x[i] - z_src[i];
+    z[i] = z_src[i];
+    y[i] += rho * d;
+    sd.AddTail(d * d);
+    sx.AddTail(x[i] * x[i]);
+    sy.AddTail(y[i] * y[i]);
+  }
+  dist_xz = std::sqrt(sd.Total());
+  norm_x = std::sqrt(sx.Total());
+  norm_y = std::sqrt(sy.Total());
+}
+
 void Add(std::span<const double> x, std::span<const double> y,
          DenseVector& out) {
   PSRA_REQUIRE(x.size() == y.size(), "add dimension mismatch");

@@ -75,6 +75,15 @@ void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
                       std::span<const double> y, double& dist_xz,
                       double& norm_x, double& norm_y);
 
+/// One worker's consensus copy step in one pass: z = z_src, then
+/// y += rho * (x - z), writing ||x - z||_2, ||x||_2 and ||y||_2 of the
+/// updated state. y is bitwise solver::YUpdate's and the norms are bitwise
+/// DistanceAndNorms(x, z, y) afterwards.
+void CopyZUpdateY(double rho, std::span<const double> x,
+                  std::span<const double> z_src, std::span<double> z,
+                  std::span<double> y, double& dist_xz, double& norm_x,
+                  double& norm_y);
+
 /// out = x + y (resizes out)
 void Add(std::span<const double> x, std::span<const double> y,
          DenseVector& out);

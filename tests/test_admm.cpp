@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "admm/ad_admm.hpp"
@@ -483,6 +484,86 @@ TEST(PsraHgAdmm, RejectsMismatchedProblem) {
   EXPECT_THROW(PsraHgAdmm(cfg).Run(p, ShortRun(1)), InvalidArgument);
 }
 
+// ------------------------------------------------------ residual norm cache ----
+
+// Residuals of a fresh WorkerSet holding `ws`'s state: writing it through
+// the mutable accessors leaves every cached norm stale, so this re-streams
+// every worker.
+WorkerSet::Residuals FullRestream(const ConsensusProblem& p,
+                                  const RunOptions& opt, const WorkerSet& ws,
+                                  std::span<const double> z_prev) {
+  WorkerSet copy(&p, &opt);
+  copy.SetRho(ws.rho());
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    copy.x(i) = ws.x(i);
+    copy.y(i) = ws.y(i);
+    copy.z(i) = ws.z(i);
+  }
+  return copy.ComputeResiduals(z_prev);
+}
+
+std::vector<double> ResidualBits(const WorkerSet::Residuals& r) {
+  return {r.primal, r.dual, r.x_norm, r.y_norm, r.z_norm};
+}
+
+// ComputeResiduals reuses the norms ZYStepFrom's sweep cached and re-streams
+// the rest. After two consensus rounds over overlapping subsets (worker 2
+// takes the sweep in round 1, then computes z in round 2) one more event
+// touches a worker whose norms are cached. In every case both residual
+// forms must equal a full re-stream bitwise, and the pointer form must
+// leave exactly MeanZInto's mean — serial and with the re-stream pooled.
+TEST(ResidualNormCache, MatchesAFullRestreamAfterEachInvalidation) {
+  const auto p = BuildProblem(TinySpec(), 6);
+  const auto d = static_cast<std::size_t>(p.dim());
+  engine::ThreadPool pool(2);
+  pool.ForceParallelDispatchForTesting();
+  const char* const events[] = {"nothing", "RestoreWorker", "XWStep",
+                                "y write"};
+  for (engine::ThreadPool* const host :
+       {&pool, static_cast<engine::ThreadPool*>(nullptr)}) {
+    for (const std::string event : events) {
+      SCOPED_TRACE(event + (host != nullptr ? " pooled" : " serial"));
+      RunOptions opt;
+      opt.pool = host;
+      WorkerSet ws(&p, &opt);
+      Rng rng(17);
+      for (std::size_t i = 0; i < ws.size(); ++i) {
+        FillGaussian(ws.x(i), rng);
+        FillGaussian(ws.y(i), rng);
+        FillGaussian(ws.z(i), rng);
+      }
+      linalg::DenseVector w1(d), w2(d), z_prev(d);
+      FillGaussian(w1, rng);
+      FillGaussian(w2, rng);
+      FillGaussian(z_prev, rng);
+      std::vector<double> flops(ws.size(), 0.0);
+      const simnet::Rank round1[] = {1, 2, 4, 5};
+      const simnet::Rank round2[] = {2, 1, 4};
+      ws.ZYStepAll(round1, w1, 4, flops);
+      ws.ZYStepAll(round2, w2, 3, flops);
+      if (event == "RestoreWorker") {  // worker 1: swept in round 2
+        linalg::DenseVector x(d), y(d), z(d);
+        FillGaussian(x, rng);
+        FillGaussian(y, rng);
+        FillGaussian(z, rng);
+        ws.RestoreWorker(1, x, y, z);
+      } else if (event == "XWStep") {  // worker 4: swept in round 2
+        (void)ws.XWStep(4);
+      } else if (event == "y write") {  // worker 5: swept in round 1 only
+        ws.y(5)[3] += 0.25;
+      }
+
+      const auto want = ResidualBits(FullRestream(p, opt, ws, z_prev));
+      linalg::DenseVector mean_want;
+      ws.MeanZInto(mean_want);
+      linalg::DenseVector z_mean = z_prev;
+      EXPECT_TRUE(SameBits(ResidualBits(ws.ComputeResiduals(&z_mean)), want));
+      EXPECT_TRUE(SameBits(z_mean, mean_want));
+      EXPECT_TRUE(SameBits(ResidualBits(ws.ComputeResiduals(z_prev)), want));
+    }
+  }
+}
+
 // ---------------------------------------------------------------- admmlib ----
 
 TEST(AdmmLib, ConvergesOnTinyProblem) {
@@ -560,8 +641,8 @@ TEST(Registry, UnknownNameThrows) {
 
 // An engine rejects a RunOptions feature it does not implement instead of
 // silently running without it: residual-based stopping and adaptive rho
-// exist only in PSRA-HGADMM, and only the engines whose state a
-// RunCheckpoint holds can capture one.
+// exist only in PSRA-HGADMM, only the engines whose state a RunCheckpoint
+// holds can capture one, and ADMMLib models no fault plan.
 TEST(Registry, EnginesRejectOptionsTheyDoNotImplement) {
   const auto cluster = TinyCluster(2, 2);
   const auto p = BuildProblem(TinySpec(), cluster.world_size());
@@ -574,9 +655,11 @@ TEST(Registry, EnginesRejectOptionsTheyDoNotImplement) {
       {"psra-hgadmm", "stopping", true},
       {"psra-hgadmm", "adaptive_rho", true},
       {"psra-hgadmm", "checkpoint_out", true},
+      {"psra-hgadmm", "fault", true},
       {"admmlib", "stopping", false},
       {"admmlib", "adaptive_rho", false},
       {"admmlib", "checkpoint_out", true},
+      {"admmlib", "fault", false},
       {"ad-admm", "stopping", false},
       {"ad-admm", "adaptive_rho", false},
       {"ad-admm", "checkpoint_out", false},
@@ -594,11 +677,16 @@ TEST(Registry, EnginesRejectOptionsTheyDoNotImplement) {
       opt.checkpoint_out = &ckpt;
       opt.checkpoint_at = 1;
     }
+    ClusterConfig run_cluster = cluster;
+    if (option == "fault") {
+      run_cluster.fault.message_drop_probability = 0.1;
+      run_cluster.fault.max_retries = 12;
+    }
     if (c.accepted) {
-      EXPECT_NO_THROW(RunAlgorithm(c.algorithm, cluster, p, opt))
+      EXPECT_NO_THROW(RunAlgorithm(c.algorithm, run_cluster, p, opt))
           << c.algorithm << " " << c.option;
     } else {
-      EXPECT_THROW(RunAlgorithm(c.algorithm, cluster, p, opt),
+      EXPECT_THROW(RunAlgorithm(c.algorithm, run_cluster, p, opt),
                    InvalidArgument)
           << c.algorithm << " " << c.option;
     }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
@@ -328,6 +331,89 @@ TEST(Censoring, ZeroThresholdIsExactlyPlainRun) {
   const auto b = PsraHgAdmm(off).Run(p, opt);
   EXPECT_DOUBLE_EQ(a.final_objective, b.final_objective);
   EXPECT_EQ(a.elements_sent, b.elements_sent);
+}
+
+// ------------------------------------------- payload preparation pins ----
+
+// FNV-1a over the bit patterns of v: a final-z digest for integer pins.
+std::uint64_t BitDigest(std::span<const double> v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double e : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &e, sizeof bits);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Mixed precision and censoring rewrite each collective input before it is
+// sent: censor, then round to fp32, then pack for sparse comm (flat runs
+// round first, then censor). These integers and final-z digests were taken
+// from the build before that preparation moved into the pooled node phase;
+// serial and pooled runs must both keep them.
+TEST(PayloadPins, MixedPrecisionAndCensoringKeepTheirIntegers) {
+  const auto cluster = TinyCluster(4, 2);
+  const auto p = BuildProblem(TinySpec(), cluster.world_size());
+  const struct {
+    const char* name;
+    GroupingMode grouping;
+    bool sparse;
+    bool mixed;
+    double censor;
+    std::size_t censored_sends;
+    std::size_t elements_sent;
+    std::size_t messages_sent;
+    std::uint64_t z_digest;
+  } cases[] = {
+      {"flat dense mixed", GroupingMode::kFlat, false, true, 0.0, 0, 22400,
+       2240, 9186608966504584009ULL},
+      {"flat sparse mixed", GroupingMode::kFlat, true, true, 0.0, 0, 18711,
+       2240, 9186608966504584009ULL},
+      {"hierarchical dense mixed", GroupingMode::kHierarchical, false, true,
+       0.0, 0, 22400, 640, 17180535742278333140ULL},
+      {"hierarchical sparse mixed", GroupingMode::kHierarchical, true, true,
+       0.0, 0, 21440, 640, 17180535742278333140ULL},
+      {"flat dense censor", GroupingMode::kFlat, false, false, 1.5, 144,
+       22400, 2240, 13752276651575658398ULL},
+      {"flat sparse censor", GroupingMode::kFlat, true, false, 1.5, 144, 3135,
+       392, 13752276651575658398ULL},
+      {"hierarchical dense censor", GroupingMode::kHierarchical, false, false,
+       1.5, 61, 22400, 640, 1107250467745326660ULL},
+      {"hierarchical sparse censor", GroupingMode::kHierarchical, true, false,
+       1.5, 61, 12450, 337, 1107250467745326660ULL},
+      {"flat sparse mixed+censor", GroupingMode::kFlat, true, true, 1.5, 144,
+       3135, 392, 11568805907289542224ULL},
+      {"hierarchical sparse mixed+censor", GroupingMode::kHierarchical, true,
+       true, 1.5, 61, 12450, 337, 11807801609031478383ULL},
+  };
+  engine::ThreadPool pool(2);
+  pool.ForceParallelDispatchForTesting();
+  for (const auto& c : cases) {
+    for (engine::ThreadPool* const host :
+         {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(c.name) + (host != nullptr ? " pooled" : ""));
+      PsraConfig cfg;
+      cfg.cluster = cluster;
+      cfg.grouping = c.grouping;
+      cfg.sparse_comm = c.sparse;
+      cfg.mixed_precision = c.mixed;
+      cfg.censor_threshold = c.censor;
+      cfg.censor_decay = 1.0;
+      RunOptions opt;
+      opt.max_iterations = 20;
+      opt.eval_every = 20;
+      opt.pool = host;
+      const RunResult r = PsraHgAdmm(cfg).Run(p, opt);
+      EXPECT_EQ(r.censored_sends, c.censored_sends);
+      EXPECT_EQ(r.elements_sent, c.elements_sent);
+      EXPECT_EQ(r.messages_sent, c.messages_sent);
+      EXPECT_EQ(r.iterations_run, 20u);
+      EXPECT_EQ(BitDigest(r.final_z), c.z_digest);
+    }
+  }
 }
 
 // --------------------------------------- non-PSR collectives in ADMM ----

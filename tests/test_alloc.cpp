@@ -1,10 +1,10 @@
 // Steady-state allocation regression test: after warm-up, a PSRA-HGADMM
 // iteration must perform ZERO dynamic allocations — for every grouping,
-// serial and pooled, with and without message faults. This is the testable
-// core of the
-// bench_hotpath alloc gate: bench numbers need a quiet machine, but an
-// allocation count is deterministic, so it can fail a plain ctest run the
-// moment a hot-path std::vector sneaks back in.
+// serial and pooled, dense and sparse comm, with and without message
+// faults. This is the testable core of the bench_hotpath alloc gate:
+// bench numbers need a quiet machine, but an allocation count is
+// deterministic, so it can fail a plain ctest run the moment a hot-path
+// std::vector sneaks back in.
 //
 // The measurement uses the same delta method as bench_hotpath: run the same
 // configuration at two iteration counts K1 < K2 and require
@@ -58,6 +58,13 @@ PsraConfig DropDelayCluster(GroupingMode grouping) {
   cfg.cluster.fault.max_retries = 12;
   cfg.cluster.fault.message_delay_probability = 0.2;
   cfg.cluster.fault.message_delay_s = 1e-4;
+  return cfg;
+}
+
+/// `cfg` with sparse collectives: every inter-node input is packed into a
+/// recycled SparseVector before the collective reads it.
+PsraConfig Sparse(PsraConfig cfg) {
+  cfg.sparse_comm = true;
   return cfg;
 }
 
@@ -131,6 +138,31 @@ TEST_P(AllocRegression, PooledFaultyIterationIsAllocationFree) {
   engine::ThreadPool pool(8);
   pool.ForceParallelDispatchForTesting();
   EXPECT_EQ(AllocsPerIter(problem, DropDelayCluster(GetParam()), &pool), 0u);
+}
+
+// Sparse comm packs each collective input once — the flat path on the
+// pool, hierarchical/dynamic runs in the node phase — into SparseVectors
+// that keep their capacity, and the group collectives read them in place.
+TEST_P(AllocRegression, SparseSerialIterationIsAllocationFree) {
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  EXPECT_EQ(
+      AllocsPerIter(problem, Sparse(SmallCluster(GetParam())), nullptr), 0u);
+}
+
+TEST_P(AllocRegression, SparsePooledIterationIsAllocationFree) {
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  engine::ThreadPool pool(8);
+  pool.ForceParallelDispatchForTesting();
+  EXPECT_EQ(AllocsPerIter(problem, Sparse(SmallCluster(GetParam())), &pool),
+            0u);
+}
+
+TEST_P(AllocRegression, SparsePooledFaultyIterationIsAllocationFree) {
+  const auto problem = BuildProblem(SmallSpec(), 8);
+  engine::ThreadPool pool(8);
+  pool.ForceParallelDispatchForTesting();
+  EXPECT_EQ(
+      AllocsPerIter(problem, Sparse(DropDelayCluster(GetParam())), &pool), 0u);
 }
 
 // The convergence timeline must ride for free: with a metrics-only

@@ -685,7 +685,8 @@ TEST(EngineTimeline, EveryEngineRecordsItsSeriesTaxonomy) {
 // agree with its RunResult, and each trace record's objective, rho and
 // residuals are that iteration's timeline samples, bit for bit, wherever the
 // engine records the series. Message drops and delays make the fault
-// counters of the engines that model them nonzero.
+// counters of the engines that model them nonzero; ADMMLib models no faults
+// and rejects a plan, so it runs with an empty one.
 TEST(EngineEpilogue, EveryEngineWritesOneSummaryAndMatchingTraceRows) {
   const auto problem = BuildProblem(ObsSpec(), 8);
   admm::ClusterConfig cluster;
@@ -731,7 +732,10 @@ TEST(EngineEpilogue, EveryEngineWritesOneSummaryAndMatchingTraceRows) {
     obs::ObsContext obs;
     obs.tracing = false;
     opt.obs = &obs;
-    const RunResult res = admm::RunAlgorithm(name, cluster, problem, opt);
+    admm::ClusterConfig engine_cluster = cluster;
+    if (name == "admmlib") engine_cluster.fault = {};
+    const RunResult res =
+        admm::RunAlgorithm(name, engine_cluster, problem, opt);
     const auto& counters = res.metrics.counters();
     const auto& gauges = res.metrics.gauges();
 
