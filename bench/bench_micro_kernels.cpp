@@ -288,6 +288,26 @@ struct KernelRow {
   double ratio() const { return blocked_s > 0 ? scalar_s / blocked_s : 0.0; }
 };
 
+/// Best-of-`reps` seconds of the scalar reference and the blocked kernel of
+/// one row, each sample as in TimeBest. The two sides' reps interleave, and
+/// the side that goes first alternates, so a noisy stretch of the host lands
+/// on both sides instead of on one side's reps.
+template <typename Scalar, typename Blocked>
+void TimeRow(KernelRow& row, int reps, int inner, Scalar&& scalar,
+             Blocked&& blocked) {
+  row.scalar_s = 1e300;
+  row.blocked_s = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (int side = 0; side < 2; ++side) {
+      if ((side + rep) % 2 == 0) {
+        row.scalar_s = std::min(row.scalar_s, TimeBest(1, inner, scalar));
+      } else {
+        row.blocked_s = std::min(row.blocked_s, TimeBest(1, inner, blocked));
+      }
+    }
+  }
+}
+
 /// Matrix-free CG on the normal equations (A^T A + rho I) x = rhs — the
 /// least-squares x-update a worker WITHOUT the cached Gram has to run every
 /// ADMM iteration, streaming the shard twice per CG step. The cached-Gram
@@ -323,7 +343,7 @@ int LsCgSolve(const linalg::CsrMatrix& m, std::span<const double> rhs,
 }
 
 int RunKernelGate(const std::string& out_path, bool quick) {
-  const int reps = quick ? 3 : 7;
+  const int reps = quick ? 9 : 15;
   std::vector<KernelRow> rows;
 
   // -- CSR kernels on a url_tall-shaped shard (tall, ~12 nnz/row). --------
@@ -344,16 +364,15 @@ int RunKernelGate(const std::string& out_path, bool quick) {
   {
     linalg::DenseVector x(ncols, 0.5), out_s(nrows), out_b(nrows);
     KernelRow k{"csr_multiply"};
-    k.scalar_s = TimeBest(reps, 50, [&] { ScalarCsrMultiply(raw, x, out_s); });
-    k.blocked_s = TimeBest(reps, 50, [&] { mat.Multiply(x, out_b); });
+    TimeRow(k, reps, 50, [&] { ScalarCsrMultiply(raw, x, out_s); },
+            [&] { mat.Multiply(x, out_b); });
     rows.push_back(k);
   }
   {
     linalg::DenseVector v(nrows, 0.25), out_s(ncols, 0.0), out_b(ncols, 0.0);
     KernelRow k{"csr_transpose_multiply_add"};
-    k.scalar_s =
-        TimeBest(reps, 50, [&] { ScalarCsrTransposeMultiplyAdd(raw, v, out_s); });
-    k.blocked_s = TimeBest(reps, 50, [&] { mat.TransposeMultiplyAdd(v, out_b); });
+    TimeRow(k, reps, 50, [&] { ScalarCsrTransposeMultiplyAdd(raw, v, out_s); },
+            [&] { mat.TransposeMultiplyAdd(v, out_b); });
     rows.push_back(k);
   }
 
@@ -365,12 +384,12 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     for (auto& v : a) v = rng.NextGaussian();
     linalg::DenseVector x(n, 0.5), y_s(n), y_b(n);
     KernelRow k{"gemv"};
-    k.scalar_s = TimeBest(reps, 200, [&] { ScalarGemv(a, n, n, x, y_s); });
-    k.blocked_s = TimeBest(reps, 200, [&] { linalg::Gemv(a, n, n, x, y_b); });
+    TimeRow(k, reps, 200, [&] { ScalarGemv(a, n, n, x, y_s); },
+            [&] { linalg::Gemv(a, n, n, x, y_b); });
     rows.push_back(k);
     KernelRow kt{"gemv_t"};
-    kt.scalar_s = TimeBest(reps, 200, [&] { ScalarGemvT(a, n, n, x, y_s); });
-    kt.blocked_s = TimeBest(reps, 200, [&] { linalg::GemvT(a, n, n, x, y_b); });
+    TimeRow(kt, reps, 200, [&] { ScalarGemvT(a, n, n, x, y_s); },
+            [&] { linalg::GemvT(a, n, n, x, y_b); });
     rows.push_back(kt);
   }
 
@@ -380,13 +399,13 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     linalg::DenseVector x(n, 1e-8), y(n, 0.5);
     double sink = 0.0;
     KernelRow k{"fused_axpy_normsq"};
-    k.scalar_s = TimeBest(reps, 200, [&] {
-      linalg::Axpy(1e-9, x, y);
-      sink += linalg::Dot(y, y);
-    });
-    k.blocked_s = TimeBest(reps, 200, [&] {
-      sink += linalg::AxpyNormSq(1e-9, x, y);
-    });
+    TimeRow(
+        k, reps, 200,
+        [&] {
+          linalg::Axpy(1e-9, x, y);
+          sink += linalg::Dot(y, y);
+        },
+        [&] { sink += linalg::AxpyNormSq(1e-9, x, y); });
     benchmark::DoNotOptimize(sink);
     rows.push_back(k);
   }

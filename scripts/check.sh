@@ -274,9 +274,10 @@ if [[ -z "${PSRA_CHECK_SANITIZE:-}" ]]; then
   # references, and the cached-Gram direct x-update must keep its lead over
   # the matrix-free CG path on the tall shard. The committed full-run
   # artifact carries the headline numbers and is held to the strict bars
-  # (blocked/scalar >= 0.95, gram_over_cg >= 3); the quick single-shot run
-  # this script produces is noisy, so it gets looser tripwires that still
-  # catch a deoptimized kernel or a broken Gram cache.
+  # (blocked/scalar >= 0.95, gram_over_cg >= 3); the quick run this script
+  # produces times short samples (best of 9, scalar and blocked reps
+  # interleaved), so it gets looser tripwires that still catch a
+  # deoptimized kernel or a broken Gram cache.
   (cd "$build" && ./bench/bench_micro_kernels \
     --kernels-out BENCH_kernels.json --quick)
   kernel_gate() {

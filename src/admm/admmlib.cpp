@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "admm/checkpoint.hpp"
 #include "admm/instrument.hpp"
@@ -139,7 +140,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     }
     comm::ReduceToLeader(intra[n], intra[n].LocalRank(leaders[n]),
                          ws.w_all().subspan(n * wpn, wpn), member_starts,
-                         red[n]);
+                         red[n], cfg_.sparse_comm);
     result.elements_sent += red[n].elements_sent;
     result.messages_sent += red[n].messages_sent;
     for (std::size_t m = 0; m < members.size(); ++m) {
@@ -147,7 +148,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
     }
     ledger.WaitUntil(leaders[n], red[n].leader_ready);
     if (eo.on()) {
-      lm.coll.BookReduce(intra[n], red[n]);
+      lm.coll.BookReduce(red[n]);
       if (eo.tracing()) {
         for (std::size_t m = 0; m < members.size(); ++m) {
           const auto i = static_cast<std::size_t>(members[m]);
@@ -272,12 +273,13 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
       if (eo.tracing() && ledger[li].clock > eo.mark(li)) {
         eo.Span("w_allreduce", ledger, li, k);
       }
-      const std::size_t elems = cfg_.sparse_comm ? result_nnz : d;
-      comm::BroadcastFromLeader(intra[n], intra[n].LocalRank(leaders[n]),
-                                elems, ledger[leaders[n]].clock, bc);
+      comm::BroadcastFromLeader(
+          intra[n], intra[n].LocalRank(leaders[n]), d,
+          ledger[leaders[n]].clock, bc,
+          cfg_.sparse_comm ? std::optional(result_nnz) : std::nullopt);
       result.elements_sent += bc.elements_sent;
       result.messages_sent += bc.messages_sent;
-      if (eo.on()) lm.coll.BookBroadcast(intra[n], bc, cfg_.sparse_comm);
+      if (eo.on()) lm.coll.BookBroadcast(bc);
       for (std::size_t m = 0; m < node_ranks[n].size(); ++m) {
         const simnet::Rank r = node_ranks[n][m];
         const auto i = static_cast<std::size_t>(r);

@@ -252,8 +252,8 @@ class CounterDelta {
 /// The collective traffic slots PSRA and ADMMLib share, hoisted once per
 /// run: the inter-node allreduce (comm.allreduce.<alg>.*, plus the fill
 /// ratio of sparse results) and the intra-node reduce and broadcast
-/// (comm.intra.*). Each Book* call adds one result. Bytes are priced by the
-/// group's ElemPricing, the width the collectives themselves book.
+/// (comm.intra.*). Each Book* call adds one result, with the bytes the
+/// primitive itself priced and charged.
 struct CollectiveMetrics {
   std::uint64_t* invocations = nullptr;
   std::uint64_t* elements = nullptr;
@@ -301,19 +301,18 @@ struct CollectiveMetrics {
     if (fill != nullptr) fill->Observe(static_cast<double>(result_nnz) / dim);
   }
 
-  /// One node's (dense) reduce to its leader over `node`.
-  void BookReduce(const comm::GroupComm& node, const comm::ReduceResult& r) {
+  /// One node's reduce to its leader.
+  void BookReduce(const comm::ReduceResult& r) {
     *reduce_elements += r.elements_sent;
     *reduce_messages += r.messages_sent;
-    *reduce_bytes += r.elements_sent * node.pricing().PerElement(false);
+    *reduce_bytes += r.bytes_sent;
   }
 
-  /// One leader's broadcast of the aggregate over `node`.
-  void BookBroadcast(const comm::GroupComm& node,
-                     const comm::BroadcastResult& b, bool sparse) {
+  /// One leader's broadcast of the aggregate to its node.
+  void BookBroadcast(const comm::BroadcastResult& b) {
     *bcast_elements += b.elements_sent;
     *bcast_messages += b.messages_sent;
-    *bcast_bytes += b.elements_sent * node.pricing().PerElement(sparse);
+    *bcast_bytes += b.bytes_sent;
   }
 };
 

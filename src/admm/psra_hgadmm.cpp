@@ -699,7 +699,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           st = node_starts[n];
         }
         comm::ReduceToLeader(intra[n], intra[n].LocalRank(cur_leaders[n]), in,
-                             st, red[n]);
+                             st, red[n], cfg_.sparse_comm);
         // The node's collective input, prepared here once: censor, round to
         // fp32 (mixed precision), then pack (sparse comm). The group
         // collective reads it in place.
@@ -728,7 +728,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         ledger.WaitUntil(lead, red[n].leader_ready);
         if (eo.on()) {
-          pm.coll.BookReduce(intra[n], red[n]);
+          pm.coll.BookReduce(red[n]);
           if (eo.tracing()) {
             // The node's measured reduce wall is shared evenly among its
             // members (the pool thread did the whole node's reduce at once).
@@ -928,10 +928,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
           if (eo.on()) {
             *pm.rack_bcast_elements += relems;
             *pm.rack_bcast_messages += rmsgs;
-            *pm.rack_bcast_bytes +=
-                relems * comm::ElemPricing{inter_cost_cfg.value_bytes,
-                                           inter_cost_cfg.index_bytes}
-                             .PerElement(cfg_.sparse_comm);
+            *pm.rack_bcast_bytes += mlar->redistribution_bytes();
           }
         }
         if (censoring) {  // fixed membership: fold deltas into the run sum
@@ -967,17 +964,17 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
 
           // Leader broadcasts W to its node (paper Alg. 1 step 11).
           const auto& nmembers = node_alive[n];
-          const std::size_t elems =
-              cfg_.sparse_comm ? slot.iw.result_nnz : d_sz;
-          comm::BroadcastFromLeader(intra[n], intra[n].LocalRank(lead), elems,
-                                    ledger[lead].clock, bc);
+          comm::BroadcastFromLeader(
+              intra[n], intra[n].LocalRank(lead), d_sz, ledger[lead].clock, bc,
+              cfg_.sparse_comm ? std::optional(slot.iw.result_nnz)
+                               : std::nullopt);
           result.elements_sent += bc.elements_sent;
           result.messages_sent += bc.messages_sent;
           for (std::size_t m = 0; m < nmembers.size(); ++m) {
             ledger.WaitUntil(nmembers[m], bc.finish_times[m]);
           }
           if (eo.on()) {
-            pm.coll.BookBroadcast(intra[n], bc, cfg_.sparse_comm);
+            pm.coll.BookBroadcast(bc);
             if (eo.tracing()) {
               for (std::size_t m = 0; m < nmembers.size(); ++m) {
                 eo.Span("w_broadcast", ledger,

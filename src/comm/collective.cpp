@@ -43,8 +43,7 @@ void Simulate(const Schedule& s, const GroupComm& group,
   using P = Payload<V>;
   const GroupRank n = group.size();
   const std::uint64_t dim = P::Dim(inputs[0]);
-  const auto& cm = group.cost_model();
-  const std::size_t elem_bytes = group.pricing().PerElement(P::kSparse);
+  const ElemPricing pr = group.pricing();
   st.Reset(n);
 
   auto& folds = std::get<std::vector<typename P::Fold>>(scratch.folds);
@@ -55,8 +54,9 @@ void Simulate(const Schedule& s, const GroupComm& group,
     P::Reset(folds[b], sum, lo, hi, s.dense_folds_from_zero());
   }
 
-  // A sparse block is appended to the sum once all n sources are folded
-  // into it and every lower block is in, while it is still warm in cache.
+  // A sparse block is made canonical (rule 4) and appended to the sum once
+  // all n sources are folded into it and every lower block is in, while it
+  // is still warm in cache.
   auto& folded = scratch.folded;
   folded.assign(s.num_blocks(), 0);
   GroupRank appended = 0;
@@ -72,6 +72,7 @@ void Simulate(const Schedule& s, const GroupComm& group,
   auto append_final = [&] {
     if constexpr (P::kSparse) {
       while (appended < s.num_blocks() && folded[appended] == n) {
+        folds[appended].Canonicalize();
         folds[appended++].AppendTo(sum);
       }
     }
@@ -97,11 +98,11 @@ void Simulate(const Schedule& s, const GroupComm& group,
         const std::size_t elems = ph.own_slice ? own_slice_size(from, b)
                                                : folds[b].size();
         if (P::kSparse && ph.skip_empty && elems == 0) return;
-        const simnet::Link link = group.LinkBetween(from, to);
-        send_clock[from] += P::kSparse ? cm.SparseTransferTime(link, elems)
-                                       : cm.DenseTransferTime(link, elems);
+        const auto [lo, hi] = s.BlockRange(dim, b);
+        const Encoding e = P::Encode(pr, ph, elems, hi - lo);  // rule 5
+        send_clock[from] += group.TransferTime(from, to, e);
         arrival[to] = std::max(arrival[to], send_clock[from]);
-        st.CountSend(elems, elem_bytes);
+        st.CountSend(e.elements, pr.PerElement(e.sparse));
       });
     }
     for (GroupRank m = 0; m < n; ++m) t[m] = std::max(arrival[m], send_clock[m]);

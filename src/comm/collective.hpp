@@ -11,7 +11,9 @@
 //     receives are not a bottleneck (the paper's bounds, eq. 11-16, charge
 //     only send-side element time);
 //   * sparse elements cost theta_s = (value+index)/B, dense elements
-//     value/B, with B the bus or network bandwidth of the link crossed;
+//     value/B, with B the bus or network bandwidth of the link crossed; a
+//     sparse payload's store-phase sends (allgather, broadcast) travel in
+//     the cheaper of the two encodings for their nnz (ElemPricing::Cheaper);
 //   * a step that needs data from another worker cannot begin before that
 //     data has arrived (pipeline/synchronization delays emerge naturally).
 //

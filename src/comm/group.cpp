@@ -58,6 +58,13 @@ ElemPricing GroupComm::pricing() const {
   return ElemPricing{cfg.value_bytes, cfg.index_bytes};
 }
 
+simnet::VirtualTime GroupComm::TransferTime(GroupRank from, GroupRank to,
+                                            Encoding e) const {
+  const simnet::Link link = LinkBetween(from, to);
+  return e.sparse ? cost_->SparseTransferTime(link, e.elements)
+                  : cost_->DenseTransferTime(link, e.elements);
+}
+
 std::pair<std::uint64_t, std::uint64_t> GroupComm::BlockRange(
     std::uint64_t dim, GroupRank g) const {
   PSRA_REQUIRE(g < size(), "group rank out of range");

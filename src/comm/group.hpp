@@ -54,6 +54,12 @@ class GroupComm {
   /// construction.
   ElemPricing pricing() const;
 
+  /// Virtual time of one message from `from` to `to` in encoding `e`,
+  /// priced on the link between them (a sparse element costs theta_s, a
+  /// dense one theta_d).
+  simnet::VirtualTime TransferTime(GroupRank from, GroupRank to,
+                                   Encoding e) const;
+
   /// Block ownership used by the block-cyclic collectives: the vector
   /// [0, dim) is split into size() contiguous blocks; block g is owned by
   /// group rank g. Returns [begin, end) of block g.

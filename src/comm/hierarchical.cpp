@@ -49,16 +49,19 @@ MultiLevelAllreduce::MultiLevelAllreduce(const simnet::Topology* topo,
                                      rack_leaders_.end()));
 }
 
-void MultiLevelAllreduce::Redistribute(std::size_t num_elements,
+void MultiLevelAllreduce::Redistribute(std::size_t len,
+                                       std::optional<std::size_t> sparse_nnz,
                                        const CommStats& root_stats,
                                        CommStats& stats) {
   redist_elements_ = 0;
   redist_messages_ = 0;
+  redist_bytes_ = 0;
   for (std::size_t r = 0; r < rack_comms_.size(); ++r) {
-    BroadcastFromLeader(rack_comms_[r], 0, num_elements,
-                        root_stats.finish_times[r], bcast_);
+    BroadcastFromLeader(rack_comms_[r], 0, len, root_stats.finish_times[r],
+                        bcast_, sparse_nnz);
     redist_elements_ += bcast_.elements_sent;
     redist_messages_ += bcast_.messages_sent;
+    redist_bytes_ += bcast_.bytes_sent;
     const std::size_t base = r * per_rack_;
     // The rack leader finishes when its serialized sends complete; a peer
     // when the broadcast reaches it (it was already done with stage 1).
@@ -110,9 +113,9 @@ void MultiLevelAllreduce::Reduce(const AllreduceAlgorithm& alg,
   reduce(*root_comm_, rack_sums, root_starts_, sum);
   MergeTraffic(stats, stage_stats_);
   if constexpr (kSparse) {
-    Redistribute(sum.nnz(), stage_stats_, stats);
+    Redistribute(sum.dim(), sum.nnz(), stage_stats_, stats);
   } else {
-    Redistribute(sum.size(), stage_stats_, stats);
+    Redistribute(sum.size(), std::nullopt, stage_stats_, stats);
   }
 }
 

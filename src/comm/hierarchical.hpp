@@ -11,7 +11,8 @@
 //            leader of each rack) carrying the rack partial sums over the
 //            slower cross-rack fabric (Link::kInterRack);
 //   stage 3  redistribution: each rack leader serializes the global sum back
-//            to its rack peers (same shape as the intra-node broadcast).
+//            to its rack peers (same shape as the intra-node broadcast); a
+//            sparse sum travels in the cheaper encoding for its nnz.
 //
 // Any AllreduceAlgorithm runs at both collective levels, so the paper's
 // eq. 11-16 cost asymmetry between PSR and Ring is preserved per level. All
@@ -57,7 +58,13 @@ class MultiLevelAllreduce {
                    AllreduceScratch& scratch, linalg::DenseVector& sum,
                    CommStats& stats);
 
-  /// Sparse counterpart; the redistribution ships `sum.nnz()` elements.
+  /// Sparse counterpart; the redistribution ships the sum in the cheaper
+  /// encoding for `sum.nnz()` (ElemPricing::Cheaper). Each stage's sum is
+  /// canonical (no +0.0 entry), which leaves the dense sum unchanged only
+  /// for inputs without ±0.0 entries: if one rack cancels to +0.0 and
+  /// another holds a lone -0.0, the first drops its +0.0 and the root
+  /// keeps -0.0 where a flat sum gives +0.0. The engines pack only
+  /// |v| > tol, so their inputs carry none.
   void ReduceSparse(const AllreduceAlgorithm& alg,
                     std::span<const linalg::SparseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
@@ -68,14 +75,15 @@ class MultiLevelAllreduce {
   /// re-broadcast of the global sum to their rack peers.
   std::size_t redistribution_elements() const { return redist_elements_; }
   std::size_t redistribution_messages() const { return redist_messages_; }
+  std::size_t redistribution_bytes() const { return redist_bytes_; }
 
  private:
   template <typename V>
   void Reduce(const AllreduceAlgorithm& alg, std::span<const V> inputs,
               std::span<const simnet::VirtualTime> starts,
               AllreduceScratch& scratch, V& sum, CommStats& stats);
-  void Redistribute(std::size_t num_elements, const CommStats& root_stats,
-                    CommStats& stats);
+  void Redistribute(std::size_t len, std::optional<std::size_t> sparse_nnz,
+                    const CommStats& root_stats, CommStats& stats);
 
   std::vector<GroupComm> rack_comms_;  // per rack, over its node leaders
   std::optional<GroupComm> root_comm_;  // over the rack leaders
@@ -91,6 +99,7 @@ class MultiLevelAllreduce {
   BroadcastResult bcast_;
   std::size_t redist_elements_ = 0;
   std::size_t redist_messages_ = 0;
+  std::size_t redist_bytes_ = 0;
 };
 
 }  // namespace psra::comm

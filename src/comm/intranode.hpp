@@ -2,8 +2,13 @@
 // workers on one physical node reduce their w_i to the elected Leader over
 // the bus, and the Leader later broadcasts the updated global W back.
 // Both are blocking (BSP) operations.
+//
+// With sparse comm every message travels in the cheaper of the sparse and
+// dense encodings for its nonzero count (ElemPricing::Cheaper, DESIGN.md
+// §5a), priced and booked alike; otherwise every message is dense.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,28 +26,34 @@ struct ReduceResult {
   std::vector<simnet::VirtualTime> finish_times;
   std::size_t elements_sent = 0;
   std::size_t messages_sent = 0;
+  std::size_t bytes_sent = 0;
 };
 
 /// Members send their vectors to `leader` (parallel sends, each priced on its
-/// own link); the leader reduces in ascending group-rank order. Fills `out`,
-/// reusing its buffers across calls.
+/// own link); the leader reduces in ascending group-rank order. With
+/// `sparse`, each member's send travels in the cheaper encoding for its
+/// nonzero count, taken in the summing pass. Fills `out`, reusing its
+/// buffers across calls.
 void ReduceToLeader(const GroupComm& group, GroupRank leader,
                     std::span<const linalg::DenseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
-                    ReduceResult& out);
+                    ReduceResult& out, bool sparse = false);
 
 struct BroadcastResult {
   /// When each member has the value (leader: when it finished sending).
   std::vector<simnet::VirtualTime> finish_times;
   std::size_t elements_sent = 0;
   std::size_t messages_sent = 0;
+  std::size_t bytes_sent = 0;
 };
 
-/// Leader serializes one message per member (ascending group rank). Fills
-/// `out`, reusing its buffers across calls.
+/// Leader serializes one message per member (ascending group rank), each
+/// carrying a vector of `len` coordinates: dense, or, given `sparse_nnz`
+/// (sparse comm: the vector's nonzero count), in the cheaper encoding for
+/// it. Fills `out`, reusing its buffers across calls.
 void BroadcastFromLeader(const GroupComm& group, GroupRank leader,
-                         std::size_t num_elements,
-                         simnet::VirtualTime leader_start,
-                         BroadcastResult& out);
+                         std::size_t len, simnet::VirtualTime leader_start,
+                         BroadcastResult& out,
+                         std::optional<std::size_t> sparse_nnz = {});
 
 }  // namespace psra::comm

@@ -27,7 +27,7 @@
 //   naive  one block. gather: every rank sends its vector to rank 0, which
 //          folds ranks 0..n-1; broadcast: rank 0 sends the sum to every rank.
 //
-// Three rules keep the two backends and the payload kinds bitwise equal
+// Five rules keep the two backends and the payload kinds bitwise equal
 // (DESIGN.md §11):
 //   1. dense psr and naive folds start from zeros; ring and every sparse
 //      fold start from the first source;
@@ -35,7 +35,12 @@
 //      reduce phases, not among all ranks;
 //   3. an empty sparse send in a phase marked skip_empty (psr, naive
 //      gather) is neither timed nor counted; the wire still ships the empty
-//      frame so its receiver does not wait for a message that never comes.
+//      frame so its receiver does not wait for a message that never comes;
+//   4. a sparse block is canonical once completely reduced: it carries no
+//      explicit +0.0 entry (SparseBlockFold::Canonicalize);
+//   5. sparse sends in the store phases (allgather, broadcast) travel in the
+//      cheaper encoding for their nnz (ElemPricing::Cheaper); the reduce
+//      phases stay sparse, because that is where psr and ring differ.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +91,12 @@ class Schedule {
 
   /// Rule 1's starting point for dense folds.
   bool dense_folds_from_zero() const { return kind_ != AllreduceKind::kRing; }
+
+  /// Whether phase p is the last reduce phase, so every block folded in it
+  /// is complete (rule 4).
+  bool completes_blocks(std::size_t p) const {
+    return phase(p).reduce && (p + 1 == num_phases() || !phase(p + 1).reduce);
+  }
 
   std::pair<std::uint64_t, std::uint64_t> BlockRange(std::uint64_t dim,
                                                      GroupRank b) const {
@@ -176,6 +187,11 @@ struct Payload<linalg::DenseVector> {
                            std::uint64_t hi) {
     return static_cast<std::size_t>(hi - lo);
   }
+  /// Dense payloads always travel dense.
+  static Encoding Encode(const ElemPricing&, const SchedulePhase&,
+                         std::size_t elems, std::uint64_t) {
+    return {false, elems};
+  }
   /// What a fold over [lo, hi) reads of `v`.
   static std::span<const double> In(const linalg::DenseVector& v,
                                     std::uint64_t lo, std::uint64_t hi) {
@@ -199,6 +215,12 @@ struct Payload<linalg::SparseVector> {
   static std::size_t Count(const linalg::SparseVector& v, std::uint64_t lo,
                            std::uint64_t hi) {
     return v.CountInRange(lo, hi);
+  }
+  /// Rule 5: `nnz` entries of a block of `len` coordinates.
+  static Encoding Encode(const ElemPricing& pr, const SchedulePhase& ph,
+                         std::size_t nnz, std::uint64_t len) {
+    if (ph.reduce) return {true, nnz};
+    return pr.Cheaper(nnz, static_cast<std::size_t>(len));
   }
   /// The fold itself keeps only the entries in [lo, hi).
   static const linalg::SparseVector& In(const linalg::SparseVector& v,

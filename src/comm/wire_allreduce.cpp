@@ -1,6 +1,7 @@
 #include "comm/wire_allreduce.hpp"
 
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -10,6 +11,18 @@
 #include "support/status.hpp"
 
 namespace psra::comm {
+
+/// Frame, fold and receive buffers, kept by one WireCollectives across its
+/// collectives: each reuses the storage the previous one grew.
+struct WireScratch {
+  std::vector<std::byte> bytes;    // the frame being posted or received
+  std::vector<std::uint64_t> idx;  // a sparse frame's indices
+  std::vector<double> val;         // its values, or a dense frame's block
+  std::tuple<linalg::DenseBlockFold, linalg::SparseBlockFold> folds;
+  linalg::DenseVector dense;    // a received dense block
+  linalg::SparseVector sparse;  // a received sparse block or an own slice
+  std::vector<linalg::SparseVector> blocks;  // sparse blocks until the end
+};
 
 namespace {
 
@@ -41,21 +54,31 @@ struct StageSpan {
   }
 };
 
+/// What a sparse-payload frame carries, in its leading u64.
+enum class FrameKind : std::uint64_t { kSparse = 1, kDense = 2 };
+
 /// Group-rank addressing over the transport: members[g] is the transport
-/// rank of group rank g. Frames are staged in reusable buffers, and every
-/// receive checks its frame against the shape of the vector it fills.
+/// rank of group rank g. Frames are staged and decoded in the scratch's
+/// frame buffers, and every receive checks its frame against the shape of
+/// the vector it fills.
+///
+/// Dense payloads travel as raw doubles. A sparse payload's frame starts
+/// with its FrameKind: kSparse is followed by u64 nnz | nnz * u64 index |
+/// nnz * double value, kDense by the block's values, with +0.0 where the
+/// block has no entry.
 struct Wire {
   Transport& t;
   std::span<const Rank> members;
   GroupRank me = 0;
   obs::WireObs* obs = nullptr;
-  std::vector<std::byte> bytes;
-  std::vector<std::uint64_t> idx;
-  std::vector<double> val;
+  std::vector<std::byte>& bytes;
+  std::vector<std::uint64_t>& idx;
+  std::vector<double>& val;
 
-  Wire(Transport& transport, std::span<const Rank> m,
+  Wire(Transport& transport, std::span<const Rank> m, WireScratch& sc,
        obs::WireObs* o = nullptr)
-      : t(transport), members(m), obs(o) {
+      : t(transport), members(m), obs(o), bytes(sc.bytes), idx(sc.idx),
+        val(sc.val) {
     PSRA_REQUIRE(!m.empty(), "wire collective needs at least one member");
     bool found = false;
     for (std::size_t i = 0; i < m.size(); ++i) {
@@ -79,23 +102,42 @@ struct Wire {
     return x.size();
   }
 
-  /// Sparse frame: u64 nnz | nnz * u64 index | nnz * double value.
-  std::size_t Post(GroupRank to, Tag tag, const linalg::SparseVector& v) {
+  /// Block [lo, hi) of `v`, whose entries all lie in it, in encoding `e`.
+  void Post(GroupRank to, Tag tag, const linalg::SparseVector& v,
+            std::uint64_t lo, std::uint64_t hi, Encoding e) {
+    const FrameKind kind = e.sparse ? FrameKind::kSparse : FrameKind::kDense;
     const std::uint64_t nnz = v.nnz();
-    bytes.resize(sizeof(std::uint64_t) * (1 + nnz) + sizeof(double) * nnz);
+    bytes.resize(sizeof(kind) + (e.sparse ? sizeof(std::uint64_t) * (1 + nnz) +
+                                                sizeof(double) * nnz
+                                          : sizeof(double) * (hi - lo)));
     std::byte* p = bytes.data();
-    std::memcpy(p, &nnz, sizeof(nnz));
-    p += sizeof(nnz);
-    // An empty vector's data() may be null, which memcpy does not accept
-    // even for a zero length.
-    if (nnz != 0) {
-      std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
-      p += nnz * sizeof(std::uint64_t);
-      std::memcpy(p, v.values().data(), nnz * sizeof(double));
+    std::memcpy(p, &kind, sizeof(kind));
+    p += sizeof(kind);
+    if (!e.sparse) {
+      PSRA_CHECK(nnz == 0 || (lo <= v.indices().front() &&
+                              v.indices().back() < hi),
+                 "a dense frame's entries must lie in its block");
+      std::memset(p, 0, bytes.size() - sizeof(kind));
+      for (std::size_t k = 0; k < nnz; ++k) {
+        std::memcpy(p + (v.indices()[k] - lo) * sizeof(double),
+                    &v.values()[k], sizeof(double));
+      }
+    } else {
+      std::memcpy(p, &nnz, sizeof(nnz));
+      p += sizeof(nnz);
+      // An empty vector's data() may be null, which memcpy does not accept
+      // even for a zero length.
+      if (nnz != 0) {
+        std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
+        p += nnz * sizeof(std::uint64_t);
+        std::memcpy(p, v.values().data(), nnz * sizeof(double));
+      }
     }
     t.Post(members[to], tag, bytes);
-    return nnz;
   }
+
+  /// Posts the frame the last sparse Post built once more.
+  void Repost(GroupRank to, Tag tag) { t.Post(members[to], tag, bytes); }
 
   /// Receives exactly out.size() doubles.
   void Recv(GroupRank from, Tag tag, std::span<double> out) {
@@ -105,17 +147,36 @@ struct Wire {
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   }
 
-  /// Receives a sparse frame over out.dim() into `out`.
-  void Recv(GroupRank from, Tag tag, linalg::SparseVector& out) {
+  /// Receives block [lo, hi) of a sparse payload over out.dim() into
+  /// `out`, in whichever encoding its frame says. A sparse frame's indices
+  /// must lie in the block; a dense frame decodes to the entries of a
+  /// canonical block (SparseVector::AssignFromDenseBlock).
+  void Recv(GroupRank from, Tag tag, std::uint64_t lo, std::uint64_t hi,
+            linalg::SparseVector& out) {
     t.Recv(members[from], tag, bytes);
-    PSRA_REQUIRE(bytes.size() >= sizeof(std::uint64_t),
-                 "sparse payload too short");
-    std::uint64_t nnz = 0;
+    FrameKind kind{};
+    PSRA_REQUIRE(bytes.size() >= sizeof(kind), "sparse payload too short");
     const std::byte* p = bytes.data();
+    std::memcpy(&kind, p, sizeof(kind));
+    p += sizeof(kind);
+    const std::size_t body = bytes.size() - sizeof(kind);
+    if (kind == FrameKind::kDense) {
+      PSRA_REQUIRE(body == sizeof(double) * (hi - lo),
+                   "dense block payload size mismatch");
+      val.resize(hi - lo);
+      if (body != 0) std::memcpy(val.data(), p, body);  // as in Post
+      out.AssignFromDenseBlock(out.dim(), lo, val);
+      return;
+    }
+    PSRA_REQUIRE(kind == FrameKind::kSparse, "unknown sparse frame kind");
+    std::uint64_t nnz = 0;
+    PSRA_REQUIRE(body >= sizeof(nnz), "sparse payload too short");
     std::memcpy(&nnz, p, sizeof(nnz));
     p += sizeof(nnz);
-    PSRA_REQUIRE(bytes.size() == sizeof(std::uint64_t) * (1 + nnz) +
-                                     sizeof(double) * nnz,
+    // nnz is bounded by the frame before it enters any size arithmetic.
+    constexpr std::size_t kEntry = sizeof(std::uint64_t) + sizeof(double);
+    PSRA_REQUIRE(nnz <= (body - sizeof(nnz)) / kEntry &&
+                     body == sizeof(nnz) + kEntry * nnz,
                  "sparse payload size mismatch");
     idx.resize(nnz);
     val.resize(nnz);
@@ -124,16 +185,8 @@ struct Wire {
       p += nnz * sizeof(std::uint64_t);
       std::memcpy(val.data(), p, nnz * sizeof(double));
     }
-    out = linalg::SparseVector(out.dim(), idx, val);
+    out.AssignBlock(out.dim(), lo, hi, idx, val);
   }
-};
-
-/// Reused fold/receive scratch, one set per collective invocation.
-struct Scratch {
-  std::tuple<linalg::DenseBlockFold, linalg::SparseBlockFold> folds;
-  linalg::DenseVector dense;    // a received dense block
-  linalg::SparseVector sparse;  // a received sparse block or an own slice
-  std::vector<linalg::SparseVector> blocks;  // sparse blocks until the end
 };
 
 /// The wire executor: this rank's part of schedule `s`. It posts the sends
@@ -142,10 +195,9 @@ struct Scratch {
 /// sc.blocks until they are concatenated into `out`.
 template <typename V>
 void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
-                 const V& input, V& out, Scratch& sc, WireStats& st) {
+                 const V& input, V& out, WireScratch& sc, WireStats& st) {
   using P = Payload<V>;
   const std::uint64_t dim = P::Dim(input);
-  const std::size_t eb = pr.PerElement(P::kSparse);
   auto& fold = std::get<typename P::Fold>(sc.folds);
   if constexpr (P::kSparse) sc.blocks.resize(s.num_blocks());
   P::Resize(out, dim);
@@ -160,9 +212,11 @@ void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
   };
   constexpr GroupRank kNone = ~GroupRank{0};
   GroupRank folding = kNone;
+  bool completes = true;  // the running fold completes its block (rule 4)
   auto end_fold = [&] {
     if constexpr (P::kSparse) {
       if (folding != kNone) {
+        if (completes) fold.Canonicalize();
         held(folding).Clear(dim);
         fold.AppendTo(held(folding));
       }
@@ -190,31 +244,52 @@ void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
       stage.reset();
       stage.emplace(w.obs, ph.stage);
     }
+    completes = s.completes_blocks(p);
     const Tag tag = base + (ph.reduce ? 0 : 1);
+    // A held block does not change while its phase sends, so one frame
+    // serves every peer it goes to (psr allgather, naive broadcast).
+    GroupRank framed = kNone;
     s.ForEachSend(p, w.me, [&](GroupRank to, GroupRank b) {
       const auto [lo, hi] = s.BlockRange(dim, b);
-      std::size_t elems = 0;
-      if (!ph.own_slice) {
-        elems = w.Post(to, tag, held(b));
-      } else if constexpr (P::kSparse) {
-        input.SliceInto(lo, hi, sc.sparse);
-        elems = w.Post(to, tag, sc.sparse);
+      if constexpr (P::kSparse) {
+        const linalg::SparseVector* v = &held(b);
+        if (ph.own_slice) {
+          input.SliceInto(lo, hi, sc.sparse);
+          v = &sc.sparse;
+        }
+        const Encoding e = P::Encode(pr, ph, v->nnz(), hi - lo);  // rule 5
+        if (!ph.own_slice && b == framed) {
+          w.Repost(to, tag);
+        } else {
+          w.Post(to, tag, *v, lo, hi, e);
+          framed = ph.own_slice ? kNone : b;
+        }
+        if (ph.skip_empty && v->nnz() == 0) return;  // rule 3
+        st.CountSend(e.elements, pr.PerElement(e.sparse));
       } else {
-        elems = w.Post(to, tag, P::In(input, lo, hi));
+        if (ph.own_slice) {
+          w.Post(to, tag, P::In(input, lo, hi));
+        } else {
+          w.Post(to, tag, held(b));
+        }
+        st.CountSend(hi - lo, pr.PerElement(false));
       }
-      if (!(P::kSparse && ph.skip_empty && elems == 0)) st.CountSend(elems, eb);
     });
     ++st.rounds;
     s.ForEachRecv(p, w.me, [&](GroupRank from, GroupRank b) {
       const auto [lo, hi] = s.BlockRange(dim, b);
       if (!ph.reduce) {
-        if constexpr (P::kSparse) held(b).Clear(dim);
-        w.Recv(from, tag, held(b));
+        if constexpr (P::kSparse) {
+          held(b).Clear(dim);
+          w.Recv(from, tag, lo, hi, held(b));
+        } else {
+          w.Recv(from, tag, held(b));
+        }
       } else if (from == w.me) {
         fold_in(b, P::In(input, lo, hi));
       } else if constexpr (P::kSparse) {
         sc.sparse.Clear(dim);
-        w.Recv(from, tag, sc.sparse);
+        w.Recv(from, tag, lo, hi, sc.sparse);
         fold_in(b, sc.sparse);
       } else {
         sc.dense.resize(static_cast<std::size_t>(hi - lo));
@@ -281,6 +356,15 @@ void FoldStageTraffic(WireStats& st, const WireStats& stage) {
 
 }  // namespace
 
+WireCollectives::WireCollectives(Transport& transport, ElemPricing pricing,
+                                 obs::WireObs* obs)
+    : transport_(transport),
+      pricing_(pricing),
+      obs_(obs),
+      scratch_(std::make_unique<WireScratch>()) {}
+
+WireCollectives::~WireCollectives() = default;
+
 Transport::Tag WireCollectives::NextBaseTag() {
   const Tag base = epoch_ * kTagsPerEpoch;
   PSRA_CHECK(base + kTagsPerEpoch <= Transport::kMaxCollectiveTag,
@@ -294,8 +378,8 @@ void WireCollectives::Allreduce(AllreduceKind kind,
                                 std::span<const Transport::Rank> members,
                                 const V& input, V& out, WireStats& st) {
   st.Reset();
-  Wire w(transport_, members, obs_);
-  Scratch sc;
+  WireScratch& sc = *scratch_;
+  Wire w(transport_, members, sc, obs_);
   const Tag base = NextBaseTag();
   // 1-based collective epoch, lockstep everywhere.
   if (obs_ != nullptr) obs_->iteration = epoch_;
@@ -321,36 +405,49 @@ void WireCollectives::MultiLevel(AllreduceKind kind,
   const double obs_begin = obs_ != nullptr ? obs_->Now() : 0.0;
   if (obs_ != nullptr) obs_->iteration = epoch_;
 
-  Scratch sc;
+  WireScratch& sc = *scratch_;
   WireStats stage;
   V rack_sum;
   {
-    Wire w(transport_, h.rack, obs_);
+    Wire w(transport_, h.rack, sc, obs_);
     RunSchedule(Schedule(kind, w.size()), w, rack_tag, pricing_, input,
                 rack_sum, sc, stage);
   }
   FoldStageTraffic(st, stage);
   st.rack_rounds = stage.rounds;
 
-  Wire rack(transport_, h.rack);
+  Wire rack(transport_, h.rack, sc);
   if (h.is_leader) {
     stage.Reset();
-    Wire w(transport_, h.leaders, obs_);
+    Wire w(transport_, h.leaders, sc, obs_);
     RunSchedule(Schedule(kind, w.size()), w, root_tag, pricing_, rack_sum,
                 out, sc, stage);
     FoldStageTraffic(st, stage);
     st.root_rounds = stage.rounds;
     // Redistribute: serialize the global sum to my rack peers (ascending),
     // accounted separately like the simulator's stage 3.
+    // A sparse sum travels in the cheaper encoding for its nnz (rule 5).
     StageSpan redist(obs_, "redistribute");
+    const std::uint64_t dim = Payload<V>::Dim(out);
     for (GroupRank m = 1; m < rack.size(); ++m) {
-      st.redist_elements += rack.Post(m, redist_tag, out);
+      if constexpr (Payload<V>::kSparse) {
+        const Encoding e = pricing_.Cheaper(out.nnz(), dim);
+        rack.Post(m, redist_tag, out, 0, dim, e);
+        st.redist_elements += e.elements;
+      } else {
+        st.redist_elements += rack.Post(m, redist_tag, out);
+      }
       ++st.redist_messages;
     }
   } else {
     StageSpan redist(obs_, "redistribute");
-    Payload<V>::Resize(out, Payload<V>::Dim(input));
-    rack.Recv(0, redist_tag, out);
+    const std::uint64_t dim = Payload<V>::Dim(input);
+    Payload<V>::Resize(out, dim);
+    if constexpr (Payload<V>::kSparse) {
+      rack.Recv(0, redist_tag, 0, dim, out);
+    } else {
+      rack.Recv(0, redist_tag, out);
+    }
   }
   st.rounds = st.rack_rounds + st.root_rounds;
   if (obs_ != nullptr) {

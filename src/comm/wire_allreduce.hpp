@@ -15,12 +15,17 @@
 // never blocks on a message that is not coming, but is not counted. Summing
 // WireStats across all ranks therefore reproduces the simulator's aggregate
 // CommStats traffic, and per-rank `rounds` equals the simulator's phase
-// count. A dense frame must carry exactly the length its schedule step
-// expects and a sparse frame must match its own header and the vector's
-// dimension; a mismatch throws InvalidArgument.
+// count. A sparse payload's frame says which encoding it carries: in the
+// store phases and the multi-level redistribution a block travels in the
+// cheaper of the sparse and dense encodings for its nnz, exactly as the
+// simulator prices it (comm/schedule.hpp rules 4 and 5). A dense frame must
+// carry exactly the length its schedule step expects and a sparse frame
+// must match its own header and hold indices only inside the block it
+// fills; a mismatch or an unknown frame kind throws InvalidArgument.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "comm/collective.hpp"
@@ -30,6 +35,8 @@
 #include "linalg/sparse_vector.hpp"
 
 namespace psra::comm {
+
+struct WireScratch;  // wire_allreduce.cpp
 
 /// Per-rank traffic accounting of one wire collective. Aggregate across
 /// members to compare against the simulator's CommStats (see above).
@@ -74,8 +81,8 @@ class WireCollectives {
   /// wire.collective.* / wire.phase.* wall histograms into it; null costs
   /// one branch per collective.
   WireCollectives(Transport& transport, ElemPricing pricing,
-                  obs::WireObs* obs = nullptr)
-      : transport_(transport), pricing_(pricing), obs_(obs) {}
+                  obs::WireObs* obs = nullptr);
+  ~WireCollectives();
 
   Transport& transport() { return transport_; }
 
@@ -122,6 +129,7 @@ class WireCollectives {
   ElemPricing pricing_;
   obs::WireObs* obs_ = nullptr;
   std::uint32_t epoch_ = 0;
+  std::unique_ptr<WireScratch> scratch_;  // buffers every collective reuses
 };
 
 }  // namespace psra::comm

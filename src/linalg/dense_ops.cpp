@@ -49,6 +49,16 @@ void Axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
+std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y) {
+  PSRA_REQUIRE(x.size() == y.size(), "add dimension mismatch");
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] += x[i];
+    nnz += std::fabs(x[i]) > 0.0 ? 1 : 0;
+  }
+  return nnz;
+}
+
 void Scale(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }

@@ -19,6 +19,11 @@ using DenseVector = std::vector<double>;
 /// y += alpha * x
 void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 
+/// y += x (bitwise Axpy(1.0, x, y)), returning the number of entries with
+/// |x_i| > 0, the entries SparseVector::FromDense(x) keeps: the nonzero
+/// count of a message, taken in the pass that sums it.
+std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y);
+
 // Fused BLAS-1 kernels (DESIGN.md §14). Each combines an update with the
 // reduction the solver needs next, so the vector is streamed once instead of
 // twice. Every reduction in this file (Dot, Norm2, DistanceL2 and the fused

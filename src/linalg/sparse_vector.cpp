@@ -1,24 +1,45 @@
 #include "linalg/sparse_vector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/status.hpp"
 
 namespace psra::linalg {
 
-SparseVector::SparseVector(Index dim, std::vector<Index> indices,
-                           std::vector<double> values)
-    : dim_(dim), indices_(std::move(indices)), values_(std::move(values)) {
-  PSRA_REQUIRE(indices_.size() == values_.size(),
+namespace {
+
+using Index = SparseVector::Index;
+
+/// Checks parallel index/value arrays: equal lengths, indices strictly
+/// increasing and inside [lo, hi).
+void CheckEntries(std::span<const Index> indices,
+                  std::span<const double> values, Index lo, Index hi) {
+  PSRA_REQUIRE(indices.size() == values.size(),
                "index/value arrays differ in length");
-  for (std::size_t i = 0; i < indices_.size(); ++i) {
-    PSRA_REQUIRE(indices_[i] < dim_, "sparse index out of range");
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    PSRA_REQUIRE(lo <= indices[i] && indices[i] < hi,
+                 "sparse index out of range");
     if (i > 0) {
-      PSRA_REQUIRE(indices_[i - 1] < indices_[i],
+      PSRA_REQUIRE(indices[i - 1] < indices[i],
                    "sparse indices must be strictly increasing");
     }
   }
+}
+
+/// Whether a completely reduced block keeps `v` as an entry: every value
+/// but +0.0, the result of a cancellation (-0.0 included).
+bool IsCanonicalEntry(double v) {
+  return std::bit_cast<std::uint64_t>(v) != 0;
+}
+
+}  // namespace
+
+SparseVector::SparseVector(Index dim, std::vector<Index> indices,
+                           std::vector<double> values)
+    : dim_(dim), indices_(std::move(indices)), values_(std::move(values)) {
+  CheckEntries(indices_, values_, 0, dim_);
 }
 
 SparseVector SparseVector::FromDense(std::span<const double> dense,
@@ -56,6 +77,25 @@ void SparseVector::Clear(Index dim) {
   dim_ = dim;
   indices_.clear();
   values_.clear();
+}
+
+void SparseVector::AssignBlock(Index dim, Index lo, Index hi,
+                               std::span<const Index> indices,
+                               std::span<const double> values) {
+  PSRA_REQUIRE(hi <= dim, "block exceeds the dimension");
+  CheckEntries(indices, values, lo, hi);
+  dim_ = dim;
+  indices_.assign(indices.begin(), indices.end());
+  values_.assign(values.begin(), values.end());
+}
+
+void SparseVector::AssignFromDenseBlock(Index dim, Index lo,
+                                        std::span<const double> block) {
+  PSRA_REQUIRE(lo <= dim && block.size() <= dim - lo,
+               "block exceeds the dimension");
+  dim_ = dim;
+  CompactFrom(0, lo, block,
+              [&](std::size_t k) { return IsCanonicalEntry(block[k]); });
 }
 
 DenseVector SparseVector::ToDense() const {
@@ -233,6 +273,17 @@ void SparseBlockFold::Add(const SparseVector& v) {
     present_[b] = 1;
   }
   counted_ = false;
+}
+
+void SparseBlockFold::Canonicalize() {
+  // Bitwise rather than short-circuit, so the loop has no branch.
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < present_.size(); ++k) {
+    present_[k] &= static_cast<unsigned char>(IsCanonicalEntry(acc_[k]));
+    kept += present_[k];
+  }
+  size_ = kept;
+  counted_ = true;
 }
 
 std::size_t SparseBlockFold::size() const {

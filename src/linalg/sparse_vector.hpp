@@ -38,6 +38,21 @@ class SparseVector {
   /// Makes this the empty vector of dimension `dim`, keeping its storage.
   void Clear(Index dim);
 
+  /// Overwrites this with block [lo, hi) of a vector of dimension `dim`,
+  /// given as parallel arrays, reusing this vector's storage. Throws
+  /// InvalidArgument, leaving this unchanged, unless hi <= dim and the
+  /// indices are strictly increasing and lie in [lo, hi).
+  void AssignBlock(Index dim, Index lo, Index hi,
+                   std::span<const Index> indices,
+                   std::span<const double> values);
+
+  /// Overwrites this with the entries of a canonical block (see
+  /// SparseBlockFold::Canonicalize) that `block` expands densely over
+  /// [lo, lo + block.size()): value k is kept, at index lo + k, unless its
+  /// bits are +0.0. Reuses this vector's storage; `block` must not alias it.
+  void AssignFromDenseBlock(Index dim, Index lo,
+                            std::span<const double> block);
+
   /// Expands to a dense vector of size dim().
   DenseVector ToDense() const;
 
@@ -134,6 +149,12 @@ class SparseBlockFold {
 
   /// Folds in the entries of `v` whose index lies in [lo, hi).
   void Add(const SparseVector& v);
+
+  /// Drops the entries that folded to +0.0 (a cancellation) and keeps every
+  /// other one, -0.0 included: the canonical form of a completely reduced
+  /// block. Its dense expansion decodes back to exactly these entries, so a
+  /// block stored or forwarded in either encoding counts the same nnz.
+  void Canonicalize();
 
   /// Appends the folded entries to `out` in index order and returns their
   /// count. `out` must have dimension >= hi and no entry at or above lo.

@@ -10,7 +10,6 @@
 
 // Supporting utilities.
 #include "support/cli.hpp"        // IWYU pragma: export
-#include "support/config.hpp"     // IWYU pragma: export
 #include "support/log.hpp"        // IWYU pragma: export
 #include "support/rng.hpp"        // IWYU pragma: export
 #include "support/status.hpp"       // IWYU pragma: export

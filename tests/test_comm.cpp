@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <type_traits>
 
 #include "comm/collective.hpp"
@@ -349,13 +350,20 @@ TEST(CostAnalysis, UniformLayoutBothAlgorithmsHitBestCase) {
 
 TEST(CostAnalysis, OwnBlockLayoutGivesPsrZeroScatterCost) {
   // Paper eq. 14 best case: every worker's nonzeros are in its own block.
-  const std::uint32_t n = 4, q = 6;
+  // Allgather: every owner serializes its block to n-1 peers. At q = 4 of 8
+  // (half fill, a tie) the block stays sparse, q elements at theta_s = 1;
+  // at q = 6 it travels dense, 8 values at theta_d = 0.5.
+  const std::uint32_t n = 4, block = 8;
   Fixture f(n);
-  const auto inputs = OwnBlockLayout(n, 8, q);
-  const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(psr.scatter_reduce_done, 0.0, 1e-12);
-  // Allgather: every owner serializes its q-element block to n-1 peers.
-  EXPECT_NEAR(psr.all_done, static_cast<double>(q) * (n - 1), 1e-9);
+  for (const auto& [q, per_send] : {std::pair{4u, 4.0}, std::pair{6u, 4.0}}) {
+    SCOPED_TRACE(q);
+    const auto inputs = OwnBlockLayout(n, block, q);
+    const auto psr =
+        Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+    EXPECT_NEAR(psr.scatter_reduce_done, 0.0, 1e-12);
+    EXPECT_NEAR(psr.all_done, per_send * (n - 1), 1e-9);
+    EXPECT_EQ(psr.elements_sent, (q == 4 ? q : block) * n * (n - 1));
+  }
 }
 
 TEST(CostAnalysis, HotBlockLayoutMatchesPaperWorstCaseBound) {
@@ -376,19 +384,33 @@ TEST(CostAnalysis, HotBlockLayoutMatchesPaperWorstCaseBound) {
 
 TEST(CostAnalysis, DisjointBlockLayoutIsRingsWorstCase) {
   // Disjoint concentration: partial sums grow as they circulate.
-  // Ring scatter-reduce: q * N(N-1)/2; allgather: q * N(N-1).
-  // Total: 1.5 * q * N * (N-1)  — paper eq. 13's upper bound with c = q.
+  // Ring scatter-reduce: q * N(N-1)/2; allgather: (N-1) hops of the N*q
+  // entry block. With the block twice that wide the reduced block sits at
+  // half fill, a tie, so it stays sparse: allgather q * N(N-1), total
+  // 1.5 * q * N * (N-1) — paper eq. 13's upper bound with c = q.
   const std::uint32_t n = 4, q = 3;
   Fixture f(n);
-  const auto inputs = DisjointBlockLayout(n, static_cast<std::uint64_t>(q) * n,
-                                          q);
-
+  const double nq = static_cast<double>(n) * q;
+  {
+    const auto inputs = DisjointBlockLayout(n, 2 * n * q, q);
+    const auto ring =
+        Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
+    EXPECT_NEAR(ring.all_done, 1.5 * q * n * (n - 1), 1e-9);
+    const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
+    // PSR: scatter q (parallel direct sends), allgather (n-1) * N*q
+    // serialized.
+    EXPECT_NEAR(psr.all_done, q + (n - 1) * nq, 1e-9);
+    EXPECT_LT(psr.all_done, ring.all_done);
+  }
+  // With the block exactly N*q wide the reduced block is full, so the
+  // allgather ships it dense: N*q values at theta_d = 0.5 per hop. The
+  // scatter-reduce phases stay sparse and keep their cost.
+  const auto inputs = DisjointBlockLayout(n, n * q, q);
   const auto ring = Reduce(AllreduceKind::kRing, f.group, inputs, ZeroStarts(n));
-  EXPECT_NEAR(ring.all_done, 1.5 * q * n * (n - 1), 1e-9);
-
+  EXPECT_NEAR(ring.all_done, q * n * (n - 1) / 2.0 + (n - 1) * nq * 0.5,
+              1e-9);
   const auto psr = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(n));
-  // PSR: scatter q (parallel direct sends), allgather (n-1)*n*q serialized.
-  EXPECT_NEAR(psr.all_done, q + static_cast<double>(n) * (n - 1) * q, 1e-9);
+  EXPECT_NEAR(psr.all_done, q + (n - 1) * nq * 0.5, 1e-9);
   EXPECT_LT(psr.all_done, ring.all_done);
 }
 
@@ -570,6 +592,222 @@ TEST(IntraNode, LeaderStartGatesReduce) {
   EXPECT_GE(res.leader_ready, 50.0);
 }
 
+TEST(IntraNode, SparseReducePricesEachMemberByTheRule) {
+  // Bus theta_d = 8/160 = 0.05, theta_s = 0.1. Member 1 holds 4 of 16
+  // entries (below half fill: 4 sparse elements, 0.4 s), member 2 holds 12
+  // (above: 16 dense values, 0.8 s). The sum is the dense reduce's, bitwise.
+  const Topology topo(1, 3);
+  const simnet::CostModel cost(Fixture::MakeConfig());
+  const GroupComm g(&topo, &cost, {0, 1, 2});
+  std::vector<DenseVector> inputs(3, DenseVector(16, 0.0));
+  for (std::size_t k = 0; k < 16; ++k) inputs[0][k] = 0.5;
+  for (std::size_t k = 0; k < 4; ++k) inputs[1][3 * k] = 1.0 + k;
+  for (std::size_t k = 0; k < 12; ++k) inputs[2][k] = -2.0 - k;
+  ReduceResult dense, sparse;
+  ReduceToLeader(g, 0, inputs, ZeroStarts(3), dense);
+  ReduceToLeader(g, 0, inputs, ZeroStarts(3), sparse, /*sparse=*/true);
+  EXPECT_EQ(sparse.value, dense.value);
+  EXPECT_NEAR(sparse.finish_times[1], 4 * 0.1, 1e-12);
+  EXPECT_NEAR(sparse.finish_times[2], 16 * 0.05, 1e-12);
+  EXPECT_NEAR(sparse.leader_ready, 16 * 0.05, 1e-12);
+  EXPECT_EQ(sparse.elements_sent, 4u + 16u);
+  EXPECT_EQ(sparse.messages_sent, 2u);
+  EXPECT_EQ(sparse.bytes_sent, 4u * 16u + 16u * 8u);
+  // Without sparse comm both members ship 16 dense values.
+  EXPECT_NEAR(dense.finish_times[1], 16 * 0.05, 1e-12);
+  EXPECT_EQ(dense.bytes_sent, 2u * 16u * 8u);
+}
+
+TEST(IntraNode, SparseBroadcastTakesTheCheaperEncoding) {
+  const Topology topo(1, 3);
+  const simnet::CostModel cost(Fixture::MakeConfig());
+  const GroupComm g(&topo, &cost, {0, 1, 2});
+  BroadcastResult res;
+  // 7 of 16 entries: sparse, 7 * theta_s = 0.7 s per message.
+  BroadcastFromLeader(g, 0, 16, 10.0, res, 7);
+  EXPECT_NEAR(res.finish_times[2], 10.0 + 2 * 7 * 0.1, 1e-9);
+  EXPECT_EQ(res.elements_sent, 2u * 7u);
+  EXPECT_EQ(res.bytes_sent, 2u * 7u * 16u);
+  // 9 of 16: dense, 16 * theta_d = 0.8 s per message.
+  BroadcastFromLeader(g, 0, 16, 10.0, res, 9);
+  EXPECT_NEAR(res.finish_times[2], 10.0 + 2 * 16 * 0.05, 1e-9);
+  EXPECT_EQ(res.elements_sent, 2u * 16u);
+  EXPECT_EQ(res.bytes_sent, 2u * 16u * 8u);
+}
+
+// ------------------------------------------------------- encoding rule ----
+
+TEST(EncodingRule, BreakEvenIsHalfFillInFp64AndAThirdInMixedPrecision) {
+  const ElemPricing fp64;  // 8-byte values, 8-byte indices
+  EXPECT_EQ(fp64.Cheaper(49, 100), (Encoding{true, 49}));
+  EXPECT_EQ(fp64.Cheaper(50, 100), (Encoding{true, 50}));  // a tie stays
+  EXPECT_EQ(fp64.Cheaper(51, 100), (Encoding{false, 100}));
+  EXPECT_EQ(fp64.Cheaper(0, 0), (Encoding{true, 0}));
+  const ElemPricing mixed{4, 8};  // fp32 values on inter-node links
+  EXPECT_EQ(mixed.Cheaper(32, 99), (Encoding{true, 32}));
+  EXPECT_EQ(mixed.Cheaper(33, 99), (Encoding{true, 33}));  // 396 == 396
+  EXPECT_EQ(mixed.Cheaper(34, 99), (Encoding{false, 99}));
+
+  // The simulator applies it: a PSR allgather block of 2 entries over 5
+  // coordinates (40% fill) stays sparse in fp64 and goes dense with 4-byte
+  // values. Rank 0 holds the entries, rank 1 nothing.
+  const std::vector<SparseVector> inputs{SparseVector(10, {1, 3}, {1.0, 2.0}),
+                                         SparseVector(10, {}, {})};
+  Fixture f(2);
+  const auto full = Reduce(AllreduceKind::kPsr, f.group, inputs, ZeroStarts(2));
+  EXPECT_EQ(full.elements_sent, 2u);
+  EXPECT_EQ(full.bytes_sent, 2u * 16u);
+  simnet::CostModelConfig cfg = Fixture::MakeConfig();
+  cfg.value_bytes = 4;
+  const simnet::CostModel cost(cfg);
+  const GroupComm mixed_group(&f.topo, &cost, {0, 1});
+  const auto half =
+      Reduce(AllreduceKind::kPsr, mixed_group, inputs, ZeroStarts(2));
+  EXPECT_EQ(half.elements_sent, 5u);
+  EXPECT_EQ(half.bytes_sent, 5u * 4u);
+}
+
+// --------------------------------------------- charged bytes vs time ----
+// Every message is charged time for the bytes it books: with link
+// bandwidth B and latency L, bytes = (transfer time - L) * B. Bandwidths
+// and latencies are powers of two, so the identities hold exactly.
+
+simnet::CostModelConfig ChargeConfig() {
+  simnet::CostModelConfig cfg;
+  cfg.net_bandwidth_bytes_per_s = 16.0;
+  cfg.net_latency_s = 0.25;
+  cfg.bus_bandwidth_bytes_per_s = 128.0;
+  cfg.bus_latency_s = 0.125;
+  cfg.rack_bandwidth_bytes_per_s = 8.0;
+  cfg.rack_latency_s = 0.5;
+  return cfg;
+}
+
+/// Two members, each with `q` entries at offsets 0..q-1 of both 4-wide
+/// blocks, so every phase's two sends (one for naive) match in size.
+std::vector<SparseVector> MirroredInputs(std::uint32_t q) {
+  std::vector<SparseVector> out;
+  for (int i = 0; i < 2; ++i) {
+    std::vector<SparseVector::Index> idx;
+    std::vector<double> val;
+    for (std::uint64_t b = 0; b < 2; ++b) {
+      for (std::uint64_t k = 0; k < q; ++k) {
+        idx.push_back(4 * b + k);
+        val.push_back(1.0 + i);
+      }
+    }
+    out.emplace_back(8, std::move(idx), std::move(val));
+  }
+  return out;
+}
+
+TEST(ChargedBytes, ScheduleSendsInEveryPhase) {
+  const Topology topo(2, 1);
+  const simnet::CostModel cost(ChargeConfig());
+  const GroupComm g(&topo, &cost, {0, 1});
+  for (const auto kind : {AllreduceKind::kPsr, AllreduceKind::kRing,
+                          AllreduceKind::kNaive}) {
+    // psr and ring send once per member per phase, in parallel; naive sends
+    // once per phase.
+    const double senders = kind == AllreduceKind::kNaive ? 1.0 : 2.0;
+    auto check = [&](const CommStats& st, const char* what) {
+      SCOPED_TRACE(std::string(MakeAllreduce(kind)->Name()) + " " + what);
+      EXPECT_EQ((st.all_done - 0.25 * static_cast<double>(st.rounds)) * 16.0 *
+                    senders,
+                static_cast<double>(st.bytes_sent));
+    };
+    // Below half fill every send stays sparse; at 3 of 4 the store phase
+    // ships the reduced blocks dense; dense payloads are dense throughout.
+    check(Reduce(kind, g, MirroredInputs(1), ZeroStarts(2)), "sparse 1/4");
+    check(Reduce(kind, g, MirroredInputs(3), ZeroStarts(2)), "sparse 3/4");
+    const std::vector<DenseVector> dense(2, DenseVector(8, 1.0));
+    check(Reduce(kind, g, dense, ZeroStarts(2)), "dense");
+  }
+}
+
+TEST(ChargedBytes, IntraNodeReduceAndBroadcast) {
+  const Topology topo(1, 4);
+  const simnet::CostModel cost(ChargeConfig());
+  const GroupComm g(&topo, &cost, {0, 1, 2, 3});
+  // Member 1 is full (dense send), member 2 holds one entry (sparse) and
+  // member 3 none (an empty sparse send, latency only).
+  std::vector<DenseVector> inputs(4, DenseVector(16, 0.0));
+  for (std::size_t k = 0; k < 16; ++k) inputs[1][k] = 1.0;
+  inputs[2][5] = 2.0;
+  const std::vector<VirtualTime> starts{0.0, 1.0, 2.0, 3.0};
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    ReduceResult red;
+    ReduceToLeader(g, 0, inputs, starts, red, sparse);
+    double charged = 0.0;
+    for (GroupRank m = 1; m < 4; ++m) {
+      charged += (red.finish_times[m] - starts[m] - 0.125) * 128.0;
+    }
+    EXPECT_EQ(charged, static_cast<double>(red.bytes_sent));
+    for (const std::optional<std::size_t> nnz :
+         {std::optional<std::size_t>(), std::optional<std::size_t>(3),
+          std::optional<std::size_t>(12)}) {
+      BroadcastResult bc;
+      BroadcastFromLeader(g, 0, 16, 1.0, bc, nnz);
+      EXPECT_EQ((bc.finish_times[0] - 1.0 - 3 * 0.125) * 128.0,
+                static_cast<double>(bc.bytes_sent));
+    }
+  }
+}
+
+TEST(ChargedBytes, RackRedistribution) {
+  // 2 racks of 2 nodes: each rack leader sends the global sum to its one
+  // peer after the root stage. The test replays the rack and root stages to
+  // find when the leader starts sending.
+  const Topology topo(4, 1, 2);
+  const simnet::CostModel cost(ChargeConfig());
+  const std::vector<Rank> members{0, 1, 2, 3};
+  MultiLevelAllreduce ml(&topo, &cost, members);
+  const auto alg = MakeAllreduce(AllreduceKind::kPsr);
+  for (const std::uint32_t q : {1u, 6u}) {  // 2 or 6 of 8 entries in the sum
+    SCOPED_TRACE(q);
+    std::vector<SparseVector> inputs;
+    for (int i = 0; i < 4; ++i) {
+      std::vector<SparseVector::Index> idx;
+      std::vector<double> val;
+      for (std::uint64_t k = 0; k < q; ++k) {
+        idx.push_back(k);
+        val.push_back(1.0);
+      }
+      inputs.emplace_back(8, std::move(idx), std::move(val));
+    }
+    const auto starts = ZeroStarts(4);
+    AllreduceScratch scratch;
+    SparseVector sum;
+    CommStats stats;
+    ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
+
+    std::vector<SparseVector> rack_sums(2);
+    std::vector<VirtualTime> root_starts(2);
+    CommStats st;
+    for (int r = 0; r < 2; ++r) {
+      const GroupComm rack(&topo, &cost, {members[2 * r], members[2 * r + 1]});
+      alg->ReduceSparse(rack,
+                        std::span<const SparseVector>(inputs).subspan(2 * r, 2),
+                        std::span<const VirtualTime>(starts).subspan(2 * r, 2),
+                        scratch, rack_sums[r], st);
+      root_starts[r] = st.finish_times[0];
+    }
+    const GroupComm root(&topo, &cost, {0, 2});
+    SparseVector root_sum;
+    alg->ReduceSparse(root, rack_sums, root_starts, scratch, root_sum, st);
+    EXPECT_EQ(root_sum, sum);
+    for (int r = 0; r < 2; ++r) {
+      const double sent = stats.finish_times[2 * r] - st.finish_times[r];
+      EXPECT_EQ((sent - 0.25) * 16.0,
+                static_cast<double>(ml.redistribution_bytes()) / 2.0);
+    }
+    const Encoding e = ElemPricing{}.Cheaper(q, 8);
+    EXPECT_EQ(ml.redistribution_bytes(),
+              2 * e.elements * (e.sparse ? 16u : 8u));
+  }
+}
+
 // ------------------------------------------------ fault-tolerant reduce ----
 
 std::vector<DenseVector> RampInputs(std::size_t n, std::size_t dim) {
@@ -748,10 +986,25 @@ TEST(FaultyReduce, SparseAndDenseFaultyPathsAgree) {
 
 // --------------------------------- PSR sparse fold vs the merge chain ----
 
+/// `v` without its +0.0 entries; -0.0 entries stay (the canonical block).
+SparseVector WithoutPositiveZeros(const SparseVector& v) {
+  std::vector<SparseVector::Index> idx;
+  std::vector<double> val;
+  for (std::size_t k = 0; k < v.nnz(); ++k) {
+    if (std::bit_cast<std::uint64_t>(v.values()[k]) != 0) {
+      idx.push_back(v.indices()[k]);
+      val.push_back(v.values()[k]);
+    }
+  }
+  return SparseVector(v.dim(), std::move(idx), std::move(val));
+}
+
 /// The PSR sparse reduce as a pairwise merge chain: every block starts from
 /// member 0's slice and SumInto-merges the other members' slices in
-/// ascending order. Timing follows the sender-serialized PSR schedule
-/// (DESIGN.md §2); empty sparse payloads are not sent.
+/// ascending order, then drops its cancellations to +0.0. Timing follows
+/// the sender-serialized PSR schedule (DESIGN.md §2); empty sparse payloads
+/// are not sent, scatter slices travel sparse, and each reduced block
+/// travels in the cheaper encoding for its nnz.
 void ChainPsrSparse(const GroupComm& group,
                     std::span<const SparseVector> inputs,
                     std::span<const VirtualTime> starts, SparseVector& sum,
@@ -769,6 +1022,7 @@ void ChainPsrSparse(const GroupComm& group,
       SparseVector::SumInto(blocks[j], slice, merged);
       blocks[j] = merged;
     }
+    blocks[j] = WithoutPositiveZeros(blocks[j]);
     block_nnz[j] = blocks[j].nnz();
   }
   sum = SparseVector::ConcatDisjoint(blocks);
@@ -778,13 +1032,12 @@ void ChainPsrSparse(const GroupComm& group,
     st.finish_times[0] = st.all_done = st.scatter_reduce_done = starts[0];
     return;
   }
-  const std::size_t eb = group.pricing().PerElement(true);
-  auto send = [&](GroupRank a, GroupRank b, std::size_t elems,
-                  VirtualTime& clock) {
-    const VirtualTime cost =
-        group.cost_model().SparseTransferTime(group.LinkBetween(a, b), elems);
-    clock += cost;
-    st.CountSend(elems, eb);
+  const ElemPricing pr = group.pricing();
+  auto send = [&](GroupRank a, GroupRank b, Encoding e, VirtualTime& clock) {
+    const simnet::Link link = group.LinkBetween(a, b);
+    clock += e.sparse ? group.cost_model().SparseTransferTime(link, e.elements)
+                      : group.cost_model().DenseTransferTime(link, e.elements);
+    st.CountSend(e.elements, pr.PerElement(e.sparse));
   };
   std::vector<VirtualTime> ready(starts.begin(), starts.end()), sr_done(n);
   for (GroupRank i = 0; i < n; ++i) {
@@ -793,7 +1046,7 @@ void ChainPsrSparse(const GroupComm& group,
       const auto [lo, hi] = group.BlockRange(dim, j);
       const std::size_t elems = inputs[i].CountInRange(lo, hi);
       if (j == i || elems == 0) continue;
-      send(i, j, elems, clock);
+      send(i, j, Encoding{true, elems}, clock);
       ready[j] = std::max(ready[j], clock);
     }
     sr_done[i] = clock;
@@ -803,9 +1056,10 @@ void ChainPsrSparse(const GroupComm& group,
   for (GroupRank m = 0; m < n; ++m) arrival[m] = std::max(ready[m], sr_done[m]);
   for (GroupRank j = 0; j < n; ++j) {
     VirtualTime clock = std::max(ready[j], sr_done[j]);
+    const auto [lo, hi] = group.BlockRange(dim, j);
     for (GroupRank m = 0; m < n; ++m) {
       if (m == j || block_nnz[j] == 0) continue;
-      send(j, m, block_nnz[j], clock);
+      send(j, m, pr.Cheaper(block_nnz[j], hi - lo), clock);
       arrival[m] = std::max(arrival[m], clock);
     }
     ag_done[j] = clock;
@@ -844,7 +1098,8 @@ void ExpectMatchesChain(const GroupComm& group,
 }
 
 /// Random inputs mixing Gaussian values, exact cancellations (two members
-/// hold +c and -c, the sum is 0.0 and stays an entry) and lone -0.0s.
+/// hold +c and -c, the sum is +0.0 and the reduced block drops it) and lone
+/// -0.0s (which stay entries).
 std::vector<SparseVector> RandomFoldInputs(Rng& rng, std::uint32_t n,
                                            std::uint64_t dim, double density) {
   std::vector<DenseVector> dense(n, DenseVector(dim, 0.0));

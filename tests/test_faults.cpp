@@ -189,7 +189,9 @@ TEST(Faults, FaultyRunsAreReproducible) {
 // FaultStats (drops, retries, delays, deaths, re-elections), the traffic
 // counters and the iteration count. A coin drawn on the wrong channel, a
 // retry charged to the wrong group or an excluded node that still
-// broadcasts moves at least one of them.
+// broadcasts moves at least one of them. The sparse cases' elements_sent
+// was re-pinned when messages began to travel in the cheaper encoding (a
+// dense message counts its values); nothing else moved.
 
 struct RunPin {
   FaultStats faults;
@@ -256,7 +258,7 @@ TEST(FaultPins, FaultyRunsKeepTheirIntegers) {
       {"flat dense crash/death/drop", GroupingMode::kFlat, false,
        CrashDeathDropPlan, {{2, 1, 0, 1, 28, 15, 0, 16}, 23800, 1664, 20}},
       {"flat sparse crash/death/drop", GroupingMode::kFlat, true,
-       CrashDeathDropPlan, {{2, 1, 0, 1, 28, 15, 0, 16}, 20478, 1664, 20}},
+       CrashDeathDropPlan, {{2, 1, 0, 1, 28, 15, 0, 16}, 20483, 1664, 20}},
       {"hierarchical dense drop/delay", GroupingMode::kHierarchical, false,
        DropDelayPlan, {{0, 0, 0, 0, 7, 7, 18, 0}, 28000, 640, 20}},
       {"hierarchical sparse drop/delay", GroupingMode::kHierarchical, true,
@@ -264,15 +266,15 @@ TEST(FaultPins, FaultyRunsKeepTheirIntegers) {
       {"dynamic dense drop/delay", GroupingMode::kDynamicGroups, false,
        DropDelayPlan, {{0, 0, 0, 0, 13, 12, 17, 0}, 24000, 480, 20}},
       {"dynamic sparse drop/delay", GroupingMode::kDynamicGroups, true,
-       DropDelayPlan, {{0, 0, 0, 0, 13, 12, 17, 0}, 23470, 480, 20}},
+       DropDelayPlan, {{0, 0, 0, 0, 13, 12, 17, 0}, 23650, 480, 20}},
       {"hierarchical dense crash/death/drop", GroupingMode::kHierarchical,
        false, CrashDeathDropPlan, {{2, 3, 2, 5, 10, 8, 0, 21}, 23000, 550, 20}},
       {"hierarchical sparse crash/death/drop", GroupingMode::kHierarchical,
-       true, CrashDeathDropPlan, {{2, 3, 2, 5, 10, 8, 0, 21}, 22158, 550, 20}},
+       true, CrashDeathDropPlan, {{2, 3, 2, 5, 10, 8, 0, 21}, 22170, 550, 20}},
       {"dynamic dense crash/death/drop", GroupingMode::kDynamicGroups, false,
        CrashDeathDropPlan, {{2, 3, 2, 5, 10, 9, 0, 21}, 19000, 419, 20}},
       {"dynamic sparse crash/death/drop", GroupingMode::kDynamicGroups, true,
-       CrashDeathDropPlan, {{2, 3, 2, 5, 10, 9, 0, 21}, 18129, 419, 20}},
+       CrashDeathDropPlan, {{2, 3, 2, 5, 10, 9, 0, 21}, 18452, 419, 20}},
   };
   for (const PinCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -301,8 +303,7 @@ TEST(FaultPins, EmptiedSingletonGroupTakesNoChannel) {
     cfg.cluster.fault.message_drop_probability = 0.1;
     cfg.cluster.fault.max_retries = 12;
     cfg.cluster.fault.checkpoint_every = 3;
-    const RunPin pin{{0, 6, 6, 12, 6, 6, 0, 6}, sparse ? 13450u : 14200u, 302,
-                     20};
+    const RunPin pin{{0, 6, 6, 12, 6, 6, 0, 6}, 14200u, 302, 20};
     ExpectPinned(PsraHgAdmm(cfg).Run(Problem(), Options(20)), pin);
   }
 }

