@@ -5,12 +5,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <string>
 
+#include "admm/ad_admm.hpp"
+#include "admm/admmlib.hpp"
+#include "admm/checkpoint.hpp"
 #include "admm/problem.hpp"
 #include "admm/psra_hgadmm.hpp"
+#include "engine/thread_pool.hpp"
 #include "linalg/dense_ops.hpp"
 #include "support/status.hpp"
 
@@ -414,6 +419,376 @@ TEST(PayloadPins, MixedPrecisionAndCensoringKeepTheirIntegers) {
       EXPECT_EQ(r.messages_sent, c.messages_sent);
       EXPECT_EQ(r.iterations_run, 20u);
       EXPECT_EQ(BitDigest(r.final_z), c.z_digest);
+    }
+  }
+}
+
+// ------------------------------------------------- worker state pins ----
+
+// Every worker's state, pinned as digests taken from the build in which each
+// worker still kept x, y, w and z at full width. `mid` and `end` chain every
+// worker's x, y and z from the checkpoint after iteration 7 and after the
+// last iteration, followed by every worker's w after one XWStepAll from a
+// WorkerSet warm-started on that checkpoint. `final_z` digests the model,
+// `residuals` the (primal, dual) series of the trace.
+struct StatePin {
+  std::uint64_t mid = 0;
+  std::uint64_t end = 0;
+  std::uint64_t final_z = 0;
+  std::uint64_t iterations = 0;
+  std::uint64_t residuals = 0;
+};
+
+// A wide, sparse problem: each of the 8 shards leaves most of its 300
+// columns untouched, so the closed-form columns dominate the state.
+const ConsensusProblem& WideProblem() {
+  static const ConsensusProblem p = [] {
+    data::SyntheticSpec spec = TinySpec(7);
+    spec.num_features = 300;
+    spec.num_train = 240;
+    spec.num_test = 60;
+    spec.mean_row_nnz = 6.0;
+    return BuildProblem(spec, 8);
+  }();
+  return p;
+}
+
+std::uint64_t Chain(std::uint64_t h, std::uint64_t v) {
+  for (int k = 0; k < 8; ++k) {
+    h ^= (v >> (8 * k)) & 0xFFu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t StateDigest(const ConsensusProblem& p, const RunOptions& base,
+                          const RunCheckpoint& ckpt) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const WorkerCheckpoint& w : ckpt.workers) {
+    h = Chain(h, BitDigest(w.x));
+    h = Chain(h, BitDigest(w.y));
+    h = Chain(h, BitDigest(w.z));
+  }
+  RunOptions opt = base;
+  opt.warm_start = &ckpt;
+  WorkerSet ws(&p, &opt);
+  ApplyWarmStart(ws, opt);
+  std::vector<double> flops(ws.size());
+  ws.XWStepAll(flops);
+  const WorkerSet& cws = ws;
+  for (std::size_t i = 0; i < cws.size(); ++i) {
+    h = Chain(h, BitDigest(cws.w(i)));
+  }
+  return h;
+}
+
+using EngineRun = std::function<RunResult(const RunOptions&)>;
+
+/// Runs `run` with a checkpoint after iteration 7 and again with one after
+/// its last iteration (`warm`, when set, resumes both from a checkpoint).
+StatePin PinOf(const ConsensusProblem& p, const EngineRun& run,
+               RunOptions opt, bool with_state) {
+  StatePin pin;
+  RunCheckpoint mid, end;
+  if (with_state) {
+    opt.checkpoint_out = &mid;
+    opt.checkpoint_at = 7;
+  }
+  const RunResult r = run(opt);
+  pin.final_z = BitDigest(r.final_z);
+  pin.iterations = r.iterations_run;
+  std::vector<double> series;
+  for (const auto& rec : r.trace) {
+    series.push_back(rec.primal_residual);
+    series.push_back(rec.dual_residual);
+    series.push_back(rec.objective);
+  }
+  pin.residuals = BitDigest(series);
+  if (!with_state) return pin;
+  pin.mid = StateDigest(p, opt, mid);
+  opt.checkpoint_out = &end;
+  opt.checkpoint_at = r.iterations_run;
+  (void)run(opt);
+  pin.end = StateDigest(p, opt, end);
+  return pin;
+}
+
+enum class Scenario {
+  kNoFaults,
+  kDropDelay,
+  kCrashDeath,
+  kMixedCensor,
+  kStopAdaptive,
+  kWarmStart,
+};
+
+simnet::FaultConfig PinDropDelay() {
+  simnet::FaultConfig f;
+  f.message_drop_probability = 0.1;
+  f.max_retries = 12;
+  f.message_delay_probability = 0.2;
+  f.message_delay_s = 1e-4;
+  return f;
+}
+
+simnet::FaultConfig PinCrashDeath() {
+  simnet::FaultConfig f;
+  f.crashes.push_back({/*rank=*/3, /*at_iteration=*/5, /*down_iterations=*/4});
+  f.crashes.push_back({/*rank=*/6, /*at_iteration=*/9, /*down_iterations=*/0});
+  f.leader_deaths.push_back({/*node=*/1, /*at_iteration=*/6,
+                             /*down_iterations=*/3});
+  f.message_drop_probability = 0.1;
+  f.max_retries = 2;
+  f.checkpoint_every = 4;
+  return f;
+}
+
+struct PsraPinCase {
+  GroupingMode grouping;
+  bool sparse;
+  Scenario scenario;
+  StatePin pin;
+};
+
+std::string ScenarioName(Scenario s) {
+  switch (s) {
+    case Scenario::kNoFaults: return "no faults";
+    case Scenario::kDropDelay: return "drop/delay";
+    case Scenario::kCrashDeath: return "crash+death";
+    case Scenario::kMixedCensor: return "mixed+censor";
+    case Scenario::kStopAdaptive: return "stop+adaptive";
+    case Scenario::kWarmStart: return "warm start";
+  }
+  return "?";
+}
+
+void ExpectPin(const StatePin& got, const StatePin& want) {
+  EXPECT_EQ(got.mid, want.mid);
+  EXPECT_EQ(got.end, want.end);
+  EXPECT_EQ(got.final_z, want.final_z);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.residuals, want.residuals);
+}
+
+StatePin RunPsraPin(const PsraPinCase& c, engine::ThreadPool* pool) {
+  const ConsensusProblem& p = WideProblem();
+  PsraConfig cfg;
+  cfg.cluster = TinyCluster(4, 2);
+  cfg.grouping = c.grouping;
+  cfg.sparse_comm = c.sparse;
+  RunOptions opt;
+  opt.max_iterations = 20;
+  opt.eval_every = 1;
+  opt.pool = pool;
+  switch (c.scenario) {
+    case Scenario::kNoFaults:
+    case Scenario::kWarmStart:
+      break;
+    case Scenario::kDropDelay:
+      cfg.cluster.fault = PinDropDelay();
+      break;
+    case Scenario::kCrashDeath:
+      cfg.cluster.fault = PinCrashDeath();
+      break;
+    case Scenario::kMixedCensor:
+      cfg.mixed_precision = true;
+      cfg.censor_threshold = 1.5;
+      cfg.censor_decay = 1.0;
+      break;
+    case Scenario::kStopAdaptive:
+      opt.max_iterations = 60;
+      opt.stopping.enabled = true;
+      opt.stopping.eps_abs = 1e-3;
+      opt.stopping.eps_rel = 2e-2;
+      opt.adaptive_rho.enabled = true;
+      opt.adaptive_rho.mu = 2.0;
+      break;
+  }
+  const PsraHgAdmm engine(cfg);
+  RunCheckpoint at4;
+  if (c.scenario == Scenario::kWarmStart) {
+    RunOptions first = opt;
+    first.max_iterations = 4;
+    first.checkpoint_out = &at4;
+    first.checkpoint_at = 4;
+    (void)engine.Run(p, first);
+    opt.warm_start = &at4;
+  }
+  return PinOf(p, [&](const RunOptions& o) { return engine.Run(p, o); }, opt,
+               /*with_state=*/true);
+}
+
+// Every PSRA grouping, dense and sparse, under each scenario; ADMMLib and
+// AD-ADMM below. Serial and pooled runs must both give the pinned digests.
+TEST(WorkerStatePins, PsraRunsKeepEveryWorkersState) {
+  using G = GroupingMode;
+  using S = Scenario;
+  const PsraPinCase cases[] = {
+      {G::kFlat, false, S::kNoFaults,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+      {G::kFlat, false, S::kDropDelay,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+      {G::kFlat, false, S::kCrashDeath,
+       {310079199666549508ULL, 15400295968566526027ULL,
+        6947952824049204760ULL, 20, 18242272506444721041ULL}},
+      {G::kFlat, false, S::kMixedCensor,
+       {3144815145215445484ULL, 15966209988476976488ULL,
+        10110844353639003405ULL, 20, 1767247677863331341ULL}},
+      {G::kFlat, false, S::kStopAdaptive,
+       {9269206782036558783ULL, 45674265436351671ULL,
+        7772639199224780234ULL, 16, 6863799028480331015ULL}},
+      {G::kFlat, false, S::kWarmStart,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 15183775956891152947ULL}},
+      {G::kFlat, true, S::kNoFaults,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+      {G::kFlat, true, S::kDropDelay,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+      {G::kFlat, true, S::kCrashDeath,
+       {310079199666549508ULL, 15400295968566526027ULL,
+        6947952824049204760ULL, 20, 18242272506444721041ULL}},
+      {G::kFlat, true, S::kMixedCensor,
+       {3144815145215445484ULL, 15966209988476976488ULL,
+        10110844353639003405ULL, 20, 1767247677863331341ULL}},
+      {G::kFlat, true, S::kStopAdaptive,
+       {9269206782036558783ULL, 45674265436351671ULL,
+        7772639199224780234ULL, 16, 6863799028480331015ULL}},
+      {G::kFlat, true, S::kWarmStart,
+       {1114412117510737026ULL, 17319549058366815894ULL,
+        6858023397708372303ULL, 20, 15183775956891152947ULL}},
+      {G::kHierarchical, false, S::kNoFaults,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+      {G::kHierarchical, false, S::kDropDelay,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+      {G::kHierarchical, false, S::kCrashDeath,
+       {15693687987086627868ULL, 17510838519316485214ULL,
+        15022685125258152073ULL, 20, 122309668414899297ULL}},
+      {G::kHierarchical, false, S::kMixedCensor,
+       {14612037728235929027ULL, 7337609134109496963ULL,
+        3908618377990898026ULL, 20, 11791498596586118470ULL}},
+      {G::kHierarchical, false, S::kStopAdaptive,
+       {5455483747836822426ULL, 17272959921342513889ULL,
+        10007460482596165977ULL, 16, 12509009678105344568ULL}},
+      {G::kHierarchical, false, S::kWarmStart,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 12649439724591326797ULL}},
+      {G::kHierarchical, true, S::kNoFaults,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+      {G::kHierarchical, true, S::kDropDelay,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+      {G::kHierarchical, true, S::kCrashDeath,
+       {15693687987086627868ULL, 17510838519316485214ULL,
+        15022685125258152073ULL, 20, 122309668414899297ULL}},
+      {G::kHierarchical, true, S::kMixedCensor,
+       {14612037728235929027ULL, 7337609134109496963ULL,
+        3908618377990898026ULL, 20, 11791498596586118470ULL}},
+      {G::kHierarchical, true, S::kStopAdaptive,
+       {5455483747836822426ULL, 17272959921342513889ULL,
+        10007460482596165977ULL, 16, 12509009678105344568ULL}},
+      {G::kHierarchical, true, S::kWarmStart,
+       {12381097152176692641ULL, 15659363446416457196ULL,
+        5052292724045704508ULL, 20, 12649439724591326797ULL}},
+      {G::kDynamicGroups, false, S::kNoFaults,
+       {14286415263427343179ULL, 16616788659845174995ULL,
+        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+      {G::kDynamicGroups, false, S::kDropDelay,
+       {14286415263427343179ULL, 16616788659845174995ULL,
+        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+      {G::kDynamicGroups, false, S::kCrashDeath,
+       {1617708019964731988ULL, 11691451587167010017ULL,
+        6596877821784246182ULL, 20, 9731759543440127613ULL}},
+      {G::kDynamicGroups, false, S::kStopAdaptive,
+       {885253950122787944ULL, 3529956652797250118ULL,
+        10779444323826153819ULL, 14, 10593246275117046605ULL}},
+      {G::kDynamicGroups, false, S::kWarmStart,
+       {11306918169247423304ULL, 8091953589788290365ULL,
+        1669778801098624848ULL, 20, 11929193033995731290ULL}},
+      {G::kDynamicGroups, true, S::kNoFaults,
+       {14286415263427343179ULL, 16616788659845174995ULL,
+        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+      {G::kDynamicGroups, true, S::kDropDelay,
+       {14286415263427343179ULL, 16616788659845174995ULL,
+        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+      {G::kDynamicGroups, true, S::kCrashDeath,
+       {1617708019964731988ULL, 11691451587167010017ULL,
+        6596877821784246182ULL, 20, 9731759543440127613ULL}},
+      {G::kDynamicGroups, true, S::kStopAdaptive,
+       {11712110318422115373ULL, 4065902371102035423ULL,
+        14254909547384873030ULL, 12, 17403576443477146176ULL}},
+      {G::kDynamicGroups, true, S::kWarmStart,
+       {11306918169247423304ULL, 8091953589788290365ULL,
+        1669778801098624848ULL, 20, 11929193033995731290ULL}},
+  };
+  engine::ThreadPool pool(3);
+  pool.ForceParallelDispatchForTesting();
+  for (const PsraPinCase& c : cases) {
+    const std::string name = GroupingModeName(c.grouping) +
+                             (c.sparse ? " sparse " : " dense ") +
+                             ScenarioName(c.scenario);
+    for (engine::ThreadPool* const host :
+         {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(name + (host != nullptr ? " pooled" : " serial"));
+      ExpectPin(RunPsraPin(c, host), c.pin);
+    }
+  }
+}
+
+TEST(WorkerStatePins, AdmmLibAndAdAdmmKeepEveryWorkersState) {
+  const ConsensusProblem& p = WideProblem();
+  const struct {
+    const char* name;
+    bool admmlib;
+    bool sparse;
+    StatePin pin;
+  } cases[] = {
+      {"admmlib dense", true, false,
+       {12923776415523155664ULL, 9117142324777079600ULL,
+        11510836730659822285ULL, 20, 16509763928380155438ULL}},
+      {"admmlib sparse", true, true,
+       {12923776415523155664ULL, 9117142324777079600ULL,
+        11510836730659822285ULL, 20, 16509763928380155438ULL}},
+      {"ad-admm classic", false, false,
+       {0ULL, 0ULL,
+        560520666718757997ULL, 20, 6394583924490852131ULL}},
+      {"ad-admm sparse", false, true,
+       {0ULL, 0ULL,
+        560520666718757997ULL, 20, 6394583924490852131ULL}},
+  };
+  engine::ThreadPool pool(3);
+  pool.ForceParallelDispatchForTesting();
+  for (const auto& c : cases) {
+    for (engine::ThreadPool* const host :
+         {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(c.name) + (host != nullptr ? " pooled" : ""));
+      RunOptions opt;
+      opt.max_iterations = 20;
+      opt.eval_every = 1;
+      opt.pool = host;
+      StatePin got;
+      if (c.admmlib) {
+        AdmmLibConfig cfg;
+        cfg.cluster = TinyCluster(4, 2);
+        cfg.sparse_comm = c.sparse;
+        const AdmmLib engine(cfg);
+        got = PinOf(p, [&](const RunOptions& o) { return engine.Run(p, o); },
+                    opt, /*with_state=*/true);
+      } else {
+        AdAdmmConfig cfg;
+        cfg.cluster = TinyCluster(4, 2);
+        cfg.classic_exchange = !c.sparse;
+        const AdAdmm engine(cfg);
+        got = PinOf(p, [&](const RunOptions& o) { return engine.Run(p, o); },
+                    opt, /*with_state=*/false);
+      }
+      ExpectPin(got, c.pin);
     }
   }
 }
