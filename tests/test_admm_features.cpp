@@ -439,12 +439,13 @@ struct StatePin {
   std::uint64_t residuals = 0;
 };
 
-// A wide, sparse problem: each of the 8 shards leaves most of its 300
-// columns untouched, so the closed-form columns dominate the state.
+// A wide, sparse problem: each of the 8 shards leaves most of its 301
+// columns untouched, so the closed-form columns dominate the state, and the
+// width is not a multiple of 4, so every four-lane sum has a tail.
 const ConsensusProblem& WideProblem() {
   static const ConsensusProblem p = [] {
     data::SyntheticSpec spec = TinySpec(7);
-    spec.num_features = 300;
+    spec.num_features = 301;
     spec.num_train = 240;
     spec.num_test = 60;
     spec.mean_row_nnz = 6.0;
@@ -625,107 +626,107 @@ TEST(WorkerStatePins, PsraRunsKeepEveryWorkersState) {
   using S = Scenario;
   const PsraPinCase cases[] = {
       {G::kFlat, false, S::kNoFaults,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 14507592575708758165ULL}},
       {G::kFlat, false, S::kDropDelay,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 14507592575708758165ULL}},
       {G::kFlat, false, S::kCrashDeath,
-       {310079199666549508ULL, 15400295968566526027ULL,
-        6947952824049204760ULL, 20, 18242272506444721041ULL}},
+       {8388708759235967012ULL, 12946026501286056744ULL,
+        8487950519799974972ULL, 20, 5750939809529414373ULL}},
       {G::kFlat, false, S::kMixedCensor,
-       {3144815145215445484ULL, 15966209988476976488ULL,
-        10110844353639003405ULL, 20, 1767247677863331341ULL}},
+       {11253704029756533080ULL, 8674770745323697223ULL,
+        13691748463718220756ULL, 20, 3282803409284407175ULL}},
       {G::kFlat, false, S::kStopAdaptive,
-       {9269206782036558783ULL, 45674265436351671ULL,
-        7772639199224780234ULL, 16, 6863799028480331015ULL}},
+       {17704998659274445626ULL, 8413510001544776695ULL,
+        554060128647264708ULL, 14, 1265745222958179001ULL}},
       {G::kFlat, false, S::kWarmStart,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 15183775956891152947ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 16988736048575128298ULL}},
       {G::kFlat, true, S::kNoFaults,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 14507592575708758165ULL}},
       {G::kFlat, true, S::kDropDelay,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 7931878718901158308ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 14507592575708758165ULL}},
       {G::kFlat, true, S::kCrashDeath,
-       {310079199666549508ULL, 15400295968566526027ULL,
-        6947952824049204760ULL, 20, 18242272506444721041ULL}},
+       {8388708759235967012ULL, 12946026501286056744ULL,
+        8487950519799974972ULL, 20, 5750939809529414373ULL}},
       {G::kFlat, true, S::kMixedCensor,
-       {3144815145215445484ULL, 15966209988476976488ULL,
-        10110844353639003405ULL, 20, 1767247677863331341ULL}},
+       {11253704029756533080ULL, 8674770745323697223ULL,
+        13691748463718220756ULL, 20, 3282803409284407175ULL}},
       {G::kFlat, true, S::kStopAdaptive,
-       {9269206782036558783ULL, 45674265436351671ULL,
-        7772639199224780234ULL, 16, 6863799028480331015ULL}},
+       {17704998659274445626ULL, 8413510001544776695ULL,
+        554060128647264708ULL, 14, 1265745222958179001ULL}},
       {G::kFlat, true, S::kWarmStart,
-       {1114412117510737026ULL, 17319549058366815894ULL,
-        6858023397708372303ULL, 20, 15183775956891152947ULL}},
+       {10051224557929446764ULL, 15229610895358320451ULL,
+        3907907445476531959ULL, 20, 16988736048575128298ULL}},
       {G::kHierarchical, false, S::kNoFaults,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 1358572494561321184ULL}},
       {G::kHierarchical, false, S::kDropDelay,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 1358572494561321184ULL}},
       {G::kHierarchical, false, S::kCrashDeath,
-       {15693687987086627868ULL, 17510838519316485214ULL,
-        15022685125258152073ULL, 20, 122309668414899297ULL}},
+       {2244421218334670331ULL, 17887731887399852036ULL,
+        18131082188685908453ULL, 20, 16958377543329376547ULL}},
       {G::kHierarchical, false, S::kMixedCensor,
-       {14612037728235929027ULL, 7337609134109496963ULL,
-        3908618377990898026ULL, 20, 11791498596586118470ULL}},
+       {5560630810052932548ULL, 10700308957843226685ULL,
+        13035205501887146935ULL, 20, 5572564073921226664ULL}},
       {G::kHierarchical, false, S::kStopAdaptive,
-       {5455483747836822426ULL, 17272959921342513889ULL,
-        10007460482596165977ULL, 16, 12509009678105344568ULL}},
+       {14854661284746036038ULL, 16341824236498173094ULL,
+        16809624667182161772ULL, 14, 13698211228074778071ULL}},
       {G::kHierarchical, false, S::kWarmStart,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 12649439724591326797ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 17389954953377765580ULL}},
       {G::kHierarchical, true, S::kNoFaults,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 1358572494561321184ULL}},
       {G::kHierarchical, true, S::kDropDelay,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 8485227560203400393ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 1358572494561321184ULL}},
       {G::kHierarchical, true, S::kCrashDeath,
-       {15693687987086627868ULL, 17510838519316485214ULL,
-        15022685125258152073ULL, 20, 122309668414899297ULL}},
+       {2244421218334670331ULL, 17887731887399852036ULL,
+        18131082188685908453ULL, 20, 16958377543329376547ULL}},
       {G::kHierarchical, true, S::kMixedCensor,
-       {14612037728235929027ULL, 7337609134109496963ULL,
-        3908618377990898026ULL, 20, 11791498596586118470ULL}},
+       {5560630810052932548ULL, 10700308957843226685ULL,
+        13035205501887146935ULL, 20, 5572564073921226664ULL}},
       {G::kHierarchical, true, S::kStopAdaptive,
-       {5455483747836822426ULL, 17272959921342513889ULL,
-        10007460482596165977ULL, 16, 12509009678105344568ULL}},
+       {14854661284746036038ULL, 16341824236498173094ULL,
+        16809624667182161772ULL, 14, 13698211228074778071ULL}},
       {G::kHierarchical, true, S::kWarmStart,
-       {12381097152176692641ULL, 15659363446416457196ULL,
-        5052292724045704508ULL, 20, 12649439724591326797ULL}},
+       {5142279227905344715ULL, 4859487634969054800ULL,
+        785251470264260205ULL, 20, 17389954953377765580ULL}},
       {G::kDynamicGroups, false, S::kNoFaults,
-       {14286415263427343179ULL, 16616788659845174995ULL,
-        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+       {2403651678434689485ULL, 12179399083027101979ULL,
+        3707633812289797843ULL, 20, 10692651602710626970ULL}},
       {G::kDynamicGroups, false, S::kDropDelay,
-       {14286415263427343179ULL, 16616788659845174995ULL,
-        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+       {12055715866705452111ULL, 5332662876769850305ULL,
+        9486824436161824426ULL, 20, 2297035440190382759ULL}},
       {G::kDynamicGroups, false, S::kCrashDeath,
-       {1617708019964731988ULL, 11691451587167010017ULL,
-        6596877821784246182ULL, 20, 9731759543440127613ULL}},
+       {2984195676930546231ULL, 9156660884526605156ULL,
+        7534675760042366306ULL, 20, 14133857104194276437ULL}},
       {G::kDynamicGroups, false, S::kStopAdaptive,
-       {885253950122787944ULL, 3529956652797250118ULL,
-        10779444323826153819ULL, 14, 10593246275117046605ULL}},
+       {559347977494760438ULL, 7778621255228191648ULL,
+        10339032089639128990ULL, 16, 17555049357309905122ULL}},
       {G::kDynamicGroups, false, S::kWarmStart,
-       {11306918169247423304ULL, 8091953589788290365ULL,
-        1669778801098624848ULL, 20, 11929193033995731290ULL}},
+       {2403651678434689485ULL, 12179399083027101979ULL,
+        3707633812289797843ULL, 20, 2041012669009498980ULL}},
       {G::kDynamicGroups, true, S::kNoFaults,
-       {14286415263427343179ULL, 16616788659845174995ULL,
-        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+       {12055715866705452111ULL, 5332662876769850305ULL,
+        9486824436161824426ULL, 20, 2297035440190382759ULL}},
       {G::kDynamicGroups, true, S::kDropDelay,
-       {14286415263427343179ULL, 16616788659845174995ULL,
-        13540974226641806189ULL, 20, 11850829710675515170ULL}},
+       {12055715866705452111ULL, 5332662876769850305ULL,
+        9486824436161824426ULL, 20, 2297035440190382759ULL}},
       {G::kDynamicGroups, true, S::kCrashDeath,
-       {1617708019964731988ULL, 11691451587167010017ULL,
-        6596877821784246182ULL, 20, 9731759543440127613ULL}},
+       {2984195676930546231ULL, 9156660884526605156ULL,
+        7534675760042366306ULL, 20, 14133857104194276437ULL}},
       {G::kDynamicGroups, true, S::kStopAdaptive,
-       {11712110318422115373ULL, 4065902371102035423ULL,
-        14254909547384873030ULL, 12, 17403576443477146176ULL}},
+       {559347977494760438ULL, 7778621255228191648ULL,
+        10339032089639128990ULL, 16, 17555049357309905122ULL}},
       {G::kDynamicGroups, true, S::kWarmStart,
-       {11306918169247423304ULL, 8091953589788290365ULL,
-        1669778801098624848ULL, 20, 11929193033995731290ULL}},
+       {2403651678434689485ULL, 12179399083027101979ULL,
+        3707633812289797843ULL, 20, 2041012669009498980ULL}},
   };
   engine::ThreadPool pool(3);
   pool.ForceParallelDispatchForTesting();
@@ -750,17 +751,17 @@ TEST(WorkerStatePins, AdmmLibAndAdAdmmKeepEveryWorkersState) {
     StatePin pin;
   } cases[] = {
       {"admmlib dense", true, false,
-       {12923776415523155664ULL, 9117142324777079600ULL,
-        11510836730659822285ULL, 20, 16509763928380155438ULL}},
+       {9910234896541771748ULL, 12410756082705902107ULL,
+        13440831579608644665ULL, 20, 5285462625940765426ULL}},
       {"admmlib sparse", true, true,
-       {12923776415523155664ULL, 9117142324777079600ULL,
-        11510836730659822285ULL, 20, 16509763928380155438ULL}},
+       {163048690322751131ULL, 9045493931944270972ULL,
+        8932765467750658551ULL, 20, 15681250378433055639ULL}},
       {"ad-admm classic", false, false,
        {0ULL, 0ULL,
-        560520666718757997ULL, 20, 6394583924490852131ULL}},
+        15141629378172543814ULL, 20, 17524883174929230013ULL}},
       {"ad-admm sparse", false, true,
        {0ULL, 0ULL,
-        560520666718757997ULL, 20, 6394583924490852131ULL}},
+        15141629378172543814ULL, 20, 17524883174929230013ULL}},
   };
   engine::ThreadPool pool(3);
   pool.ForceParallelDispatchForTesting();
