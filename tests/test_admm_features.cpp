@@ -439,7 +439,7 @@ struct StatePin {
   std::uint64_t residuals = 0;
 };
 
-// A wide, sparse problem: each of the 8 shards leaves most of its 301
+// A wide, sparse problem: each of the 9 shards leaves most of its 301
 // columns untouched, so the closed-form columns dominate the state, and the
 // width is not a multiple of 4, so every four-lane sum has a tail.
 const ConsensusProblem& WideProblem() {
@@ -449,10 +449,14 @@ const ConsensusProblem& WideProblem() {
     spec.num_train = 240;
     spec.num_test = 60;
     spec.mean_row_nnz = 6.0;
-    return BuildProblem(spec, 8);
+    return BuildProblem(spec, 9);
   }();
   return p;
 }
+
+// Three workers per node: with two, a node sum in either member order gives
+// the same bits.
+ClusterConfig PinCluster() { return TinyCluster(3, 3); }
 
 std::uint64_t Chain(std::uint64_t h, std::uint64_t v) {
   for (int k = 0; k < 8; ++k) {
@@ -574,7 +578,7 @@ void ExpectPin(const StatePin& got, const StatePin& want) {
 StatePin RunPsraPin(const PsraPinCase& c, engine::ThreadPool* pool) {
   const ConsensusProblem& p = WideProblem();
   PsraConfig cfg;
-  cfg.cluster = TinyCluster(4, 2);
+  cfg.cluster = PinCluster();
   cfg.grouping = c.grouping;
   cfg.sparse_comm = c.sparse;
   RunOptions opt;
@@ -626,107 +630,107 @@ TEST(WorkerStatePins, PsraRunsKeepEveryWorkersState) {
   using S = Scenario;
   const PsraPinCase cases[] = {
       {G::kFlat, false, S::kNoFaults,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 14507592575708758165ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 4026001802209094127ULL}},
       {G::kFlat, false, S::kDropDelay,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 14507592575708758165ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 4026001802209094127ULL}},
       {G::kFlat, false, S::kCrashDeath,
-       {8388708759235967012ULL, 12946026501286056744ULL,
-        8487950519799974972ULL, 20, 5750939809529414373ULL}},
+       {693448824220744082ULL, 14468325813531521758ULL,
+        11261943956499543078ULL, 20, 1521000882761299062ULL}},
       {G::kFlat, false, S::kMixedCensor,
-       {11253704029756533080ULL, 8674770745323697223ULL,
-        13691748463718220756ULL, 20, 3282803409284407175ULL}},
+       {8250691866688518596ULL, 12928471541515181910ULL,
+        16597200589847125508ULL, 20, 6657107514341051745ULL}},
       {G::kFlat, false, S::kStopAdaptive,
-       {17704998659274445626ULL, 8413510001544776695ULL,
-        554060128647264708ULL, 14, 1265745222958179001ULL}},
+       {10617655464868003924ULL, 12022885940654165418ULL,
+        12437536477533461922ULL, 17, 3388102365108683511ULL}},
       {G::kFlat, false, S::kWarmStart,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 16988736048575128298ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 8772822158954016672ULL}},
       {G::kFlat, true, S::kNoFaults,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 14507592575708758165ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 4026001802209094127ULL}},
       {G::kFlat, true, S::kDropDelay,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 14507592575708758165ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 4026001802209094127ULL}},
       {G::kFlat, true, S::kCrashDeath,
-       {8388708759235967012ULL, 12946026501286056744ULL,
-        8487950519799974972ULL, 20, 5750939809529414373ULL}},
+       {693448824220744082ULL, 14468325813531521758ULL,
+        11261943956499543078ULL, 20, 1521000882761299062ULL}},
       {G::kFlat, true, S::kMixedCensor,
-       {11253704029756533080ULL, 8674770745323697223ULL,
-        13691748463718220756ULL, 20, 3282803409284407175ULL}},
+       {8250691866688518596ULL, 12928471541515181910ULL,
+        16597200589847125508ULL, 20, 6657107514341051745ULL}},
       {G::kFlat, true, S::kStopAdaptive,
-       {17704998659274445626ULL, 8413510001544776695ULL,
-        554060128647264708ULL, 14, 1265745222958179001ULL}},
+       {10617655464868003924ULL, 12022885940654165418ULL,
+        12437536477533461922ULL, 17, 3388102365108683511ULL}},
       {G::kFlat, true, S::kWarmStart,
-       {10051224557929446764ULL, 15229610895358320451ULL,
-        3907907445476531959ULL, 20, 16988736048575128298ULL}},
+       {18429359326503888011ULL, 13408059294388467482ULL,
+        14198213269813692993ULL, 20, 8772822158954016672ULL}},
       {G::kHierarchical, false, S::kNoFaults,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 1358572494561321184ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 12744377656532640646ULL}},
       {G::kHierarchical, false, S::kDropDelay,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 1358572494561321184ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 12744377656532640646ULL}},
       {G::kHierarchical, false, S::kCrashDeath,
-       {2244421218334670331ULL, 17887731887399852036ULL,
-        18131082188685908453ULL, 20, 16958377543329376547ULL}},
+       {14290884468280866339ULL, 13873364273223912432ULL,
+        14087254904945478168ULL, 20, 17116969406270386670ULL}},
       {G::kHierarchical, false, S::kMixedCensor,
-       {5560630810052932548ULL, 10700308957843226685ULL,
-        13035205501887146935ULL, 20, 5572564073921226664ULL}},
+       {6002310017634709616ULL, 12556086556427538882ULL,
+        755190500820741908ULL, 20, 5681699238460481292ULL}},
       {G::kHierarchical, false, S::kStopAdaptive,
-       {14854661284746036038ULL, 16341824236498173094ULL,
-        16809624667182161772ULL, 14, 13698211228074778071ULL}},
+       {14817312307656587151ULL, 4695023271521814147ULL,
+        3343283452233739245ULL, 17, 18398814691527585092ULL}},
       {G::kHierarchical, false, S::kWarmStart,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 17389954953377765580ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 465224495664787126ULL}},
       {G::kHierarchical, true, S::kNoFaults,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 1358572494561321184ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 12744377656532640646ULL}},
       {G::kHierarchical, true, S::kDropDelay,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 1358572494561321184ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 12744377656532640646ULL}},
       {G::kHierarchical, true, S::kCrashDeath,
-       {2244421218334670331ULL, 17887731887399852036ULL,
-        18131082188685908453ULL, 20, 16958377543329376547ULL}},
+       {14290884468280866339ULL, 13873364273223912432ULL,
+        14087254904945478168ULL, 20, 17116969406270386670ULL}},
       {G::kHierarchical, true, S::kMixedCensor,
-       {5560630810052932548ULL, 10700308957843226685ULL,
-        13035205501887146935ULL, 20, 5572564073921226664ULL}},
+       {6002310017634709616ULL, 12556086556427538882ULL,
+        755190500820741908ULL, 20, 5681699238460481292ULL}},
       {G::kHierarchical, true, S::kStopAdaptive,
-       {14854661284746036038ULL, 16341824236498173094ULL,
-        16809624667182161772ULL, 14, 13698211228074778071ULL}},
+       {14817312307656587151ULL, 4695023271521814147ULL,
+        3343283452233739245ULL, 17, 18398814691527585092ULL}},
       {G::kHierarchical, true, S::kWarmStart,
-       {5142279227905344715ULL, 4859487634969054800ULL,
-        785251470264260205ULL, 20, 17389954953377765580ULL}},
+       {5196921551353459824ULL, 10615084302065244668ULL,
+        14705257360394134110ULL, 20, 465224495664787126ULL}},
       {G::kDynamicGroups, false, S::kNoFaults,
-       {2403651678434689485ULL, 12179399083027101979ULL,
-        3707633812289797843ULL, 20, 10692651602710626970ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 7726599100563027545ULL}},
       {G::kDynamicGroups, false, S::kDropDelay,
-       {12055715866705452111ULL, 5332662876769850305ULL,
-        9486824436161824426ULL, 20, 2297035440190382759ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 7726599100563027545ULL}},
       {G::kDynamicGroups, false, S::kCrashDeath,
-       {2984195676930546231ULL, 9156660884526605156ULL,
-        7534675760042366306ULL, 20, 14133857104194276437ULL}},
+       {5098133468502439417ULL, 3097616375696561455ULL,
+        4893360682642841900ULL, 20, 8289286667789601349ULL}},
       {G::kDynamicGroups, false, S::kStopAdaptive,
-       {559347977494760438ULL, 7778621255228191648ULL,
-        10339032089639128990ULL, 16, 17555049357309905122ULL}},
+       {12428942055339910916ULL, 11555968509262102925ULL,
+        11378749620280209583ULL, 9, 8041453887927359090ULL}},
       {G::kDynamicGroups, false, S::kWarmStart,
-       {2403651678434689485ULL, 12179399083027101979ULL,
-        3707633812289797843ULL, 20, 2041012669009498980ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 5053470038542329698ULL}},
       {G::kDynamicGroups, true, S::kNoFaults,
-       {12055715866705452111ULL, 5332662876769850305ULL,
-        9486824436161824426ULL, 20, 2297035440190382759ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 7726599100563027545ULL}},
       {G::kDynamicGroups, true, S::kDropDelay,
-       {12055715866705452111ULL, 5332662876769850305ULL,
-        9486824436161824426ULL, 20, 2297035440190382759ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 7726599100563027545ULL}},
       {G::kDynamicGroups, true, S::kCrashDeath,
-       {2984195676930546231ULL, 9156660884526605156ULL,
-        7534675760042366306ULL, 20, 14133857104194276437ULL}},
+       {5098133468502439417ULL, 3097616375696561455ULL,
+        4893360682642841900ULL, 20, 8289286667789601349ULL}},
       {G::kDynamicGroups, true, S::kStopAdaptive,
-       {559347977494760438ULL, 7778621255228191648ULL,
-        10339032089639128990ULL, 16, 17555049357309905122ULL}},
+       {12428942055339910916ULL, 11555968509262102925ULL,
+        11378749620280209583ULL, 9, 8041453887927359090ULL}},
       {G::kDynamicGroups, true, S::kWarmStart,
-       {2403651678434689485ULL, 12179399083027101979ULL,
-        3707633812289797843ULL, 20, 2041012669009498980ULL}},
+       {17258013108240747ULL, 7592858226813183021ULL,
+        12097659041111708563ULL, 20, 5053470038542329698ULL}},
   };
   engine::ThreadPool pool(3);
   pool.ForceParallelDispatchForTesting();
@@ -751,17 +755,17 @@ TEST(WorkerStatePins, AdmmLibAndAdAdmmKeepEveryWorkersState) {
     StatePin pin;
   } cases[] = {
       {"admmlib dense", true, false,
-       {9910234896541771748ULL, 12410756082705902107ULL,
-        13440831579608644665ULL, 20, 5285462625940765426ULL}},
+       {223978507221457413ULL, 15317674880853075072ULL,
+        12237515225553616059ULL, 20, 889456084129507743ULL}},
       {"admmlib sparse", true, true,
-       {163048690322751131ULL, 9045493931944270972ULL,
-        8932765467750658551ULL, 20, 15681250378433055639ULL}},
+       {223978507221457413ULL, 15317674880853075072ULL,
+        12237515225553616059ULL, 20, 889456084129507743ULL}},
       {"ad-admm classic", false, false,
        {0ULL, 0ULL,
-        15141629378172543814ULL, 20, 17524883174929230013ULL}},
+        12534018647755320827ULL, 20, 11857668071717595629ULL}},
       {"ad-admm sparse", false, true,
        {0ULL, 0ULL,
-        15141629378172543814ULL, 20, 17524883174929230013ULL}},
+        12534018647755320827ULL, 20, 11857668071717595629ULL}},
   };
   engine::ThreadPool pool(3);
   pool.ForceParallelDispatchForTesting();
@@ -776,14 +780,14 @@ TEST(WorkerStatePins, AdmmLibAndAdAdmmKeepEveryWorkersState) {
       StatePin got;
       if (c.admmlib) {
         AdmmLibConfig cfg;
-        cfg.cluster = TinyCluster(4, 2);
+        cfg.cluster = PinCluster();
         cfg.sparse_comm = c.sparse;
         const AdmmLib engine(cfg);
         got = PinOf(p, [&](const RunOptions& o) { return engine.Run(p, o); },
                     opt, /*with_state=*/true);
       } else {
         AdAdmmConfig cfg;
-        cfg.cluster = TinyCluster(4, 2);
+        cfg.cluster = PinCluster();
         cfg.classic_exchange = !c.sparse;
         const AdAdmm engine(cfg);
         got = PinOf(p, [&](const RunOptions& o) { return engine.Run(p, o); },
