@@ -19,9 +19,7 @@
 #include "data/synthetic.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
-#include "linalg/gram.hpp"
 #include "linalg/sparse_vector.hpp"
-#include "solver/direct.hpp"
 #include "solver/logistic.hpp"
 #include "solver/tron.hpp"
 #include "support/rng.hpp"
@@ -308,40 +306,6 @@ void TimeRow(KernelRow& row, int reps, int inner, Scalar&& scalar,
   }
 }
 
-/// Matrix-free CG on the normal equations (A^T A + rho I) x = rhs — the
-/// least-squares x-update a worker WITHOUT the cached Gram has to run every
-/// ADMM iteration, streaming the shard twice per CG step. The cached-Gram
-/// direct path solves the identical subproblem from its factor.
-int LsCgSolve(const linalg::CsrMatrix& m, std::span<const double> rhs,
-              double rho, std::span<double> x, linalg::DenseVector& r,
-              linalg::DenseVector& p, linalg::DenseVector& hp,
-              linalg::DenseVector& ax, double tol, int max_iters) {
-  const std::size_t d = x.size();
-  linalg::SetZero(x);
-  for (std::size_t i = 0; i < d; ++i) {
-    r[i] = rhs[i];
-    p[i] = rhs[i];
-  }
-  double rr = linalg::Dot(r, r);
-  const double stop = tol * tol * rr;
-  int iters = 0;
-  while (iters < max_iters && rr > stop) {
-    ++iters;
-    m.Multiply(p, ax);
-    for (std::size_t i = 0; i < d; ++i) hp[i] = rho * p[i];
-    m.TransposeMultiplyAdd(ax, hp);
-    const double php = linalg::Dot(p, hp);
-    if (php <= 0.0) break;
-    const double alpha = rr / php;
-    linalg::Axpy(alpha, p, x);
-    const double rr_new = linalg::AxpyNormSq(-alpha, hp, r);
-    const double beta = rr_new / rr;
-    linalg::XpayNormSq(beta, r, p);
-    rr = rr_new;
-  }
-  return iters;
-}
-
 int RunKernelGate(const std::string& out_path, bool quick) {
   const int reps = quick ? 9 : 15;
   std::vector<KernelRow> rows;
@@ -410,11 +374,9 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     rows.push_back(k);
   }
 
-  // -- x-update on the tall shard: the least-squares subproblem solved
-  //    matrix-free by CG on the normal equations (streams the shard every
-  //    iteration) vs the cached-Gram direct solve (factor once, then a pair
-  //    of packed triangular substitutions). Plus the logistic TRON variant
-  //    with the Gram-accelerated Hessian, reported as a tripwire ratio. ----
+  // -- x-update on the tall shard: the logistic TRON solve with the
+  //    matrix-free Hessian vs the Gram-accelerated one, reported as a
+  //    tripwire ratio. ------------------------------------------------------
   solver::TronOptions topt;
   topt.max_iterations = 10;
   topt.max_cg_iterations = 10;
@@ -438,41 +400,6 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     solver::TronMinimize(f_gram, x, topt, nullptr, tws);
   });
 
-  // Shared right-hand side A^T b - v + rho z (both solvers cache A^T b; the
-  // per-iteration terms are what change inside ADMM).
-  const double rho = 1.0;
-  linalg::DenseVector atb(ncols, 0.0);
-  mat.TransposeMultiplyAdd(gen.train.labels(), atb);
-  linalg::DenseVector rhs(ncols);
-  for (std::size_t i = 0; i < ncols; ++i) {
-    rhs[i] = atb[i] - v[i] + rho * z[i];
-  }
-  linalg::DenseVector cg_r(ncols), cg_p(ncols), cg_hp(ncols), cg_ax(nrows);
-  int ls_cg_iters = 0;
-  const double ls_cg_solve_s = TimeBest(solve_reps, 1, [&] {
-    ls_cg_iters = LsCgSolve(mat, rhs, rho, x, cg_r, cg_p, cg_hp, cg_ax,
-                            /*tol=*/1e-6, /*max_iters=*/4 * 256);
-  });
-
-  const double t_build0 = NowSeconds();
-  solver::CachedGramLeastSquares direct(&mat, gen.train.labels(), rho);
-  const double direct_build_s = NowSeconds() - t_build0;
-  const double t_first0 = NowSeconds();
-  direct.Solve(v, z, x);
-  const double direct_first_solve_s = NowSeconds() - t_first0;
-  const double direct_resolve_s =
-      TimeBest(solve_reps, 20, [&] { direct.Solve(v, z, x); });
-  double rho_flip = 2.0;
-  const double direct_refactor_s = TimeBest(solve_reps, 5, [&] {
-    direct.SetRho(rho_flip);
-    rho_flip = rho_flip == 2.0 ? 4.0 : 2.0;
-    direct.Solve(v, z, x);
-  });
-
-  // Headline gate: per-ADMM-iteration x-update cost, steady state (the
-  // factor is cached; CG re-streams the shard every time).
-  const double gram_over_cg =
-      direct_resolve_s > 0 ? ls_cg_solve_s / direct_resolve_s : 0.0;
   const double tron_gram_over_cg =
       tron_gram_solve_s > 0 ? tron_cg_solve_s / tron_gram_solve_s : 0.0;
 
@@ -502,23 +429,14 @@ int RunKernelGate(const std::string& out_path, bool quick) {
   out << "  \"xupdate\": {\n";
   out << "    \"rows\": " << nrows << ",\n";
   out << "    \"cols\": " << ncols << ",\n";
-  out << "    \"ls_cg_solve_ms\": " << ls_cg_solve_s * 1e3 << ",\n";
-  out << "    \"ls_cg_iters\": " << ls_cg_iters << ",\n";
-  out << "    \"direct_gram_build_ms\": " << direct_build_s * 1e3 << ",\n";
-  out << "    \"direct_first_solve_ms\": " << direct_first_solve_s * 1e3
-      << ",\n";
-  out << "    \"direct_resolve_ms\": " << direct_resolve_s * 1e3 << ",\n";
-  out << "    \"direct_refactor_ms\": " << direct_refactor_s * 1e3 << ",\n";
   out << "    \"tron_cg_solve_ms\": " << tron_cg_solve_s * 1e3 << ",\n";
   out << "    \"tron_gram_solve_ms\": " << tron_gram_solve_s * 1e3 << "\n";
   out << "  },\n";
-  out << "  \"tron_gram_over_cg\": " << tron_gram_over_cg << ",\n";
-  out << "  \"gram_over_cg\": " << gram_over_cg << "\n";
+  out << "  \"tron_gram_over_cg\": " << tron_gram_over_cg << "\n";
   out << "}\n";
   out.close();
 
-  std::cout << "kernel gate: gram_over_cg=" << gram_over_cg
-            << " tron_gram_over_cg=" << tron_gram_over_cg;
+  std::cout << "kernel gate: tron_gram_over_cg=" << tron_gram_over_cg;
   for (const auto& k : rows) {
     std::cout << " " << k.name << "=" << k.ratio();
   }

@@ -271,17 +271,15 @@ if [[ -z "${PSRA_CHECK_SANITIZE:-}" ]]; then
 
   echo "== solver kernel microbench gate =="
   # The blocked kernels of DESIGN.md §14 must not fall behind their scalar
-  # references, and the cached-Gram direct x-update must keep its lead over
-  # the matrix-free CG path on the tall shard. The committed full-run
-  # artifact carries the headline numbers and is held to the strict bars
-  # (blocked/scalar >= 0.95, gram_over_cg >= 3); the quick run this script
-  # produces times short samples (best of 9, scalar and blocked reps
-  # interleaved), so it gets looser tripwires that still catch a
-  # deoptimized kernel or a broken Gram cache.
+  # references. The committed full-run artifact carries the headline
+  # numbers and is held to the strict bar (blocked/scalar >= 0.95); the
+  # quick run this script produces times short samples (best of 9, scalar
+  # and blocked reps interleaved), so it gets a looser tripwire that still
+  # catches a deoptimized kernel.
   (cd "$build" && ./bench/bench_micro_kernels \
     --kernels-out BENCH_kernels.json --quick)
   kernel_gate() {
-    awk -v floor_ratio="$2" -v floor_gram="$3" -v label="$1" '
+    awk -v floor_ratio="$2" -v label="$1" '
       /"blocked_over_scalar":/ {
         split($0, n, /"name": "/); split(n[2], nn, /"/)
         split($0, a, /"blocked_over_scalar": /); r = a[2] + 0
@@ -290,21 +288,13 @@ if [[ -z "${PSRA_CHECK_SANITIZE:-}" ]]; then
         if (r < floor_ratio + 0) bad = 1
         found_k = 1
       }
-      /^[ ]*"gram_over_cg":/ {
-        split($0, g, /"gram_over_cg": /); r = g[2] + 0
-        printf "  %s gram_over_cg: %g (floor %g)\n", label, r, floor_gram
-        if (r < floor_gram + 0) bad = 1
-        found_g = 1
-      }
       END {
-        if (!found_k || !found_g) {
-          print "FAIL: kernel ratios missing (" label ")"; exit 1
-        }
+        if (!found_k) { print "FAIL: kernel ratios missing (" label ")"; exit 1 }
         if (bad) { print "FAIL: solver kernel regression (" label ")"; exit 1 }
-      }' "$4"
+      }' "$3"
   }
-  kernel_gate "committed" 0.95 3.0 "$repo/BENCH_kernels.json"
-  kernel_gate "quick-run" 0.85 2.0 "$build/BENCH_kernels.json"
+  kernel_gate "committed" 0.95 "$repo/BENCH_kernels.json"
+  kernel_gate "quick-run" 0.85 "$build/BENCH_kernels.json"
 fi
 
 echo "== OK =="

@@ -108,9 +108,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
   // Classic exchange: dense x_i + y_i up (2d values), dense z down (d).
   // Sparse ablation: w_i / z as (index,value) pairs.
   auto report_elems = [&](std::size_t j) {
-    return cfg_.classic_exchange
-               ? 2 * d
-               : linalg::SparseVector::FromDense(ws.w(j)).nnz();
+    return cfg_.classic_exchange ? 2 * d : ws.WNonzeros(j);
   };
   auto reply_elems = [&](const linalg::DenseVector& z) {
     return cfg_.classic_exchange ? d
@@ -182,10 +180,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
         eo.Span("z_wait", ledger, j, K);
       }
       // Worker adopts the new z and performs its local y-update.
-      ws.z(j) = z_global;
-      solver::FlopCounter fl;
-      solver::YUpdate(problem.rho, ws.x(j), ws.z(j), ws.y(j), &fl);
-      ledger.ChargeCompute(j, cost.ComputeTime(fl.flops));
+      ledger.ChargeCompute(j, cost.ComputeTime(ws.AdoptZ(j, z_global)));
       eo.Span("y_update", ledger, j, K);
       if (!done) start_compute(j);
     }
@@ -208,7 +203,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
       eo.AuxSpan(master_track, "recv_report", recv_begin, master_busy,
                  worker_iter[j]);
     }
-    w_latest[j] = ws.w(j);
+    ws.CopyW(j, w_latest[j]);
     contributed_update[j] = K + 1;
     waiting.push_back(j);
     ++fresh_count;

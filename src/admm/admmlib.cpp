@@ -118,29 +118,33 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
 
   // Runs the local computation of one node (x/w updates for its workers and
   // the intra-node reduce) into red[n], whose value is the node-level sum;
-  // local_iter[n] keys the jitter/straggler draw. Node n owns the contiguous
-  // rank range [n*wpn, (n+1)*wpn), so the reduce reads its workers' w in
-  // place, and each node's result is recycled across rounds.
+  // local_iter[n] keys the jitter/straggler draw. The node's workers update
+  // x together, so they keep sharing one base, and each node's result is
+  // recycled across rounds.
   const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<std::uint64_t> local_iter(nodes, 0);
   std::vector<comm::ReduceResult> red(nodes);
   std::vector<simnet::VirtualTime> member_starts(wpn);
+  std::vector<double> flops(world, 0.0);
   auto compute_node = [&](simnet::NodeId n) {
     ++local_iter[n];
     const auto& members = node_ranks[n];
+    for (const simnet::Rank r : members) {
+      eo.Mark(ledger, static_cast<std::size_t>(r));
+    }
+    ws.XWStepAll(members, flops);
     for (std::size_t m = 0; m < members.size(); ++m) {
       const simnet::Rank r = members[m];
-      eo.Mark(ledger, static_cast<std::size_t>(r));
-      const double flops = ws.XWStep(r);
       const double mult =
           ComputeMultiplier(cfg_.cluster, stragglers, r, local_iter[n]);
-      ledger.ChargeCompute(r, cost.ComputeTime(flops) * mult);
+      ledger.ChargeCompute(r, cost.ComputeTime(flops[r]) * mult);
       eo.Span("x_update", ledger, static_cast<std::size_t>(r), local_iter[n]);
       member_starts[m] = ledger[r].clock;
     }
-    comm::ReduceToLeader(intra[n], intra[n].LocalRank(leaders[n]),
-                         ws.w_all().subspan(n * wpn, wpn), member_starts,
-                         red[n], cfg_.sparse_comm);
+    red[n].member_nnz.resize(members.size());
+    ws.NodeSumW(n, members, red[n].value, red[n].member_nnz);
+    comm::PriceReduceToLeader(intra[n], intra[n].LocalRank(leaders[n]),
+                              member_starts, d, red[n], cfg_.sparse_comm);
     result.elements_sent += red[n].elements_sent;
     result.messages_sent += red[n].messages_sent;
     for (std::size_t m = 0; m < members.size(); ++m) {
@@ -280,6 +284,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
       result.elements_sent += bc.elements_sent;
       result.messages_sent += bc.messages_sent;
       if (eo.on()) lm.coll.BookBroadcast(bc);
+      ws.ZYStepAll(node_ranks[n], W, topo.world_size(), flops);
       for (std::size_t m = 0; m < node_ranks[n].size(); ++m) {
         const simnet::Rank r = node_ranks[n][m];
         const auto i = static_cast<std::size_t>(r);
@@ -287,8 +292,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
         if (eo.tracing() && ledger[i].clock > eo.mark(i)) {
           eo.Span("w_broadcast", ledger, i, k);
         }
-        const double zf = ws.ZYStep(r, W, topo.world_size());
-        ledger.ChargeCompute(r, cost.ComputeTime(zf));
+        ledger.ChargeCompute(r, cost.ComputeTime(flops[r]));
         eo.Span("z_y_update", ledger, i, k);
       }
       // Requested checkpoint: snapshot this node's workers now — after

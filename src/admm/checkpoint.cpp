@@ -148,9 +148,8 @@ void CaptureRunCheckpoint(const WorkerSet& ws, std::uint64_t iteration,
   for (const simnet::Rank r : ranks) {
     const auto i = static_cast<std::size_t>(r);
     PSRA_REQUIRE(i < ckpt.workers.size(), "rank out of range");
-    ckpt.workers[i].x = ws.x(i);
-    ckpt.workers[i].y = ws.y(i);
-    ckpt.workers[i].z = ws.z(i);
+    WorkerCheckpoint& wc = ckpt.workers[i];
+    ws.CopyState(i, wc.x, wc.y, wc.z);
   }
   if (metrics != nullptr) ckpt.metrics = *metrics;
 }
@@ -158,15 +157,7 @@ void CaptureRunCheckpoint(const WorkerSet& ws, std::uint64_t iteration,
 std::uint64_t ApplyWarmStart(WorkerSet& ws, const RunOptions& options) {
   if (options.warm_start == nullptr) return 0;
   const RunCheckpoint& ckpt = *options.warm_start;
-  PSRA_REQUIRE(ckpt.workers.size() == static_cast<std::size_t>(ws.size()),
-               "warm-start checkpoint holds a different worker count");
-  const auto d = static_cast<std::size_t>(ws.dim());
-  for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
-    const WorkerCheckpoint& wc = ckpt.workers[i];
-    PSRA_REQUIRE(wc.x.size() == d && wc.y.size() == d && wc.z.size() == d,
-                 "warm-start checkpoint dimension mismatch");
-    ws.RestoreWorker(i, wc.x, wc.y, wc.z);
-  }
+  ws.RestoreAll(ckpt.workers);
   ws.SetRho(ckpt.rho);
   return ckpt.iteration;
 }

@@ -91,7 +91,8 @@ void CaptureRunCheckpoint(const WorkerSet& ws, std::uint64_t iteration,
                           const obs::MetricsRegistry* metrics = nullptr);
 
 /// Warm start: seeds `ws` from `options.warm_start` — rho plus every
-/// worker's (x, y, z); w is recomputed — and returns the checkpointed
+/// worker's (x, y, z); w is recomputed (WorkerSet::RestoreAll, which shares
+/// one base again when the checkpoint allows) — and returns the checkpointed
 /// iteration, so the engine resumes at that + 1. Returns 0 and leaves `ws`
 /// untouched when no warm start is set.
 std::uint64_t ApplyWarmStart(WorkerSet& ws, const RunOptions& options);

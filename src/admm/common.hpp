@@ -25,6 +25,7 @@ struct ObsContext;
 namespace psra::admm {
 
 struct RunCheckpoint;
+struct WorkerCheckpoint;
 
 /// The simulated cluster an algorithm runs on.
 struct ClusterConfig {
@@ -159,6 +160,16 @@ double ComputeMultiplier(const ClusterConfig& cluster,
                          simnet::Rank worker, std::uint64_t iteration);
 
 /// Per-worker ADMM state and the local update steps.
+///
+/// A worker keeps x, y and w only on the d_i columns its shard touches (its
+/// overlay, in LocalSolver::columns() order). Every other column, and all of
+/// z, comes from a full-width base (x, y, w, z) that every worker with the
+/// same history references: fault-free flat and hierarchical runs keep one
+/// base for all workers. The closed-form x and w of the x-update and the z
+/// and y update of a consensus round run once per base, and each round maps
+/// every (old base, group) pair to one new base, so a worker that skips a
+/// step or adopts another group's z moves to a base of its own. Every value
+/// is bitwise what full-width per-worker vectors give (DESIGN.md §7 rule 8).
 class WorkerSet {
  public:
   WorkerSet(const ConsensusProblem* problem, const RunOptions* options);
@@ -166,20 +177,36 @@ class WorkerSet {
   std::uint64_t size() const { return problem_->num_workers(); }
   std::uint64_t dim() const { return problem_->dim(); }
 
-  /// Mutable access to x, y and z drops the worker's cached residual norms
-  /// (see ComputeResiduals), so write through the returned reference before
-  /// the worker's next ZYStepFrom, not after it.
-  linalg::DenseVector& x(std::size_t i) { return Touch(i, x_); }
-  linalg::DenseVector& y(std::size_t i) { return Touch(i, y_); }
-  linalg::DenseVector& w(std::size_t i) { return w_[i]; }
-  linalg::DenseVector& z(std::size_t i) { return Touch(i, z_); }
-  const linalg::DenseVector& x(std::size_t i) const { return x_[i]; }
-  const linalg::DenseVector& y(std::size_t i) const { return y_[i]; }
-  const linalg::DenseVector& z(std::size_t i) const { return z_[i]; }
-  const linalg::DenseVector& w(std::size_t i) const { return w_[i]; }
-  /// All per-worker w vectors, for passing straight into a collective when
-  /// the caller does not need to mutate its input snapshots.
-  std::span<const linalg::DenseVector> w_all() const { return w_; }
+  /// Full-width views of worker i's state. x, y and w are materialized from
+  /// the base and the overlay into a per-worker cache once per change of the
+  /// worker's state; z is its base's. Two threads must not materialize the
+  /// same worker at once.
+  const linalg::DenseVector& x(std::size_t i) const;
+  const linalg::DenseVector& y(std::size_t i) const;
+  const linalg::DenseVector& z(std::size_t i) const;
+  const linalg::DenseVector& w(std::size_t i) const;
+  /// Every worker's w, materialized as w(i) does (on the host pool), for
+  /// passing straight into a collective.
+  std::span<const linalg::DenseVector> w_all() const;
+
+  /// Mutable access gives worker i a base of its own that holds its x and y
+  /// at every column, and returns that base's vector. Writes count until the
+  /// worker's next step (XWStep, a consensus step, RestoreWorker); each call
+  /// drops the worker's cached residual norms.
+  linalg::DenseVector& x(std::size_t i);
+  linalg::DenseVector& y(std::size_t i);
+  linalg::DenseVector& z(std::size_t i);
+
+  /// Copies worker i's full-width x, y and z into the given vectors, reusing
+  /// their storage (checkpoint capture).
+  void CopyState(std::size_t i, linalg::DenseVector& x, linalg::DenseVector& y,
+                 linalg::DenseVector& z) const;
+  /// Copies worker i's full-width w into `out`, reusing its storage, without
+  /// filling the view cache (a snapshot of the worker's report).
+  void CopyW(std::size_t i, linalg::DenseVector& out) const;
+  /// Worker i's count of |w_j| > 0, the entries SparseVector::FromDense(w(i))
+  /// keeps, from its base's count and its overlay.
+  std::size_t WNonzeros(std::size_t i) const;
 
   /// Runs the x-update (eq. 4, column-compacted: see LocalSolver) and w
   /// computation (eq. 8) for worker i against its current z_i/y_i. Returns
@@ -188,9 +215,10 @@ class WorkerSet {
 
   /// Runs XWStep for all workers, optionally on the host pool. flops_out
   /// must have size() entries. When `wall_out` is non-null (also size()
-  /// entries) each worker's slot receives the host seconds its own step took
-  /// on whichever pool thread ran it — per-worker wall attribution for the
-  /// tracer; pass null on untraced runs to avoid the clock reads.
+  /// entries) each worker's slot receives the host seconds its own overlay
+  /// solve took on whichever pool thread ran it — per-worker wall
+  /// attribution for the tracer; pass null on untraced runs to avoid the
+  /// clock reads. Each base's closed form runs once, in the same loop.
   void XWStepAll(std::vector<double>& flops_out,
                  std::vector<double>* wall_out = nullptr);
 
@@ -202,34 +230,57 @@ class WorkerSet {
                  std::vector<double>* wall_out = nullptr);
 
   /// Crash-restart recovery: replaces worker i's state with a checkpointed
-  /// snapshot and recomputes its w from the restored x/y (w is derived
-  /// state, not part of a checkpoint).
+  /// snapshot on a base of its own and recomputes its w from the restored
+  /// x/y (w is derived state, not part of a checkpoint).
   void RestoreWorker(std::size_t i, const linalg::DenseVector& x,
                      const linalg::DenseVector& y,
                      const linalg::DenseVector& z);
 
-  /// z-update (eq. 10) + y-update (eq. 6) for worker i from aggregate W
-  /// accumulated over `num_contributors` workers. Returns flops.
-  double ZYStep(std::size_t i, std::span<const double> W,
-                std::uint64_t num_contributors);
+  /// Restores every worker from `workers` (one per worker), recomputing w as
+  /// RestoreWorker does. When every worker holds the same z and the workers
+  /// agree on x and y wherever their shards leave a column untouched (every
+  /// checkpoint a fault-free flat or hierarchical run writes), they share
+  /// one base again; otherwise each gets its own.
+  void RestoreAll(std::span<const WorkerCheckpoint> workers);
 
-  /// Runs ZYStep for every worker in `ranks`, optionally on the host pool
-  /// (workers touch disjoint state, so the result is order-independent).
-  /// Per-worker flops land in flops_out[rank]; flops_out must have size()
-  /// entries. `wall_out` as in XWStepAll: per-worker host seconds for the
-  /// tracer, measured on whichever pool thread ran the step.
+  /// One consensus group: `ranks` adopt z = prox(W / (rho contributors))
+  /// and update y (eq. 10, 6).
+  struct ConsensusGroup {
+    std::span<const simnet::Rank> ranks;
+    std::span<const double> W;
+    std::uint64_t contributors = 0;
+  };
+
+  /// z-update (eq. 10) + y-update (eq. 6) for every group, optionally on the
+  /// host pool. Each (old base, group) pair computes z and y once on one
+  /// base; each worker then updates y on its overlay and caches its residual
+  /// norms for ComputeResiduals. Every worker is charged ZUpdate's and
+  /// YUpdate's full-width flops in flops_out[rank] (size() entries). The
+  /// norm pass runs workers in batches, so `wall_out` (as in XWStepAll)
+  /// receives each worker's even share of its batch's host seconds. A
+  /// worker appears in at most one group.
+  void ZYStepGroups(std::span<const ConsensusGroup> groups,
+                    std::vector<double>& flops_out,
+                    std::vector<double>* wall_out = nullptr);
+
+  /// Worker i adopts `z` as it is and runs its y-update (eq. 6) on a base of
+  /// its own: AD-ADMM's reply from the master. Returns YUpdate's flops.
+  double AdoptZ(std::size_t i, std::span<const double> z);
+
+  /// ZYStepGroups over the one group `ranks`, aggregate W over
+  /// `num_contributors` workers.
   void ZYStepAll(std::span<const simnet::Rank> ranks, std::span<const double> W,
                  std::uint64_t num_contributors,
                  std::vector<double>& flops_out,
                  std::vector<double>* wall_out = nullptr);
 
-  /// The copy half of the ZYStepAll shortcut, exposed for callers that batch
-  /// the consensus update across groups themselves: worker i adopts worker
-  /// `src`'s freshly computed z (bitwise-identical to recomputing it — z
-  /// depends only on the shared aggregate) and runs its own y-update. The
-  /// same sweep caches worker i's residual norms for ComputeResiduals.
-  /// Returns the virtual flops of the full computation being replaced.
-  double ZYStepFrom(std::size_t i, std::size_t src);
+  /// Sum of the members' w, bitwise the dense sum ReduceToLeader takes over
+  /// their full-width w: coordinate j adds each member's w_j in member order,
+  /// starting from +0.0. nnz[m] receives member m's count of |w_j| > 0.
+  /// `slot` keys a cached column union of the member set (one per node); the
+  /// host pool may run distinct slots at once.
+  void NodeSumW(std::size_t slot, std::span<const simnet::Rank> members,
+                linalg::DenseVector& out, std::span<std::size_t> nnz) const;
 
   /// Mean of per-worker z (the consensus model used for metrics), written
   /// into `out` reusing its storage. Coordinate chunks run on the host pool,
@@ -253,10 +304,12 @@ class WorkerSet {
     double y_norm = 0.0;  // sqrt(sum_i ||y_i||^2)
     double z_norm = 0.0;  // sqrt(N) * ||z_mean||
   };
-  /// Per-worker norms come from a cache that ZYStepFrom's sweep fills; only
-  /// workers whose x, y or z changed since (XWStep, ZYStep, RestoreWorker, a
-  /// mutable accessor) or that never took the sweep are re-streamed. Every
-  /// result is bitwise what re-streaming all workers gives.
+  /// Per-worker norms come from a cache that the consensus step fills; only
+  /// workers whose x, y or z changed since (XWStep, RestoreWorker,
+  /// RestoreAll, a mutable accessor) or that never took a consensus step
+  /// are re-streamed. Each worker's norms are taken over the full width in
+  /// the four-lane order and folded in worker order, so every result is
+  /// bitwise what re-streaming full-width vectors gives.
   Residuals ComputeResiduals(std::span<const double> z_prev_mean) const;
   /// Same residuals against `*z_mean`, which holds the previous consensus
   /// mean on entry and this iteration's mean (bitwise MeanZInto) on return:
@@ -271,23 +324,83 @@ class WorkerSet {
   double MaybeAdaptRho(const AdaptiveRhoConfig& cfg, const Residuals& res);
 
  private:
+  // A full-width state that each worker referencing it holds on the columns
+  // its shard leaves untouched.
+  struct Base {
+    linalg::DenseVector x, y, w, z;
+    std::size_t w_nnz = 0;  // entries of w with |w_j| > 0
+    std::size_t refs = 0;   // workers referencing it; 0 = on the free list
+  };
+  // One consensus step's share of a base: the workers of one group that
+  // referenced `src`, moving to `dst` (== src when they are all of its
+  // workers).
+  struct Pair {
+    std::size_t src = 0, dst = 0, group = 0, count = 0;
+  };
+  // A node's column union: `cols` holds every column some member touches,
+  // ascending, and `pos` each member's overlay columns (member by member,
+  // in overlay order) as indices into `cols`. acc, vals and base_vals are
+  // the node sum's scratch over the union.
+  struct NodeUnion {
+    std::vector<simnet::Rank> members;
+    std::vector<std::uint64_t> cols;
+    std::vector<std::uint32_t> pos;
+    std::vector<double> acc, vals, base_vals;
+  };
+
+  std::size_t Acquire();
+  void Unref(std::size_t b);
+  std::size_t Detach(std::size_t i);
+  std::size_t MakePrivate(std::size_t i);
+  void Sync(std::size_t i);
+  void Changed(std::size_t i) {
+    cached_[i] = 0;
+    norms_fresh_[i] = 0;
+  }
+  void PlanX(std::span<const simnet::Rank> ranks);
+  void BaseXW(std::size_t b);
+  double SolveOverlay(std::size_t i);
+  void SetOverlayFromBase(std::size_t i);
+  const linalg::DenseVector& View(std::size_t i, int which) const;
+  void AddNormBlock(std::size_t i, std::size_t c0, std::size_t c1,
+                    std::size_t& cursor, double* scratch,
+                    linalg::BlockedNorms& sums) const;
+  void WorkerNorms(std::size_t i) const;
+  NodeUnion& UnionOf(std::size_t slot,
+                     std::span<const simnet::Rank> members) const;
+  template <typename Body>
+  void ForEach(std::size_t count, Body&& body) const;
+
   const ConsensusProblem* problem_;
   const RunOptions* options_;
   double rho_;
   std::vector<LocalSolver> local_;
-  std::vector<linalg::DenseVector> x_, y_, w_, z_;
-  linalg::DenseVector& Touch(std::size_t i,
-                             std::vector<linalg::DenseVector>& v) {
-    norms_fresh_[i] = 0;
-    return v[i];
-  }
+  std::vector<Base> bases_;
+  std::vector<std::size_t> free_;
+  std::vector<std::size_t> base_of_;
+  std::vector<simnet::Rank> everyone_;  // 0 .. size() - 1
+  // Each worker's x, y and w on its shard's columns.
+  std::vector<linalg::DenseVector> xo_, yo_, wo_;
+  // Set by a mutable accessor: the worker's private base holds its x and y
+  // at every column, and the overlay is gathered again before its next step.
+  std::vector<char> dirty_;
 
-  // Reduction scratch and the per-worker norm cache. Mutable because they
-  // are caches: const methods (ComputeResiduals, MeanZInto) recycle them
-  // instead of allocating per call. norm_*_[i] hold ||x_i - z_i||, ||x_i||
-  // and ||y_i|| of the current state while norms_fresh_[i] is set (a char
-  // per worker, so pooled steps write disjoint bytes).
+  // Per-call planning scratch, indexed by base (count_, moved_to_, pair_of_)
+  // or flattened over the call (xbases_, pairs_, pair_ranks_).
+  std::vector<std::size_t> count_, moved_to_, pair_of_, xbases_;
+  std::vector<Pair> pairs_;
+  std::vector<simnet::Rank> pair_ranks_;
+
+  // Caches, mutable because const accessors and the residual methods fill
+  // them: the materialized views (cached_[i] holds one bit per view), the
+  // mean scratch, the node unions and the per-worker norm cache. norm_*_[i]
+  // hold ||x_i - z_i||, ||x_i|| and ||y_i|| of the current state while
+  // norms_fresh_[i] is set (a char per worker, so pooled steps write
+  // disjoint bytes).
+  mutable std::vector<linalg::DenseVector> view_x_, view_y_, view_w_;
+  mutable std::vector<unsigned char> cached_;
   mutable linalg::DenseVector mean_scratch_;
+  mutable std::vector<NodeUnion> unions_;
   mutable std::vector<double> norm_primal_, norm_x_, norm_y_;
   mutable std::vector<char> norms_fresh_;
   mutable std::vector<std::size_t> stale_;

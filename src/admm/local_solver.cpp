@@ -63,6 +63,23 @@ LocalSolver::LocalSolver(const data::Dataset* shard,
   f_.SetUseGramHessian(UseGramSolver(options, f_.num_samples(), f_.dim()));
 }
 
+void LocalSolver::SolveColumns(std::span<double> x, std::span<const double> v,
+                               std::span<const double> z, double rho,
+                               const solver::TronOptions& tron,
+                               solver::FlopCounter* flops) {
+  PSRA_REQUIRE(rho > 0.0, "rho must be positive");
+  const std::size_t di = columns_.size();
+  PSRA_REQUIRE(x.size() == di && v.size() == di && z.size() == dim_,
+               "dimension mismatch");
+  f_.SetRho(rho);
+  for (std::size_t k = 0; k < di; ++k) {
+    z_[k] = z[static_cast<std::size_t>(columns_[k])];
+  }
+  f_.SetIterationTerms(v, z_);
+  solver::TronMinimize(f_, x, tron, flops, ws_);
+  if (flops != nullptr) flops->Add(2.0 * static_cast<double>(dim_ - di));
+}
+
 void LocalSolver::Solve(std::span<double> x, std::span<const double> v,
                         std::span<const double> z, double rho,
                         const solver::TronOptions& tron,
@@ -70,16 +87,13 @@ void LocalSolver::Solve(std::span<double> x, std::span<const double> v,
   PSRA_REQUIRE(rho > 0.0, "rho must be positive");
   PSRA_REQUIRE(x.size() == dim_ && v.size() == dim_ && z.size() == dim_,
                "dimension mismatch");
-  f_.SetRho(rho);
   const std::size_t di = columns_.size();
   for (std::size_t k = 0; k < di; ++k) {
     const auto j = static_cast<std::size_t>(columns_[k]);
     x_[k] = x[j];
     v_[k] = v[j];
-    z_[k] = z[j];
   }
-  f_.SetIterationTerms(v_, z_);
-  solver::TronMinimize(f_, x_, tron, flops, ws_);
+  SolveColumns(x_, v_, z, rho, tron, flops);
   // Closed form over the full width, then the occupied columns overwritten
   // from the compacted solve: two straight sweeps run about 2.5x faster on
   // the host than one sweep that stops at every occupied column.
@@ -87,7 +101,6 @@ void LocalSolver::Solve(std::span<double> x, std::span<const double> v,
   for (std::size_t k = 0; k < di; ++k) {
     x[static_cast<std::size_t>(columns_[k])] = x_[k];
   }
-  if (flops != nullptr) flops->Add(2.0 * static_cast<double>(x.size() - di));
 }
 
 }  // namespace psra::admm

@@ -8,9 +8,11 @@
 // (general-form consensus, Boyd et al. 2011 §7.2). LocalSolver records the
 // shard's d_i occupied columns once and keeps a copy of the shard whose
 // column ids are renumbered onto them (none when d_i = d: the caller's shard
-// is read as it is); each solve gathers x, v and z onto those columns, runs
-// TRON in R^{d_i}, scatters the result back and sets every other coordinate
-// in closed form (DESIGN.md §7 rule 6).
+// is read as it is). SolveColumns runs TRON in R^{d_i} on x and v already
+// held on those columns; WorkerSet keeps its workers' x, y and w there and
+// evaluates the closed form once per shared base (DESIGN.md §7 rules 6 and
+// 8). Solve is the full-width form: gather, SolveColumns, closed form,
+// scatter.
 #pragma once
 
 #include <cstdint>
@@ -71,12 +73,24 @@ class LocalSolver {
   /// column is untouched); false when it reads the caller's shard.
   bool copies_shard() const { return compact_ != nullptr; }
   bool uses_gram() const { return f_.use_gram_hessian(); }
+  /// The occupied columns, ascending.
+  std::span<const std::uint64_t> columns() const { return columns_; }
 
-  /// Minimizes eq. 4 with linear term v, proximal center z and weight rho,
-  /// starting from (and writing back to) the full-width x. Adds TRON's flops
-  /// over d_i plus 2 per closed-form coordinate; gather and scatter are
-  /// free. On a shard that touches every column the column map is the
-  /// identity, and this is bitwise a full-width TronMinimize.
+  /// Minimizes eq. 4 on the occupied columns: `x` (the warm start, which
+  /// receives the solution) and `v` hold the d_i occupied coordinates, and
+  /// the full-width proximal center `z` is read at them. Adds TRON's flops
+  /// over d_i plus 2 per untouched column, the closed form the caller
+  /// evaluates there.
+  void SolveColumns(std::span<double> x, std::span<const double> v,
+                    std::span<const double> z, double rho,
+                    const solver::TronOptions& tron,
+                    solver::FlopCounter* flops);
+
+  /// Full-width form: minimizes eq. 4 with linear term v, proximal center z
+  /// and weight rho, starting from (and writing back to) the full-width x,
+  /// every untouched coordinate in closed form. Same flops as SolveColumns.
+  /// On a shard that touches every column this is bitwise a full-width
+  /// TronMinimize.
   void Solve(std::span<double> x, std::span<const double> v,
              std::span<const double> z, double rho,
              const solver::TronOptions& tron, solver::FlopCounter* flops);
@@ -89,7 +103,8 @@ class LocalSolver {
   std::unique_ptr<data::Dataset> compact_;
   solver::ProximalLogistic f_;
   std::uint64_t dim_;  // full width d
-  // d_i-length gathers of x, v and z, plus TRON's working vectors.
+  // d_i-length gathers of x and v (Solve) and of z, plus TRON's working
+  // vectors.
   linalg::DenseVector x_, v_, z_;
   solver::TronWorkspace ws_;
 };

@@ -324,14 +324,12 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   std::vector<linalg::DenseVector> inputs;  // member w snapshots
   std::vector<simnet::VirtualTime> starts;
   // Hierarchical/dynamic scratch: per-node reduce results (plus survivor
-  // inputs for a node with a worker down, and the packed aggregate with
+  // start times for a node with a worker down, and the packed aggregate with
   // sparse comm), the pooled group lifecycle (cycle batch + size-keyed
-  // collective slots) and the flattened cross-group consensus-update work
-  // list.
+  // collective slots) and the cross-group consensus-update work list.
   const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<comm::ReduceResult> red(nodes);
   std::vector<linalg::SparseVector> node_sparse(nodes);
-  std::vector<std::vector<linalg::DenseVector>> node_inputs(nodes);
   std::vector<std::vector<simnet::VirtualTime>> node_starts(nodes);
   comm::BroadcastResult bc;
   std::vector<simnet::VirtualTime> leader_ready(nodes);
@@ -346,11 +344,13 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   GroupSlotArena garena(nodes);
   std::vector<GroupSlot*> gslots;
   gslots.reserve(nodes);
-  std::vector<simnet::Rank> zy_first;  // per group: the worker computing z
-  std::vector<simnet::Rank> zy_copy_w, zy_copy_src;  // flattened copy pairs
-  zy_first.reserve(nodes);
-  zy_copy_w.reserve(world);
-  zy_copy_src.reserve(world);
+  // Consensus groups: each group's updating workers, flattened in group order.
+  std::vector<simnet::Rank> zy_ranks_flat;
+  std::vector<std::size_t> zy_begin;
+  std::vector<WorkerSet::ConsensusGroup> zy_groups;
+  zy_ranks_flat.reserve(world);
+  zy_begin.reserve(nodes + 1);
+  zy_groups.reserve(nodes);
   std::vector<double> xw_wall;  // per-worker x-update host seconds (traced)
   std::vector<double> red_wall;  // per-node intra-reduce host seconds
   std::vector<double> zy_wall;   // per-worker consensus-update host seconds
@@ -556,14 +556,15 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
 
     if (cfg_.grouping == GroupingMode::kFlat) {
       // ---- PSRA-ADMM: one global allreduce over all workers --------------
-      // The collective only reads its inputs, so the workers' w vectors go
-      // in directly; a private snapshot is taken only when mixed precision
-      // or censoring must rewrite the payload first. On faulty runs with a
-      // worker down, the collective degrades to the survivor set.
+      // The collective only reads its inputs, so the workers' materialized
+      // w vectors go in directly; a private snapshot is taken only when
+      // mixed precision or censoring must rewrite the payload first. On
+      // faulty runs with a worker down, the collective degrades to the
+      // survivor set.
       const bool degraded = any_down;
       const bool mutate_inputs = cfg_.mixed_precision || censoring;
       const comm::GroupComm* group = &*flat_global;
-      std::span<const linalg::DenseVector> w_inputs = ws.w_all();
+      std::span<const linalg::DenseVector> w_inputs;
       if (degraded) {
         if (!flat_sub.has_value() || flat_sub->members() != alive) {
           flat_sub.emplace(&topo, &cost_inter, alive);
@@ -591,6 +592,8 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
             }
           }
           w_inputs = inputs;
+        } else {
+          w_inputs = ws.w_all();
         }
         for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
       }
@@ -681,25 +684,24 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         if (members.empty()) return;  // every worker on the node is down
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
         // Node n owns the contiguous rank range [n*wpn, (n+1)*wpn), so a
-        // whole node reads its workers' w vectors in place; a node with a
-        // worker down gathers its survivors' inputs instead.
-        std::span<const linalg::DenseVector> in =
-            ws.w_all().subspan(n * wpn, wpn);
+        // whole node reads its workers' start times in place; a node with a
+        // worker down gathers its survivors' instead. The members' w sum
+        // comes from their shared bases and overlays, in member order.
         std::span<const simnet::VirtualTime> st =
             std::span<const simnet::VirtualTime>(all_starts).subspan(n * wpn,
                                                                      wpn);
         if (members.size() != wpn) {
-          node_inputs[n].resize(members.size());
           node_starts[n].resize(members.size());
           for (std::size_t m = 0; m < members.size(); ++m) {
-            node_inputs[n][m] = ws.w(members[m]);
             node_starts[n][m] = all_starts[members[m]];
           }
-          in = node_inputs[n];
           st = node_starts[n];
         }
-        comm::ReduceToLeader(intra[n], intra[n].LocalRank(cur_leaders[n]), in,
-                             st, red[n], cfg_.sparse_comm);
+        red[n].member_nnz.resize(members.size());
+        ws.NodeSumW(n, members, red[n].value, red[n].member_nnz);
+        comm::PriceReduceToLeader(intra[n],
+                                  intra[n].LocalRank(cur_leaders[n]), st, d_sz,
+                                  red[n], cfg_.sparse_comm);
         // The node's collective input, prepared here once: censor, round to
         // fp32 (mixed precision), then pack (sparse comm). The group
         // collective reads it in place.
@@ -985,51 +987,32 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
       }
 
-      // ---- Consensus update, flattened across all groups -------------------
-      // One worker per group computes z in full: the first live rank of the
-      // group's first node still in the round. Every other updating worker
-      // adopts it (bitwise-identical, same shortcut as ZYStepAll) in a
-      // single ParallelFor over the flattened (group, worker) list — one
-      // fork-join for the whole cluster instead of one per node. Ledger
+      // ---- Consensus update across all groups -------------------------------
+      // Every group's updating workers (the live ranks of its nodes still in
+      // the round) adopt the group's z in one WorkerSet call: z and y run
+      // once per (old base, group) pair, then each worker's overlay and
+      // residual norms in a single ParallelFor over the cluster. Ledger
       // charges and spans replay serially per worker afterwards.
-      zy_first.clear();
-      zy_copy_w.clear();
-      zy_copy_src.clear();
+      zy_ranks_flat.clear();
+      zy_begin.clear();
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
-        bool first = true;
+        zy_begin.push_back(zy_ranks_flat.size());
         for (const simnet::NodeId n : gslots[gi]->members) {
           if (node_out[n] != 0) continue;
-          for (const simnet::Rank r : node_alive[n]) {
-            if (first) {
-              zy_first.push_back(r);
-              first = false;
-            } else {
-              zy_copy_w.push_back(r);
-              zy_copy_src.push_back(zy_first.back());
-            }
-          }
+          zy_ranks_flat.insert(zy_ranks_flat.end(), node_alive[n].begin(),
+                               node_alive[n].end());
         }
       }
-      std::vector<double>* const zwall = walled ? &zy_wall : nullptr;
-      auto zy_group = [&](std::size_t gi) {
-        const GroupSlot& slot = *gslots[gi];
-        const auto i = static_cast<std::size_t>(zy_first[gi]);
-        flops[i] = TimedStep(zwall, i, [&] {
-          return ws.ZYStep(i, slot.iw.sum, slot.contributors);
-        });
-      };
-      auto zy_copy = [&](std::size_t k) {
-        const auto i = static_cast<std::size_t>(zy_copy_w[k]);
-        const auto src = static_cast<std::size_t>(zy_copy_src[k]);
-        flops[i] = TimedStep(zwall, i, [&] { return ws.ZYStepFrom(i, src); });
-      };
-      if (options.pool != nullptr) {
-        options.pool->ParallelFor(gslots.size(), zy_group);
-        options.pool->ParallelFor(zy_copy_w.size(), zy_copy);
-      } else {
-        engine::SerialFor(gslots.size(), zy_group);
-        engine::SerialFor(zy_copy_w.size(), zy_copy);
+      zy_begin.push_back(zy_ranks_flat.size());
+      zy_groups.clear();
+      for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
+        const std::span<const simnet::Rank> ranks =
+            std::span<const simnet::Rank>(zy_ranks_flat)
+                .subspan(zy_begin[gi], zy_begin[gi + 1] - zy_begin[gi]);
+        zy_groups.push_back(
+            {ranks, gslots[gi]->iw.sum, gslots[gi]->contributors});
       }
+      ws.ZYStepGroups(zy_groups, flops, walled ? &zy_wall : nullptr);
       for (std::size_t gi = 0; gi < gslots.size(); ++gi) {
         for (const simnet::NodeId n : gslots[gi]->members) {
           if (node_out[n] != 0) continue;

@@ -20,6 +20,9 @@ namespace psra::comm {
 struct ReduceResult {
   /// Sum of all members' inputs, available at the leader.
   linalg::DenseVector value;
+  /// Each member's nonzero count (|v| > 0), by group rank: what a sparse
+  /// reduce prices every send by.
+  std::vector<std::size_t> member_nnz;
   /// When the leader has the complete sum.
   simnet::VirtualTime leader_ready = 0.0;
   /// When each member finished its part (send completion), by group rank.
@@ -30,14 +33,23 @@ struct ReduceResult {
 };
 
 /// Members send their vectors to `leader` (parallel sends, each priced on its
-/// own link); the leader reduces in ascending group-rank order. With
-/// `sparse`, each member's send travels in the cheaper encoding for its
-/// nonzero count, taken in the summing pass. Fills `out`, reusing its
-/// buffers across calls.
+/// own link); the leader reduces in ascending group-rank order, starting
+/// from +0.0. With `sparse`, each member's send travels in the cheaper
+/// encoding for its nonzero count, taken in the summing pass. Fills `out`,
+/// reusing its buffers across calls: the sum, then PriceReduceToLeader.
 void ReduceToLeader(const GroupComm& group, GroupRank leader,
                     std::span<const linalg::DenseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
                     ReduceResult& out, bool sparse = false);
+
+/// The pricing half of ReduceToLeader, for callers that form the sum
+/// themselves: `out.value` must already hold the members' sum over `dim`
+/// coordinates and, with `sparse`, `out.member_nnz` each member's nonzero
+/// count. Fills the finish times, the leader's ready time and the traffic.
+void PriceReduceToLeader(const GroupComm& group, GroupRank leader,
+                         std::span<const simnet::VirtualTime> starts,
+                         std::size_t dim, ReduceResult& out,
+                         bool sparse = false);
 
 struct BroadcastResult {
   /// When each member has the value (leader: when it finished sending).

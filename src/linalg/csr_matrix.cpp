@@ -183,13 +183,6 @@ std::vector<std::size_t> CsrMatrix::ColumnNnz() const {
   return counts;
 }
 
-void CsrMatrix::GramProduct(SymmetricGram& out) const {
-  PSRA_REQUIRE(out.dim() == cols_, "gram-product dimension mismatch");
-  for (Index r = 0; r < rows_; ++r) {
-    out.AddScaledOuter(RowIndices(r), RowValues(r), 1.0);
-  }
-}
-
 void CsrMatrix::GramProduct(std::span<const double> w,
                             SymmetricGram& out) const {
   PSRA_REQUIRE(w.size() == rows_, "gram-product weight size mismatch");

@@ -75,15 +75,12 @@ class CsrMatrix {
   /// construction — the column array is immutable, so this is O(1).
   Index MaxOccupiedColumn() const { return max_occupied_col_; }
 
-  /// out += A^T A accumulated row by row (transpose reduction,
-  /// arXiv:1504.02147): each sparse row contributes its outer product to the
-  /// packed lower triangle. `out` must be Reset(cols()) by the caller. Cost
-  /// is sum_r nnz(r)^2 — paid once, after which products with A^T A never
-  /// touch A again.
-  void GramProduct(SymmetricGram& out) const;
-
-  /// out += A^T diag(w) A — the weighted Gram the logistic TRON Hessian
-  /// needs (H = A^T D A + rho I). w has rows() entries.
+  /// out += A^T diag(w) A accumulated row by row (transpose reduction,
+  /// arXiv:1504.02147): each sparse row contributes its weighted outer
+  /// product to the packed lower triangle — the Gram the logistic TRON
+  /// Hessian needs (H = A^T D A + rho I). w has rows() entries; `out` must
+  /// be Reset(cols()) by the caller. Cost is sum_r nnz(r)^2, after which
+  /// Hessian-vector products never touch A.
   void GramProduct(std::span<const double> w, SymmetricGram& out) const;
 
  private:

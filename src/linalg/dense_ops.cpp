@@ -31,12 +31,16 @@ void Store(double* p, const Quad& q) { std::memcpy(p, &q, sizeof q); }
 
 class FourLaneSum {
  public:
+  FourLaneSum() = default;
+  /// Resumes a sum whose lanes were saved with Save.
+  explicit FourLaneSum(const double* lanes) { Load(lanes_, lanes); }
   void AddQuad(const Quad& terms) { lanes_ += terms; }
   /// Tail terms come after every quad, in index order.
   void AddTail(double term) { lanes_[0] += term; }
   double Total() const {
     return (lanes_[0] + lanes_[1]) + (lanes_[2] + lanes_[3]);
   }
+  void Save(double* lanes) const { Store(lanes, lanes_); }
 
  private:
   Quad lanes_{};
@@ -261,10 +265,18 @@ double DistanceL2(std::span<const double> x, std::span<const double> y) {
 void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
                       std::span<const double> y, double& dist_xz,
                       double& norm_x, double& norm_y) {
+  BlockedNorms norms;
+  norms.Add(x, z, y);
+  norms.Finish(dist_xz, norm_x, norm_y);
+}
+
+void BlockedNorms::Add(std::span<const double> x, std::span<const double> z,
+                       std::span<const double> y) {
   PSRA_REQUIRE(x.size() == z.size() && x.size() == y.size(),
                "distance-and-norms dimension mismatch");
+  PSRA_REQUIRE(!closed_, "only the last block may end off a quad");
   const std::size_t n = x.size();
-  FourLaneSum sd, sx, sy;
+  FourLaneSum sd(sd_), sx(sx_), sy(sy_);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     Quad xq{}, zq{}, yq{};
@@ -282,9 +294,17 @@ void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
     sx.AddTail(x[i] * x[i]);
     sy.AddTail(y[i] * y[i]);
   }
-  dist_xz = std::sqrt(sd.Total());
-  norm_x = std::sqrt(sx.Total());
-  norm_y = std::sqrt(sy.Total());
+  closed_ = n % 4 != 0;
+  sd.Save(sd_);
+  sx.Save(sx_);
+  sy.Save(sy_);
+}
+
+void BlockedNorms::Finish(double& dist_xz, double& norm_x,
+                          double& norm_y) const {
+  dist_xz = std::sqrt(FourLaneSum(sd_).Total());
+  norm_x = std::sqrt(FourLaneSum(sx_).Total());
+  norm_y = std::sqrt(FourLaneSum(sy_).Total());
 }
 
 void CopyZUpdateY(double rho, std::span<const double> x,

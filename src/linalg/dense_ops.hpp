@@ -80,6 +80,22 @@ void DistanceAndNorms(std::span<const double> x, std::span<const double> z,
                       std::span<const double> y, double& dist_xz,
                       double& norm_x, double& norm_y);
 
+/// DistanceAndNorms taken block by block: Add consecutive blocks of the
+/// three vectors in order, each a multiple of 4 long except the last, then
+/// Finish. The result is bitwise DistanceAndNorms of the concatenated
+/// vectors, so a caller can assemble each block in a small buffer (one
+/// worker's values read through its shared base, DESIGN.md §7 rule 8).
+class BlockedNorms {
+ public:
+  void Add(std::span<const double> x, std::span<const double> z,
+           std::span<const double> y);
+  void Finish(double& dist_xz, double& norm_x, double& norm_y) const;
+
+ private:
+  double sd_[4] = {}, sx_[4] = {}, sy_[4] = {};  // four-lane partial sums
+  bool closed_ = false;  // a block ended off a quad: it was the last
+};
+
 /// One worker's consensus copy step in one pass: z = z_src, then
 /// y += rho * (x - z), writing ||x - z||_2, ||x||_2 and ||y||_2 of the
 /// updated state. y is bitwise solver::YUpdate's and the norms are bitwise

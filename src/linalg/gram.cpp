@@ -68,68 +68,4 @@ void SymmetricGram::Multiply(std::span<const double> x,
   }
 }
 
-bool PackedCholesky::Factor(const SymmetricGram& g, double shift) {
-  dim_ = g.dim();
-  ok_ = false;
-  const std::size_t packed = dim_ * (dim_ + 1) / 2;
-  if (factor_.size() < packed) {
-    factor_.resize(packed);
-  }
-  std::memcpy(factor_.data(), g.packed().data(), packed * sizeof(double));
-  double* f = factor_.data();
-
-  for (std::size_t j = 0; j < dim_; ++j) {
-    double* row_j = f + j * (j + 1) / 2;
-    double diag = row_j[j] + shift;
-    for (std::size_t k = 0; k < j; ++k) {
-      diag -= row_j[k] * row_j[k];
-    }
-    if (!(diag > 0.0) || !std::isfinite(diag)) {
-      return false;
-    }
-    const double ljj = std::sqrt(diag);
-    row_j[j] = ljj;
-    const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < dim_; ++i) {
-      double* row_i = f + i * (i + 1) / 2;
-      double sum = row_i[j];
-      // Both rows are contiguous in the packed layout, so this dot product
-      // streams two dense prefixes.
-      for (std::size_t k = 0; k < j; ++k) {
-        sum -= row_i[k] * row_j[k];
-      }
-      row_i[j] = sum * inv;
-    }
-  }
-  ok_ = true;
-  return true;
-}
-
-void PackedCholesky::Solve(std::span<const double> b,
-                           std::span<double> x) const {
-  PSRA_REQUIRE(ok_, "PackedCholesky::Solve without a successful Factor");
-  PSRA_REQUIRE(b.size() == dim_ && x.size() == dim_,
-             "PackedCholesky::Solve size mismatch");
-  const double* f = factor_.data();
-  // Forward substitution L y = b (y lives in x).
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double* row = f + i * (i + 1) / 2;
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) {
-      acc -= row[k] * x[k];
-    }
-    x[i] = acc / row[i];
-  }
-  // Backward substitution L^T x = y, expressed as a column sweep so every
-  // memory access stays on the contiguous packed rows.
-  for (std::size_t jj = dim_; jj-- > 0;) {
-    const double* row = f + jj * (jj + 1) / 2;
-    const double xj = x[jj] / row[jj];
-    x[jj] = xj;
-    for (std::size_t i = 0; i < jj; ++i) {
-      x[i] -= row[i] * xj;
-    }
-  }
-}
-
 }  // namespace psra::linalg

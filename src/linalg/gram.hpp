@@ -1,12 +1,11 @@
-// Packed symmetric Gram container + Cholesky factorization.
+// Packed symmetric Gram container.
 //
 // SymmetricGram stores a d x d symmetric matrix as its lower triangle in
 // packed row-major order (row i holds i+1 entries at offset i(i+1)/2), the
-// shape produced by transpose-reduction local solvers: A^T A (or A^T D A)
-// accumulated once from a CSR shard, then reused by every Hessian-vector
-// product or factored by PackedCholesky for direct x-updates
-// (DESIGN.md §14). Storage is recycled across Reset calls, so a warm
-// container performs no allocations.
+// shape produced by transpose-reduction local solvers: A^T D A accumulated
+// once per Newton step from a CSR shard, then reused by every
+// Hessian-vector product (DESIGN.md §14). Storage is recycled across Reset
+// calls, so a warm container performs no allocations.
 #pragma once
 
 #include <cstddef>
@@ -51,30 +50,6 @@ class SymmetricGram {
  private:
   std::size_t dim_ = 0;
   std::vector<double> packed_;
-};
-
-/// Cholesky factor of a shifted SymmetricGram: L L^T = G + shift * I.
-/// Factor and Solve recycle internal storage (no allocations when warm), so
-/// a per-worker instance keeps the ADMM x-update allocation-free.
-class PackedCholesky {
- public:
-  PackedCholesky() = default;
-
-  /// Factors G + shift * I. Returns false (leaving the factor unusable) if
-  /// the shifted matrix is not numerically positive definite; with any
-  /// shift > 0 this only happens on pathological input.
-  bool Factor(const SymmetricGram& g, double shift);
-
-  std::size_t dim() const { return dim_; }
-  bool ok() const { return ok_; }
-
-  /// x = (L L^T)^{-1} b. Requires a successful Factor.
-  void Solve(std::span<const double> b, std::span<double> x) const;
-
- private:
-  std::size_t dim_ = 0;
-  bool ok_ = false;
-  std::vector<double> factor_;  // packed lower triangle of L
 };
 
 }  // namespace psra::linalg

@@ -22,6 +22,7 @@
 #include "solver/metrics.hpp"
 #include "solver/prox.hpp"
 #include "solver/tron.hpp"
+#include "engine/thread_pool.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 
@@ -506,61 +507,392 @@ std::vector<double> ResidualBits(const WorkerSet::Residuals& r) {
   return {r.primal, r.dual, r.x_norm, r.y_norm, r.z_norm};
 }
 
-// ComputeResiduals reuses the norms ZYStepFrom's sweep cached and re-streams
-// the rest. After two consensus rounds over overlapping subsets (worker 2
-// takes the sweep in round 1, then computes z in round 2) one more event
-// touches a worker whose norms are cached. In every case both residual
-// forms must equal a full re-stream bitwise, and the pointer form must
-// leave exactly MeanZInto's mean — serial and with the re-stream pooled.
+// ComputeResiduals reuses the norms the consensus step cached and
+// re-streams the rest. From private random states or from one shared base,
+// two consensus rounds run over overlapping subsets (so the second splits
+// the base), then one more event touches workers whose norms are cached. In
+// every case both residual forms must equal a full re-stream bitwise, and
+// the pointer form must leave exactly MeanZInto's mean — serial and with
+// the re-stream pooled.
 TEST(ResidualNormCache, MatchesAFullRestreamAfterEachInvalidation) {
   const auto p = BuildProblem(TinySpec(), 6);
   const auto d = static_cast<std::size_t>(p.dim());
   engine::ThreadPool pool(2);
   pool.ForceParallelDispatchForTesting();
   const char* const events[] = {"nothing", "RestoreWorker", "XWStep",
-                                "y write"};
+                                "y write",  "x write",       "z write",
+                                "RestoreAll", "XWStepAll subset"};
   for (engine::ThreadPool* const host :
        {&pool, static_cast<engine::ThreadPool*>(nullptr)}) {
-    for (const std::string event : events) {
-      SCOPED_TRACE(event + (host != nullptr ? " pooled" : " serial"));
-      RunOptions opt;
-      opt.pool = host;
-      WorkerSet ws(&p, &opt);
-      Rng rng(17);
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        FillGaussian(ws.x(i), rng);
-        FillGaussian(ws.y(i), rng);
-        FillGaussian(ws.z(i), rng);
-      }
-      linalg::DenseVector w1(d), w2(d), z_prev(d);
-      FillGaussian(w1, rng);
-      FillGaussian(w2, rng);
-      FillGaussian(z_prev, rng);
-      std::vector<double> flops(ws.size(), 0.0);
-      const simnet::Rank round1[] = {1, 2, 4, 5};
-      const simnet::Rank round2[] = {2, 1, 4};
-      ws.ZYStepAll(round1, w1, 4, flops);
-      ws.ZYStepAll(round2, w2, 3, flops);
-      if (event == "RestoreWorker") {  // worker 1: swept in round 2
-        linalg::DenseVector x(d), y(d), z(d);
-        FillGaussian(x, rng);
-        FillGaussian(y, rng);
-        FillGaussian(z, rng);
-        ws.RestoreWorker(1, x, y, z);
-      } else if (event == "XWStep") {  // worker 4: swept in round 2
-        (void)ws.XWStep(4);
-      } else if (event == "y write") {  // worker 5: swept in round 1 only
-        ws.y(5)[3] += 0.25;
-      }
+    // Random private states, or states that still share one base: a
+    // full x-update from the all-zero start.
+    for (const bool shared : {false, true}) {
+      for (const std::string event : events) {
+        SCOPED_TRACE(event + (host != nullptr ? " pooled" : " serial") +
+                     (shared ? " shared" : " private"));
+        RunOptions opt;
+        opt.pool = host;
+        WorkerSet ws(&p, &opt);
+        Rng rng(17);
+        std::vector<double> flops(ws.size(), 0.0);
+        if (shared) {
+          ws.XWStepAll(flops);
+        } else {
+          for (std::size_t i = 0; i < ws.size(); ++i) {
+            FillGaussian(ws.x(i), rng);
+            FillGaussian(ws.y(i), rng);
+            FillGaussian(ws.z(i), rng);
+          }
+        }
+        linalg::DenseVector w1(d), w2(d), z_prev(d);
+        FillGaussian(w1, rng);
+        FillGaussian(w2, rng);
+        FillGaussian(z_prev, rng);
+        const simnet::Rank round1[] = {1, 2, 4, 5};
+        const simnet::Rank round2[] = {2, 1, 4};
+        ws.ZYStepAll(round1, w1, 4, flops);
+        ws.ZYStepAll(round2, w2, 3, flops);
+        if (event == "RestoreWorker") {  // worker 1: swept in round 2
+          linalg::DenseVector x(d), y(d), z(d);
+          FillGaussian(x, rng);
+          FillGaussian(y, rng);
+          FillGaussian(z, rng);
+          ws.RestoreWorker(1, x, y, z);
+        } else if (event == "XWStep") {  // worker 4: swept in round 2
+          (void)ws.XWStep(4);
+        } else if (event == "y write") {  // worker 5: swept in round 1 only
+          ws.y(5)[3] += 0.25;
+        } else if (event == "x write") {  // worker 2: swept in round 2
+          ws.x(2)[0] -= 0.5;
+        } else if (event == "z write") {  // worker 1: swept in round 2
+          ws.z(1)[7] += 0.125;
+        } else if (event == "RestoreAll") {  // every worker restored
+          std::vector<WorkerCheckpoint> state(ws.size());
+          for (std::size_t i = 0; i < ws.size(); ++i) {
+            ws.CopyState(i, state[i].x, state[i].y, state[i].z);
+          }
+          ws.RestoreAll(state);
+        } else if (event == "XWStepAll subset") {  // 4 and 5 leave their base
+          const simnet::Rank subset[] = {4, 5};
+          ws.XWStepAll(subset, flops);
+        }
 
-      const auto want = ResidualBits(FullRestream(p, opt, ws, z_prev));
-      linalg::DenseVector mean_want;
-      ws.MeanZInto(mean_want);
-      linalg::DenseVector z_mean = z_prev;
-      EXPECT_TRUE(SameBits(ResidualBits(ws.ComputeResiduals(&z_mean)), want));
-      EXPECT_TRUE(SameBits(z_mean, mean_want));
-      EXPECT_TRUE(SameBits(ResidualBits(ws.ComputeResiduals(z_prev)), want));
+        const auto want = ResidualBits(FullRestream(p, opt, ws, z_prev));
+        linalg::DenseVector mean_want;
+        ws.MeanZInto(mean_want);
+        linalg::DenseVector z_mean = z_prev;
+        EXPECT_TRUE(
+            SameBits(ResidualBits(ws.ComputeResiduals(&z_mean)), want));
+        EXPECT_TRUE(SameBits(z_mean, mean_want));
+        EXPECT_TRUE(
+            SameBits(ResidualBits(ws.ComputeResiduals(z_prev)), want));
+      }
     }
+  }
+}
+
+// ------------------------------------------------------------ shared bases ----
+
+// The full-width reference WorkerSet is checked against: every worker keeps
+// x, y, w and z at full width. The x-update is TronMinimize on the shard
+// renumbered onto its occupied columns, the closed form on every other
+// column and WLocal; the consensus step is ZYUpdate on every worker; the
+// residuals fold DistanceAndNorms in worker order.
+class FullWidthWorkers {
+ public:
+  explicit FullWidthWorkers(const ConsensusProblem& p) : p_(p) {
+    const auto n = static_cast<std::size_t>(p.num_workers());
+    const auto d = static_cast<std::size_t>(p.dim());
+    x.assign(n, linalg::DenseVector(d, 0.0));
+    y = w = z = x;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& shard = p.shards[i];
+      const auto touched = TouchedColumns(shard);
+      std::vector<std::uint64_t> cols, id(d, 0);
+      for (std::size_t j = 0; j < d; ++j) {
+        if (touched[j] == 0) continue;
+        id[j] = cols.size();
+        cols.push_back(j);
+      }
+      const auto& m = shard.features();
+      linalg::CsrMatrix::Builder builder(cols.size());
+      for (std::uint64_t r = 0; r < m.rows(); ++r) {
+        std::vector<std::uint64_t> row;
+        for (const auto j : m.RowIndices(r)) row.push_back(id[j]);
+        builder.AddRow(row, m.RowValues(r));
+      }
+      cols_.push_back(std::move(cols));
+      compact_.emplace_back(builder.Build(), shard.labels());
+    }
+  }
+
+  double XW(std::size_t i, double rho) {
+    const auto& cols = cols_[i];
+    linalg::DenseVector xc, vc, zc;
+    for (const auto j : cols) {
+      xc.push_back(x[i][j]);
+      vc.push_back(y[i][j]);
+      zc.push_back(z[i][j]);
+    }
+    solver::ProximalLogistic f(&compact_[i], rho);
+    f.SetIterationTerms(vc, zc);
+    solver::FlopCounter flops;
+    solver::TronMinimize(f, xc, solver::TronOptions{}, &flops);
+    for (std::size_t j = 0; j < x[i].size(); ++j) {
+      x[i][j] = z[i][j] - y[i][j] / rho;
+    }
+    for (std::size_t k = 0; k < cols.size(); ++k) x[i][cols[k]] = xc[k];
+    flops.Add(2.0 * static_cast<double>(x[i].size() - cols.size()));
+    solver::WLocal(rho, x[i], y[i], w[i], &flops);
+    return flops.flops;
+  }
+
+  void ZY(std::span<const simnet::Rank> ranks, std::span<const double> W,
+          std::uint64_t contributors, double rho) {
+    solver::ZUpdateConfig zcfg;
+    zcfg.lambda = p_.lambda;
+    zcfg.rho = rho;
+    zcfg.num_workers = contributors;
+    for (const simnet::Rank r : ranks) {
+      solver::ZYUpdate(zcfg, W, x[r], z[r], y[r]);
+    }
+  }
+
+  std::vector<double> Residuals(std::span<const double> z_prev,
+                                double rho) const {
+    const std::size_t n = x.size(), d = x[0].size();
+    double primal_sq = 0.0, x_sq = 0.0, y_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double dist = 0.0, nx = 0.0, ny = 0.0;
+      linalg::DistanceAndNorms(x[i], z[i], y[i], dist, nx, ny);
+      primal_sq += dist * dist;
+      x_sq += nx * nx;
+      y_sq += ny * ny;
+    }
+    linalg::DenseVector mean(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      mean[j] = z[0][j];
+      for (std::size_t i = 1; i < n; ++i) mean[j] += z[i][j];
+      mean[j] *= 1.0 / static_cast<double>(n);
+    }
+    const double sqrt_n = std::sqrt(static_cast<double>(n));
+    return {std::sqrt(primal_sq),
+            rho * sqrt_n * linalg::DistanceL2(mean, z_prev),
+            std::sqrt(x_sq), std::sqrt(y_sq), sqrt_n * linalg::Norm2(mean)};
+  }
+
+  std::vector<linalg::DenseVector> x, y, w, z;
+
+ private:
+  const ConsensusProblem& p_;
+  std::vector<std::vector<std::uint64_t>> cols_;
+  std::vector<data::Dataset> compact_;
+};
+
+// A WorkerSet and its full-width reference, driven through the same steps
+// and compared bitwise after each: every worker's x, y, z and w, the flops
+// and the residuals.
+class BaseTwin {
+ public:
+  BaseTwin(const ConsensusProblem& p, engine::ThreadPool* pool)
+      : opt_(Options(pool)), ws(&p, &opt_), ref(p), rng_(29) {}
+
+  void XW(std::span<const simnet::Rank> ranks) {
+    std::vector<double> flops(ws.size(), -1.0);
+    ws.XWStepAll(ranks, flops);
+    for (const simnet::Rank r : ranks) {
+      EXPECT_EQ(flops[r], ref.XW(r, ws.rho())) << "worker " << r;
+    }
+  }
+  void XWAll() {
+    std::vector<simnet::Rank> all(ws.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    XW(all);
+  }
+
+  /// One consensus round over `groups`, each with a fresh random aggregate.
+  void ZY(const std::vector<std::vector<simnet::Rank>>& groups) {
+    std::vector<linalg::DenseVector> Ws;
+    std::vector<WorkerSet::ConsensusGroup> cg;
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      Ws.emplace_back(ws.dim());
+      for (auto& v : Ws.back()) v = 3.0 * rng_.NextGaussian();
+    }
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      cg.push_back({groups[k], Ws[k], groups[k].size() + 1});
+    }
+    std::vector<double> flops(ws.size(), -1.0);
+    ws.ZYStepGroups(cg, flops);
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      ref.ZY(groups[k], Ws[k], groups[k].size() + 1, ws.rho());
+      for (const simnet::Rank r : groups[k]) {
+        EXPECT_EQ(flops[r], 6.0 * static_cast<double>(ws.dim()));
+      }
+    }
+  }
+
+  void Expect(const std::string& when) {
+    SCOPED_TRACE(when);
+    const WorkerSet& c = ws;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      EXPECT_TRUE(SameBits(c.x(i), ref.x[i])) << "x of worker " << i;
+      EXPECT_TRUE(SameBits(c.y(i), ref.y[i])) << "y of worker " << i;
+      EXPECT_TRUE(SameBits(c.z(i), ref.z[i])) << "z of worker " << i;
+      EXPECT_TRUE(SameBits(c.w(i), ref.w[i])) << "w of worker " << i;
+    }
+    linalg::DenseVector z_prev(c.dim(), 0.25);
+    EXPECT_TRUE(SameBits(ResidualBits(c.ComputeResiduals(z_prev)),
+                         ref.Residuals(z_prev, c.rho())));
+  }
+
+  linalg::DenseVector Gaussian() {
+    linalg::DenseVector v(ws.dim());
+    FillGaussian(v, rng_);
+    return v;
+  }
+
+ private:
+  static RunOptions Options(engine::ThreadPool* pool) {
+    RunOptions opt;
+    opt.pool = pool;
+    return opt;
+  }
+  RunOptions opt_;
+
+ public:
+  WorkerSet ws;
+  FullWidthWorkers ref;
+
+ private:
+  Rng rng_;
+};
+
+// Two nodes' worth of rounds: everyone x-updates, then a consensus over two
+// groups, so the shared base splits into one per group.
+void Rounds(BaseTwin& t, int rounds) {
+  for (int k = 0; k < rounds; ++k) {
+    t.XWAll();
+    t.ZY({{0, 1, 2}, {3, 4, 5}});
+    t.Expect("round " + std::to_string(k));
+  }
+}
+
+// Unit-weight problem over 6 workers whose shards leave most columns
+// untouched.
+const ConsensusProblem& BaseProblem() {
+  static const ConsensusProblem p = [] {
+    auto spec = WideSpec();
+    spec.num_train = 60;
+    return BuildProblem(spec, 6, /*lambda=*/0.05, /*rho=*/0.7);
+  }();
+  return p;
+}
+
+TEST(SharedBases, RestoredWorkerWithDisagreeingUntouchedColumns) {
+  engine::ThreadPool pool(2);
+  pool.ForceParallelDispatchForTesting();
+  for (engine::ThreadPool* const host :
+       {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(host != nullptr ? "pooled" : "serial");
+    BaseTwin t(BaseProblem(), host);
+    Rounds(t, 2);
+    const auto x = t.Gaussian(), y = t.Gaussian(), z = t.Gaussian();
+    t.ws.RestoreWorker(4, x, y, z);
+    t.ref.x[4] = x;
+    t.ref.y[4] = y;
+    t.ref.z[4] = z;
+    solver::WLocal(t.ws.rho(), x, y, t.ref.w[4]);
+    t.Expect("restored");
+    // Workers 2 and 4 skip an x-update (crashed workers): 2's base splits
+    // between the workers that update and the one that does not.
+    t.XW(std::vector<simnet::Rank>{0, 1, 3, 5});
+    t.Expect("x-update without workers 2 and 4");
+    t.ZY({{0, 1, 2, 4}, {3, 5}});
+    t.Expect("workers 2 and 4 back in a group");
+    Rounds(t, 2);
+  }
+}
+
+TEST(SharedBases, WarmStartFromConsistentAndInconsistentCheckpoints) {
+  for (const bool consistent : {true, false}) {
+    SCOPED_TRACE(consistent ? "consistent" : "inconsistent");
+    BaseTwin src(BaseProblem(), nullptr);
+    src.XWAll();
+    src.ZY({{0, 1, 2, 3, 4, 5}});
+    src.XWAll();
+    std::vector<WorkerCheckpoint> state(src.ws.size());
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      state[i] = {src.ref.x[i], src.ref.y[i], src.ref.z[i]};
+    }
+    if (!consistent) {
+      // Worker 2 disagrees on a column its shard leaves untouched.
+      const auto touched = TouchedColumns(BaseProblem().shards[2]);
+      std::size_t j = 0;
+      while (touched[j] != 0) ++j;
+      state[2].x[j] += 1.0;
+    }
+    BaseTwin t(BaseProblem(), nullptr);
+    t.ws.RestoreAll(state);
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      t.ref.x[i] = state[i].x;
+      t.ref.y[i] = state[i].y;
+      t.ref.z[i] = state[i].z;
+      solver::WLocal(t.ws.rho(), state[i].x, state[i].y, t.ref.w[i]);
+    }
+    t.Expect("restored");
+    Rounds(t, 2);
+  }
+}
+
+TEST(SharedBases, MutableYWritesOnTouchedAndUntouchedColumns) {
+  BaseTwin t(BaseProblem(), nullptr);
+  Rounds(t, 1);
+  const auto touched = TouchedColumns(BaseProblem().shards[1]);
+  std::size_t on = 0, off = 0;
+  while (touched[on] == 0) ++on;
+  while (touched[off] != 0) ++off;
+  t.ws.y(1)[on] += 0.5;
+  t.ref.y[1][on] += 0.5;
+  t.Expect("touched column written");
+  t.ws.y(1)[off] -= 0.75;
+  t.ref.y[1][off] -= 0.75;
+  t.Expect("untouched column written");
+  Rounds(t, 2);
+}
+
+TEST(SharedBases, ShardsWithNoColumnAndWithEveryColumn) {
+  // Striped over 4 workers: worker 2's rows are emptied (d_i = 0) and
+  // worker 0's first row touches every column (d_i = d).
+  const auto gen = data::GenerateSynthetic(WideSpec());
+  const auto& m = gen.train.features();
+  const auto d = static_cast<std::size_t>(m.cols());
+  linalg::CsrMatrix::Builder builder(d);
+  for (std::uint64_t r = 0; r < m.rows(); ++r) {
+    if (r == 0) {
+      std::vector<std::uint64_t> all(d);
+      std::vector<double> vals(d, 0.01);
+      for (std::size_t j = 0; j < d; ++j) all[j] = j;
+      builder.AddRow(all, vals);
+    } else if (r % 4 == 2) {
+      builder.AddRow(std::span<const std::uint64_t>{},
+                     std::span<const double>{});
+    } else {
+      builder.AddRow(m.RowIndices(r), m.RowValues(r));
+    }
+  }
+  const auto p = BuildProblemFromData(
+      "edge-shards", data::Dataset(builder.Build(), gen.train.labels()),
+      gen.test, 4, /*lambda=*/0.05, /*rho=*/0.7);
+  ASSERT_EQ(LocalSolver(&p.shards[2], LocalSolverOptions{}, 0.7).occupied(),
+            0u);
+  ASSERT_EQ(LocalSolver(&p.shards[0], LocalSolverOptions{}, 0.7).occupied(),
+            d);
+  BaseTwin t(p, nullptr);
+  for (int k = 0; k < 3; ++k) {
+    t.XWAll();
+    t.Expect("x-update " + std::to_string(k));
+    t.ZY({{0, 2}, {1, 3}});
+    t.Expect("consensus " + std::to_string(k));
   }
 }
 

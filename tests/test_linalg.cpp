@@ -719,7 +719,7 @@ TEST(SymmetricGram, AccumulatesOuterProductsLikeDenseReference) {
   const auto m = RandomTall(31, 12, 5);
   SymmetricGram g;
   g.Reset(static_cast<std::size_t>(m.cols()));
-  m.GramProduct(g);
+  m.GramProduct(DenseVector(m.rows(), 1.0), g);
   const auto ref = DenseGram(m, {});
   for (std::size_t i = 0; i < g.dim(); ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
@@ -750,7 +750,7 @@ TEST(SymmetricGram, GramProductHandlesEmptyRowsAndSingleColumn) {
   const auto m = RandomTall(34, 20, 1, 0.9, /*with_empty_rows=*/true);
   SymmetricGram g;
   g.Reset(1);
-  m.GramProduct(g);
+  m.GramProduct(DenseVector(m.rows(), 1.0), g);
   double ref = 0.0;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (const double v : m.RowValues(r)) ref += v * v;
@@ -763,7 +763,7 @@ TEST(SymmetricGram, AddDiagonalAndMultiplyMatchDense) {
   const auto m = RandomTall(35, 10, 6);
   SymmetricGram g;
   g.Reset(6);
-  m.GramProduct(g);
+  m.GramProduct(DenseVector(m.rows(), 1.0), g);
   g.AddDiagonal(0.9);
   auto ref = DenseGram(m, {});
   for (std::size_t i = 0; i < 6; ++i) ref[i * 6 + i] += 0.9;
@@ -777,36 +777,6 @@ TEST(SymmetricGram, AddDiagonalAndMultiplyMatchDense) {
     for (std::size_t j = 0; j < 6; ++j) want += ref[i * 6 + j] * x[j];
     EXPECT_NEAR(out[i], want, 1e-12) << "row " << i;
   }
-}
-
-TEST(PackedCholesky, SolvesShiftedSpdSystem) {
-  const auto m = RandomTall(37, 30, 8);
-  SymmetricGram g;
-  g.Reset(8);
-  m.GramProduct(g);
-  PackedCholesky chol;
-  ASSERT_TRUE(chol.Factor(g, 1.3));
-  EXPECT_TRUE(chol.ok());
-
-  Rng rng(38);
-  DenseVector b(8), x(8), gx(8);
-  for (auto& e : b) e = rng.NextGaussian();
-  chol.Solve(b, x);
-  // (G + 1.3 I) x must reproduce b.
-  g.Multiply(x, gx);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(gx[i] + 1.3 * x[i], b[i], 1e-9) << "row " << i;
-  }
-}
-
-TEST(PackedCholesky, RejectsIndefiniteMatrix) {
-  // An all-zero Gram with no shift has a zero pivot; Factor must refuse.
-  SymmetricGram g;
-  g.Reset(3);
-  PackedCholesky chol;
-  EXPECT_FALSE(chol.Factor(g, 0.0));
-  EXPECT_FALSE(chol.ok());
-  EXPECT_TRUE(chol.Factor(g, 1e-3));  // any positive shift fixes it
 }
 
 // ----------------------------------------- blocked CSR kernel contracts ----

@@ -7,7 +7,6 @@
 #include "data/synthetic.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
-#include "solver/direct.hpp"
 #include "solver/logistic.hpp"
 #include "solver/metrics.hpp"
 #include "solver/prox.hpp"
@@ -349,111 +348,6 @@ TEST(GramHessian, FlopCountingCoversGramBuild) {
   const double after_prepare = flops.flops;
   f.HessianVec(x, hv, &flops);
   EXPECT_GT(flops.flops, after_prepare);
-}
-
-// ------------------------------------ cached-Gram direct least squares ----
-
-namespace {
-
-/// Tall random least-squares instance shared by the direct-solver tests.
-struct LsInstance {
-  linalg::CsrMatrix a;
-  linalg::DenseVector b;
-};
-
-LsInstance MakeLs(std::uint64_t seed, std::size_t rows = 40,
-                  std::size_t cols = 9) {
-  Rng rng(seed);
-  linalg::CsrMatrix::Builder builder(cols);
-  linalg::DenseVector b(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::vector<linalg::CsrMatrix::Index> idx;
-    std::vector<double> val;
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (rng.NextBool(0.5)) {
-        idx.push_back(c);
-        val.push_back(rng.NextGaussian());
-      }
-    }
-    builder.AddRow(idx, val);
-    b[r] = rng.NextGaussian();
-  }
-  return {builder.Build(), std::move(b)};
-}
-
-}  // namespace
-
-TEST(CachedGramLeastSquares, SolvesTheNormalEquations) {
-  const auto ls = MakeLs(61);
-  const double rho = 0.8;
-  CachedGramLeastSquares solver(&ls.a, ls.b, rho);
-  EXPECT_EQ(solver.dim(), 9u);
-
-  Rng rng(62);
-  linalg::DenseVector v(9), z(9), x(9);
-  for (auto& e : v) e = rng.NextGaussian();
-  for (auto& e : z) e = rng.NextGaussian();
-  solver.Solve(v, z, x);
-
-  // Residual of (A^T A + rho I) x = A^T b - v + rho z, assembled
-  // independently with the matrix-free kernels.
-  linalg::DenseVector ax(40), lhs(9, 0.0), rhs(9, 0.0);
-  ls.a.Multiply(x, ax);
-  ls.a.TransposeMultiplyAdd(ax, lhs);
-  linalg::Axpy(rho, x, lhs);
-  ls.a.TransposeMultiplyAdd(ls.b, rhs);
-  for (std::size_t i = 0; i < 9; ++i) rhs[i] += -v[i] + rho * z[i];
-  EXPECT_LT(linalg::DistanceL2(lhs, rhs), 1e-9);
-
-  // Empty v/z spans mean zero terms.
-  linalg::DenseVector x0(9);
-  solver.Solve({}, {}, x0);
-  linalg::DenseVector ax0(40), lhs0(9, 0.0), atb(9, 0.0);
-  ls.a.Multiply(x0, ax0);
-  ls.a.TransposeMultiplyAdd(ax0, lhs0);
-  linalg::Axpy(rho, x0, lhs0);
-  ls.a.TransposeMultiplyAdd(ls.b, atb);
-  EXPECT_LT(linalg::DistanceL2(lhs0, atb), 1e-9);
-}
-
-TEST(CachedGramLeastSquares, RhoChangeRefactorsWithoutRestreaming) {
-  const auto ls = MakeLs(63);
-  CachedGramLeastSquares solver(&ls.a, ls.b, 1.0);
-  EXPECT_EQ(solver.gram_builds(), 1);
-  EXPECT_EQ(solver.factor_count(), 0);  // factorization is lazy
-
-  linalg::DenseVector x(9);
-  solver.Solve({}, {}, x);
-  solver.Solve({}, {}, x);
-  solver.Solve({}, {}, x);
-  EXPECT_EQ(solver.factor_count(), 1);  // repeated solves reuse the factor
-
-  solver.SetRho(1.0);  // no-op change must not refactor
-  solver.Solve({}, {}, x);
-  EXPECT_EQ(solver.factor_count(), 1);
-
-  solver.SetRho(2.5);
-  EXPECT_EQ(solver.factor_count(), 1);  // stale, not yet refactored
-  solver.Solve({}, {}, x);
-  EXPECT_EQ(solver.factor_count(), 2);  // exactly one extra factorization
-  EXPECT_EQ(solver.gram_builds(), 1);   // A was never re-streamed
-
-  // The refreshed factor solves the rho = 2.5 normal equations.
-  linalg::DenseVector ax(40), lhs(9, 0.0), atb(9, 0.0);
-  ls.a.Multiply(x, ax);
-  ls.a.TransposeMultiplyAdd(ax, lhs);
-  linalg::Axpy(2.5, x, lhs);
-  ls.a.TransposeMultiplyAdd(ls.b, atb);
-  EXPECT_LT(linalg::DistanceL2(lhs, atb), 1e-9);
-}
-
-TEST(CachedGramLeastSquares, ValidatesArguments) {
-  const auto ls = MakeLs(64);
-  EXPECT_THROW(CachedGramLeastSquares(&ls.a, ls.b, 0.0), InvalidArgument);
-  CachedGramLeastSquares solver(&ls.a, ls.b, 1.0);
-  EXPECT_THROW(solver.SetRho(-1.0), InvalidArgument);
-  linalg::DenseVector wrong(3);
-  EXPECT_THROW(solver.Solve(wrong, {}, wrong), InvalidArgument);
 }
 
 // ----------------------------------------------------------------- prox ----
