@@ -798,6 +798,180 @@ TEST(WorkerStatePins, AdmmLibAndAdAdmmKeepEveryWorkersState) {
   }
 }
 
+// ------------------------------------------------- sparse comm pins ----
+
+// Sparse-comm runs that no pin above covers: Ring and naive under every
+// grouping, two-rack hierarchical runs and ADMMLib. The values come from the
+// build in which every engine packed its collective inputs into
+// SparseVectors; serial and pooled runs must both keep them.
+struct CommPin {
+  std::uint64_t final_z = 0;
+  std::uint64_t iterations = 0;
+  std::size_t elements_sent = 0;
+  std::size_t messages_sent = 0;
+  std::uint64_t system_time = 0;  // the bits of RunResult::SystemTime()
+  std::uint64_t residuals = 0;    // the (primal, dual) series
+};
+
+// Six nodes of two workers: flat runs reduce over 12 members, hierarchical
+// ones over 6 leaders (3 per rack with two racks) and dynamic ones over
+// groups of 3, so every Ring collective forwards partial folds.
+const ConsensusProblem& TwelveShardProblem() {
+  static const ConsensusProblem p = [] {
+    data::SyntheticSpec spec = TinySpec(7);
+    spec.num_features = 301;
+    spec.num_train = 240;
+    spec.num_test = 60;
+    spec.mean_row_nnz = 6.0;
+    return BuildProblem(spec, 12);
+  }();
+  return p;
+}
+
+CommPin CommPinOf(const RunResult& r) {
+  CommPin pin;
+  pin.final_z = BitDigest(r.final_z);
+  pin.iterations = r.iterations_run;
+  pin.elements_sent = r.elements_sent;
+  pin.messages_sent = r.messages_sent;
+  const double t = r.SystemTime();
+  std::memcpy(&pin.system_time, &t, sizeof t);
+  std::vector<double> series;
+  for (const auto& rec : r.trace) {
+    series.push_back(rec.primal_residual);
+    series.push_back(rec.dual_residual);
+  }
+  pin.residuals = BitDigest(series);
+  return pin;
+}
+
+TEST(SparseCommPins, RingNaiveMultiRackAndAdmmLibKeepTheirRuns) {
+  using G = GroupingMode;
+  using K = comm::AllreduceKind;
+  using S = Scenario;
+  const struct {
+    const char* name;
+    bool admmlib;
+    G grouping;
+    K allreduce;
+    S scenario;
+    std::uint32_t racks;
+    CommPin pin;
+  } cases[] = {
+      {"flat ring", false, G::kFlat, K::kRing, S::kNoFaults, 1,
+       {16330984212173478560ULL, 20, 104958, 5280, 4571280235144194352ULL,
+        4702776972723835051ULL}},
+      {"flat ring drop/delay", false, G::kFlat, K::kRing, S::kDropDelay, 1,
+       {16330984212173478560ULL, 20, 104958, 5280, 4587577483837386806ULL,
+        4702776972723835051ULL}},
+      {"flat ring mixed+censor", false, G::kFlat, K::kRing, S::kMixedCensor, 1,
+       {17943321456753609309ULL, 20, 17280, 5280, 4570703320264893626ULL,
+        9739083587309322236ULL}},
+      {"flat naive", false, G::kFlat, K::kNaive, S::kNoFaults, 1,
+       {8324704928539854369ULL, 20, 81853, 440, 4570583228321846554ULL,
+        5517508559096981327ULL}},
+      {"flat naive drop/delay", false, G::kFlat, K::kNaive, S::kDropDelay, 1,
+       {8324704928539854369ULL, 20, 81853, 440, 4587496217079504192ULL,
+        5517508559096981327ULL}},
+      {"flat naive mixed+censor", false, G::kFlat, K::kNaive, S::kMixedCensor,
+       1,
+       {17943321456753609309ULL, 20, 13774, 242, 4566659766817127509ULL,
+        9739083587309322236ULL}},
+      {"hierarchical ring", false, G::kHierarchical, K::kRing, S::kNoFaults, 1,
+       {6140083834634873367ULL, 20, 92525, 1440, 4567064821986909494ULL,
+        7367673301023356120ULL}},
+      {"hierarchical ring drop/delay", false, G::kHierarchical, K::kRing,
+       S::kDropDelay, 1,
+       {6140083834634873367ULL, 20, 92525, 1440, 4580162637309830431ULL,
+        7367673301023356120ULL}},
+      {"hierarchical ring mixed+censor", false, G::kHierarchical, K::kRing,
+       S::kMixedCensor, 1,
+       {2554232137478178164ULL, 20, 29188, 1440, 4566180279743871536ULL,
+        925402263827957815ULL}},
+      {"hierarchical naive", false, G::kHierarchical, K::kNaive, S::kNoFaults,
+       1,
+       {7473586283068549551ULL, 20, 85543, 440, 4567037506273825820ULL,
+        17611518514539743738ULL}},
+      {"hierarchical naive drop/delay", false, G::kHierarchical, K::kNaive,
+       S::kDropDelay, 1,
+       {7473586283068549551ULL, 20, 85543, 440, 4580149027155232560ULL,
+        17611518514539743738ULL}},
+      {"hierarchical naive mixed+censor", false, G::kHierarchical, K::kNaive,
+       S::kMixedCensor, 1,
+       {2554232137478178164ULL, 20, 28123, 360, 4563086852389664202ULL,
+        925402263827957815ULL}},
+      {"dynamic ring", false, G::kDynamicGroups, K::kRing, S::kNoFaults, 1,
+       {14628367707280752059ULL, 20, 78848, 960, 4569983308179048607ULL,
+        8714404643611761612ULL}},
+      {"dynamic ring drop/delay", false, G::kDynamicGroups, K::kRing,
+       S::kDropDelay, 1,
+       {14628367707280752059ULL, 20, 78848, 960, 4577233236418937470ULL,
+        8714404643611761612ULL}},
+      {"dynamic naive", false, G::kDynamicGroups, K::kNaive, S::kNoFaults, 1,
+       {12461315098612729668ULL, 20, 77063, 640, 4570131028955338316ULL,
+        13265298403898280679ULL}},
+      {"dynamic naive drop/delay", false, G::kDynamicGroups, K::kNaive,
+       S::kDropDelay, 1,
+       {10544837485106029023ULL, 20, 77050, 640, 4577146679145290995ULL,
+        15013906235191707930ULL}},
+      {"two-rack psr", false, G::kHierarchical, K::kPsr, S::kNoFaults, 2,
+       {15531490033496690581ULL, 20, 111146, 880, 4569634211884384463ULL,
+        11955434293469940798ULL}},
+      {"two-rack ring", false, G::kHierarchical, K::kRing, S::kNoFaults, 2,
+       {16566143125942639782ULL, 20, 113601, 880, 4569729080853906394ULL,
+        6557918775541186782ULL}},
+      {"admmlib ring", true, G::kFlat, K::kRing, S::kNoFaults, 1,
+       {8068188683402171413ULL, 20, 92223, 1446, 4567045381832544695ULL,
+        17368180657193709972ULL}},
+      {"admmlib psr", true, G::kFlat, K::kPsr, S::kNoFaults, 1,
+       {12478822955245138541ULL, 20, 85283, 1406, 4566862436986085265ULL,
+        15484594207928513781ULL}},
+  };
+  const ConsensusProblem& p = TwelveShardProblem();
+  engine::ThreadPool pool(3);
+  pool.ForceParallelDispatchForTesting();
+  for (const auto& c : cases) {
+    ClusterConfig cluster = TinyCluster(6, 2);
+    cluster.num_racks = c.racks;
+    for (engine::ThreadPool* const host :
+         {static_cast<engine::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(c.name) + (host != nullptr ? " pooled" : ""));
+      RunOptions opt;
+      opt.max_iterations = 20;
+      opt.eval_every = 1;
+      opt.pool = host;
+      RunResult r;
+      if (c.admmlib) {
+        AdmmLibConfig cfg;
+        cfg.cluster = cluster;
+        cfg.allreduce = c.allreduce;
+        cfg.sparse_comm = true;
+        r = AdmmLib(cfg).Run(p, opt);
+      } else {
+        PsraConfig cfg;
+        cfg.cluster = cluster;
+        cfg.grouping = c.grouping;
+        cfg.allreduce = c.allreduce;
+        cfg.sparse_comm = true;
+        if (c.scenario == S::kDropDelay) cfg.cluster.fault = PinDropDelay();
+        if (c.scenario == S::kMixedCensor) {
+          cfg.mixed_precision = true;
+          cfg.censor_threshold = 1.5;
+          cfg.censor_decay = 1.0;
+        }
+        r = PsraHgAdmm(cfg).Run(p, opt);
+      }
+      const CommPin got = CommPinOf(r);
+      EXPECT_EQ(got.final_z, c.pin.final_z);
+      EXPECT_EQ(got.iterations, c.pin.iterations);
+      EXPECT_EQ(got.elements_sent, c.pin.elements_sent);
+      EXPECT_EQ(got.messages_sent, c.pin.messages_sent);
+      EXPECT_EQ(got.system_time, c.pin.system_time);
+      EXPECT_EQ(got.residuals, c.pin.residuals);
+    }
+  }
+}
+
 // --------------------------------------- non-PSR collectives in ADMM ----
 
 class ExtraCollectiveInAdmm
