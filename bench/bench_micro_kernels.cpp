@@ -4,8 +4,8 @@
 //
 // Invoked with --kernels-out <path> this binary instead runs the gated
 // solver-kernel microbench (DESIGN.md §14): blocked-vs-scalar ratios for the
-// linalg kernels plus the Gram-vs-CG x-update comparison on a tall url_like
-// shard, written as BENCH_kernels.json and diffed in CI like
+// linalg kernels and the hierarchical group's sparse collective, plus the
+// Gram-vs-CG x-update comparison on a tall url_like shard, written as BENCH_kernels.json and diffed in CI like
 // BENCH_hotpath.json. All other arguments delegate to google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -20,6 +20,8 @@
 #include "linalg/csr_matrix.hpp"
 #include "linalg/dense_ops.hpp"
 #include "linalg/sparse_vector.hpp"
+#include "simnet/cost_model.hpp"
+#include "simnet/topology.hpp"
 #include "solver/logistic.hpp"
 #include "solver/tron.hpp"
 #include "support/rng.hpp"
@@ -370,6 +372,55 @@ int RunKernelGate(const std::string& out_path, bool quick) {
           sink += linalg::Dot(y, y);
         },
         [&] { sink += linalg::AxpyNormSq(1e-9, x, y); });
+    benchmark::DoNotOptimize(sink);
+    rows.push_back(k);
+  }
+
+  // -- The group collective of a news20 hierarchical run: 8 node leaders'
+  //    aggregates over 13551 columns, each about a quarter full, their sum
+  //    about three quarters. Scalar is the host work of packing each input,
+  //    the SparseVector collective and expanding its sum; blocked is the
+  //    collective over the dense inputs. ------------------------------------
+  {
+    const std::uint32_t n = 8;
+    const std::size_t dim = 13551;
+    const simnet::Topology topo(n, 1);
+    const simnet::CostModel cost;
+    std::vector<simnet::Rank> members(n);
+    for (std::uint32_t i = 0; i < n; ++i) members[i] = i;
+    const comm::GroupComm group(&topo, &cost, members);
+    Rng rng(13551);
+    std::vector<linalg::DenseVector> aggs(n, linalg::DenseVector(dim, 0.0));
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double fill = rng.NextDouble(0.0, 0.49);
+      for (auto& a : aggs) {
+        if (rng.NextBool(fill)) a[c] = rng.NextGaussian();
+      }
+    }
+    const std::vector<simnet::VirtualTime> starts(n, 0.0);
+    const auto alg = comm::MakeAllreduce(comm::AllreduceKind::kPsr);
+    comm::AllreduceScratch packed_scratch, dense_scratch;
+    std::vector<linalg::SparseVector> packs(n);
+    linalg::SparseVector sparse_sum;
+    linalg::DenseVector packed_out, dense_out;
+    comm::CommStats stats;
+    std::size_t sink = 0;
+    KernelRow k{"psr_sparse_collective"};
+    TimeRow(
+        k, reps, 20,
+        [&] {
+          for (std::uint32_t i = 0; i < n; ++i) {
+            packs[i].AssignFromDense(aggs[i]);
+          }
+          alg->ReduceSparse(group, packs, starts, packed_scratch, sparse_sum,
+                            stats);
+          sparse_sum.ToDense(packed_out);
+          sink += sparse_sum.nnz();
+        },
+        [&] {
+          sink += alg->ReduceSparse(group, aggs, starts, dense_scratch,
+                                    dense_out, stats);
+        });
     benchmark::DoNotOptimize(sink);
     rows.push_back(k);
   }

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <functional>
 
-#include "linalg/sparse_vector.hpp"
 #include "simnet/event_queue.hpp"
 #include "solver/prox.hpp"
 #include "support/log.hpp"
@@ -112,7 +111,7 @@ RunResult AdAdmm::Run(const ConsensusProblem& problem,
   };
   auto reply_elems = [&](const linalg::DenseVector& z) {
     return cfg_.classic_exchange ? d
-                                 : linalg::SparseVector::FromDense(z).nnz();
+                                 : linalg::CountNonzeros(z);
   };
   auto transfer = [&](simnet::Rank worker, std::size_t elems) {
     const simnet::Link link = topo.LinkBetween(worker, master_home);

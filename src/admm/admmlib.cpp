@@ -7,7 +7,6 @@
 #include "admm/checkpoint.hpp"
 #include "admm/instrument.hpp"
 #include "comm/intranode.hpp"
-#include "linalg/sparse_vector.hpp"
 #include "simnet/fault.hpp"
 #include "support/status.hpp"
 
@@ -74,9 +73,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   // The ring collective's buffers, recycled across iterations.
   comm::AllreduceScratch ring_scratch;
   comm::CommStats ring_stats;
-  std::vector<linalg::SparseVector> sparse_w;
-  linalg::SparseVector sparse_sum;
-  linalg::DenseVector dense_sum;
+  linalg::DenseVector ring_sum;
   const auto d = static_cast<std::size_t>(problem.dim());
 
   RunResult result;
@@ -223,15 +220,10 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
 
     std::size_t result_nnz = d;
     if (cfg_.sparse_comm) {
-      sparse_w.resize(nodes);
-      for (simnet::NodeId n = 0; n < nodes; ++n) {
-        sparse_w[n].AssignFromDense(cache_w[n]);
-      }
-      ring->ReduceSparse(inter, sparse_w, starts, ring_scratch, sparse_sum,
-                         ring_stats);
-      result_nnz = sparse_sum.nnz();
+      result_nnz = ring->ReduceSparse(inter, cache_w, starts, ring_scratch,
+                                      ring_sum, ring_stats);
     } else {
-      ring->ReduceDense(inter, cache_w, starts, ring_scratch, dense_sum,
+      ring->ReduceDense(inter, cache_w, starts, ring_scratch, ring_sum,
                         ring_stats);
     }
     result.elements_sent += ring_stats.elements_sent;

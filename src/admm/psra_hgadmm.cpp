@@ -11,7 +11,6 @@
 #include "admm/instrument.hpp"
 #include "comm/hierarchical.hpp"
 #include "comm/intranode.hpp"
-#include "linalg/sparse_vector.hpp"
 #include "simnet/fault.hpp"
 #include "support/log.hpp"
 #include "support/status.hpp"
@@ -47,17 +46,15 @@ std::string PsraHgAdmm::Name() const {
 
 namespace {
 
-/// Per-run workspace for the inter-node allreduce: the sparse inputs, the
-/// collective's scratch, and the result fields. One instance lives across
-/// all iterations of Run, so the steady-state exchange is allocation-free.
+/// Per-run workspace for the inter-node allreduce: the collective's scratch
+/// and the result fields. One instance lives across all iterations of Run,
+/// so the steady-state exchange is allocation-free.
 struct InterWorkspace {
   comm::AllreduceScratch scratch;
   comm::CommStats stats;
-  /// One packed input per member (sparse comm), filled by the caller.
-  std::vector<linalg::SparseVector> sparse_inputs;
-  linalg::SparseVector sparse_sum;
   /// Dense group sum (the aggregate W); finish times live in stats.
   linalg::DenseVector sum;
+  /// The sum's entry count: its nonzeros with sparse comm, else its size.
   std::size_t result_nnz = 0;
 };
 
@@ -105,11 +102,11 @@ void AddMessageFaults(const comm::FaultContext& fc, FaultStats& faults) {
   faults.delayed_messages += fc.delayed_messages;
 }
 
-/// Runs one inter-node allreduce over one input per group member: the
-/// packed `ws.sparse_inputs` with sparse comm, `w_inputs` otherwise. Leaves
-/// the dense sum, per-member finish times and traffic in `ws`. It runs as
-/// one collective over `group` under `fc` (a null or empty plan is exactly
-/// the fault-free collective), or, with a non-null `ml`, as the recursive
+/// Runs one inter-node allreduce over `w_inputs`, one per group member,
+/// priced by their nonzeros with sparse comm. Leaves the dense sum, its
+/// entry count, per-member finish times and traffic in `ws`. It runs as one
+/// collective over `group` under `fc` (a null or empty plan is exactly the
+/// fault-free collective), or, with a non-null `ml`, as the recursive
 /// node -> rack -> cluster collective, which takes no faults.
 void RunInterAllreduce(const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        std::span<const linalg::DenseVector> w_inputs,
@@ -117,15 +114,12 @@ void RunInterAllreduce(const comm::AllreduceAlgorithm& alg, bool sparse_comm,
                        const comm::GroupComm* group, comm::FaultContext* fc,
                        comm::MultiLevelAllreduce* ml, InterWorkspace& ws) {
   if (sparse_comm) {
-    if (ml != nullptr) {
-      ml->ReduceSparse(alg, ws.sparse_inputs, starts, ws.scratch,
-                       ws.sparse_sum, ws.stats);
-    } else {
-      alg.ReduceSparse(*group, ws.sparse_inputs, starts, ws.scratch,
-                       ws.sparse_sum, ws.stats, fc);
-    }
-    ws.sparse_sum.ToDense(ws.sum);
-    ws.result_nnz = ws.sparse_sum.nnz();
+    ws.result_nnz =
+        ml != nullptr
+            ? ml->ReduceSparse(alg, w_inputs, starts, ws.scratch, ws.sum,
+                               ws.stats)
+            : alg.ReduceSparse(*group, w_inputs, starts, ws.scratch, ws.sum,
+                               ws.stats, fc);
   } else {
     if (ml != nullptr) {
       ml->ReduceDense(alg, w_inputs, starts, ws.scratch, ws.sum, ws.stats);
@@ -147,8 +141,8 @@ struct GroupSlot {
   comm::FaultContext fc;  // channel = the slot's place in formation order
   std::vector<simnet::NodeId> members;  // member nodes, group order
   std::vector<simnet::Rank> leaders;    // member leaders, group order
-  // Dense comm: the member nodes' aggregates, swapped in for the collective
-  // and back out after it (iw.sparse_inputs likewise with sparse comm).
+  // The member nodes' aggregates, swapped in for the collective and back out
+  // after it.
   std::vector<linalg::DenseVector> inputs;
   std::vector<simnet::VirtualTime> starts;
   std::optional<comm::GroupComm> comm;  // rebound in place on reuse
@@ -324,12 +318,11 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   std::vector<linalg::DenseVector> inputs;  // member w snapshots
   std::vector<simnet::VirtualTime> starts;
   // Hierarchical/dynamic scratch: per-node reduce results (plus survivor
-  // start times for a node with a worker down, and the packed aggregate with
-  // sparse comm), the pooled group lifecycle (cycle batch + size-keyed
-  // collective slots) and the cross-group consensus-update work list.
+  // start times for a node with a worker down), the pooled group lifecycle
+  // (cycle batch + size-keyed collective slots) and the cross-group
+  // consensus-update work list.
   const auto wpn = static_cast<std::size_t>(cfg_.cluster.workers_per_node);
   std::vector<comm::ReduceResult> red(nodes);
-  std::vector<linalg::SparseVector> node_sparse(nodes);
   std::vector<std::vector<simnet::VirtualTime>> node_starts(nodes);
   comm::BroadcastResult bc;
   std::vector<simnet::VirtualTime> leader_ready(nodes);
@@ -597,17 +590,6 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         }
         for (std::size_t i = 0; i < world; ++i) starts[i] = ledger[i].clock;
       }
-      if (cfg_.sparse_comm) {  // pack every member's input on the pool
-        iw.sparse_inputs.resize(w_inputs.size());
-        auto pack = [&](std::size_t m) {
-          iw.sparse_inputs[m].AssignFromDense(w_inputs[m]);
-        };
-        if (options.pool != nullptr) {
-          options.pool->ParallelFor(w_inputs.size(), pack);
-        } else {
-          engine::SerialFor(w_inputs.size(), pack);
-        }
-      }
       RunInterAllreduce(*alg, cfg_.sparse_comm, w_inputs, starts, group, &fctx,
                         nullptr, iw);
       if (eo.on()) pm.coll.BookAllreduce(iw.stats, iw.result_nnz);
@@ -702,15 +684,14 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         comm::PriceReduceToLeader(intra[n],
                                   intra[n].LocalRank(cur_leaders[n]), st, d_sz,
                                   red[n], cfg_.sparse_comm);
-        // The node's collective input, prepared here once: censor, round to
-        // fp32 (mixed precision), then pack (sparse comm). The group
-        // collective reads it in place.
+        // The node's collective input, prepared here once: censor, then
+        // round to fp32 (mixed precision). The group collective reads it in
+        // place.
         linalg::DenseVector& agg = red[n].value;
         if (censoring) {
           node_censored[n] = apply_censoring(n, iter, agg, censor_scratch[n]);
         }
         if (cfg_.mixed_precision) linalg::RoundToFloat(agg);
-        if (cfg_.sparse_comm) node_sparse[n].AssignFromDense(agg);
         if (walled) red_wall[n] = engine::ThreadPool::ThreadSeconds() - t0;
       };
       if (options.pool != nullptr) {
@@ -848,12 +829,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
       // it, so every buffer keeps its owner (and its capacity).
       auto swap_inputs = [&](GroupSlot& slot) {
         for (std::size_t j = 0; j < slot.members.size(); ++j) {
-          const simnet::NodeId n = slot.members[j];
-          if (cfg_.sparse_comm) {
-            std::swap(slot.iw.sparse_inputs[j], node_sparse[n]);
-          } else {
-            std::swap(slot.inputs[j], red[n].value);
-          }
+          std::swap(slot.inputs[j], red[slot.members[j]].value);
         }
       };
       auto run_group = [&](std::size_t gi) {
@@ -861,11 +837,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         const double t0 = walled ? engine::ThreadPool::ThreadSeconds() : 0.0;
         const std::size_t gsize = slot.members.size();
         slot.leaders.resize(gsize);
-        if (cfg_.sparse_comm) {
-          slot.iw.sparse_inputs.resize(gsize);
-        } else {
-          slot.inputs.resize(gsize);
-        }
+        slot.inputs.resize(gsize);
         slot.starts.resize(gsize);
         slot.contributors = 0;
         for (std::size_t j = 0; j < gsize; ++j) {

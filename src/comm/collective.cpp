@@ -1,7 +1,9 @@
 #include "comm/collective.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "comm/schedule.hpp"
 #include "simnet/fault.hpp"
@@ -29,18 +31,71 @@ void CommStats::Reset(std::size_t n) {
 
 namespace {
 
+/// Whether `v` is an entry of a canonical vector: its bits are not +0.0.
+bool IsCanonicalEntry(double v) { return std::bit_cast<std::uint64_t>(v) != 0; }
+
+}  // namespace
+
+std::size_t CountEntries(std::span<const double> v, SparseEntries rule) {
+  if (rule == SparseEntries::kPacked) return linalg::CountNonzeros(v);
+  std::size_t n = 0;
+  for (const double e : v) n += IsCanonicalEntry(e) ? 1 : 0;
+  return n;
+}
+
+void PricedBlockFold::Reset(std::span<double> block, SparseEntries rule,
+                            bool partials) {
+  acc_ = block;
+  rule_ = rule;
+  partials_ = partials;
+  complete_ = false;
+  linalg::SetZero(block);
+  if (partials) present_.assign(block.size(), 0);
+}
+
+void PricedBlockFold::Add(std::span<const double> x) {
+  PSRA_REQUIRE(x.size() == acc_.size(), "fold contribution size mismatch");
+  const std::span<unsigned char> present =
+      partials_ ? std::span<unsigned char>(present_)
+                : std::span<unsigned char>();
+  if (rule_ == SparseEntries::kPacked) {
+    linalg::AddPacked(x, acc_, present);
+    return;
+  }
+  // A canonical input's other coordinates hold +0.0 already.
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    acc_[i] += x[i];
+    if (partials_) present[i] |= IsCanonicalEntry(x[i]) ? 1 : 0;
+  }
+}
+
+void PricedBlockFold::Canonicalize() {
+  size_ = CountEntries(acc_, SparseEntries::kCanonical);
+  complete_ = true;
+}
+
+std::size_t PricedBlockFold::size() const {
+  if (complete_) return size_;
+  PSRA_CHECK(partials_, "a partial fold's size needs presence flags");
+  return static_cast<std::size_t>(
+      std::count(present_.begin(), present_.end(), 1));
+}
+
+namespace {
+
 /// The simulator executor: runs schedule `s` over every member at once.
 /// Each phase first times its sends — a send advances its sender's clock by
 /// the transfer time, and a member's clock ends the phase at the max of its
 /// own and its arrivals — then folds. A block's partial is its running fold,
 /// so the simulator keeps one fold per block: a forwarded partial is already
-/// in it, and only input slices are added, straight from `inputs`.
-template <typename V>
-void Simulate(const Schedule& s, const GroupComm& group,
-              std::span<const V> inputs,
-              std::span<const simnet::VirtualTime> starts,
-              AllreduceScratch& scratch, V& sum, CommStats& st) {
-  using P = Payload<V>;
+/// in it, and only input slices are added, straight from `inputs`. Returns
+/// the sum's entry count: its dimension for a dense payload.
+template <typename T, typename V = typename Payload<T>::Vector>
+std::size_t Simulate(const Schedule& s, const GroupComm& group,
+                     std::span<const V> inputs,
+                     std::span<const simnet::VirtualTime> starts,
+                     AllreduceScratch& scratch, V& sum, CommStats& st) {
+  using P = Payload<T>;
   const GroupRank n = group.size();
   const std::uint64_t dim = P::Dim(inputs[0]);
   const ElemPricing pr = group.pricing();
@@ -51,15 +106,16 @@ void Simulate(const Schedule& s, const GroupComm& group,
   P::Resize(sum, dim);
   for (GroupRank b = 0; b < s.num_blocks(); ++b) {
     const auto [lo, hi] = s.BlockRange(dim, b);
-    P::Reset(folds[b], sum, lo, hi, s.dense_folds_from_zero());
+    P::Reset(folds[b], sum, lo, hi, s);
   }
 
-  // A sparse block is made canonical (rule 4) and appended to the sum once
-  // all n sources are folded into it and every lower block is in, while it
-  // is still warm in cache.
+  // A sparse block is made canonical (rule 4) and counted, and a
+  // SparseVector's appended to the sum, once all n sources are folded into
+  // it and every lower block is in, while it is still warm in cache.
   auto& folded = scratch.folded;
   folded.assign(s.num_blocks(), 0);
   GroupRank appended = 0;
+  std::size_t nnz = P::kSparse ? 0 : static_cast<std::size_t>(dim);
   auto add_slice = [&](GroupRank b, GroupRank from) {
     const auto [lo, hi] = s.BlockRange(dim, b);
     folds[b].Add(P::In(inputs[from], lo, hi));
@@ -73,7 +129,11 @@ void Simulate(const Schedule& s, const GroupComm& group,
     if constexpr (P::kSparse) {
       while (appended < s.num_blocks() && folded[appended] == n) {
         folds[appended].Canonicalize();
-        folds[appended++].AppendTo(sum);
+        nnz += folds[appended].size();
+        if constexpr (std::is_same_v<V, linalg::SparseVector>) {
+          folds[appended].AppendTo(sum);
+        }
+        ++appended;
       }
     }
   };
@@ -125,15 +185,16 @@ void Simulate(const Schedule& s, const GroupComm& group,
   }
   st.finish_times.assign(t.begin(), t.end());
   st.all_done = *std::max_element(t.begin(), t.end());
+  return nnz;
 }
 
-template <typename V>
-void Run(AllreduceKind kind, const GroupComm& group,
-         std::span<const V> inputs,
-         std::span<const simnet::VirtualTime> starts,
-         AllreduceScratch& scratch, V& sum, CommStats& st) {
-  Simulate(Schedule(kind, group.size()), group, inputs, starts, scratch, sum,
-           st);
+template <typename T, typename V>
+std::size_t Run(AllreduceKind kind, const GroupComm& group,
+                std::span<const V> inputs,
+                std::span<const simnet::VirtualTime> starts,
+                AllreduceScratch& scratch, V& sum, CommStats& st) {
+  return Simulate<T>(Schedule(kind, group.size()), group, inputs, starts,
+                     scratch, sum, st);
 }
 
 /// Shared half of the fault protocol: applies per-member entry delays, then
@@ -231,37 +292,41 @@ void ExpandStats(const GroupComm& group, const FaultContext& fc,
       *std::max_element(stats.finish_times.begin(), stats.finish_times.end());
 }
 
-template <typename V>
-void Reduce(AllreduceKind kind, const GroupComm& group,
-            std::span<const V> inputs,
-            std::span<const simnet::VirtualTime> starts,
-            AllreduceScratch& scratch, V& sum, CommStats& stats,
-            FaultContext* fault) {
+/// Runs payload T's collective under `fault` and returns the sum's entry
+/// count (see Simulate).
+template <typename T, typename V = typename Payload<T>::Vector>
+std::size_t Reduce(AllreduceKind kind, const GroupComm& group,
+                   std::span<const V> inputs,
+                   std::span<const simnet::VirtualTime> starts,
+                   AllreduceScratch& scratch, V& sum, CommStats& stats,
+                   FaultContext* fault) {
   PSRA_REQUIRE(inputs.size() == group.size(),
                "one input vector per group member required");
   PSRA_REQUIRE(starts.size() == group.size(),
                "one start time per group member required");
   for (const V& v : inputs) {
-    PSRA_REQUIRE(Payload<V>::Dim(v) == Payload<V>::Dim(inputs[0]),
+    PSRA_REQUIRE(Payload<T>::Dim(v) == Payload<T>::Dim(inputs[0]),
                  "input dimension mismatch");
   }
   if (fault != nullptr) fault->excluded.clear();
   if (fault == nullptr || fault->plan == nullptr || fault->plan->Empty()) {
-    Run(kind, group, inputs, starts, scratch, sum, stats);
-  } else if (!RunFaultProtocol(group, starts, *fault)) {
-    Run(kind, group, inputs,
-        std::span<const simnet::VirtualTime>(fault->adj_starts), scratch, sum,
-        stats);
-  } else {
-    FaultContext& fc = *fault;
-    const std::vector<V>& survivors = CollectSurvivors(group, inputs, fc);
-    const GroupComm sub(&group.topology(), &group.cost_model(),
-                        fc.survivor_ranks);
-    Run(kind, sub, std::span<const V>(survivors),
-        std::span<const simnet::VirtualTime>(fc.survivor_starts), scratch,
-        sum, fc.sub_stats);
-    ExpandStats(group, fc, stats);
+    return Run<T>(kind, group, inputs, starts, scratch, sum, stats);
   }
+  if (!RunFaultProtocol(group, starts, *fault)) {
+    return Run<T>(kind, group, inputs,
+                  std::span<const simnet::VirtualTime>(fault->adj_starts),
+                  scratch, sum, stats);
+  }
+  FaultContext& fc = *fault;
+  const std::vector<V>& survivors = CollectSurvivors(group, inputs, fc);
+  const GroupComm sub(&group.topology(), &group.cost_model(),
+                      fc.survivor_ranks);
+  const std::size_t nnz =
+      Run<T>(kind, sub, std::span<const V>(survivors),
+             std::span<const simnet::VirtualTime>(fc.survivor_starts), scratch,
+             sum, fc.sub_stats);
+  ExpandStats(group, fc, stats);
+  return nnz;
 }
 
 }  // namespace
@@ -279,14 +344,29 @@ void AllreduceAlgorithm::ReduceDense(
     const GroupComm& group, std::span<const linalg::DenseVector> inputs,
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
     linalg::DenseVector& sum, CommStats& stats, FaultContext* fault) const {
-  Reduce(kind_, group, inputs, starts, scratch, sum, stats, fault);
+  Reduce<linalg::DenseVector>(kind_, group, inputs, starts, scratch, sum,
+                              stats, fault);
 }
 
 void AllreduceAlgorithm::ReduceSparse(
     const GroupComm& group, std::span<const linalg::SparseVector> inputs,
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
     linalg::SparseVector& sum, CommStats& stats, FaultContext* fault) const {
-  Reduce(kind_, group, inputs, starts, scratch, sum, stats, fault);
+  Reduce<linalg::SparseVector>(kind_, group, inputs, starts, scratch, sum,
+                               stats, fault);
+}
+
+std::size_t AllreduceAlgorithm::ReduceSparse(
+    const GroupComm& group, std::span<const linalg::DenseVector> inputs,
+    std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
+    linalg::DenseVector& sum, CommStats& stats, FaultContext* fault,
+    SparseEntries entries) const {
+  if (entries == SparseEntries::kCanonical) {
+    return Reduce<PricedSparse<SparseEntries::kCanonical>>(
+        kind_, group, inputs, starts, scratch, sum, stats, fault);
+  }
+  return Reduce<PricedSparse<SparseEntries::kPacked>>(
+      kind_, group, inputs, starts, scratch, sum, stats, fault);
 }
 
 std::unique_ptr<AllreduceAlgorithm> MakeAllreduce(AllreduceKind kind) {

@@ -20,7 +20,9 @@
 // Each of the paper's algorithms (psr, ring, naive) is one schedule in
 // comm/schedule.hpp; the simulator executor behind ReduceDense/ReduceSparse
 // prices it and the wire executor (comm/wire_allreduce.hpp) runs it over
-// real messages.
+// real messages. The engines keep sparse payloads dense on the host: the
+// sparse encoding decides what each send is priced at, not how the host
+// stores or folds it (ReduceSparse's dense overload).
 #pragma once
 
 #include <cstdint>
@@ -82,6 +84,53 @@ struct CommStats {
   bool operator==(const CommStats& other) const = default;
 };
 
+/// Which coordinates of a dense vector that stands for a sparse one are its
+/// entries (ReduceSparse's dense overload).
+enum class SparseEntries {
+  /// |v| > 0: what SparseVector::AssignFromDense packs, dropping ±0.0 and
+  /// NaN. The engines' collective inputs.
+  kPacked,
+  /// Every value whose bits are not +0.0, NaN included: a completed sum
+  /// (SparseVector::AssignFromDenseBlock), the input of a multi-level
+  /// collective's root stage. A sum folded from +0.0 holds no -0.0.
+  kCanonical,
+};
+
+/// Number of entries of `v` under `rule`.
+std::size_t CountEntries(std::span<const double> v, SparseEntries rule);
+
+/// The fold of a sparse payload held dense: folds a block of the caller's
+/// dense sum from +0.0, reading every coordinate that is not an entry of an
+/// input as +0.0, and counts what a SparseBlockFold over the inputs' packs
+/// would hold. A partial counts every coordinate some folded input carried,
+/// a cancelled one included; a completed block counts the coordinates whose
+/// bits are not +0.0. Its presence flags are recycled across Reset() calls.
+class PricedBlockFold {
+ public:
+  /// Starts a fold over `block` (zeroed) of inputs whose entries follow
+  /// `rule`; `partials` says whether size() is read before the block is
+  /// complete, which needs one presence flag per coordinate.
+  void Reset(std::span<double> block, SparseEntries rule, bool partials);
+
+  /// Folds in one input's slice of the block (block-sized).
+  void Add(std::span<const double> x);
+
+  /// Marks the block complete: size() becomes its canonical count.
+  void Canonicalize();
+
+  /// Entries of the block: the coordinates some folded input carried, or,
+  /// once complete, those whose bits are not +0.0.
+  std::size_t size() const;
+
+ private:
+  std::span<double> acc_;
+  SparseEntries rule_ = SparseEntries::kPacked;
+  bool partials_ = false;
+  bool complete_ = false;
+  std::size_t size_ = 0;
+  std::vector<unsigned char> present_;  // block-sized when partials_
+};
+
 /// Reusable buffers for ReduceDense/ReduceSparse. Callers keep one instance
 /// per call site and pass it to every invocation; each buffer grows to its
 /// working size on first use and is recycled afterwards, so steady-state
@@ -94,7 +143,8 @@ struct AllreduceScratch {
   std::vector<simnet::VirtualTime> arrival;
   // One fold per block, by payload kind; dense folds write into the sum.
   std::tuple<std::vector<linalg::DenseBlockFold>,
-             std::vector<linalg::SparseBlockFold>>
+             std::vector<linalg::SparseBlockFold>,
+             std::vector<PricedBlockFold>>
       folds;
   std::vector<GroupRank> folded;  // sources folded into each block
 };
@@ -165,6 +215,18 @@ class AllreduceAlgorithm {
                     std::span<const simnet::VirtualTime> starts,
                     AllreduceScratch& scratch, linalg::SparseVector& sum,
                     CommStats& stats, FaultContext* fault = nullptr) const;
+
+  /// The sparse collective over inputs the host keeps dense: each input
+  /// stands for the sparse vector of its entries under `entries`, and every
+  /// send is priced by the entries it would carry. Writes the dense sum and
+  /// returns its entry count: bitwise ToDense of the sum, and the nnz and
+  /// stats, that the SparseVector overload gives on the inputs' packs.
+  std::size_t ReduceSparse(const GroupComm& group,
+                           std::span<const linalg::DenseVector> inputs,
+                           std::span<const simnet::VirtualTime> starts,
+                           AllreduceScratch& scratch, linalg::DenseVector& sum,
+                           CommStats& stats, FaultContext* fault = nullptr,
+                           SparseEntries entries = SparseEntries::kPacked) const;
 
  private:
   AllreduceKind kind_;

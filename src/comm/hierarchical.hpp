@@ -63,13 +63,26 @@ class MultiLevelAllreduce {
   /// canonical (no +0.0 entry), which leaves the dense sum unchanged only
   /// for inputs without ±0.0 entries: if one rack cancels to +0.0 and
   /// another holds a lone -0.0, the first drops its +0.0 and the root
-  /// keeps -0.0 where a flat sum gives +0.0. The engines pack only
-  /// |v| > tol, so their inputs carry none.
+  /// keeps -0.0 where a flat sum gives +0.0. Packs of dense vectors
+  /// (SparseVector::AssignFromDense) carry none.
   void ReduceSparse(const AllreduceAlgorithm& alg,
                     std::span<const linalg::SparseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
                     AllreduceScratch& scratch, linalg::SparseVector& sum,
                     CommStats& stats);
+
+  /// Sparse counterpart over inputs the host keeps dense, each standing for
+  /// the sparse vector of its packed entries (SparseEntries::kPacked): the
+  /// rack stages run AllreduceAlgorithm's dense-held ReduceSparse, and the
+  /// root stage reads the rack sums as the canonical vectors they are
+  /// (SparseEntries::kCanonical). Writes the dense sum and returns its entry
+  /// count, bitwise what the SparseVector overload gives on the inputs'
+  /// packs.
+  std::size_t ReduceSparse(const AllreduceAlgorithm& alg,
+                           std::span<const linalg::DenseVector> inputs,
+                           std::span<const simnet::VirtualTime> starts,
+                           AllreduceScratch& scratch, linalg::DenseVector& sum,
+                           CommStats& stats);
 
   /// Stage-3 traffic of the last call: the rack leaders' serialized
   /// re-broadcast of the global sum to their rack peers.
@@ -78,10 +91,10 @@ class MultiLevelAllreduce {
   std::size_t redistribution_bytes() const { return redist_bytes_; }
 
  private:
-  template <typename V>
-  void Reduce(const AllreduceAlgorithm& alg, std::span<const V> inputs,
-              std::span<const simnet::VirtualTime> starts,
-              AllreduceScratch& scratch, V& sum, CommStats& stats);
+  template <bool kSparse, typename V>
+  std::size_t Reduce(const AllreduceAlgorithm& alg, std::span<const V> inputs,
+                     std::span<const simnet::VirtualTime> starts,
+                     AllreduceScratch& scratch, V& sum, CommStats& stats);
   void Redistribute(std::size_t len, std::optional<std::size_t> sparse_nnz,
                     const CommStats& root_stats, CommStats& stats);
 

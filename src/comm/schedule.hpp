@@ -6,7 +6,8 @@
 // serializes them, and what every rank receives, in the order it folds
 // (reduce phases) or stores (the other phases) it. Steps are enumerated on
 // demand; nothing is stored per (sender, receiver) pair. Two executors run
-// every schedule, one code path each for dense and sparse payloads:
+// every schedule, one code path each for dense and sparse payloads (the
+// simulator also runs sparse payloads the host holds dense, PricedSparse):
 //
 //   * the simulator (collective.cpp) prices it under the sender-serialized
 //     cost model of collective.hpp and folds straight from the inputs;
@@ -29,15 +30,20 @@
 //
 // Five rules keep the two backends and the payload kinds bitwise equal
 // (DESIGN.md §11):
-//   1. dense psr and naive folds start from zeros; ring and every sparse
-//      fold start from the first source;
+//   1. dense psr and naive folds start from zeros; ring and every
+//      SparseVector fold start from the first source; a sparse payload held
+//      dense folds from +0.0 and reads every coordinate that is not an entry
+//      of an input as +0.0, which adds the same terms in the same order;
 //   2. scatter_reduce_done is the latest clock among the receivers of the
 //      reduce phases, not among all ranks;
 //   3. an empty sparse send in a phase marked skip_empty (psr, naive
 //      gather) is neither timed nor counted; the wire still ships the empty
 //      frame so its receiver does not wait for a message that never comes;
 //   4. a sparse block is canonical once completely reduced: it carries no
-//      explicit +0.0 entry (SparseBlockFold::Canonicalize);
+//      explicit +0.0 entry (SparseBlockFold::Canonicalize), so a completed
+//      block held dense counts the coordinates whose bits are not +0.0,
+//      while a forwarded ring partial counts every coordinate a folded input
+//      carried, a cancelled one included;
 //   5. sparse sends in the store phases (allgather, broadcast) travel in the
 //      cheaper encoding for their nnz (ElemPricing::Cheaper); the reduce
 //      phases stay sparse, because that is where psr and ring differ.
@@ -91,6 +97,15 @@ class Schedule {
 
   /// Rule 1's starting point for dense folds.
   bool dense_folds_from_zero() const { return kind_ != AllreduceKind::kRing; }
+
+  /// Whether some reduce phase sends partial folds rather than own slices
+  /// (ring over more than two ranks).
+  bool forwards_partials() const {
+    for (std::size_t p = 0; p < num_phases(); ++p) {
+      if (phase(p).reduce && !phase(p).own_slice) return true;
+    }
+    return false;
+  }
 
   /// Whether phase p is the last reduce phase, so every block folded in it
   /// is complete (rule 4).
@@ -171,13 +186,16 @@ class Schedule {
 
 /// The payload-specific half of both executors: how a block is measured and
 /// folded. Dense folds write in place into the caller's output vector;
-/// sparse folds own their storage until appended.
-template <typename V>
+/// sparse folds own their storage until appended. A payload is named by its
+/// vector type, or, for a sparse payload the host holds dense, by
+/// PricedSparse below.
+template <typename T>
 struct Payload;
 
 template <>
 struct Payload<linalg::DenseVector> {
   static constexpr bool kSparse = false;
+  using Vector = linalg::DenseVector;
   using Fold = linalg::DenseBlockFold;
   static std::uint64_t Dim(const linalg::DenseVector& v) { return v.size(); }
   static void Resize(linalg::DenseVector& v, std::uint64_t dim) {
@@ -198,14 +216,16 @@ struct Payload<linalg::DenseVector> {
     return std::span<const double>(v).subspan(lo, hi - lo);
   }
   static void Reset(Fold& fold, linalg::DenseVector& out, std::uint64_t lo,
-                    std::uint64_t hi, bool from_zero) {
-    fold.Reset(std::span<double>(out).subspan(lo, hi - lo), from_zero);
+                    std::uint64_t hi, const Schedule& s) {
+    fold.Reset(std::span<double>(out).subspan(lo, hi - lo),
+               s.dense_folds_from_zero());
   }
 };
 
 template <>
 struct Payload<linalg::SparseVector> {
   static constexpr bool kSparse = true;
+  using Vector = linalg::SparseVector;
   using Fold = linalg::SparseBlockFold;
   static std::uint64_t Dim(const linalg::SparseVector& v) { return v.dim(); }
   /// Empties `v` over [0, dim): the shape a sparse frame is received into.
@@ -228,8 +248,43 @@ struct Payload<linalg::SparseVector> {
     return v;
   }
   static void Reset(Fold& fold, linalg::SparseVector&, std::uint64_t lo,
-                    std::uint64_t hi, bool /*from_zero: rule 1*/) {
+                    std::uint64_t hi, const Schedule& /*rule 1*/) {
     fold.Reset(lo, hi);
+  }
+};
+
+/// A sparse payload the host holds dense, each vector standing for the
+/// sparse vector of its entries under E. It is measured and priced as that
+/// sparse vector and folded in place into the caller's dense sum, from +0.0
+/// (rule 1).
+template <SparseEntries E>
+struct PricedSparse {};
+
+template <SparseEntries E>
+struct Payload<PricedSparse<E>> {
+  static constexpr bool kSparse = true;
+  using Vector = linalg::DenseVector;
+  using Fold = PricedBlockFold;
+  static std::uint64_t Dim(const linalg::DenseVector& v) { return v.size(); }
+  static void Resize(linalg::DenseVector& v, std::uint64_t dim) {
+    v.resize(static_cast<std::size_t>(dim));
+  }
+  static std::size_t Count(const linalg::DenseVector& v, std::uint64_t lo,
+                           std::uint64_t hi) {
+    return CountEntries(In(v, lo, hi), E);
+  }
+  static Encoding Encode(const ElemPricing& pr, const SchedulePhase& ph,
+                         std::size_t nnz, std::uint64_t len) {
+    return Payload<linalg::SparseVector>::Encode(pr, ph, nnz, len);
+  }
+  static std::span<const double> In(const linalg::DenseVector& v,
+                                    std::uint64_t lo, std::uint64_t hi) {
+    return std::span<const double>(v).subspan(lo, hi - lo);
+  }
+  static void Reset(Fold& fold, linalg::DenseVector& out, std::uint64_t lo,
+                    std::uint64_t hi, const Schedule& s) {
+    fold.Reset(std::span<double>(out).subspan(lo, hi - lo), E,
+               s.forwards_partials());
   }
 };
 

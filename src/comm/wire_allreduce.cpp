@@ -227,7 +227,7 @@ void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
     if (b != folding) {
       end_fold();
       const auto [lo, hi] = s.BlockRange(dim, b);
-      P::Reset(fold, out, lo, hi, s.dense_folds_from_zero());
+      P::Reset(fold, out, lo, hi, s);
       folding = b;
     }
     fold.Add(x);

@@ -63,6 +63,25 @@ std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y) {
   return nnz;
 }
 
+void AddPacked(std::span<const double> x, std::span<double> acc,
+               std::span<unsigned char> present) {
+  PSRA_REQUIRE(x.size() == acc.size(), "packed add dimension mismatch");
+  PSRA_REQUIRE(present.empty() || present.size() == x.size(),
+               "packed add presence size mismatch");
+  // Selects rather than branches, so both loops vectorize.
+  if (present.empty()) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      acc[i] += std::fabs(x[i]) > 0.0 ? x[i] : 0.0;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const bool carried = std::fabs(x[i]) > 0.0;
+    acc[i] += carried ? x[i] : 0.0;
+    present[i] |= static_cast<unsigned char>(carried);
+  }
+}
+
 void Scale(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }
@@ -305,42 +324,6 @@ void BlockedNorms::Finish(double& dist_xz, double& norm_x,
   dist_xz = std::sqrt(FourLaneSum(sd_).Total());
   norm_x = std::sqrt(FourLaneSum(sx_).Total());
   norm_y = std::sqrt(FourLaneSum(sy_).Total());
-}
-
-void CopyZUpdateY(double rho, std::span<const double> x,
-                  std::span<const double> z_src, std::span<double> z,
-                  std::span<double> y, double& dist_xz, double& norm_x,
-                  double& norm_y) {
-  PSRA_REQUIRE(x.size() == z_src.size() && x.size() == z.size() &&
-                   x.size() == y.size(),
-               "copy-z-update-y dimension mismatch");
-  const std::size_t n = x.size();
-  FourLaneSum sd, sx, sy;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Quad xq{}, zq{}, yq{};
-    Load(xq, x.data() + i);
-    Load(zq, z_src.data() + i);
-    Load(yq, y.data() + i);
-    Store(z.data() + i, zq);
-    const Quad d = xq - zq;
-    yq += rho * d;
-    Store(y.data() + i, yq);
-    sd.AddQuad(d * d);
-    sx.AddQuad(xq * xq);
-    sy.AddQuad(yq * yq);
-  }
-  for (; i < n; ++i) {
-    const double d = x[i] - z_src[i];
-    z[i] = z_src[i];
-    y[i] += rho * d;
-    sd.AddTail(d * d);
-    sx.AddTail(x[i] * x[i]);
-    sy.AddTail(y[i] * y[i]);
-  }
-  dist_xz = std::sqrt(sd.Total());
-  norm_x = std::sqrt(sx.Total());
-  norm_y = std::sqrt(sy.Total());
 }
 
 void Add(std::span<const double> x, std::span<const double> y,

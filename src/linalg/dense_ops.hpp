@@ -24,6 +24,15 @@ void Axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// count of a message, taken in the pass that sums it.
 std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y);
 
+/// acc += x over the entries a sparse message of x carries: those with
+/// |x_i| > 0, the ones SparseVector::FromDense(x) keeps. Every other entry
+/// (±0.0, NaN) is read as +0.0, so an acc that starts at +0.0 never holds
+/// -0.0 and folds bitwise what SparseBlockFold folds from the packed
+/// messages. With a non-empty `present` (one flag per entry), also sets the
+/// flag of every entry carried.
+void AddPacked(std::span<const double> x, std::span<double> acc,
+               std::span<unsigned char> present = {});
+
 // Fused BLAS-1 kernels (DESIGN.md §14). Each combines an update with the
 // reduction the solver needs next, so the vector is streamed once instead of
 // twice. Every reduction in this file (Dot, Norm2, DistanceL2 and the fused
@@ -95,15 +104,6 @@ class BlockedNorms {
   double sd_[4] = {}, sx_[4] = {}, sy_[4] = {};  // four-lane partial sums
   bool closed_ = false;  // a block ended off a quad: it was the last
 };
-
-/// One worker's consensus copy step in one pass: z = z_src, then
-/// y += rho * (x - z), writing ||x - z||_2, ||x||_2 and ||y||_2 of the
-/// updated state. y is bitwise solver::YUpdate's and the norms are bitwise
-/// DistanceAndNorms(x, z, y) afterwards.
-void CopyZUpdateY(double rho, std::span<const double> x,
-                  std::span<const double> z_src, std::span<double> z,
-                  std::span<double> y, double& dist_xz, double& norm_x,
-                  double& norm_y);
 
 /// out = x + y (resizes out)
 void Add(std::span<const double> x, std::span<const double> y,

@@ -268,8 +268,12 @@ void SparseBlockFold::Add(const SparseVector& v) {
        k < static_cast<std::size_t>(last - idx.begin()); ++k) {
     const auto b = static_cast<std::size_t>(idx[k] - lo_);
     const double value = v.values()[k];
-    const double folded = acc_[b] + value;
-    acc_[b] = present_[b] != 0 ? folded : value;
+    // Selects the sum or the first contribution by mask, not by branch:
+    // all ones where the index is already present.
+    const std::uint64_t seen = 0 - static_cast<std::uint64_t>(present_[b]);
+    const std::uint64_t folded = std::bit_cast<std::uint64_t>(acc_[b] + value);
+    acc_[b] = std::bit_cast<double>(
+        (folded & seen) | (std::bit_cast<std::uint64_t>(value) & ~seen));
     present_[b] = 1;
   }
   counted_ = false;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <type_traits>
 
@@ -1363,6 +1364,277 @@ TEST(MultiLevel, LateRackDelaysOnlyThatRacksStage) {
   EXPECT_GE(stats.all_done, 5.0);  // gated by the late rack
   // Every member still ends at or after the late rack's sum arrives.
   for (const VirtualTime t : stats.finish_times) EXPECT_GE(t, 5.0);
+}
+
+// ------------------------- sparse payloads held dense vs their packs ----
+
+/// What the engines used to hand the sparse collective: each input packed by
+/// AssignFromDense (|v| > 0).
+std::vector<SparseVector> Packs(const std::vector<DenseVector>& dense) {
+  std::vector<SparseVector> out(dense.size());
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    out[i].AssignFromDense(dense[i]);
+  }
+  return out;
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+/// Dense inputs holding every value the packing rule treats specially:
+/// ±0.0 and NaN (not packed), ±inf (packed, and inf - inf folds to NaN),
+/// subnormals, exact cancellations (the sum is +0.0, which a completed
+/// block drops but a ring partial still counts) and Gaussian values at
+/// `density`. Member `zero` (if < n) holds only ±0.0.
+std::vector<DenseVector> SpecialDenseInputs(Rng& rng, std::uint32_t n,
+                                            std::uint64_t dim, double density,
+                                            std::uint32_t zero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<DenseVector> in(n, DenseVector(dim, 0.0));
+  for (std::uint64_t k = 0; k < dim; ++k) {
+    const auto a = static_cast<std::uint32_t>(rng.NextBelow(n));
+    const auto b = static_cast<std::uint32_t>((a + 1) % n);
+    const double kind = rng.NextDouble(0.0, 1.0);
+    if (kind < 0.1) {
+      const double c = rng.NextGaussian();
+      in[a][k] = c;
+      in[b][k] = b == a ? c : -c;
+    } else if (kind < 0.15) {
+      in[a][k] = -0.0;
+    } else if (kind < 0.2) {
+      in[a][k] = nan;
+      in[b][k] = rng.NextGaussian();
+    } else if (kind < 0.25) {
+      in[a][k] = inf;
+      in[b][k] = b == a ? inf : -inf;
+    } else if (kind < 0.3) {
+      in[a][k] = sub;
+      in[b][k] = -3.0 * sub;
+    } else {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (rng.NextBool(density)) in[i][k] = rng.NextGaussian();
+      }
+    }
+  }
+  if (zero < n) {
+    for (std::uint64_t k = 0; k < dim; ++k) in[zero][k] = k % 2 ? -0.0 : 0.0;
+  }
+  return in;
+}
+
+/// The dense-held overload must give bitwise ToDense of what the
+/// SparseVector overload gives on the inputs' packs, its nnz, and equal
+/// stats and fault outcomes. Returns the fault context of the packs' run.
+FaultContext ExpectMatchesPacks(const AllreduceAlgorithm& alg, const GroupComm& group,
+                        const std::vector<DenseVector>& inputs,
+                        std::span<const VirtualTime> starts,
+                        AllreduceScratch& scratch,
+                        const simnet::FaultPlan* plan = nullptr,
+                        std::uint64_t iteration = 0) {
+  const std::vector<SparseVector> packs = Packs(inputs);
+  FaultContext fs, fd;
+  fs.plan = fd.plan = plan;
+  fs.iteration = fd.iteration = iteration;
+  fs.channel = fd.channel = 3;
+  AllreduceScratch sparse_scratch;
+  SparseVector want;
+  CommStats want_stats;
+  alg.ReduceSparse(group, packs, starts, sparse_scratch, want, want_stats,
+                   &fs);
+  DenseVector sum(3, 7.0);  // stale contents are replaced
+  CommStats stats;
+  const std::size_t nnz =
+      alg.ReduceSparse(group, inputs, starts, scratch, sum, stats, &fd);
+  EXPECT_TRUE(SameBits(sum, want.ToDense())) << "sum bits differ";
+  EXPECT_EQ(nnz, want.nnz());
+  EXPECT_EQ(stats, want_stats);
+  EXPECT_EQ(fd.excluded, fs.excluded);
+  EXPECT_EQ(fd.dropped_messages, fs.dropped_messages);
+  EXPECT_EQ(fd.retries, fs.retries);
+  EXPECT_EQ(fd.delayed_messages, fs.delayed_messages);
+  return fs;
+}
+
+TEST(DenseHeldSparse, MatchesTheSparseOverloadOnPacks) {
+  Rng rng(4242);
+  for (const auto kind :
+       {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+    const auto alg = MakeAllreduce(kind);
+    AllreduceScratch scratch;  // shared across shapes, like an engine's
+    for (std::uint32_t n = 1; n <= 9; ++n) {
+      const Fixture f(n);
+      for (const std::uint64_t dim : {1, 7, 37, 301}) {
+        for (const double density : {0.05, 0.4, 0.9}) {
+          SCOPED_TRACE(::testing::Message()
+                       << alg->Name() << " n=" << n << " dim=" << dim
+                       << " density=" << density);
+          const auto zero = static_cast<std::uint32_t>(rng.NextBelow(n + 1));
+          const auto inputs = SpecialDenseInputs(rng, n, dim, density, zero);
+          ExpectMatchesPacks(*alg, f.group, inputs, RandomStarts(rng, n),
+                             scratch);
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseHeldSparse, DisjointSupportsAndMixedPrecisionPricing) {
+  // Value bytes of 4 on 8-byte indices move the dense/sparse break-even of
+  // the store phases to a third of the block.
+  simnet::CostModelConfig cfg = Fixture::MakeConfig();
+  cfg.value_bytes = 4;
+  for (const auto kind :
+       {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+    const auto alg = MakeAllreduce(kind);
+    AllreduceScratch scratch;
+    for (std::uint32_t n = 1; n <= 9; ++n) {
+      const Topology topo(n, 1);
+      for (const simnet::CostModel& cost :
+           {simnet::CostModel(Fixture::MakeConfig()), simnet::CostModel(cfg)}) {
+        std::vector<Rank> members(n);
+        for (std::uint32_t i = 0; i < n; ++i) members[i] = i;
+        const GroupComm group(&topo, &cost, members);
+        // Member i owns indices i, i + n, i + 2n, ...; a ring partial grows
+        // as it travels.
+        const std::uint64_t dim = 5 * n + 3;
+        std::vector<DenseVector> inputs(n, DenseVector(dim, 0.0));
+        for (std::uint64_t k = 0; k < dim; ++k) {
+          inputs[k % n][k] = 0.5 + static_cast<double>(k);
+        }
+        SCOPED_TRACE(::testing::Message() << alg->Name() << " n=" << n);
+        ExpectMatchesPacks(*alg, group, inputs, ZeroStarts(n), scratch);
+      }
+    }
+  }
+}
+
+TEST(DenseHeldSparse, FaultsMatchTheSparseOverload) {
+  // Delays, drops that resolve on retry, and drops that exclude members.
+  simnet::FaultConfig delayed;
+  delayed.message_delay_probability = 0.5;
+  delayed.message_delay_s = 0.25;
+  simnet::FaultConfig retried = delayed;
+  retried.message_drop_probability = 0.3;
+  retried.max_retries = 16;
+  simnet::FaultConfig excluding = retried;
+  excluding.max_retries = 0;
+  Rng rng(99);
+  for (const simnet::FaultConfig& cfg : {delayed, retried, excluding}) {
+    const simnet::FaultPlan plan(cfg);
+    for (const auto kind :
+         {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+      const auto alg = MakeAllreduce(kind);
+      AllreduceScratch scratch;
+      const Fixture f(6);
+      std::size_t delays = 0, retries = 0, exclusions = 0;
+      for (std::uint64_t it = 1; it <= 12; ++it) {
+        SCOPED_TRACE(::testing::Message() << alg->Name() << " iteration "
+                                          << it << " retries "
+                                          << cfg.max_retries);
+        const auto inputs = SpecialDenseInputs(rng, 6, 37, 0.4, 6);
+        const FaultContext fc = ExpectMatchesPacks(
+            *alg, f.group, inputs, RandomStarts(rng, 6), scratch, &plan, it);
+        delays += fc.delayed_messages;
+        retries += fc.retries;
+        exclusions += fc.excluded.size();
+      }
+      EXPECT_GT(delays, 0u);
+      EXPECT_EQ(retries > 0, cfg.message_drop_probability > 0.0 &&
+                                 cfg.max_retries > 0);
+      EXPECT_EQ(exclusions > 0, cfg.max_retries == 0);
+    }
+  }
+}
+
+TEST(DenseHeldSparse, CanonicalInputsMatchTheirBlockPacks) {
+  // Completed sums: every value but +0.0 is an entry, NaN included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(5);
+  for (const auto kind :
+       {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+    const auto alg = MakeAllreduce(kind);
+    AllreduceScratch scratch;
+    for (std::uint32_t n = 1; n <= 5; ++n) {
+      const Fixture f(n);
+      std::vector<DenseVector> inputs(n, DenseVector(23, 0.0));
+      std::vector<SparseVector> packs(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        for (auto& e : inputs[i]) {
+          const double kind_of = rng.NextDouble(0.0, 1.0);
+          e = kind_of < 0.1 ? nan : kind_of < 0.5 ? rng.NextGaussian() : 0.0;
+        }
+        packs[i].AssignFromDenseBlock(23, 0, inputs[i]);
+      }
+      const auto starts = RandomStarts(rng, n);
+      SparseVector want;
+      CommStats want_stats;
+      AllreduceScratch sparse_scratch;
+      alg->ReduceSparse(f.group, packs, starts, sparse_scratch, want,
+                        want_stats);
+      DenseVector sum;
+      CommStats stats;
+      const std::size_t nnz =
+          alg->ReduceSparse(f.group, inputs, starts, scratch, sum, stats,
+                            nullptr, SparseEntries::kCanonical);
+      SCOPED_TRACE(::testing::Message() << alg->Name() << " n=" << n);
+      EXPECT_TRUE(SameBits(sum, want.ToDense()));
+      EXPECT_EQ(nnz, want.nnz());
+      EXPECT_EQ(stats, want_stats);
+    }
+  }
+}
+
+TEST(DenseHeldSparse, MultiLevelMatchesTheSparseOverloadOnPacks) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(8);
+  for (const std::uint32_t racks : {2u, 3u}) {
+    RackFixture f(3 * racks, racks);  // three node leaders per rack
+    const auto n = static_cast<std::uint32_t>(f.members.size());
+    for (const auto kind :
+         {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+      const auto alg = MakeAllreduce(kind);
+      AllreduceScratch scratch;
+      for (const double density : {0.05, 0.4, 0.9}) {
+        SCOPED_TRACE(::testing::Message() << alg->Name() << " racks="
+                                          << racks << " density=" << density);
+        auto inputs = SpecialDenseInputs(rng, n, 41, density, n);
+        // Rule 5: inf - inf inside rack 0 leaves a NaN in its sum, which
+        // the root stage must carry, next to another rack's value.
+        inputs[0][5] = inf;
+        inputs[1][5] = -inf;
+        inputs[2][5] = 0.0;
+        inputs[3][5] = 2.5;
+        const auto starts = RandomStarts(rng, n);
+        const std::vector<SparseVector> packs = Packs(inputs);
+        SparseVector want;
+        CommStats want_stats;
+        AllreduceScratch sparse_scratch;
+        f.ml.ReduceSparse(*alg, packs, starts, sparse_scratch, want,
+                          want_stats);
+        const std::size_t want_redist[3] = {f.ml.redistribution_elements(),
+                                            f.ml.redistribution_messages(),
+                                            f.ml.redistribution_bytes()};
+        DenseVector sum;
+        CommStats stats;
+        const std::size_t nnz =
+            f.ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
+        EXPECT_TRUE(std::isnan(sum[5]));
+        EXPECT_TRUE(SameBits(sum, want.ToDense()));
+        EXPECT_EQ(nnz, want.nnz());
+        EXPECT_EQ(stats, want_stats);
+        EXPECT_EQ(f.ml.redistribution_elements(), want_redist[0]);
+        EXPECT_EQ(f.ml.redistribution_messages(), want_redist[1]);
+        EXPECT_EQ(f.ml.redistribution_bytes(), want_redist[2]);
+      }
+    }
+  }
 }
 
 TEST(MultiLevel, RejectsBadMembership) {

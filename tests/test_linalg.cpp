@@ -12,7 +12,6 @@
 #include "linalg/dense_ops.hpp"
 #include "linalg/gram.hpp"
 #include "linalg/sparse_vector.hpp"
-#include "solver/prox.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 
@@ -573,48 +572,6 @@ TEST_P(FourLanePins, DotFollowsTheFourLaneOrder) {
   EXPECT_EQ(Dot(x, y), want);
 }
 
-// CopyZUpdateY is a z copy, solver::YUpdate and DistanceAndNorms in one
-// sweep, so z, y and all three norms must equal that sequence's bit for
-// bit, signed zeros and subnormals included (the last entry is a tail entry
-// whenever n % 4 != 0).
-TEST_P(FourLanePins, CopyZUpdateYEqualsCopyYUpdateAndNormsBitwise) {
-  const std::size_t n = GetParam();
-  Rng rng(60 + n);
-  DenseVector x(n), z_src(n), y(n);
-  for (auto& e : x) e = rng.NextGaussian();
-  for (auto& e : z_src) e = rng.NextGaussian();
-  for (auto& e : y) e = rng.NextGaussian();
-  const double sub = std::numeric_limits<double>::denorm_min();
-  if (n > 0) {  // -0.0 + rho * (-0.0 - +0.0) keeps y's sign bit
-    x[0] = -0.0;
-    z_src[0] = 0.0;
-    y[0] = -0.0;
-  }
-  if (n > 1) {  // subnormal difference, update and squares
-    x[1] = sub;
-    z_src[1] = -sub;
-    y[1] = 3.0 * sub;
-  }
-  if (n > 2) {
-    x[n - 1] = -0.0;
-    z_src[n - 1] = -0.0;
-    y[n - 1] = -sub;
-  }
-  const double rho = 0.37;
-
-  DenseVector z_want = z_src, y_want = y;
-  solver::YUpdate(rho, x, z_want, y_want);
-  double want[3] = {-1.0, -1.0, -1.0};
-  DistanceAndNorms(x, z_want, y_want, want[0], want[1], want[2]);
-
-  DenseVector z(n, 7.0), y_got = y;
-  double got[3] = {-1.0, -1.0, -1.0};
-  CopyZUpdateY(rho, x, z_src, z, y_got, got[0], got[1], got[2]);
-  EXPECT_TRUE(SameBits(z, z_want));
-  EXPECT_TRUE(SameBits(y_got, y_want));
-  EXPECT_TRUE(SameBits(got, want));
-}
-
 INSTANTIATE_TEST_SUITE_P(Lengths, FourLanePins,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
                                            13551));
@@ -626,11 +583,6 @@ TEST(DenseOps, FusedKernelDimensionChecks) {
   EXPECT_THROW(CopyNormSq(a, b, a), InvalidArgument);
   double d = 0.0, nx = 0.0, ny = 0.0;
   EXPECT_THROW(DistanceAndNorms(a, b, a, d, nx, ny), InvalidArgument);
-  DenseVector c(3), e(3);
-  EXPECT_THROW(CopyZUpdateY(1.0, b, a, c, e, d, nx, ny), InvalidArgument);
-  EXPECT_THROW(CopyZUpdateY(1.0, a, b, c, e, d, nx, ny), InvalidArgument);
-  EXPECT_THROW(CopyZUpdateY(1.0, a, c, b, e, d, nx, ny), InvalidArgument);
-  EXPECT_THROW(CopyZUpdateY(1.0, a, c, e, b, d, nx, ny), InvalidArgument);
 }
 
 // The blocked Gemv/GemvT use a different (fixed, deterministic) summation
