@@ -96,9 +96,6 @@ enum class SparseEntries {
   kCanonical,
 };
 
-/// Number of entries of `v` under `rule`.
-std::size_t CountEntries(std::span<const double> v, SparseEntries rule);
-
 /// The fold of a sparse payload held dense: folds a block of the caller's
 /// dense sum from +0.0, reading every coordinate that is not an entry of an
 /// input as +0.0, and counts what a SparseBlockFold over the inputs' packs

@@ -253,6 +253,9 @@ struct Payload<linalg::SparseVector> {
   }
 };
 
+/// Number of entries of `v` under `rule` (collective.cpp).
+std::size_t CountEntries(std::span<const double> v, SparseEntries rule);
+
 /// A sparse payload the host holds dense, each vector standing for the
 /// sparse vector of its entries under E. It is measured and priced as that
 /// sparse vector and folded in place into the caller's dense sum, from +0.0

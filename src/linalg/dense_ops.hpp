@@ -28,8 +28,8 @@ std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y);
 /// |x_i| > 0, the ones SparseVector::FromDense(x) keeps. Every other entry
 /// (±0.0, NaN) is read as +0.0, so an acc that starts at +0.0 never holds
 /// -0.0 and folds bitwise what SparseBlockFold folds from the packed
-/// messages. With a non-empty `present` (one flag per entry), also sets the
-/// flag of every entry carried.
+/// messages. With a non-empty `present` (one flag per coordinate), also
+/// sets the flag of every entry carried.
 void AddPacked(std::span<const double> x, std::span<double> acc,
                std::span<unsigned char> present = {});
 
