@@ -210,6 +210,34 @@ bool SameBits(std::span<const double> a, std::span<const double> b) {
                     });
 }
 
+// AddPacked adds exactly the entries AssignFromDense would pack and reads
+// every other one as +0.0: a NaN or -0.0 input leaves acc as it is, +0.0
+// plus an entry is that entry, and the presence flags mark what was packed.
+TEST(DenseOps, AddPackedAddsExactlyWhatAPackKeeps) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const DenseVector x{1.5, -0.0, nan, inf, sub, 0.0, -2.0, nan};
+  DenseVector acc{0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, -inf};
+  std::vector<unsigned char> present(x.size(), 0);
+  present[5] = 1;  // flags are only ever set
+  AddPacked(x, acc, present);
+  EXPECT_TRUE(SameBits(acc, DenseVector{1.5, 0.0, 0.0, inf, sub, 0.0, 0.0,
+                                        -inf}));
+  EXPECT_EQ(present,
+            (std::vector<unsigned char>{1, 0, 0, 1, 1, 1, 1, 0}));
+  SparseVector packed;
+  packed.AssignFromDense(x);
+  DenseVector again(x.size(), 0.0);
+  AddPacked(x, again);  // no presence flags
+  EXPECT_TRUE(SameBits(again, packed.ToDense()));
+
+  DenseVector shorter(3);
+  std::vector<unsigned char> few(3);
+  EXPECT_THROW(AddPacked(x, shorter), InvalidArgument);
+  EXPECT_THROW(AddPacked(x, acc, few), InvalidArgument);
+}
+
 TEST(SparseVector, AssignFromDenseKeepsExactlyEntriesAboveTol) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
