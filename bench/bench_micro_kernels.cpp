@@ -5,8 +5,9 @@
 // Invoked with --kernels-out <path> this binary instead runs the gated
 // solver-kernel microbench (DESIGN.md §14): blocked-vs-scalar ratios for the
 // linalg kernels and the hierarchical group's sparse collective, plus the
-// Gram-vs-CG x-update comparison on a tall url_like shard, written as BENCH_kernels.json and diffed in CI like
-// BENCH_hotpath.json. All other arguments delegate to google-benchmark.
+// Gram-vs-CG x-update comparison on a tall url_like shard, written as
+// BENCH_kernels.json and diffed in CI like BENCH_hotpath.json. All other
+// arguments delegate to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

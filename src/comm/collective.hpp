@@ -218,12 +218,12 @@ class AllreduceAlgorithm {
   /// send is priced by the entries it would carry. Writes the dense sum and
   /// returns its entry count: bitwise ToDense of the sum, and the nnz and
   /// stats, that the SparseVector overload gives on the inputs' packs.
-  std::size_t ReduceSparse(const GroupComm& group,
-                           std::span<const linalg::DenseVector> inputs,
-                           std::span<const simnet::VirtualTime> starts,
-                           AllreduceScratch& scratch, linalg::DenseVector& sum,
-                           CommStats& stats, FaultContext* fault = nullptr,
-                           SparseEntries entries = SparseEntries::kPacked) const;
+  std::size_t ReduceSparse(
+      const GroupComm& group, std::span<const linalg::DenseVector> inputs,
+      std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
+      linalg::DenseVector& sum, CommStats& stats,
+      FaultContext* fault = nullptr,
+      SparseEntries entries = SparseEntries::kPacked) const;
 
  private:
   AllreduceKind kind_;

@@ -1432,12 +1432,13 @@ std::vector<DenseVector> SpecialDenseInputs(Rng& rng, std::uint32_t n,
 /// The dense-held overload must give bitwise ToDense of what the
 /// SparseVector overload gives on the inputs' packs, its nnz, and equal
 /// stats and fault outcomes. Returns the fault context of the packs' run.
-FaultContext ExpectMatchesPacks(const AllreduceAlgorithm& alg, const GroupComm& group,
-                        const std::vector<DenseVector>& inputs,
-                        std::span<const VirtualTime> starts,
-                        AllreduceScratch& scratch,
-                        const simnet::FaultPlan* plan = nullptr,
-                        std::uint64_t iteration = 0) {
+FaultContext ExpectMatchesPacks(const AllreduceAlgorithm& alg,
+                                const GroupComm& group,
+                                const std::vector<DenseVector>& inputs,
+                                std::span<const VirtualTime> starts,
+                                AllreduceScratch& scratch,
+                                const simnet::FaultPlan* plan = nullptr,
+                                std::uint64_t iteration = 0) {
   const std::vector<SparseVector> packs = Packs(inputs);
   FaultContext fs, fd;
   fs.plan = fd.plan = plan;
