@@ -262,8 +262,6 @@ std::vector<V>& CollectSurvivors(const GroupComm& group,
     fc.survivor_starts.push_back(fc.adj_starts[g]);
     survivors[si++] = inputs[g];
   }
-  PSRA_REQUIRE(!fc.survivor_ranks.empty(),
-               "fault plan excluded every member of a collective");
   return survivors;
 }
 
@@ -318,6 +316,19 @@ std::size_t Reduce(AllreduceKind kind, const GroupComm& group,
                   scratch, sum, stats);
   }
   FaultContext& fc = *fault;
+  if (fc.excluded.size() == group.size()) {
+    // Nobody survived: the collective completes with an empty sum and no
+    // traffic, each member finishing at its adjusted start.
+    const std::uint64_t dim = Payload<T>::Dim(inputs[0]);
+    if constexpr (std::is_same_v<V, linalg::SparseVector>) {
+      sum.Clear(dim);
+    } else {
+      sum.assign(static_cast<std::size_t>(dim), 0.0);
+    }
+    fc.sub_stats.Reset(0);
+    ExpandStats(group, fc, stats);
+    return 0;
+  }
   const std::vector<V>& survivors = CollectSurvivors(group, inputs, fc);
   const GroupComm sub(&group.topology(), &group.cost_model(),
                       fc.survivor_ranks);

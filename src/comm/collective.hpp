@@ -158,7 +158,9 @@ struct AllreduceScratch {
 /// retries; after max_retries the still-failing members are EXCLUDED and the
 /// collective completes over the surviving member set — the sum then covers
 /// survivors only, and `excluded` reports who was left out so the engine can
-/// skip their consensus update for the round.
+/// skip their consensus update for the round. With no survivors the sum is
+/// zero with no entries, no traffic is booked, and each member finishes at
+/// its delayed and timed-out start.
 struct FaultContext {
   const simnet::FaultPlan* plan = nullptr;  // null or empty plan: no faults
   std::uint64_t iteration = 0;              // 1-based engine iteration

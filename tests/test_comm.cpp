@@ -1554,6 +1554,77 @@ TEST(DenseHeldSparse, FaultsMatchTheSparseOverload) {
   }
 }
 
+TEST(FaultyReduce, ExcludingEveryMemberLeavesAnEmptySum) {
+  // Every member drops on its only attempt (the largest drop probability a
+  // plan accepts), and every message is late: the collective completes with
+  // no survivors instead of aborting the run.
+  simnet::FaultConfig cfg;
+  cfg.message_drop_probability = std::nextafter(1.0, 0.0);
+  cfg.max_retries = 0;
+  cfg.retry_timeout_s = 1.0;
+  cfg.message_delay_probability = 1.0;
+  cfg.message_delay_s = 0.25;
+  const simnet::FaultPlan plan(cfg);
+  constexpr std::uint32_t kN = 4;
+  constexpr std::size_t kDim = 9;
+  const Fixture f(kN);
+  const auto inputs = RampInputs(kN, kDim);
+  const std::vector<SparseVector> packs = Packs(inputs);
+  const std::vector<VirtualTime> starts{0.5, 0.0, 2.0, 1.25};
+  const std::vector<GroupRank> everyone{0, 1, 2, 3};
+  const DenseVector zero(kDim, 0.0);
+  for (const auto kind :
+       {AllreduceKind::kPsr, AllreduceKind::kRing, AllreduceKind::kNaive}) {
+    const auto alg = MakeAllreduce(kind);
+    SCOPED_TRACE(alg->Name());
+    AllreduceScratch scratch;
+    auto expect_no_survivors = [&](const FaultContext& fc,
+                                   const CommStats& stats) {
+      EXPECT_EQ(fc.excluded, everyone);
+      EXPECT_EQ(fc.dropped_messages, kN);
+      EXPECT_EQ(stats.elements_sent, 0u);
+      EXPECT_EQ(stats.messages_sent, 0u);
+      EXPECT_EQ(stats.bytes_sent, 0u);
+      EXPECT_EQ(stats.rounds, 0u);
+      ASSERT_EQ(stats.finish_times.size(), kN);
+      for (GroupRank g = 0; g < kN; ++g) {
+        EXPECT_EQ(stats.finish_times[g], starts[g] + 0.25 + 1.0) << g;
+      }
+      EXPECT_EQ(stats.all_done, 3.25);
+    };
+    auto context = [&] {
+      FaultContext fc;
+      fc.plan = &plan;
+      fc.iteration = 1;
+      return fc;
+    };
+
+    FaultContext fd = context();
+    DenseVector dsum(3, 7.0);  // stale contents are replaced
+    CommStats dstats;
+    alg->ReduceDense(f.group, inputs, starts, scratch, dsum, dstats, &fd);
+    EXPECT_TRUE(SameBits(dsum, zero));
+    expect_no_survivors(fd, dstats);
+
+    FaultContext fh = context();
+    DenseVector hsum(3, 7.0);
+    CommStats hstats;
+    EXPECT_EQ(alg->ReduceSparse(f.group, inputs, starts, scratch, hsum,
+                                hstats, &fh),
+              0u);
+    EXPECT_TRUE(SameBits(hsum, zero));
+    expect_no_survivors(fh, hstats);
+
+    FaultContext fs = context();
+    SparseVector ssum = packs[0];
+    CommStats sstats;
+    alg->ReduceSparse(f.group, packs, starts, scratch, ssum, sstats, &fs);
+    EXPECT_EQ(ssum.dim(), kDim);
+    EXPECT_EQ(ssum.nnz(), 0u);
+    expect_no_survivors(fs, sstats);
+  }
+}
+
 TEST(DenseHeldSparse, CanonicalInputsMatchTheirBlockPacks) {
   // Completed sums: every value but +0.0 is an entry, NaN included.
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -144,6 +144,29 @@ TEST(Faults, DroppedMessagesRetryUntilDelivered) {
   EXPECT_GT(faulty.total_comm_time, clean.total_comm_time);
 }
 
+TEST(Faults, GroupWhoseEveryMemberDropsSitsOutTheRound) {
+  // Dynamic groups of 3 leaders with one retry: some group collective sees
+  // all three leaders drop on both attempts (iteration 8 with these seeds).
+  // The collective completes with no survivors, its nodes keep their state
+  // for the round, and the run goes on.
+  data::SyntheticSpec spec = FaultSpec();
+  spec.num_train = 240;
+  const ConsensusProblem problem = BuildProblem(spec, 12);
+  PsraConfig cfg;
+  cfg.cluster.num_nodes = 6;
+  cfg.cluster.workers_per_node = 2;
+  cfg.cluster.seed = 21;
+  cfg.grouping = GroupingMode::kDynamicGroups;
+  cfg.group_threshold = 3;
+  cfg.cluster.fault.message_drop_probability = 0.15;
+  cfg.cluster.fault.max_retries = 1;
+  cfg.cluster.fault.seed = 21;
+  const RunResult result = PsraHgAdmm(cfg).Run(problem, Options(15));
+  EXPECT_EQ(result.iterations_run, 15u);
+  EXPECT_GT(result.faults.dropped_messages, 0u);
+  EXPECT_TRUE(std::isfinite(result.final_objective));
+}
+
 TEST(Faults, LeaderDeathTriggersRegroupAndReElection) {
   const std::uint64_t iters = 20;
   auto cfg = BaseConfig(GroupingMode::kDynamicGroups);
