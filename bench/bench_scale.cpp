@@ -1,11 +1,11 @@
-// Scale acceptance bench: the event core at O(10k) workers.
+// Scale acceptance bench: the flat PSRA loop at O(10k) workers.
 //
 // Drives one flat-grouping PSRA-HGADMM run at --workers workers (default
 // 10240) for --iterations iterations (default 1000) on the tiny "smoke"
-// profile, and reports host wall time and iterations/sec. This is the run
-// the timer-wheel + event-arena redesign is sized for: every iteration
-// schedules tens of thousands of events, so a single run exercises tens of
-// millions of wheel insert/pop cycles with zero steady-state allocations.
+// profile, and reports host wall time and iterations/sec. Each iteration
+// runs every worker's x-update, one collective over all of them and the
+// WorkerSet consensus step, so the run times the per-worker overheads of
+// the collectives and of WorkerSet at that width.
 //
 // --verify-pool re-runs a short prefix of the same configuration twice —
 // serial host loop, then on the thread pool — and requires the final

@@ -152,8 +152,8 @@ if [[ -n "${PSRA_CHECK_LARGE_SWEEP:-}" ]]; then
   done
 
   echo "== 10240-node smoke cell =="
-  # One O(10k) hierarchical cell proving the event core and the metrics
-  # contract hold at the target scale. Its counters are pinned in the
+  # One O(10k) hierarchical cell proving the multi-level collectives and the
+  # metrics contract hold at the target scale. Its counters are pinned in the
   # large-sweep baseline like every other cell (--dir is repeatable, so the
   # asymmetric grids diff together below).
   (cd "$build" && ./bench/bench_sweep \
@@ -174,10 +174,11 @@ if [[ -n "${PSRA_CHECK_LARGE_SWEEP:-}" ]]; then
   fi
 
   echo "== scale bench (shortened) + cross-pool determinism =="
-  # 10240 flat-grouping workers through the timer wheel; --verify-pool
-  # requires serial and pooled hosts to produce bitwise-identical results
-  # (bench_scale exits nonzero on mismatch). 100 iterations keeps this
-  # under ~5 s; the committed headline numbers come from the full run.
+  # 10240 flat-grouping workers through the collectives and WorkerSet;
+  # --verify-pool requires serial and pooled hosts to produce
+  # bitwise-identical results (bench_scale exits nonzero on mismatch). 100
+  # iterations keeps this under ~5 s; the committed headline numbers come
+  # from the full run.
   (cd "$build" && ./bench/bench_scale --iterations 100 \
     --verify-pool --pool 4 --verify-iterations 5)
 fi

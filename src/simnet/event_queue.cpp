@@ -6,9 +6,8 @@ namespace psra::simnet {
 
 namespace {
 
-/// Heap/list order: `a` runs after `b`. Used as the comparator of the
-/// working max-heap (whose top is therefore the earliest event) and of the
-/// descending overflow list (whose back() is the earliest).
+/// Heap order: `a` runs after `b`. The std:: heap algorithms keep the
+/// greatest element in front, so the front is the earliest event.
 struct Later {
   template <typename R>
   bool operator()(const R* a, const R* b) const {
@@ -19,35 +18,8 @@ struct Later {
 
 }  // namespace
 
-EventQueue::EventQueue(const WheelConfig& cfg)
-    : inv_tick_(1.0 / cfg.tick_s),
-      bucket_count_(cfg.buckets),
-      bucket_mask_(cfg.buckets - 1) {
-  PSRA_REQUIRE(cfg.tick_s > 0, "wheel tick must be positive");
-  PSRA_REQUIRE(cfg.buckets >= 64 && std::has_single_bit(cfg.buckets),
-               "wheel bucket count must be a power of two >= 64");
-  buckets_.resize(bucket_count_);
-  occupied_.assign(bucket_count_ >> 6, 0);
-}
-
 EventQueue::~EventQueue() {
-  auto destroy_all = [](std::vector<Record*>& v) {
-    for (Record* r : v) r->destroy(r->storage);
-    v.clear();
-  };
-  destroy_all(ready_);
-  for (auto& bucket : buckets_) destroy_all(bucket);
-  destroy_all(overflow_);
-}
-
-std::uint64_t EventQueue::QuantumOf(VirtualTime t) const {
-  const double q = t * inv_tick_;
-  // Clamped quantization stays monotone, which is all correctness needs:
-  // absurdly far (or non-finite) times just share the last quantum, and the
-  // working heap still orders them by exact (time, seq).
-  constexpr double kMaxQuantum = 9.0e18;
-  if (!(q < kMaxQuantum)) return static_cast<std::uint64_t>(kMaxQuantum);
-  return static_cast<std::uint64_t>(q);
+  for (Record* r : heap_) r->destroy(r->storage);
 }
 
 EventQueue::Record* EventQueue::AllocRecord() {
@@ -60,102 +32,26 @@ EventQueue::Record* EventQueue::AllocRecord() {
 void EventQueue::AddSlab() {
   constexpr std::size_t kSlabRecords = 256;
   slabs_.push_back(std::make_unique<Record[]>(kSlabRecords));
-  total_records_ += kSlabRecords;
-  // Keep capacity >= total records so FreeRecord never reallocates — that is
-  // what lets the guard in Step() return records without touching the heap.
-  free_.reserve(total_records_);
+  // Keep capacity >= total records so neither FreeRecord nor Push ever
+  // reallocates — that is what lets the guard in Step() return records
+  // without touching the allocator.
+  const std::size_t total = slabs_.size() * kSlabRecords;
+  free_.reserve(total);
+  heap_.reserve(total);
   Record* base = slabs_.back().get();
   for (std::size_t i = kSlabRecords; i > 0; --i) free_.push_back(base + i - 1);
 }
 
-void EventQueue::PlaceInWheel(Record* r, std::uint64_t quantum) {
-  const auto bi = static_cast<std::uint32_t>(quantum) & bucket_mask_;
-  buckets_[bi].push_back(r);
-  occupied_[bi >> 6] |= std::uint64_t{1} << (bi & 63);
-  ++wheel_count_;
-}
-
-void EventQueue::Insert(Record* r) {
-  ++pending_;
-  const std::uint64_t q = QuantumOf(r->time);
-  if (q <= cur_quantum_) {
-    // Same quantum as the one being drained: join the working heap, where
-    // (time, seq) keeps it correctly ordered against its peers.
-    ready_.push_back(r);
-    std::push_heap(ready_.begin(), ready_.end(), Later{});
-  } else if (q < cur_quantum_ + bucket_count_) {
-    PlaceInWheel(r, q);
-  } else {
-    overflow_.insert(
-        std::upper_bound(overflow_.begin(), overflow_.end(), r, Later{}), r);
-  }
-}
-
-void EventQueue::MigrateOverflow() {
-  const std::uint64_t horizon = cur_quantum_ + bucket_count_;
-  while (!overflow_.empty()) {
-    Record* r = overflow_.back();
-    const std::uint64_t q = QuantumOf(r->time);
-    if (q >= horizon) break;
-    overflow_.pop_back();
-    if (q <= cur_quantum_) {
-      ready_.push_back(r);
-      std::push_heap(ready_.begin(), ready_.end(), Later{});
-    } else {
-      PlaceInWheel(r, q);
-    }
-  }
-}
-
-std::uint32_t EventQueue::NextOccupiedOffset(std::uint32_t from) const {
-  const std::uint32_t word_mask = (bucket_count_ >> 6) - 1;
-  std::uint32_t wi = from >> 6;
-  std::uint64_t w = occupied_[wi] & (~std::uint64_t{0} << (from & 63));
-  for (std::uint32_t scanned = 0; scanned <= word_mask + 1; ++scanned) {
-    if (w != 0) {
-      const std::uint32_t idx =
-          (wi << 6) + static_cast<std::uint32_t>(std::countr_zero(w));
-      return (idx - from) & bucket_mask_;
-    }
-    wi = (wi + 1) & word_mask;
-    w = occupied_[wi];
-  }
-  return bucket_count_;  // unreachable while wheel_count_ > 0
-}
-
-void EventQueue::Advance() {
-  for (;;) {
-    if (wheel_count_ == 0) {
-      // Wheel idle: jump straight to the earliest far-future quantum. The
-      // remaining overflow invariant (quantum >= old horizon) makes this a
-      // strictly forward move.
-      cur_quantum_ = QuantumOf(overflow_.back()->time);
-      MigrateOverflow();
-      if (!ready_.empty()) return;
-      continue;
-    }
-    const auto cursor = static_cast<std::uint32_t>(cur_quantum_) & bucket_mask_;
-    const std::uint32_t off = NextOccupiedOffset(cursor);
-    const std::uint32_t bi = (cursor + off) & bucket_mask_;
-    cur_quantum_ += off;
-    auto& bucket = buckets_[bi];
-    wheel_count_ -= bucket.size();
-    occupied_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
-    ready_.swap(bucket);  // ready_ is empty: capacities just circulate
-    std::make_heap(ready_.begin(), ready_.end(), Later{});
-    // The horizon moved with cur_quantum_; pull in overflow it now covers.
-    MigrateOverflow();
-    if (!ready_.empty()) return;
-  }
+void EventQueue::Push(Record* r) {
+  heap_.push_back(r);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::Step() {
-  if (pending_ == 0) return false;
-  if (ready_.empty()) Advance();
-  std::pop_heap(ready_.begin(), ready_.end(), Later{});
-  Record* r = ready_.back();
-  ready_.pop_back();
-  --pending_;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Record* r = heap_.back();
+  heap_.pop_back();
   now_ = r->time;
   // Return the record to the free list even if the callback throws; the
   // callable itself is destroyed by RunAndDestroy's guard.

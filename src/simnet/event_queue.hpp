@@ -1,32 +1,16 @@
-// Discrete-event queue over virtual time.
+// Discrete-event queue over virtual time, used by the asynchronous baseline
+// (AD-ADMM), whose workers each keep at most one report in flight, so at
+// most `world` events are pending.
 //
-// Used by the asynchronous baseline (AD-ADMM) and the Group Generator to
-// order worker arrivals deterministically: ties on time are broken by
-// insertion sequence, so a given seed reproduces the exact event ordering.
-//
-// The implementation is an indexed timer wheel sized for O(10k) concurrent
-// actors (DESIGN.md §10):
-//
-//   - Virtual time is quantized to ticks. The wheel hashes the next
-//     `buckets` quanta (bucket = quantum % buckets), so inserting a
-//     near-future event is O(1) instead of O(log n).
-//   - Events past the wheel horizon land in a sorted overflow list and
-//     migrate into buckets as the horizon advances; an empty wheel jumps
-//     straight to the earliest overflow quantum, so coarse schedules (e.g.
-//     unit-spaced test events) never scan idle buckets.
-//   - The quantum being drained sits in a small working heap ordered by
-//     (time, seq) — quantization can coarsen bucket placement but never
-//     reorders execution, and the original deterministic tie-break contract
-//     is preserved exactly.
-//   - Event records are fixed-size and slab-allocated; callables are stored
-//     inline (no std::function heap spill) and records recycle through a
-//     free list, so the steady-state path performs zero allocations per
-//     event (gated in tests/test_alloc.cpp).
+// Events run in (time, insertion seq) order, so a given seed reproduces the
+// exact event ordering. The queue is a binary min-heap of fixed-size,
+// slab-allocated event records (DESIGN.md §10); callables are stored inline
+// (no std::function heap spill) and records recycle through a free list, so
+// the steady-state path performs zero allocations per event (gated in
+// tests/test_alloc.cpp).
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -39,22 +23,11 @@ namespace psra::simnet {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
   /// Callables larger than this must capture a pointer to out-of-band
   /// context; the record size is what keeps the arena slab-friendly.
   static constexpr std::size_t kInlineCallbackBytes = 64;
 
-  struct WheelConfig {
-    /// Quantization step. Only a performance knob: execution order is
-    /// decided by exact (time, seq), never by the tick.
-    VirtualTime tick_s = 2e-6;
-    /// Wheel size (power of two). horizon = tick_s * buckets.
-    std::uint32_t buckets = 8192;
-  };
-
-  EventQueue() : EventQueue(WheelConfig{}) {}
-  explicit EventQueue(const WheelConfig& cfg);
+  EventQueue() = default;
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
@@ -79,7 +52,7 @@ class EventQueue {
     ::new (static_cast<void*>(r->storage)) F(std::move(cb));
     r->run = &RunAndDestroy<F>;
     r->destroy = &DestroyOnly<F>;
-    Insert(r);
+    Push(r);
   }
 
   /// Schedules `cb` `delay` seconds after Now().
@@ -97,8 +70,8 @@ class EventQueue {
   bool Step();
 
   VirtualTime Now() const { return now_; }
-  bool Empty() const { return pending_ == 0; }
-  std::size_t Pending() const { return pending_; }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t Pending() const { return heap_.size(); }
 
  private:
   struct Record {
@@ -124,43 +97,20 @@ class EventQueue {
     std::launder(reinterpret_cast<F*>(p))->~F();
   }
 
-  std::uint64_t QuantumOf(VirtualTime t) const;
   Record* AllocRecord();
   void AddSlab();
   void FreeRecord(Record* r) { free_.push_back(r); }
-  void Insert(Record* r);
-  void PlaceInWheel(Record* r, std::uint64_t quantum);
-  /// Moves overflow records whose quantum entered the horizon into the wheel
-  /// (or the working heap when their quantum is the current one).
-  void MigrateOverflow();
-  /// Advances cur_quantum_ to the next non-empty quantum and refills the
-  /// working heap. Precondition: ready_ empty, pending_ > 0.
-  void Advance();
-  std::uint32_t NextOccupiedOffset(std::uint32_t from) const;
+  void Push(Record* r);
 
-  // -- working heap for the quantum being drained (min by time, then seq) --
-  std::vector<Record*> ready_;
-
-  // -- wheel: buckets_[q % buckets] holds quanta in [cur_quantum_, +buckets)
-  std::vector<std::vector<Record*>> buckets_;
-  std::vector<std::uint64_t> occupied_;  // bitmap over bucket indices
-  std::size_t wheel_count_ = 0;
-
-  // -- far-future events, sorted descending by (time, seq); back() is next --
-  std::vector<Record*> overflow_;
+  // -- pending events: a heap whose front is the least (time, seq) ---------
+  std::vector<Record*> heap_;
 
   // -- arena ---------------------------------------------------------------
   std::vector<std::unique_ptr<Record[]>> slabs_;
   std::vector<Record*> free_;
-  std::size_t total_records_ = 0;
 
   VirtualTime now_ = 0.0;
-  double inv_tick_;
-  std::uint32_t bucket_count_;
-  std::uint32_t bucket_mask_;
-  std::uint64_t cur_quantum_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t pending_ = 0;
 };
 
 }  // namespace psra::simnet

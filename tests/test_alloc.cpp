@@ -217,16 +217,15 @@ TEST(AllocRegressionGram, GramSolverIterationIsAllocationFree) {
   EXPECT_EQ(((a2 - a1) - (a1 - a0)) / (k2 - k1), 0u);
 }
 
-// The timer-wheel event core itself: once the arena, the wheel buckets and
-// the overflow list are warm, schedule + drain performs ZERO allocations
-// per event — on the near path (wheel buckets), and on the far path
-// (overflow insert + idle-wheel jump). Callables are stored inline, so no
+// The event queue itself: once the record arena (and the heap reserved
+// with it) is warm, schedule + drain performs ZERO allocations per event,
+// at a 1 us and a 0.5 ms cadence. Callables are stored inline, so no
 // std::function spill can sneak in either.
 TEST(EventQueueAlloc, SteadyStateEventsAreAllocationFree) {
 #ifdef PSRA_SANITIZE_BUILD
   GTEST_SKIP() << "allocation counts are not meaningful under sanitizers";
 #endif
-  simnet::EventQueue q(simnet::EventQueue::WheelConfig{1e-6, 64});
+  simnet::EventQueue q;
   struct Hop {
     simnet::EventQueue* q;
     int* remaining;
@@ -244,9 +243,8 @@ TEST(EventQueueAlloc, SteadyStateEventsAreAllocationFree) {
     q.Run();
   };
 
-  // Warm-up: 8 actors at a one-tick cadence wrap the 64-bucket wheel many
-  // times (every bucket vector gets capacity); the far cadence sits past
-  // the 64 us horizon, warming the overflow list and the idle jump.
+  // Warm-up: the first run grows the arena to its working size; the
+  // measured runs repeat both cadences.
   run_actors(8, 1024, 1e-6);
   run_actors(8, 256, 5e-4);
 

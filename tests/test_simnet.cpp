@@ -199,15 +199,15 @@ TEST(EventQueue, StepAndMaxEvents) {
   EXPECT_EQ(q.Pending(), 2u);
 }
 
-// ------------------------------------------------- timer wheel internals ----
-// The wheel is an implementation detail behind the same (time, seq)
-// contract as the old binary heap; these tests pin that contract on the
-// paths the simple tests above never reach — quantization ties, the wheel
-// horizon, the overflow list, and the empty-wheel jump.
+// ------------------------------------------------ (time, seq) schedules ----
+// These tests pin the (time, insertion seq) order on schedules the simple
+// tests above never build: thousands of random times with exact duplicates,
+// near and far events mixed, far-future events, rescheduling from inside
+// Step(), and unit-spaced times inserted out of order.
 
-/// Records its index into a shared order log (16 bytes: fits any wheel
-/// record; avoids std::function so the tests also run under test_alloc's
-/// assumptions).
+/// Records its index into a shared order log (16 bytes: fits the inline
+/// record storage; avoids std::function so the tests also run under
+/// test_alloc's assumptions).
 struct LogEvent {
   std::vector<int>* order;
   int i;
@@ -215,7 +215,7 @@ struct LogEvent {
 };
 
 /// Execution order must equal a stable sort by time — stable sort *is* the
-/// (time, insertion-seq) tie-break of the replaced binary heap.
+/// (time, insertion-seq) tie-break.
 void ExpectReferenceOrder(const std::vector<double>& times,
                           const std::vector<int>& order) {
   std::vector<int> expect(times.size());
@@ -226,9 +226,8 @@ void ExpectReferenceOrder(const std::vector<double>& times,
 }
 
 TEST(EventQueue, RandomizedScheduleMatchesHeapOrder) {
-  // Times on a coarse grid force exact duplicates (seq tie-break) and many
-  // distinct times inside one quantum (the working heap must order them by
-  // exact time, not by bucket).
+  // Times on a coarse grid force exact duplicates (seq tie-break) among
+  // thousands of distinct times.
   Rng rng(2024);
   EventQueue q;
   constexpr int kEvents = 5000;
@@ -244,9 +243,9 @@ TEST(EventQueue, RandomizedScheduleMatchesHeapOrder) {
 }
 
 TEST(EventQueue, RandomizedScheduleAcrossTheOverflowBoundary) {
-  // Half the events land inside the default horizon (~16 ms), half far past
-  // it: inserts hit the working heap, the wheel and the overflow list in
-  // one schedule, and migration must not disturb the order.
+  // Half the events land within 10 ms on a 1 us grid, half on a coarse 1 ms
+  // grid out to 200 ms: near and far events interleave in one schedule, and
+  // both grids produce exact duplicates.
   Rng rng(7);
   EventQueue q;
   constexpr int kEvents = 4000;
@@ -264,8 +263,8 @@ TEST(EventQueue, RandomizedScheduleAcrossTheOverflowBoundary) {
 }
 
 TEST(EventQueue, SameQuantumOrdersByExactTime) {
-  // Both events share quantum 0 of the default 2 us tick; scheduling the
-  // later one first must not matter.
+  // Two events a microsecond apart; scheduling the later one first must
+  // not matter.
   EventQueue q;
   std::vector<int> order;
   q.ScheduleAt(1.5e-6, LogEvent{&order, 1});
@@ -275,9 +274,9 @@ TEST(EventQueue, SameQuantumOrdersByExactTime) {
 }
 
 TEST(EventQueue, TinyWheelWrapsAndMigratesOverflow) {
-  // 64 buckets x 1 ms tick = 64 ms horizon. 300 unit-spaced events wrap the
-  // wheel several times and start mostly in overflow; order must hold.
-  EventQueue q(EventQueue::WheelConfig{1e-3, 64});
+  // 300 unit-spaced times (1 ms apart) inserted in a stride-7 permutation
+  // that wraps the 300 ms range seven times; order must hold.
+  EventQueue q;
   std::vector<double> times;
   std::vector<int> order;
   for (int i = 0; i < 300; ++i) {
@@ -289,9 +288,9 @@ TEST(EventQueue, TinyWheelWrapsAndMigratesOverflow) {
 }
 
 TEST(EventQueue, EmptyWheelJumpsToFarFutureEvent) {
-  // A single event a billion quanta out: if the idle-wheel jump were
-  // missing, draining this would scan every bucket between (and time out).
-  EventQueue q(EventQueue::WheelConfig{1e-6, 64});
+  // A single event far in the future runs at its own time, with nothing
+  // scheduled before it.
+  EventQueue q;
   bool ran = false;
   q.ScheduleAt(1000.0, [&ran] { ran = true; });
   EXPECT_EQ(q.Run(), 1u);
@@ -300,9 +299,9 @@ TEST(EventQueue, EmptyWheelJumpsToFarFutureEvent) {
 }
 
 TEST(EventQueue, CallbackReschedulingBeyondTheHorizon) {
-  // Each hop lands past the wheel horizon of the running queue, so every
-  // reschedule exercises overflow insert + idle jump from inside Step().
-  EventQueue q(EventQueue::WheelConfig{1e-6, 64});
+  // Each hop reschedules itself a full second later from inside Step(),
+  // while its own record is being run, into an otherwise empty queue.
+  EventQueue q;
   struct Hop {
     EventQueue* q;
     int* hops;
@@ -317,16 +316,10 @@ TEST(EventQueue, CallbackReschedulingBeyondTheHorizon) {
   EXPECT_DOUBLE_EQ(q.Now(), 9.0);
 }
 
-TEST(EventQueue, RejectsBadWheelConfig) {
-  EXPECT_THROW(EventQueue(EventQueue::WheelConfig{0.0, 64}), InvalidArgument);
-  EXPECT_THROW(EventQueue(EventQueue::WheelConfig{1e-6, 63}), InvalidArgument);
-  EXPECT_THROW(EventQueue(EventQueue::WheelConfig{1e-6, 32}), InvalidArgument);
-}
-
 TEST(EventQueue, TenThousandActorDrainStress) {
-  // O(10k) concurrent self-rescheduling actors — the population the wheel
-  // is sized for. Verifies full drain, the exact event count, and that
-  // virtual time never runs backwards.
+  // 10k concurrent self-rescheduling actors, about 80x the most events
+  // AD-ADMM keeps pending. Verifies full drain, the exact event count, and
+  // that virtual time never runs backwards.
   EventQueue q;
   constexpr int kActors = 10000;
   constexpr int kHops = 5;
