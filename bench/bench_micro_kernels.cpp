@@ -262,26 +262,6 @@ void ScalarCsrTransposeMultiplyAdd(const RawCsr& m, std::span<const double> v,
   }
 }
 
-void ScalarGemv(std::span<const double> a, std::size_t rows, std::size_t cols,
-                std::span<const double> x, std::span<double> y) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) acc += row[j] * x[j];
-    y[r] = acc;
-  }
-}
-
-void ScalarGemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
-                 std::span<const double> x, std::span<double> y) {
-  linalg::SetZero(y);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    const double xr = x[r];
-    for (std::size_t j = 0; j < cols; ++j) y[j] += xr * row[j];
-  }
-}
-
 struct KernelRow {
   std::string name;
   double scalar_s = 0.0;
@@ -341,23 +321,6 @@ int RunKernelGate(const std::string& out_path, bool quick) {
     TimeRow(k, reps, 50, [&] { ScalarCsrTransposeMultiplyAdd(raw, v, out_s); },
             [&] { mat.TransposeMultiplyAdd(v, out_b); });
     rows.push_back(k);
-  }
-
-  // -- Dense register-blocked gemv / gemv_t. ------------------------------
-  {
-    const std::size_t n = 512;
-    Rng rng(7);
-    linalg::DenseVector a(n * n);
-    for (auto& v : a) v = rng.NextGaussian();
-    linalg::DenseVector x(n, 0.5), y_s(n), y_b(n);
-    KernelRow k{"gemv"};
-    TimeRow(k, reps, 200, [&] { ScalarGemv(a, n, n, x, y_s); },
-            [&] { linalg::Gemv(a, n, n, x, y_b); });
-    rows.push_back(k);
-    KernelRow kt{"gemv_t"};
-    TimeRow(kt, reps, 200, [&] { ScalarGemvT(a, n, n, x, y_s); },
-            [&] { linalg::GemvT(a, n, n, x, y_b); });
-    rows.push_back(kt);
   }
 
   // -- Fused axpy + ||y||^2 vs the separate Axpy/Dot pair. ----------------

@@ -69,16 +69,4 @@ simnet::VirtualTime TimeLedger::MeanCommTime() const {
   return acc / static_cast<double>(workers_.size());
 }
 
-simnet::VirtualTime TimeLedger::MaxCalTime() const {
-  simnet::VirtualTime m = 0.0;
-  for (const auto& w : workers_) m = std::max(m, w.cal_time);
-  return m;
-}
-
-simnet::VirtualTime TimeLedger::MaxCommTime() const {
-  simnet::VirtualTime m = 0.0;
-  for (const auto& w : workers_) m = std::max(m, w.comm_time);
-  return m;
-}
-
 }  // namespace psra::engine

@@ -52,8 +52,6 @@ class TimeLedger {
   /// Mean Cal_time / Comm_time across workers (what Figure 6/7 plot).
   simnet::VirtualTime MeanCalTime() const;
   simnet::VirtualTime MeanCommTime() const;
-  simnet::VirtualTime MaxCalTime() const;
-  simnet::VirtualTime MaxCommTime() const;
 
  private:
   std::vector<WorkerTimes> workers_;

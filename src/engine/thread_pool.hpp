@@ -3,9 +3,10 @@
 //
 // Host parallelism is a wall-clock optimization only: virtual time is charged
 // from flop counts (simnet::CostModel), so results are identical whether the
-// pool has 1 or 64 threads. The engine relies on this, so every parallel
-// reduction in the codebase goes through BlockedReduce below, whose result
-// depends only on the block structure — never on thread scheduling.
+// pool has 1 or 64 threads. The engine relies on this, so a parallel region
+// never folds across threads: each index owns disjoint state, and a shared
+// reduction chunks over coordinates so that every coordinate folds its
+// terms in one fixed order, whatever thread runs its chunk.
 //
 // The pool is allocation-free in steady state: a parallel region publishes a
 // raw (function pointer, context) pair to the resident worker threads and
@@ -115,44 +116,6 @@ class ThreadPool {
 template <typename Body>
 void SerialFor(std::size_t count, Body&& body) {
   for (std::size_t i = 0; i < count; ++i) body(i);
-}
-
-/// Deterministic blocked reduction over [0, count).
-///
-/// The range is partitioned into ceil(count / grain) fixed blocks;
-/// partial(begin, end) is evaluated once per block (in parallel when `pool`
-/// is non-null, serially otherwise) into `partials`, and the block results
-/// are folded with combine(acc, partials[b]) in ascending block order,
-/// starting from `init`. Because the block structure depends only on
-/// (count, grain), the result is BITWISE-IDENTICAL for any pool size
-/// including none — this is what lets the engines parallelize floating-point
-/// reductions without perturbing results.
-///
-/// `partials` is caller-owned scratch so steady-state calls do not allocate;
-/// it is resized to the block count. Exceptions from partial() propagate
-/// (first one encountered) via ParallelFor's contract.
-template <typename T, typename PartialFn, typename CombineFn>
-T BlockedReduce(ThreadPool* pool, std::size_t count, std::size_t grain,
-                std::vector<T>& partials, T init, PartialFn&& partial,
-                CombineFn&& combine) {
-  if (grain == 0) grain = 1;
-  const std::size_t blocks = count == 0 ? 0 : (count + grain - 1) / grain;
-  partials.resize(blocks);
-  auto run_block = [&](std::size_t b) {
-    const std::size_t begin = b * grain;
-    const std::size_t end = std::min(count, begin + grain);
-    partials[b] = partial(begin, end);
-  };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->ParallelFor(blocks, run_block);
-  } else {
-    SerialFor(blocks, run_block);
-  }
-  T acc = std::move(init);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    acc = combine(std::move(acc), partials[b]);
-  }
-  return acc;
 }
 
 }  // namespace psra::engine

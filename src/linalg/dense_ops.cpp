@@ -150,89 +150,6 @@ double CopyNormSq(std::span<const double> src, std::span<double> dst,
   return s.Total();
 }
 
-void Gemv(std::span<const double> a, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<double> y) {
-  PSRA_REQUIRE(a.size() == rows * cols, "gemv matrix size mismatch");
-  PSRA_REQUIRE(x.size() == cols && y.size() == rows,
-               "gemv vector size mismatch");
-  std::size_t r = 0;
-  // Four rows in lockstep: eight independent accumulator chains (two per
-  // row) hide FP-add latency while x is read once per block.
-  for (; r + 4 <= rows; r += 4) {
-    const double* a0 = a.data() + r * cols;
-    const double* a1 = a0 + cols;
-    const double* a2 = a1 + cols;
-    const double* a3 = a2 + cols;
-    double s00 = 0.0, s01 = 0.0, s10 = 0.0, s11 = 0.0;
-    double s20 = 0.0, s21 = 0.0, s30 = 0.0, s31 = 0.0;
-    std::size_t j = 0;
-    for (; j + 2 <= cols; j += 2) {
-      const double x0 = x[j];
-      const double x1 = x[j + 1];
-      s00 += a0[j] * x0;
-      s01 += a0[j + 1] * x1;
-      s10 += a1[j] * x0;
-      s11 += a1[j + 1] * x1;
-      s20 += a2[j] * x0;
-      s21 += a2[j + 1] * x1;
-      s30 += a3[j] * x0;
-      s31 += a3[j + 1] * x1;
-    }
-    for (; j < cols; ++j) {
-      const double xj = x[j];
-      s00 += a0[j] * xj;
-      s10 += a1[j] * xj;
-      s20 += a2[j] * xj;
-      s30 += a3[j] * xj;
-    }
-    y[r] = s00 + s01;
-    y[r + 1] = s10 + s11;
-    y[r + 2] = s20 + s21;
-    y[r + 3] = s30 + s31;
-  }
-  for (; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    double s0 = 0.0, s1 = 0.0;
-    std::size_t j = 0;
-    for (; j + 2 <= cols; j += 2) {
-      s0 += row[j] * x[j];
-      s1 += row[j + 1] * x[j + 1];
-    }
-    for (; j < cols; ++j) s0 += row[j] * x[j];
-    y[r] = s0 + s1;
-  }
-}
-
-void GemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
-           std::span<const double> x, std::span<double> y) {
-  PSRA_REQUIRE(a.size() == rows * cols, "gemv-t matrix size mismatch");
-  PSRA_REQUIRE(x.size() == rows && y.size() == cols,
-               "gemv-t vector size mismatch");
-  SetZero(y);
-  std::size_t r = 0;
-  // Four rows per sweep: each output element receives one pairwise-combined
-  // contribution per block, a fixed function of the row index, so the
-  // result is deterministic.
-  for (; r + 4 <= rows; r += 4) {
-    const double* a0 = a.data() + r * cols;
-    const double* a1 = a0 + cols;
-    const double* a2 = a1 + cols;
-    const double* a3 = a2 + cols;
-    const double x0 = x[r];
-    const double x1 = x[r + 1];
-    const double x2 = x[r + 2];
-    const double x3 = x[r + 3];
-    for (std::size_t j = 0; j < cols; ++j) {
-      y[j] += (x0 * a0[j] + x1 * a1[j]) + (x2 * a2[j] + x3 * a3[j]);
-    }
-  }
-  for (; r < rows; ++r) {
-    const double* row = a.data() + r * cols;
-    const double xr = x[r];
-    for (std::size_t j = 0; j < cols; ++j) y[j] += xr * row[j];
-  }
-}
-
 double Dot(std::span<const double> x, std::span<const double> y) {
   PSRA_REQUIRE(x.size() == y.size(), "dot dimension mismatch");
   const std::size_t n = x.size();

@@ -52,19 +52,6 @@ double XpayNormSq(double beta, std::span<const double> x, std::span<double> y);
 double CopyNormSq(std::span<const double> src, std::span<double> dst,
                   std::span<const double> v);
 
-// Register-blocked dense matrix kernels over row-major storage. Four rows
-// travel together so the FP adds of independent rows overlap; within each
-// row the accumulation order is the canonical four-lane order, making both
-// kernels deterministic.
-
-/// y = A x for row-major A (rows x cols).
-void Gemv(std::span<const double> a, std::size_t rows, std::size_t cols,
-          std::span<const double> x, std::span<double> y);
-
-/// y = A^T x for row-major A (rows x cols); y has cols entries.
-void GemvT(std::span<const double> a, std::size_t rows, std::size_t cols,
-           std::span<const double> x, std::span<double> y);
-
 /// x *= alpha
 void Scale(double alpha, std::span<double> x);
 

@@ -40,9 +40,6 @@ class GroupGenerator {
   /// capacity, so reporting is allocation-free in steady state.
   bool ReportInto(simnet::NodeId node, simnet::VirtualTime t, GroupBatch& out);
 
-  /// Number of reports received in the current cycle.
-  std::uint32_t ReportsThisCycle() const { return reports_this_cycle_; }
-
   /// Appends the residual queue contents to `out` as a final (smaller)
   /// group, if the queue is not empty, and resets the cycle either way.
   /// Returns true when a group was appended.

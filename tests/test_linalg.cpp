@@ -613,42 +613,6 @@ TEST(DenseOps, FusedKernelDimensionChecks) {
   EXPECT_THROW(DistanceAndNorms(a, b, a, d, nx, ny), InvalidArgument);
 }
 
-// The blocked Gemv/GemvT use a different (fixed, deterministic) summation
-// order than a naive loop, so they are compared against row dots within a
-// tight tolerance rather than bitwise.
-TEST(DenseOps, GemvMatchesRowDots) {
-  Rng rng(24);
-  const std::size_t rows = 11, cols = 7;  // exercises both tail loops
-  DenseVector a(rows * cols), x(cols), y(rows);
-  for (auto& e : a) e = rng.NextGaussian();
-  for (auto& e : x) e = rng.NextGaussian();
-  Gemv(a, rows, cols, x, y);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double ref = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) ref += a[r * cols + j] * x[j];
-    EXPECT_NEAR(y[r], ref, 1e-12) << "row " << r;
-  }
-}
-
-TEST(DenseOps, GemvTIsAdjointOfGemv) {
-  Rng rng(25);
-  const std::size_t rows = 13, cols = 6;
-  DenseVector a(rows * cols), x(cols), u(rows), ax(rows), atu(cols);
-  for (auto& e : a) e = rng.NextGaussian();
-  for (auto& e : x) e = rng.NextGaussian();
-  for (auto& e : u) e = rng.NextGaussian();
-  Gemv(a, rows, cols, x, ax);
-  GemvT(a, rows, cols, u, atu);
-  EXPECT_NEAR(Dot(ax, u), Dot(x, atu), 1e-10);
-}
-
-TEST(DenseOps, GemvDimensionChecks) {
-  DenseVector a(6), x(3), y(2), bad(4);
-  EXPECT_THROW(Gemv(a, 2, 3, bad, y), InvalidArgument);
-  EXPECT_THROW(Gemv(a, 3, 3, x, y), InvalidArgument);
-  EXPECT_THROW(GemvT(a, 2, 3, x, y), InvalidArgument);
-}
-
 // ------------------------------------------------------ symmetric gram ----
 
 namespace {
