@@ -9,6 +9,7 @@
 #include "comm/intranode.hpp"
 #include "simnet/fault.hpp"
 #include "support/status.hpp"
+#include "wlg/leader.hpp"
 
 namespace psra::admm {
 
@@ -108,8 +109,7 @@ RunResult AdmmLib::Run(const ConsensusProblem& problem,
   intra.reserve(nodes);
   for (simnet::NodeId n = 0; n < nodes; ++n) {
     node_ranks[n] = topo.RanksOnNode(n);
-    leaders[n] = wlg::ElectLeader(topo, node_ranks[n], cfg_.leader_policy,
-                                  cfg_.cluster.seed);
+    leaders[n] = wlg::ElectLeader(topo, node_ranks[n]);
     intra.emplace_back(&topo, &cost, node_ranks[n]);
   }
 

@@ -22,7 +22,6 @@
 
 #include "admm/common.hpp"
 #include "comm/collective.hpp"
-#include "wlg/leader.hpp"
 
 namespace psra::admm {
 
@@ -34,7 +33,6 @@ struct AdmmLibConfig {
   std::uint32_t max_delay = 5;
   comm::AllreduceKind allreduce = comm::AllreduceKind::kRing;
   bool sparse_comm = true;
-  wlg::LeaderPolicy leader_policy = wlg::LeaderPolicy::kLowestRank;
 };
 
 class AdmmLib {

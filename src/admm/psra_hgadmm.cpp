@@ -263,8 +263,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   std::vector<simnet::Rank> leaders(nodes);
   for (simnet::NodeId n = 0; n < nodes; ++n) {
     node_ranks[n] = topo.RanksOnNode(n);
-    leaders[n] = wlg::ElectLeader(topo, node_ranks[n], cfg_.leader_policy,
-                                  cfg_.cluster.seed);
+    leaders[n] = wlg::ElectLeader(topo, node_ranks[n]);
   }
   // Per-node views the iteration reads: live ranks, current leader and the
   // intra-node communicator over the live ranks. They equal the static
@@ -288,10 +287,11 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
   if (multi_rack) mlar.emplace(&topo, &cost_inter, leaders);
 
   wlg::GroupGenerator gg(threshold, nodes);
+  // Payload of a grouping request / notify message to or from the GG.
+  constexpr double kRequestBytes = 64;
   const simnet::VirtualTime request_cost =
       cost.LatencyOf(simnet::Link::kInterNode) +
-      static_cast<double>(cfg_.request_bytes) /
-          cost.BandwidthOf(simnet::Link::kInterNode) +
+      kRequestBytes / cost.BandwidthOf(simnet::Link::kInterNode) +
       cfg_.gg_service_time_s;
 
   std::vector<double> flops(world, 0.0);
@@ -513,8 +513,7 @@ RunResult PsraHgAdmm::Run(const ConsensusProblem& problem,
         if (node_alive[n].empty()) continue;
         simnet::Rank lead = leaders[n];
         if (down_now[static_cast<std::size_t>(lead)] != 0) {
-          lead = wlg::ReElectLeader(topo, node_alive[n], cfg_.leader_policy,
-                                    cfg_.cluster.seed, iter);
+          lead = wlg::ElectLeader(topo, node_alive[n]);
         }
         if (lead != cur_leaders[n]) {
           ++result.faults.leader_reelections;

@@ -21,7 +21,6 @@
 
 #include "admm/common.hpp"
 #include "comm/collective.hpp"
-#include "wlg/leader.hpp"
 
 namespace psra::admm {
 
@@ -38,9 +37,6 @@ struct PsraConfig {
   /// Transmit aggregates in sparse (index,value) form; the paper's Section
   /// 4.2 analysis assumes this. Dense mode is kept for ablation.
   bool sparse_comm = true;
-  wlg::LeaderPolicy leader_policy = wlg::LeaderPolicy::kLowestRank;
-  /// Payload of a grouping request / notify message to or from the GG.
-  std::size_t request_bytes = 64;
   /// Service time of the Group Generator per request (queueing + handling in
   /// the central GG process). This is the "time on node grouping" overhead
   /// the paper observes at small node counts (Section 5.5 / Section 6).

@@ -2,41 +2,19 @@
 
 #include <algorithm>
 
-#include "support/rng.hpp"
 #include "support/status.hpp"
 
 namespace psra::wlg {
 
 simnet::Rank ElectLeader(const simnet::Topology& topo,
-                         std::span<const simnet::Rank> node_ranks,
-                         LeaderPolicy policy, std::uint64_t seed) {
+                         std::span<const simnet::Rank> node_ranks) {
   PSRA_REQUIRE(!node_ranks.empty(), "cannot elect a leader from no workers");
   const simnet::NodeId node = topo.NodeOf(node_ranks[0]);
   for (simnet::Rank r : node_ranks) {
     PSRA_REQUIRE(topo.NodeOf(r) == node,
                  "all candidates must live on the same node");
   }
-  switch (policy) {
-    case LeaderPolicy::kLowestRank:
-      return *std::min_element(node_ranks.begin(), node_ranks.end());
-    case LeaderPolicy::kSeededRandom: {
-      Rng rng(seed);
-      Rng node_rng = rng.Fork(node);
-      return node_ranks[static_cast<std::size_t>(
-          node_rng.NextBelow(node_ranks.size()))];
-    }
-  }
-  throw InvalidArgument("unknown leader policy");
-}
-
-simnet::Rank ReElectLeader(const simnet::Topology& topo,
-                           std::span<const simnet::Rank> alive_ranks,
-                           LeaderPolicy policy, std::uint64_t seed,
-                           std::uint64_t epoch) {
-  // Salting the seed (instead of adding a parameter to ElectLeader) keeps
-  // the original election — and therefore every existing trace — unchanged.
-  return ElectLeader(topo, alive_ranks, policy,
-                     seed ^ (0x5EADE1EC7ULL + epoch));
+  return *std::min_element(node_ranks.begin(), node_ranks.end());
 }
 
 }  // namespace psra::wlg

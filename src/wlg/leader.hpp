@@ -4,34 +4,16 @@
 // called the Leader").
 #pragma once
 
-#include <cstdint>
 #include <span>
 
 #include "simnet/topology.hpp"
 
 namespace psra::wlg {
 
-enum class LeaderPolicy {
-  /// Lowest global rank on the node (the MPI-style convention).
-  kLowestRank,
-  /// Deterministic pseudo-random pick keyed by (seed, node), so tests can
-  /// exercise non-rank-0 leaders.
-  kSeededRandom,
-};
-
-/// Elects the leader among `node_ranks` (must be non-empty, all on one node).
+/// Elects the leader among `node_ranks` (must be non-empty, all on one
+/// node): the lowest global rank, the MPI-style convention. After a leader
+/// death the engines re-elect over the node's surviving ranks.
 simnet::Rank ElectLeader(const simnet::Topology& topo,
-                         std::span<const simnet::Rank> node_ranks,
-                         LeaderPolicy policy = LeaderPolicy::kLowestRank,
-                         std::uint64_t seed = 0);
-
-/// Re-election after a leader death: elects among the SURVIVING workers of
-/// the node. `epoch` (e.g. the iteration of the death) salts the seeded
-/// policy so successive re-elections on one node can rotate through
-/// candidates instead of repeating the original pick.
-simnet::Rank ReElectLeader(const simnet::Topology& topo,
-                           std::span<const simnet::Rank> alive_ranks,
-                           LeaderPolicy policy, std::uint64_t seed,
-                           std::uint64_t epoch);
+                         std::span<const simnet::Rank> node_ranks);
 
 }  // namespace psra::wlg

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,27 +48,7 @@ GroupBatch FaultyCycle(GroupGenerator& gg,
 TEST(Leader, LowestRankPolicy) {
   const Topology t(2, 4);
   const auto ranks = t.RanksOnNode(1);  // {4,5,6,7}
-  EXPECT_EQ(ElectLeader(t, ranks, LeaderPolicy::kLowestRank), 4u);
-}
-
-TEST(Leader, SeededRandomIsDeterministicAndValid) {
-  const Topology t(3, 4);
-  const auto ranks = t.RanksOnNode(2);
-  const Rank a = ElectLeader(t, ranks, LeaderPolicy::kSeededRandom, 9);
-  const Rank b = ElectLeader(t, ranks, LeaderPolicy::kSeededRandom, 9);
-  EXPECT_EQ(a, b);
-  EXPECT_TRUE(std::find(ranks.begin(), ranks.end(), a) != ranks.end());
-}
-
-TEST(Leader, SeededRandomVariesAcrossNodes) {
-  const Topology t(8, 8);
-  std::set<std::uint32_t> locals;
-  for (NodeId n = 0; n < 8; ++n) {
-    const auto ranks = t.RanksOnNode(n);
-    locals.insert(t.LocalIndexOf(
-        ElectLeader(t, ranks, LeaderPolicy::kSeededRandom, 4)));
-  }
-  EXPECT_GT(locals.size(), 1u);  // not all nodes pick the same slot
+  EXPECT_EQ(ElectLeader(t, ranks), 4u);
 }
 
 TEST(Leader, RejectsMixedNodesAndEmpty) {
@@ -194,22 +173,10 @@ TEST(GroupGenerator, EveryNodeAppearsExactlyOncePerCycle) {
 TEST(Leader, ReElectionExcludesTheDeadLeader) {
   const Topology t(2, 4);
   const auto ranks = t.RanksOnNode(1);  // {4,5,6,7}; original leader 4
-  std::vector<Rank> alive{5, 6, 7};
-  const Rank relected =
-      ReElectLeader(t, alive, LeaderPolicy::kLowestRank, /*seed=*/0,
-                    /*epoch=*/3);
-  EXPECT_EQ(relected, 5u);
-  // Seeded policy: deterministic for a fixed epoch, salted across epochs.
-  const Rank e1 = ReElectLeader(t, alive, LeaderPolicy::kSeededRandom, 9, 1);
-  EXPECT_EQ(e1, ReElectLeader(t, alive, LeaderPolicy::kSeededRandom, 9, 1));
-  EXPECT_NE(std::find(alive.begin(), alive.end(), e1), alive.end());
-  bool rotated = false;
-  for (std::uint64_t epoch = 2; epoch < 12 && !rotated; ++epoch) {
-    rotated = ReElectLeader(t, alive, LeaderPolicy::kSeededRandom, 9,
-                            epoch) != e1;
-  }
-  EXPECT_TRUE(rotated) << "epoch salt never rotated the seeded pick";
-  (void)ranks;
+  EXPECT_EQ(ElectLeader(t, ranks), 4u);
+  // Re-election runs over the survivors, so the lowest live rank leads.
+  const std::vector<Rank> alive{5, 6, 7};
+  EXPECT_EQ(ElectLeader(t, alive), 5u);
 }
 
 TEST(GroupGenerator, WithdrawRemovesQueuedReporter) {
