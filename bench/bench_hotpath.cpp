@@ -2,8 +2,8 @@
 // allocations per iteration for the PSRA-HGADMM engine.
 //
 // Allocations are measured with the counting allocator from
-// src/engine/alloc_counter.hpp (this is the only binary that links
-// psra_alloc_counter). Per-iteration cost is isolated by the delta method:
+// src/engine/alloc_counter.hpp (psra_alloc_counter, which test_alloc and
+// perfbench also link). Per-iteration cost is isolated by the delta method:
 // run the same configuration at two iteration counts K1 < K2 and report
 //   (allocs(K2) - allocs(K1)) / (K2 - K1),
 // which cancels problem construction, warm-up and teardown allocations

@@ -65,26 +65,6 @@ void BM_SoftThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftThreshold)->Arg(1 << 14);
 
-void BM_SparseSum(benchmark::State& state) {
-  const auto nnz = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  const std::uint64_t dim = nnz * 8;
-  auto make = [&] {
-    auto picks = rng.SampleWithoutReplacement(dim, nnz);
-    std::vector<linalg::SparseVector::Index> idx(picks.begin(), picks.end());
-    std::vector<double> val(nnz, 1.0);
-    return linalg::SparseVector(dim, std::move(idx), std::move(val));
-  };
-  const auto a = make(), b = make();
-  for (auto _ : state) {
-    auto s = linalg::SparseVector::Sum(a, b);
-    benchmark::DoNotOptimize(s.nnz());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * nnz));
-}
-BENCHMARK(BM_SparseSum)->Arg(1 << 10)->Arg(1 << 14);
-
 void BM_CsrMultiply(benchmark::State& state) {
   data::SyntheticSpec spec;
   spec.num_features = 4096;
@@ -154,21 +134,6 @@ void BM_SparseAllreduce(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kRing>)->Arg(8)->Arg(32);
 BENCHMARK(BM_SparseAllreduce<comm::AllreduceKind::kPsr>)->Arg(8)->Arg(32);
-
-void BM_SparseVectorSlice(benchmark::State& state) {
-  Rng rng(5);
-  const std::size_t nnz = 1 << 14;
-  const std::uint64_t dim = nnz * 8;
-  auto picks = rng.SampleWithoutReplacement(dim, nnz);
-  std::vector<linalg::SparseVector::Index> idx(picks.begin(), picks.end());
-  std::vector<double> val(nnz, 1.0);
-  const linalg::SparseVector v(dim, std::move(idx), std::move(val));
-  for (auto _ : state) {
-    auto s = v.Slice(dim / 4, dim / 2);
-    benchmark::DoNotOptimize(s.nnz());
-  }
-}
-BENCHMARK(BM_SparseVectorSlice);
 
 void BM_LogisticGradient(benchmark::State& state) {
   data::SyntheticSpec spec;

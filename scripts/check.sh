@@ -60,6 +60,41 @@ echo "== observability artifacts + metrics schema =="
   --csv-out OBS_trace.csv --timeline-out OBS_timeline.jsonl > /dev/null)
 "$build/tools/check_metrics_schema" "$repo/scripts/metrics_schema.txt" \
   "$build/OBS_metrics.json"
+
+echo "== malformed-artifact self-test =="
+# The readers must reject a corrupt artifact with exit status exactly 1 —
+# not 0, and not a signal. Three variants of OBS_metrics.json: one unknown
+# counter (a schema violation, so schema checker only), its first half,
+# and 100,000 nested arrays, which overflow the stack of a parser whose
+# nesting is unbounded.
+bad="$build/SELFTEST"
+mkdir -p "$bad"
+awk '{ print } /"counters": \{$/ && !done { print "    \"bogus.metric\": 1,"; done = 1 }' \
+  "$build/OBS_metrics.json" > "$bad/bogus.json"
+head -c "$(( $(wc -c < "$build/OBS_metrics.json") / 2 ))" \
+  "$build/OBS_metrics.json" > "$bad/half.json"
+{ head -c 100000 /dev/zero | tr '\0' '['
+  head -c 100000 /dev/zero | tr '\0' ']'; } > "$bad/deep.json"
+expect_exit_1() {  # <label> <command...>
+  local rc=0
+  "${@:2}" > /dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 1 ]]; then
+    echo "FAIL: $1 exited $rc, want 1"
+    exit 1
+  fi
+  echo "  $1: exit 1"
+}
+expect_exit_1 "check_metrics_schema bogus.json" \
+  "$build/tools/check_metrics_schema" "$repo/scripts/metrics_schema.txt" \
+  "$bad/bogus.json"
+for variant in half deep; do
+  expect_exit_1 "check_metrics_schema $variant.json" \
+    "$build/tools/check_metrics_schema" "$repo/scripts/metrics_schema.txt" \
+    "$bad/$variant.json"
+  expect_exit_1 "psra_report --metrics $variant.json" \
+    "$build/tools/psra_report" --metrics "$bad/$variant.json"
+done
+
 if command -v python3 > /dev/null; then
   # Second opinion on the trace from a stock JSON parser (the span-level
   # schema is pinned by tests/test_obs.cpp).

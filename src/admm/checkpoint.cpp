@@ -1,12 +1,9 @@
 #include "admm/checkpoint.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
-#include "obs/report.hpp"
 #include "support/log.hpp"
 #include "support/status.hpp"
 #include "support/string_util.hpp"
@@ -115,29 +112,6 @@ ModelCheckpoint FromRunResult(const RunResult& result, double lambda,
   return model;
 }
 
-namespace {
-constexpr const char* kRunMagic = "psra-run-ckpt v1";
-
-void WriteVectorLine(std::ostream& os, const char* tag,
-                     const linalg::DenseVector& v) {
-  os << tag;
-  for (double x : v) os << ' ' << FormatDouble(x, 17);
-  os << '\n';
-}
-
-void ReadVectorLine(std::istream& is, const char* tag, std::size_t dim,
-                    linalg::DenseVector& out) {
-  std::string line;
-  PSRA_REQUIRE(static_cast<bool>(std::getline(is, line)),
-               "run checkpoint truncated");
-  const auto tokens = SplitWhitespace(line);
-  PSRA_REQUIRE(tokens.size() == dim + 1 && tokens[0] == tag,
-               "malformed run-checkpoint vector line");
-  out.resize(dim);
-  for (std::size_t i = 0; i < dim; ++i) out[i] = ParseDouble(tokens[i + 1]);
-}
-}  // namespace
-
 void CaptureRunCheckpoint(const WorkerSet& ws, std::uint64_t iteration,
                           std::span<const simnet::Rank> ranks,
                           RunCheckpoint& ckpt,
@@ -160,94 +134,6 @@ std::uint64_t ApplyWarmStart(WorkerSet& ws, const RunOptions& options) {
   ws.RestoreAll(ckpt.workers);
   ws.SetRho(ckpt.rho);
   return ckpt.iteration;
-}
-
-void WriteRunCheckpoint(const RunCheckpoint& ckpt, std::ostream& os) {
-  PSRA_REQUIRE(!ckpt.workers.empty(), "cannot write an empty run checkpoint");
-  const std::size_t dim = ckpt.workers.front().x.size();
-  os << kRunMagic << '\n';
-  os << "iteration " << ckpt.iteration << '\n';
-  os << "rho " << FormatDouble(ckpt.rho, 17) << '\n';
-  os << "workers " << ckpt.workers.size() << '\n';
-  os << "dim " << dim << '\n';
-  for (const auto& w : ckpt.workers) {
-    PSRA_REQUIRE(w.x.size() == dim && w.y.size() == dim && w.z.size() == dim,
-                 "run checkpoint worker dimension mismatch");
-    WriteVectorLine(os, "x", w.x);
-    WriteVectorLine(os, "y", w.y);
-    WriteVectorLine(os, "z", w.z);
-  }
-  if (!ckpt.metrics.empty()) {
-    // Length-prefixed raw JSON trailer: WriteJson is deterministic and
-    // round-trips exactly through MetricsFromJson, so resuming from the
-    // checkpoint restores the registry byte-for-byte.
-    std::ostringstream json;
-    ckpt.metrics.WriteJson(json);
-    const std::string text = json.str();
-    os << "metrics " << text.size() << '\n' << text;
-  }
-}
-
-void WriteRunCheckpointFile(const RunCheckpoint& ckpt,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open run checkpoint for writing: " + path);
-  WriteRunCheckpoint(ckpt, out);
-  PSRA_CHECK(static_cast<bool>(out), "run checkpoint write failed: " + path);
-}
-
-RunCheckpoint ReadRunCheckpoint(std::istream& is) {
-  std::string line;
-  PSRA_REQUIRE(std::getline(is, line) && Trim(line) == kRunMagic,
-               "not a psra run checkpoint (bad magic)");
-  RunCheckpoint ckpt;
-  std::size_t workers = 0, dim = 0;
-  for (const char* key : {"iteration", "rho", "workers", "dim"}) {
-    PSRA_REQUIRE(static_cast<bool>(std::getline(is, line)),
-                 "run checkpoint header truncated");
-    const auto tokens = SplitWhitespace(line);
-    PSRA_REQUIRE(tokens.size() == 2 && tokens[0] == key,
-                 "malformed run-checkpoint header line");
-    if (tokens[0] == std::string("iteration")) {
-      ckpt.iteration = static_cast<std::uint64_t>(ParseInt(tokens[1]));
-    } else if (tokens[0] == std::string("rho")) {
-      ckpt.rho = ParseDouble(tokens[1]);
-    } else if (tokens[0] == std::string("workers")) {
-      workers = static_cast<std::size_t>(ParseInt(tokens[1]));
-    } else {
-      dim = static_cast<std::size_t>(ParseInt(tokens[1]));
-    }
-  }
-  PSRA_REQUIRE(workers > 0 && dim > 0,
-               "run checkpoint must have workers and dim");
-  ckpt.workers.resize(workers);
-  for (auto& w : ckpt.workers) {
-    ReadVectorLine(is, "x", dim, w.x);
-    ReadVectorLine(is, "y", dim, w.y);
-    ReadVectorLine(is, "z", dim, w.z);
-  }
-  // Optional metrics trailer; absent in pre-trailer files.
-  std::string trailer;
-  while (std::getline(is, trailer)) {
-    const auto tokens = SplitWhitespace(trailer);
-    if (tokens.empty()) continue;
-    PSRA_REQUIRE(tokens.size() == 2 && tokens[0] == "metrics",
-                 "unexpected content after run-checkpoint workers");
-    const auto nbytes = static_cast<std::size_t>(ParseInt(tokens[1]));
-    std::string text(nbytes, '\0');
-    is.read(text.data(), static_cast<std::streamsize>(nbytes));
-    PSRA_REQUIRE(static_cast<std::size_t>(is.gcount()) == nbytes,
-                 "run checkpoint metrics trailer truncated");
-    ckpt.metrics = obs::MetricsFromJson(text);
-    break;
-  }
-  return ckpt;
-}
-
-RunCheckpoint ReadRunCheckpointFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open run checkpoint: " + path);
-  return ReadRunCheckpoint(in);
 }
 
 }  // namespace psra::admm

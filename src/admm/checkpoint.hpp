@@ -1,7 +1,8 @@
-// Model persistence: save/load a trained consensus model (the z vector plus
-// the metadata needed to validate it against a dataset at load time).
+// Checkpoints. Model persistence saves and loads a trained consensus model
+// (the z vector plus the metadata needed to validate it against a dataset at
+// load time); run checkpoints (below) hold a run's worker state in memory.
 //
-// Format: a small text header followed by the nonzero entries —
+// Model file format: a small text header followed by the nonzero entries —
 //   psra-model v1
 //   algorithm <name>
 //   dim <d>
@@ -43,7 +44,7 @@ ModelCheckpoint FromRunResult(const RunResult& result, double lambda,
                               double rho);
 
 // ---------------------------------------------------------------------------
-// Run checkpoints (crash-restart recovery).
+// Run checkpoints (in memory).
 //
 // A RunCheckpoint snapshots every worker's ADMM state (x_i, y_i, z_i; w_i is
 // recomputed on restore) at an iteration boundary. Engines capture one every
@@ -51,21 +52,12 @@ ModelCheckpoint FromRunResult(const RunResult& result, double lambda,
 // a recovering worker restores its slot from the last capture — paying the
 // restart delay plus the virtual transfer time of the restored vectors.
 //
-// On-disk format (text, like the model format):
-//   psra-run-ckpt v1
-//   iteration <k>
-//   rho <r>
-//   workers <n>
-//   dim <d>
-//   x <d values> / y <d values> / z <d values>   (three lines per worker)
-//   metrics <nbytes>                             (optional trailer)
-//   <nbytes of metrics.json>
-//
-// The metrics trailer snapshots the run's MetricsRegistry at capture time,
-// so a harness that restarts from the checkpoint resumes its counters
-// instead of losing the pre-crash traffic — the resumed run's metrics.json
-// then matches an uninterrupted run's. Files without the trailer (pre-v1.1
-// captures) still load, with an empty registry.
+// Split runs hand the same object over in memory: RunOptions::checkpoint_out
+// receives the state after iteration `checkpoint_at`, and a later Run
+// resumes from it through RunOptions::warm_start (ApplyWarmStart). The
+// capture also copies the run's MetricsRegistry, so a harness that resumes
+// carries the pre-split counters forward and the resumed run's metrics.json
+// matches an uninterrupted run's.
 // ---------------------------------------------------------------------------
 
 struct WorkerCheckpoint {
@@ -96,13 +88,5 @@ void CaptureRunCheckpoint(const WorkerSet& ws, std::uint64_t iteration,
 /// iteration, so the engine resumes at that + 1. Returns 0 and leaves `ws`
 /// untouched when no warm start is set.
 std::uint64_t ApplyWarmStart(WorkerSet& ws, const RunOptions& options);
-
-void WriteRunCheckpoint(const RunCheckpoint& ckpt, std::ostream& os);
-void WriteRunCheckpointFile(const RunCheckpoint& ckpt,
-                            const std::string& path);
-
-/// Throws psra::IoError / psra::InvalidArgument on malformed input.
-RunCheckpoint ReadRunCheckpoint(std::istream& is);
-RunCheckpoint ReadRunCheckpointFile(const std::string& path);
 
 }  // namespace psra::admm

@@ -223,9 +223,7 @@ RunResult Gadmm::Run(const ConsensusProblem& problem,
     if (cfg_.quantization_bits == 0) {
       wire = x[n];
     } else {
-      QuantizeDelta(x[n], wire,
-                    cfg_.quantize_error_feedback ? last_sent[n][side_sender]
-                                                 : linalg::DenseVector(d, 0.0),
+      QuantizeDelta(x[n], wire, last_sent[n][side_sender],
                     cfg_.quantization_bits, rng);
       last_sent[n][side_sender] = wire;
     }

@@ -38,15 +38,15 @@
 
 namespace psra::admm {
 
+/// Workers are chained by global rank (rank r talks to r-1 and r+1), so
+/// neighbors are usually on the same node — the layout the GADMM paper
+/// assumes. Q-GADMM always quantizes against the receiver's last copy
+/// (error feedback).
 struct GadmmConfig {
   ClusterConfig cluster;
   /// Quantization bit-width for transmitted models. 0 = no quantization
   /// (plain GADMM); 1..16 = Q-GADMM with that many bits per value.
   std::uint32_t quantization_bits = 0;
-  /// Chain order: workers are chained by global rank (rank r talks to r-1
-  /// and r+1), so neighbors are usually on the same node — the layout the
-  /// GADMM paper assumes.
-  bool quantize_error_feedback = true;
 };
 
 class Gadmm {

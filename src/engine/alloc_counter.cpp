@@ -8,7 +8,6 @@
 namespace psra::engine {
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
 
 void* CountedAlloc(std::size_t size, std::size_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -18,22 +17,16 @@ void* CountedAlloc(std::size_t size, std::size_t align) {
                 : std::malloc(size);
   return p;
 }
-
-void CountedFree(void* p) {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
 }  // namespace
 
 std::uint64_t AllocCount() { return g_allocs.load(std::memory_order_relaxed); }
-std::uint64_t FreeCount() { return g_frees.load(std::memory_order_relaxed); }
 
 }  // namespace psra::engine
 
 // ---- global operator new/delete replacements ------------------------------
-// Every standard signature forwards to the two counted primitives above so a
-// single pair of counters covers scalar/array, sized, aligned, and nothrow
-// forms.
+// Every operator new signature forwards to the counted primitive above, so
+// one counter covers scalar/array, aligned and nothrow forms; every operator
+// delete signature forwards to free.
 
 void* operator new(std::size_t size) {
   void* p = psra::engine::CountedAlloc(size, 0);
@@ -56,29 +49,19 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return psra::engine::CountedAlloc(size, 0);
 }
 
-void operator delete(void* p) noexcept { psra::engine::CountedFree(p); }
-void operator delete[](void* p) noexcept { psra::engine::CountedFree(p); }
-void operator delete(void* p, std::size_t) noexcept {
-  psra::engine::CountedFree(p);
-}
-void operator delete[](void* p, std::size_t) noexcept {
-  psra::engine::CountedFree(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept {
-  psra::engine::CountedFree(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept {
-  psra::engine::CountedFree(p);
-}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  psra::engine::CountedFree(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  psra::engine::CountedFree(p);
+  std::free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  psra::engine::CountedFree(p);
-}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  psra::engine::CountedFree(p);
+  std::free(p);
 }

@@ -1,13 +1,13 @@
 // Heap-allocation counting hook for the hot-path benchmarks.
 //
 // Linking the `psra_alloc_counter` library (and nothing else) replaces the
-// global operator new/delete with counting forwarders to malloc/free. The
-// accessors below then report how many allocations the whole process has
-// performed, across all threads. Binaries that do not link the library must
-// not include this header (the symbols would be unresolved) — only
-// bench_hotpath does.
+// global operator new/delete with forwarders to malloc/free, and the new
+// side counts. AllocCount() then reports how many allocations the whole
+// process has performed, across all threads. Binaries that do not link the library must
+// not include this header (the symbol would be unresolved); bench_hotpath,
+// test_alloc and perfbench link it.
 //
-// The counters are process-global and monotonically increasing; measure a
+// The counter is process-global and monotonically increasing; measure a
 // region by differencing AllocCount() before and after. bench_hotpath
 // isolates the per-iteration cost by differencing two runs of different
 // lengths, which cancels setup/teardown allocations exactly.
@@ -19,8 +19,5 @@ namespace psra::engine {
 
 /// Number of global operator new invocations since process start.
 std::uint64_t AllocCount();
-
-/// Number of global operator delete invocations since process start.
-std::uint64_t FreeCount();
 
 }  // namespace psra::engine

@@ -111,24 +111,11 @@ void SparseVector::ToDense(DenseVector& out) const {
   }
 }
 
-void SparseVector::AddToDense(std::span<double> dense, double scale) const {
-  PSRA_REQUIRE(dense.size() == dim_, "dense accumulator dimension mismatch");
-  for (std::size_t k = 0; k < indices_.size(); ++k) {
-    dense[static_cast<std::size_t>(indices_[k])] += scale * values_[k];
-  }
-}
-
 double SparseVector::At(Index i) const {
   PSRA_REQUIRE(i < dim_, "index out of range");
   const auto it = std::lower_bound(indices_.begin(), indices_.end(), i);
   if (it == indices_.end() || *it != i) return 0.0;
   return values_[static_cast<std::size_t>(it - indices_.begin())];
-}
-
-SparseVector SparseVector::Slice(Index begin, Index end) const {
-  SparseVector out;
-  SliceInto(begin, end, out);
-  return out;
 }
 
 void SparseVector::SliceInto(Index begin, Index end, SparseVector& out) const {
@@ -149,31 +136,6 @@ std::size_t SparseVector::CountInRange(Index begin, Index end) const {
   return static_cast<std::size_t>(hi - lo);
 }
 
-void SparseVector::AddInPlace(const SparseVector& other, double scale) {
-  *this = Sum(*this, [&] {
-    SparseVector scaled = other;
-    scaled.Scale(scale);
-    return scaled;
-  }());
-}
-
-void SparseVector::Prune(double tol) {
-  std::size_t w = 0;
-  for (std::size_t k = 0; k < indices_.size(); ++k) {
-    if (std::fabs(values_[k]) > tol) {
-      indices_[w] = indices_[k];
-      values_[w] = values_[k];
-      ++w;
-    }
-  }
-  indices_.resize(w);
-  values_.resize(w);
-}
-
-void SparseVector::Scale(double alpha) {
-  for (double& v : values_) v *= alpha;
-}
-
 double SparseVector::Dot(std::span<const double> dense) const {
   PSRA_REQUIRE(dense.size() == dim_, "dot dimension mismatch");
   double acc = 0.0;
@@ -187,12 +149,6 @@ double SparseVector::Norm2() const {
   double acc = 0.0;
   for (double v : values_) acc += v * v;
   return std::sqrt(acc);
-}
-
-SparseVector SparseVector::Sum(const SparseVector& a, const SparseVector& b) {
-  SparseVector out;
-  SumInto(a, b, out);
-  return out;
 }
 
 void SparseVector::SumInto(const SparseVector& a, const SparseVector& b,
@@ -222,12 +178,6 @@ void SparseVector::SumInto(const SparseVector& a, const SparseVector& b,
       ++j;
     }
   }
-}
-
-SparseVector SparseVector::ConcatDisjoint(std::span<const SparseVector> parts) {
-  SparseVector out;
-  ConcatDisjointInto(parts, out);
-  return out;
 }
 
 void SparseVector::ConcatDisjointInto(std::span<const SparseVector> parts,

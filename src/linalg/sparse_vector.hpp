@@ -60,9 +60,6 @@ class SparseVector {
   /// the stored entries. Allocation-free when out.capacity() >= dim().
   void ToDense(DenseVector& out) const;
 
-  /// Scatter-adds this vector into a dense accumulator (size must be dim()).
-  void AddToDense(std::span<double> dense, double scale = 1.0) const;
-
   Index dim() const { return dim_; }
   std::size_t nnz() const { return indices_.size(); }
   bool empty() const { return indices_.empty(); }
@@ -73,45 +70,28 @@ class SparseVector {
   /// Value at logical position i (O(log nnz)).
   double At(Index i) const;
 
-  /// Extracts the sub-vector with indices in [begin, end); indices in the
-  /// result stay in the *original* coordinate system and dim() is preserved,
-  /// so slices of different blocks can be merged back together.
-  SparseVector Slice(Index begin, Index end) const;
-
-  /// In-place Slice: writes the sub-vector into `out`, reusing its storage.
-  /// `out` must not alias this vector.
+  /// Writes the sub-vector with indices in [begin, end) into `out`,
+  /// reusing its storage. Indices stay in the *original* coordinate system
+  /// and dim() is preserved, so slices of different blocks can be merged
+  /// back together. `out` must not alias this vector.
   void SliceInto(Index begin, Index end, SparseVector& out) const;
 
   /// Number of stored entries whose index lies in [begin, end).
   std::size_t CountInRange(Index begin, Index end) const;
 
-  /// this += other (indices unioned, values summed). Entries that cancel to
-  /// exactly zero are kept; call Prune to drop them.
-  void AddInPlace(const SparseVector& other, double scale = 1.0);
-
-  /// Removes entries with |value| <= tol.
-  void Prune(double tol = 0.0);
-
-  void Scale(double alpha);
-
   double Dot(std::span<const double> dense) const;
 
   double Norm2() const;
 
-  /// Returns a + b.
-  static SparseVector Sum(const SparseVector& a, const SparseVector& b);
-
-  /// In-place Sum: out = a + b, reusing out's storage. `out` must not alias
-  /// `a` or `b`. Produces exactly the same entries as Sum().
+  /// out = a + b (indices unioned, values summed; entries that cancel to
+  /// exactly zero are kept), reusing out's storage. `out` must not alias
+  /// `a` or `b`.
   static void SumInto(const SparseVector& a, const SparseVector& b,
                       SparseVector& out);
 
-  /// Concatenates sparse slices (disjoint, ascending index ranges) into one
-  /// vector. Dimensions must agree.
-  static SparseVector ConcatDisjoint(std::span<const SparseVector> parts);
-
-  /// In-place ConcatDisjoint, reusing out's storage. `out` must not alias
-  /// any part.
+  /// Concatenates sparse slices (disjoint, ascending index ranges) into
+  /// `out`, reusing its storage. Dimensions must agree; `out` must not
+  /// alias any part.
   static void ConcatDisjointInto(std::span<const SparseVector> parts,
                                  SparseVector& out);
 

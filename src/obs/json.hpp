@@ -1,191 +1,24 @@
-// Minimal JSON syntax validator + flat key iterator + DOM parser.
+// JSON for the observability artifacts: one validating parser, a key-path
+// walk, and the writer primitives the hand-rolled writers share.
 //
-// The observability artifacts (trace.json, metrics.json) are emitted by
-// hand-rolled writers; this recursive-descent scanner is how the tests and
-// the metrics schema checker prove the output is well-formed JSON without
-// pulling in an external parser. The Scanner validates syntax only — values
-// are not materialized — and collects the dotted paths of every object key
-// so a schema can be checked against the emitted key set. Parse() (the read
-// side used by tools/psra_report) materializes a Value tree; it routes all
-// malformed input through the Scanner first, so rejection carries the
-// scanner's offset-bearing error message.
+// trace.json, metrics.json, the timeline JSONL and the wire payloads are
+// written by hand (metrics.cpp, trace.cpp, timeseries.cpp, wire.cpp) and
+// read back by tools/psra_report, tools/check_metrics_schema, the wire
+// collection plane and the tests. Parse() is one recursive-descent pass
+// that validates the text and builds a Value tree as it goes; malformed
+// input, and nesting deeper than 256 levels, throw InvalidArgument naming
+// the byte offset. KeyPaths() lists every object key as a dotted path, so a
+// schema can be checked against the emitted key set.
 #pragma once
 
-#include <cctype>
+#include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace psra::obs::json {
-
-class Scanner {
- public:
-  explicit Scanner(std::string_view text) : text_(text) {}
-
-  /// Validates the whole input as one JSON value (plus trailing whitespace).
-  /// On success, Keys() holds every object key as a dotted path, e.g.
-  /// "counters.engine.iterations" for {"counters":{"engine.iterations":1}}.
-  bool Validate() {
-    pos_ = 0;
-    keys_.clear();
-    error_.clear();
-    SkipWs();
-    if (!Value("")) return false;
-    SkipWs();
-    if (pos_ != text_.size()) return Fail("trailing garbage");
-    return true;
-  }
-
-  const std::vector<std::string>& Keys() const { return keys_; }
-  const std::string& Error() const { return error_; }
-
- private:
-  bool Fail(const char* what) {
-    error_ = std::string(what) + " at offset " + std::to_string(pos_);
-    return false;
-  }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  bool Literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return Fail("bad literal");
-    pos_ += lit.size();
-    return true;
-  }
-  bool String(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("expected '\"'");
-    ++pos_;
-    std::string s;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail("bad escape");
-        c = text_[pos_++];
-        if (c != '"' && c != '\\' && c != '/' && c != 'b' && c != 'f' &&
-            c != 'n' && c != 'r' && c != 't' && c != 'u') {
-          return Fail("bad escape");
-        }
-        if (c == 'u') {
-          for (int i = 0; i < 4; ++i, ++pos_) {
-            if (pos_ >= text_.size() ||
-                std::isxdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-              return Fail("bad \\u escape");
-            }
-          }
-          c = '?';
-        }
-      }
-      s.push_back(c);
-    }
-    if (pos_ >= text_.size()) return Fail("unterminated string");
-    ++pos_;  // closing quote
-    if (out != nullptr) *out = std::move(s);
-    return true;
-  }
-  bool Number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    bool digits = false;
-    auto eat_digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    eat_digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      eat_digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-        ++pos_;
-      }
-      eat_digits();
-    }
-    if (!digits) {
-      pos_ = start;
-      return Fail("expected number");
-    }
-    return true;
-  }
-  bool Value(const std::string& path) {
-    if (pos_ >= text_.size()) return Fail("expected value");
-    const char c = text_[pos_];
-    if (c == '{') return Object(path);
-    if (c == '[') return Array(path);
-    if (c == '"') return String(nullptr);
-    if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
-    if (c == 'n') return Literal("null");
-    return Number();
-  }
-  bool Object(const std::string& path) {
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!String(&key)) return false;
-      const std::string child = path.empty() ? key : path + "." + key;
-      keys_.push_back(child);
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
-      ++pos_;
-      SkipWs();
-      if (!Value(child)) return false;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-  bool Array(const std::string& path) {
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value(path)) return false;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::vector<std::string> keys_;
-  std::string error_;
-};
 
 /// Materialized JSON value. Objects keep insertion order (the writers emit
 /// sorted keys, and golden-file tests depend on stable iteration), arrays
@@ -217,8 +50,36 @@ struct Value {
   }
 };
 
-/// Parses `text` as one JSON value. Throws InvalidArgument carrying the
-/// Scanner's error (with byte offset) on malformed input.
+/// Parses `text` as one JSON value plus surrounding whitespace. Throws
+/// InvalidArgument("malformed JSON: <what> at offset <n>") on malformed
+/// input or nesting deeper than 256 levels. The grammar is slightly looser
+/// than RFC 8259: numbers may lead with '+' and need only one digit
+/// anywhere ("1e", ".5"), strings may hold raw control characters, \u
+/// escapes decode to '?', and duplicate keys are kept.
 Value Parse(std::string_view text);
+
+/// Every object key under `v` as a dotted path, in document order, each key
+/// before the keys nested in its value: {"counters":{"engine.iterations":1}}
+/// yields "counters", "counters.engine.iterations". Array elements extend
+/// their array's path with no index.
+std::vector<std::string> KeyPaths(const Value& v);
+
+/// Writes `s` as a JSON string: quoted, with '"' and '\' escaped. The
+/// writers' names hold no control characters, so nothing else is escaped.
+void WriteString(std::ostream& os, std::string_view s);
+
+/// The two Chrome trace metadata records of one track: thread_name, then
+/// thread_sort_index pinning the track to position `tid`, joined by the
+/// trace writers' ",\n  " separator.
+void WriteTrackRecords(std::ostream& os, std::uint64_t pid, std::uint64_t tid,
+                       std::string_view name);
+
+/// One Chrome trace complete event ("ph": "X"). Times are seconds and are
+/// written as trace microseconds; the peer/tag args appear only when
+/// peer >= 0.
+void WriteSpanEvent(std::ostream& os, std::string_view name,
+                    std::string_view cat, std::uint64_t pid, std::uint64_t tid,
+                    double begin_s, double dur_s, std::uint64_t iteration,
+                    double wall_s, std::int64_t peer, std::uint64_t tag);
 
 }  // namespace psra::obs::json

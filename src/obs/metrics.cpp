@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "support/status.hpp"
 #include "support/string_util.hpp"
 
@@ -63,15 +64,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
 
 namespace {
 
-void WriteString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 void WriteNumber(std::ostream& os, double v) {
   os << FormatDouble(v, 17);
 }
@@ -83,7 +75,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   bool first = true;
   for (const auto& [name, v] : counters_) {
     os << (first ? "\n    " : ",\n    ");
-    WriteString(os, name);
+    json::WriteString(os, name);
     os << ": " << v;
     first = false;
   }
@@ -91,7 +83,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   first = true;
   for (const auto& [name, v] : gauges_) {
     os << (first ? "\n    " : ",\n    ");
-    WriteString(os, name);
+    json::WriteString(os, name);
     os << ": ";
     WriteNumber(os, v);
     first = false;
@@ -100,7 +92,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   first = true;
   for (const auto& [name, h] : histograms_) {
     os << (first ? "\n    " : ",\n    ");
-    WriteString(os, name);
+    json::WriteString(os, name);
     os << ": {\"bounds\": [";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b != 0) os << ", ";

@@ -72,7 +72,7 @@ struct TraceData {
 };
 
 /// Parses a SpanTracer Chrome trace_event artifact. Throws InvalidArgument
-/// on malformed JSON (with the scanner's byte offset) or on structurally
+/// on malformed JSON (with the byte offset) or on structurally
 /// alien input (no traceEvents array).
 TraceData LoadChromeTrace(std::string_view text);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "support/status.hpp"
 #include "support/string_util.hpp"
@@ -105,7 +106,8 @@ void TimeSeriesRecorder::WriteJsonl(std::ostream& os) const {
                  "ragged timeline: " + name + " has " +
                      std::to_string(s.size()) + " samples over " +
                      std::to_string(rows()) + " rows");
-    os << (first ? "" : ", ") << '"' << name << '"';
+    os << (first ? "" : ", ");
+    json::WriteString(os, name);
     first = false;
   }
   os << "]}\n";

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "support/status.hpp"
-#include "support/string_util.hpp"
 
 namespace psra::obs {
 
@@ -58,24 +58,6 @@ double SpanTracer::Coverage(TrackId track, simnet::VirtualTime horizon) const {
   return covered / horizon;
 }
 
-namespace {
-
-void WriteString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-/// Virtual seconds -> trace microseconds.
-void WriteTs(std::ostream& os, simnet::VirtualTime t) {
-  os << FormatDouble(t * 1e6, 15);
-}
-
-}  // namespace
-
 void SpanTracer::WriteChromeJson(std::ostream& os) const {
   os << "{\"traceEvents\": [\n";
   bool first = true;
@@ -88,31 +70,13 @@ void SpanTracer::WriteChromeJson(std::ostream& os) const {
      << R"("args": {"name": "psra virtual time"}})";
   for (TrackId t = 0; t < tracks_.size(); ++t) {
     sep();
-    os << R"({"ph": "M", "name": "thread_name", "pid": 0, "tid": )" << t
-       << R"(, "args": {"name": )";
-    WriteString(os, tracks_[t].name);
-    os << "}}";
-    // Explicit sort index keeps the Perfetto track order stable (= creation
-    // order) instead of first-event order.
-    sep();
-    os << R"({"ph": "M", "name": "thread_sort_index", "pid": 0, "tid": )" << t
-       << R"(, "args": {"sort_index": )" << t << "}}";
+    json::WriteTrackRecords(os, 0, t, tracks_[t].name);
   }
   for (TrackId t = 0; t < tracks_.size(); ++t) {
     for (const auto& s : tracks_[t].spans) {
       sep();
-      os << R"({"ph": "X", "name": )";
-      WriteString(os, s.name);
-      os << R"(, "cat": "vt", "pid": 0, "tid": )" << t << R"(, "ts": )";
-      WriteTs(os, s.begin);
-      os << R"(, "dur": )";
-      WriteTs(os, s.end - s.begin);
-      os << R"(, "args": {"iter": )" << s.iteration << R"(, "wall_us": )"
-         << FormatDouble(s.wall_s * 1e6, 9);
-      if (s.peer >= 0) {
-        os << R"(, "peer": )" << s.peer << R"(, "tag": )" << s.tag;
-      }
-      os << "}}";
+      json::WriteSpanEvent(os, s.name, "vt", 0, t, s.begin, s.end - s.begin,
+                           s.iteration, s.wall_s, s.peer, s.tag);
     }
   }
   os << "\n], \"displayTimeUnit\": \"ms\"}\n";

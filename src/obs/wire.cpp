@@ -70,22 +70,6 @@ RankObsPayload ParseWireObsPayload(std::string_view text) {
   return payload;
 }
 
-namespace {
-
-void WriteString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-/// Seconds -> trace microseconds.
-void WriteTs(std::ostream& os, double t) { os << FormatDouble(t * 1e6, 15); }
-
-}  // namespace
-
 void WriteMergedWireTrace(std::span<const RankObsPayload> ranks,
                           std::ostream& os) {
   // Stable lane order: ranks ascending, regardless of arrival order.
@@ -117,33 +101,16 @@ void WriteMergedWireTrace(std::span<const RankObsPayload> ranks,
     for (const ReportTrack& track : p->trace.tracks) {
       const std::uint64_t tid = next_tid++;
       sep();
-      os << R"({"ph": "M", "name": "thread_name", "pid": )" << pid
-         << R"(, "tid": )" << tid << R"(, "args": {"name": )";
-      WriteString(os, track.name);
-      os << "}}";
-      sep();
-      os << R"({"ph": "M", "name": "thread_sort_index", "pid": )" << pid
-         << R"(, "tid": )" << tid << R"(, "args": {"sort_index": )" << tid
-         << "}}";
+      json::WriteTrackRecords(os, pid, tid, track.name);
       for (const ReportSpan& s : track.spans) {
         // Align onto rank 0's time base; the clamp keeps an overestimated
         // offset from producing negative timestamps (which trace viewers
         // silently drop).
         const double begin = std::max(0.0, s.begin - p->clock_offset_s);
         sep();
-        os << R"({"ph": "X", "name": )";
-        WriteString(os, s.name);
-        os << R"(, "cat": "wire", "pid": )" << pid << R"(, "tid": )" << tid
-           << R"(, "ts": )";
-        WriteTs(os, begin);
-        os << R"(, "dur": )";
-        WriteTs(os, s.end - s.begin);
-        os << R"(, "args": {"iter": )" << s.iteration << R"(, "wall_us": )"
-           << FormatDouble(s.wall_s * 1e6, 9);
-        if (s.peer >= 0) {
-          os << R"(, "peer": )" << s.peer << R"(, "tag": )" << s.tag;
-        }
-        os << "}}";
+        json::WriteSpanEvent(os, s.name, "wire", pid, tid, begin,
+                             s.end - s.begin, s.iteration, s.wall_s, s.peer,
+                             s.tag);
       }
     }
   }

@@ -11,6 +11,16 @@ namespace psra::solver {
 
 namespace {
 
+/// CG stops when residual <= kCgTolerance * ||grad||.
+constexpr double kCgTolerance = 0.1;
+/// Step acceptance / trust-region update constants (Lin-More defaults).
+constexpr double kEta0 = 1e-4;
+constexpr double kEta1 = 0.25;
+constexpr double kEta2 = 0.75;
+constexpr double kSigma1 = 0.25;
+constexpr double kSigma2 = 0.5;
+constexpr double kSigma3 = 4.0;
+
 struct CgOutcome {
   int iterations = 0;
   bool hit_boundary = false;
@@ -40,7 +50,7 @@ CgOutcome TruncatedCg(const ProximalLogistic& f, std::span<const double> grad,
   // <p, p>, maintained by the recurrences below so the Hessian quadratic and
   // the boundary solve never need a dedicated pass over p.
   double pp = gg;
-  const double stop = opt.cg_tolerance * std::sqrt(gg);
+  const double stop = kCgTolerance * std::sqrt(gg);
 
   CgOutcome out;
   for (int j = 0; j < opt.max_cg_iterations; ++j) {
@@ -184,14 +194,14 @@ TronResult TronMinimize(const ProximalLogistic& f, std::span<double> x,
 
     // Trust-region radius update (Lin-More style).
     const double ratio = predicted > 0 ? actual / predicted : -1.0;
-    if (ratio < opt.eta1) {
-      delta = std::min(std::max(opt.sigma1 * snorm, opt.sigma1 * delta),
-                       opt.sigma2 * delta);
-    } else if (ratio >= opt.eta2 && cg.hit_boundary) {
-      delta = std::max(delta, opt.sigma3 * snorm);
+    if (ratio < kEta1) {
+      delta = std::min(std::max(kSigma1 * snorm, kSigma1 * delta),
+                       kSigma2 * delta);
+    } else if (ratio >= kEta2 && cg.hit_boundary) {
+      delta = std::max(delta, kSigma3 * snorm);
     }
 
-    if (ratio > opt.eta0 && actual > 0) {
+    if (ratio > kEta0 && actual > 0) {
       value = value_new;
       grad_eval_at_x = true;  // x becomes x_new below
       std::swap(ws.grad, ws.grad_new);

@@ -22,15 +22,6 @@ struct TronOptions {
   /// warm starts, where ||grad_0|| is already tiny and a purely relative
   /// test could never be met. 0 disables.
   double absolute_tolerance = 0.0;
-  /// CG stops when residual <= cg_tolerance * ||grad||.
-  double cg_tolerance = 0.1;
-  /// Step acceptance / trust-region update constants (Lin-More defaults).
-  double eta0 = 1e-4;
-  double eta1 = 0.25;
-  double eta2 = 0.75;
-  double sigma1 = 0.25;
-  double sigma2 = 0.5;
-  double sigma3 = 4.0;
 };
 
 struct TronResult {

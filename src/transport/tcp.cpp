@@ -140,6 +140,10 @@ void EncodeHeader(std::byte* out, Transport::Rank src, Transport::Tag tag,
 /// Barrier token tag (inside the reserved range >= kMaxUserTag).
 constexpr Transport::Tag kBarrierTag = 0xFFFFFFFFu;
 
+/// How many successive ports rank 0 tries after TcpOptions::port when it
+/// binds the rendezvous port itself and the port is taken.
+constexpr int kPortRetries = 16;
+
 std::uint32_t EnvU32(const char* name) {
   const char* v = std::getenv(name);
   PSRA_REQUIRE(v != nullptr && *v != '\0',
@@ -257,7 +261,7 @@ struct TcpTransport::Impl {
         listen_port = ntohs(addr.sin_port);
       } else {
         std::uint16_t port = opt.port;
-        listener = BindListener(port, opt.port_retries);
+        listener = BindListener(port, kPortRetries);
         listen_port = port;
       }
       // Collect hello{rank, listener port} from every other rank; the

@@ -29,14 +29,13 @@ struct TcpOptions {
   comm::Transport::Rank world = 1;
   /// Rank 0's rendezvous port. For rank 0 with no listen_fd: the port to
   /// bind (0 = ephemeral, only meaningful with a single process or tests
-  /// probing listen_port()). For rank > 0: the port to connect to.
+  /// probing listen_port()); when it is taken, rank 0 tries successive
+  /// ports (port+1, ...) a fixed number of times. For rank > 0: the port
+  /// to connect to.
   std::uint16_t port = 0;
   /// Pre-bound listening socket inherited from the launcher (rank 0 only);
   /// -1 to bind from `port`. Ownership transfers to the transport.
   int listen_fd = -1;
-  /// When rank 0 binds `port` itself and it is taken, try successive ports
-  /// (port+1, ...) up to this many times before giving up.
-  int port_retries = 16;
   /// Rendezvous connect budget (covers peers starting at different times).
   double connect_timeout_s = 20.0;
   /// How long Recv/Fence wait before declaring a peer lost.

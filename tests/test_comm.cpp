@@ -1026,7 +1026,7 @@ void ChainPsrSparse(const GroupComm& group,
     blocks[j] = WithoutPositiveZeros(blocks[j]);
     block_nnz[j] = blocks[j].nnz();
   }
-  sum = SparseVector::ConcatDisjoint(blocks);
+  SparseVector::ConcatDisjointInto(blocks, sum);
 
   st.Reset(n);
   if (n == 1) {

@@ -84,6 +84,14 @@ TEST(SparseVector, FromDenseRoundTrip) {
   EXPECT_EQ(sv.nnz(), 2u);
   EXPECT_EQ(sv.dim(), 5u);
   EXPECT_EQ(sv.ToDense(), dense);
+
+  // The in-place forms overwrite stale contents and resize their output.
+  SparseVector reused(3, {0}, {9.0});
+  reused.AssignFromDense(dense);
+  EXPECT_EQ(reused, sv);
+  DenseVector back{7.0, 7.0};
+  reused.ToDense(back);
+  EXPECT_EQ(back, dense);
 }
 
 TEST(SparseVector, ConstructorValidatesOrdering) {
@@ -103,7 +111,8 @@ TEST(SparseVector, AtReturnsStoredOrZero) {
 
 TEST(SparseVector, SlicePreservesCoordinates) {
   const SparseVector sv(10, {1, 3, 7, 9}, {1, 2, 3, 4});
-  const auto s = sv.Slice(3, 8);
+  SparseVector s(2, {1}, {5.0});  // stale contents must be overwritten
+  sv.SliceInto(3, 8, s);
   EXPECT_EQ(s.dim(), 10u);
   EXPECT_EQ(s.nnz(), 2u);
   EXPECT_DOUBLE_EQ(s.At(3), 2.0);
@@ -120,21 +129,12 @@ TEST(SparseVector, CountInRange) {
 TEST(SparseVector, SumMergesIndices) {
   const SparseVector a(5, {0, 2}, {1.0, 2.0});
   const SparseVector b(5, {2, 4}, {3.0, 4.0});
-  const auto s = SparseVector::Sum(a, b);
+  SparseVector s(1, {0}, {1.0});  // stale contents must be overwritten
+  SparseVector::SumInto(a, b, s);
   EXPECT_EQ(s.nnz(), 3u);
   EXPECT_DOUBLE_EQ(s.At(0), 1.0);
   EXPECT_DOUBLE_EQ(s.At(2), 5.0);
   EXPECT_DOUBLE_EQ(s.At(4), 4.0);
-}
-
-TEST(SparseVector, AddInPlaceWithScale) {
-  SparseVector a(4, {1}, {2.0});
-  const SparseVector b(4, {1, 3}, {1.0, 1.0});
-  a.AddInPlace(b, -2.0);
-  EXPECT_DOUBLE_EQ(a.At(1), 0.0);
-  EXPECT_DOUBLE_EQ(a.At(3), -2.0);
-  a.Prune();
-  EXPECT_EQ(a.nnz(), 1u);
 }
 
 TEST(SparseVector, DotWithDense) {
@@ -146,7 +146,8 @@ TEST(SparseVector, DotWithDense) {
 TEST(SparseVector, ConcatDisjoint) {
   const SparseVector a(8, {0, 1}, {1, 2});
   const SparseVector b(8, {4, 6}, {3, 4});
-  const auto c = SparseVector::ConcatDisjoint(std::vector<SparseVector>{a, b});
+  SparseVector c(3, {2}, {8.0});  // stale contents must be overwritten
+  SparseVector::ConcatDisjointInto(std::vector<SparseVector>{a, b}, c);
   EXPECT_EQ(c.nnz(), 4u);
   EXPECT_DOUBLE_EQ(c.At(6), 4.0);
 }
@@ -154,38 +155,10 @@ TEST(SparseVector, ConcatDisjoint) {
 TEST(SparseVector, ConcatOverlappingThrows) {
   const SparseVector a(8, {0, 5}, {1, 2});
   const SparseVector b(8, {4, 6}, {3, 4});
+  SparseVector c;
   EXPECT_THROW(
-      SparseVector::ConcatDisjoint(std::vector<SparseVector>{a, b}),
+      SparseVector::ConcatDisjointInto(std::vector<SparseVector>{a, b}, c),
       InvalidArgument);
-}
-
-TEST(SparseVector, InPlaceVariantsMatchValueReturningOnes) {
-  const DenseVector dense{0.0, 1.5, 0.0, -2.0, 0.0};
-  SparseVector sv(3, {0}, {9.0});  // stale contents must be overwritten
-  sv.AssignFromDense(dense);
-  EXPECT_EQ(sv, SparseVector::FromDense(dense));
-
-  DenseVector back{7.0, 7.0};  // wrong size; ToDense must resize
-  sv.ToDense(back);
-  EXPECT_EQ(back, dense);
-
-  const SparseVector src(10, {1, 3, 7, 9}, {1, 2, 3, 4});
-  SparseVector slice(2, {1}, {5.0});
-  src.SliceInto(3, 8, slice);
-  EXPECT_EQ(slice, src.Slice(3, 8));
-
-  const SparseVector a(5, {0, 2}, {1.0, 2.0});
-  const SparseVector b(5, {2, 4}, {3.0, 4.0});
-  SparseVector sum(1, {0}, {1.0});
-  SparseVector::SumInto(a, b, sum);
-  EXPECT_EQ(sum, SparseVector::Sum(a, b));
-
-  const SparseVector p0(8, {0, 1}, {1, 2});
-  const SparseVector p1(8, {4, 6}, {3, 4});
-  const std::vector<SparseVector> parts{p0, p1};
-  SparseVector cat(3, {2}, {8.0});
-  SparseVector::ConcatDisjointInto(parts, cat);
-  EXPECT_EQ(cat, SparseVector::ConcatDisjoint(parts));
 }
 
 TEST(SparseVector, InPlaceVariantsRejectAliasing) {
@@ -193,13 +166,6 @@ TEST(SparseVector, InPlaceVariantsRejectAliasing) {
   const SparseVector b(5, {2, 4}, {3.0, 4.0});
   EXPECT_THROW(SparseVector::SumInto(a, b, a), InvalidArgument);
   EXPECT_THROW(a.SliceInto(0, 5, a), InvalidArgument);
-}
-
-TEST(SparseVector, AddToDenseScatters) {
-  const SparseVector sv(3, {1}, {2.0});
-  DenseVector acc{1.0, 1.0, 1.0};
-  sv.AddToDense(acc, 3.0);
-  EXPECT_EQ(acc, (DenseVector{1.0, 7.0, 1.0}));
 }
 
 bool SameBits(std::span<const double> a, std::span<const double> b) {
@@ -346,8 +312,12 @@ TEST(SparseBlockFold, MatchesTheSumIntoChainBitwise) {
   SparseVector out(6, {0}, {7.0});
   EXPECT_EQ(fold.AppendTo(out), 3u);
 
-  const auto chain = SparseVector::Sum(
-      SparseVector::Sum(a.Slice(1, 4), b.Slice(1, 4)), c.Slice(1, 4));
+  SparseVector sa, sb, sc, ab, chain;
+  a.SliceInto(1, 4, sa);
+  b.SliceInto(1, 4, sb);
+  c.SliceInto(1, 4, sc);
+  SparseVector::SumInto(sa, sb, ab);
+  SparseVector::SumInto(ab, sc, chain);
   EXPECT_EQ(std::vector<SparseVector::Index>(out.indices().begin(),
                                              out.indices().end()),
             (std::vector<SparseVector::Index>{0, 1, 2, 3}));
@@ -365,7 +335,7 @@ TEST(SparseBlockFold, MatchesTheSumIntoChainBitwise) {
   EXPECT_THROW(fold.AppendTo(narrow), InvalidArgument);  // beyond dim
 }
 
-/// Property: Sum agrees with dense addition for random vectors.
+/// Property: SumInto agrees with dense addition for random vectors.
 class SparseSumProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparseSumProperty, MatchesDenseAddition) {
@@ -376,8 +346,9 @@ TEST_P(SparseSumProperty, MatchesDenseAddition) {
     if (rng.NextBool(0.3)) da[i] = rng.NextGaussian();
     if (rng.NextBool(0.3)) db[i] = rng.NextGaussian();
   }
-  const auto sum =
-      SparseVector::Sum(SparseVector::FromDense(da), SparseVector::FromDense(db));
+  SparseVector sum;
+  SparseVector::SumInto(SparseVector::FromDense(da),
+                        SparseVector::FromDense(db), sum);
   DenseVector expected;
   Add(da, db, expected);
   const auto actual = sum.ToDense();

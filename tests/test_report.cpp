@@ -63,6 +63,26 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json::Parse("[1, 2"), InvalidArgument);
   EXPECT_THROW(json::Parse("nul"), InvalidArgument);
   EXPECT_THROW(json::Parse(""), InvalidArgument);
+
+  // Nesting is bounded at 256 levels; deeper input is rejected with the
+  // offending bracket's offset instead of overflowing the stack.
+  auto nested = [](std::size_t depth, std::string_view open,
+                   std::string_view close) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += open;
+    doc += "1";
+    for (std::size_t i = 0; i < depth; ++i) doc += close;
+    return doc;
+  };
+  EXPECT_NO_THROW(json::Parse(nested(256, "[", "]")));
+  try {
+    json::Parse(nested(257, "[", "]"));
+    ADD_FAILURE() << "257 nested arrays parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "malformed JSON: nesting too deep at offset 256");
+  }
+  EXPECT_THROW(json::Parse(nested(100000, "[", "]")), InvalidArgument);
+  EXPECT_THROW(json::Parse(nested(100000, "{\"a\":", "}")), InvalidArgument);
 }
 
 // ----------------------------------------------------------- trace load ----

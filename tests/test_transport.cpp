@@ -754,6 +754,13 @@ TEST(WireObsCollection, RejectsMalformedAndTruncatedPayloads) {
         InvalidArgument)
         << "cut at " << cut;
   }
+  // A hostile peer nesting 100,000 arrays under trace.traceEvents is
+  // rejected by the parser's depth bound instead of overflowing the stack.
+  std::string deep = R"({"rank": 1, "metrics": {}, "trace": {"traceEvents": )";
+  deep.append(100000, '[');
+  deep.append(100000, ']');
+  deep += "}}";
+  EXPECT_THROW(obs::ParseWireObsPayload(deep), InvalidArgument);
 }
 
 // --- TCP backend ----------------------------------------------------------

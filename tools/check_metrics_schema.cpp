@@ -14,6 +14,7 @@
 //
 // Histogram objects carry fixed sub-keys (bounds/counts/count/sum); those
 // are accepted automatically under any matching `histograms.` pattern.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -105,15 +106,16 @@ int main(int argc, char** argv) {
   buf << metrics_in.rdbuf();
   const std::string text = buf.str();
 
-  psra::obs::json::Scanner scanner(text);
-  if (!scanner.Validate()) {
-    std::cerr << "metrics.json is not valid JSON: " << scanner.Error()
-              << "\n";
+  std::vector<std::string> keys;
+  try {
+    keys = psra::obs::json::KeyPaths(psra::obs::json::Parse(text));
+  } catch (const std::exception& e) {
+    std::cerr << argv[2] << ": " << e.what() << "\n";
     return 1;
   }
 
   int failures = 0;
-  for (const std::string& raw_key : scanner.Keys()) {
+  for (const std::string& raw_key : keys) {
     if (raw_key == "counters" || raw_key == "gauges" ||
         raw_key == "histograms") {
       continue;
@@ -143,7 +145,7 @@ int main(int argc, char** argv) {
     std::cerr << failures << " schema violation(s) in " << argv[2] << "\n";
     return 1;
   }
-  std::cout << "metrics schema OK: " << scanner.Keys().size()
+  std::cout << "metrics schema OK: " << keys.size()
             << " keys validated against " << patterns.size()
             << " patterns\n";
   return 0;
