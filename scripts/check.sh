@@ -63,10 +63,11 @@ echo "== observability artifacts + metrics schema =="
 
 echo "== malformed-artifact self-test =="
 # The readers must reject a corrupt artifact with exit status exactly 1 —
-# not 0, and not a signal. Three variants of OBS_metrics.json: one unknown
+# not 0, and not a signal. Four variants of OBS_metrics.json: one unknown
 # counter (a schema violation, so schema checker only), its first half,
-# and 100,000 nested arrays, which overflow the stack of a parser whose
-# nesting is unbounded.
+# 100,000 nested arrays, which overflow the stack of a parser whose
+# nesting is unbounded, and a counter whose value ".e1" has no digit
+# before its exponent, which a lenient parser reads as 0.
 bad="$build/SELFTEST"
 mkdir -p "$bad"
 awk '{ print } /"counters": \{$/ && !done { print "    \"bogus.metric\": 1,"; done = 1 }' \
@@ -75,6 +76,10 @@ head -c "$(( $(wc -c < "$build/OBS_metrics.json") / 2 ))" \
   "$build/OBS_metrics.json" > "$bad/half.json"
 { head -c 100000 /dev/zero | tr '\0' '['
   head -c 100000 /dev/zero | tr '\0' ']'; } > "$bad/deep.json"
+sed -E 's/("comm\.allreduce\.psr\.bytes": )[0-9]+/\1.e1/' \
+  "$build/OBS_metrics.json" > "$bad/noexp.json"
+grep -qF '"comm.allreduce.psr.bytes": .e1' "$bad/noexp.json" \
+  || { echo "FAIL: noexp.json lacks its corrupt counter"; exit 1; }
 expect_exit_1() {  # <label> <command...>
   local rc=0
   "${@:2}" > /dev/null 2>&1 || rc=$?
@@ -87,7 +92,7 @@ expect_exit_1() {  # <label> <command...>
 expect_exit_1 "check_metrics_schema bogus.json" \
   "$build/tools/check_metrics_schema" "$repo/scripts/metrics_schema.txt" \
   "$bad/bogus.json"
-for variant in half deep; do
+for variant in half deep noexp; do
   expect_exit_1 "check_metrics_schema $variant.json" \
     "$build/tools/check_metrics_schema" "$repo/scripts/metrics_schema.txt" \
     "$bad/$variant.json"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <type_traits>
 
 #include "comm/schedule.hpp"
 #include "simnet/fault.hpp"
@@ -29,35 +28,28 @@ void CommStats::Reset(std::size_t n) {
   rounds = 0;
 }
 
-namespace {
-
-/// Whether `v` is an entry of a canonical vector: its bits are not +0.0.
-bool IsCanonicalEntry(double v) { return std::bit_cast<std::uint64_t>(v) != 0; }
-
-}  // namespace
-
 std::size_t CountEntries(std::span<const double> v, SparseEntries rule) {
   if (rule == SparseEntries::kPacked) return linalg::CountNonzeros(v);
   std::size_t n = 0;
-  for (const double e : v) n += IsCanonicalEntry(e) ? 1 : 0;
+  for (const double e : v) n += linalg::IsCanonicalEntry(e) ? 1 : 0;
   return n;
 }
 
-void PricedBlockFold::Reset(std::span<double> block, SparseEntries rule,
-                            bool partials) {
+void PricedBlockFold::Reset(std::span<double> block, std::uint64_t lo,
+                            SparseEntries rule, bool flags) {
   acc_ = block;
+  lo_ = lo;
   rule_ = rule;
-  partials_ = partials;
+  flags_ = flags;
   complete_ = false;
   linalg::SetZero(block);
-  if (partials) present_.assign(block.size(), 0);
+  if (flags) present_.assign(block.size(), 0);
 }
 
 void PricedBlockFold::Add(std::span<const double> x) {
   PSRA_REQUIRE(x.size() == acc_.size(), "fold contribution size mismatch");
   const std::span<unsigned char> present =
-      partials_ ? std::span<unsigned char>(present_)
-                : std::span<unsigned char>();
+      flags_ ? std::span<unsigned char>(present_) : std::span<unsigned char>();
   if (rule_ == SparseEntries::kPacked) {
     linalg::AddPacked(x, acc_, present);
     return;
@@ -65,7 +57,22 @@ void PricedBlockFold::Add(std::span<const double> x) {
   // A canonical input's other coordinates hold +0.0 already.
   for (std::size_t i = 0; i < x.size(); ++i) {
     acc_[i] += x[i];
-    if (partials_) present[i] |= IsCanonicalEntry(x[i]) ? 1 : 0;
+    if (flags_) present[i] |= linalg::IsCanonicalEntry(x[i]) ? 1 : 0;
+  }
+}
+
+void PricedBlockFold::Add(const SparseSlice& x) {
+  PSRA_CHECK(flags_, "folding entries needs presence flags");
+  for (std::size_t k = 0; k < x.indices.size(); ++k) {
+    const auto b = static_cast<std::size_t>(x.indices[k] - lo_);
+    const double value = x.values[k];
+    // Selects the sum or the first contribution by mask, not by branch:
+    // all ones where the index is already present.
+    const std::uint64_t seen = 0 - static_cast<std::uint64_t>(present_[b]);
+    const std::uint64_t folded = std::bit_cast<std::uint64_t>(acc_[b] + value);
+    acc_[b] = std::bit_cast<double>(
+        (folded & seen) | (std::bit_cast<std::uint64_t>(value) & ~seen));
+    present_[b] = 1;
   }
 }
 
@@ -76,7 +83,7 @@ void PricedBlockFold::Canonicalize() {
 
 std::size_t PricedBlockFold::size() const {
   if (complete_) return size_;
-  PSRA_CHECK(partials_, "a partial fold's size needs presence flags");
+  PSRA_CHECK(flags_, "a partial fold's size needs presence flags");
   return static_cast<std::size_t>(
       std::count(present_.begin(), present_.end(), 1));
 }
@@ -88,13 +95,15 @@ namespace {
 /// the transfer time, and a member's clock ends the phase at the max of its
 /// own and its arrivals — then folds. A block's partial is its running fold,
 /// so the simulator keeps one fold per block: a forwarded partial is already
-/// in it, and only input slices are added, straight from `inputs`. Returns
-/// the sum's entry count: its dimension for a dense payload.
-template <typename T, typename V = typename Payload<T>::Vector>
+/// in it, and only input slices are added, straight from `inputs`. Writes
+/// the dense sum and returns its entry count: its dimension for a dense
+/// payload.
+template <typename T>
 std::size_t Simulate(const Schedule& s, const GroupComm& group,
-                     std::span<const V> inputs,
+                     std::span<const typename Payload<T>::Vector> inputs,
                      std::span<const simnet::VirtualTime> starts,
-                     AllreduceScratch& scratch, V& sum, CommStats& st) {
+                     AllreduceScratch& scratch, linalg::DenseVector& sum,
+                     CommStats& st) {
   using P = Payload<T>;
   const GroupRank n = group.size();
   const std::uint64_t dim = P::Dim(inputs[0]);
@@ -103,46 +112,38 @@ std::size_t Simulate(const Schedule& s, const GroupComm& group,
 
   auto& folds = std::get<std::vector<typename P::Fold>>(scratch.folds);
   folds.resize(s.num_blocks());
-  P::Resize(sum, dim);
+  sum.resize(static_cast<std::size_t>(dim));
   for (GroupRank b = 0; b < s.num_blocks(); ++b) {
     const auto [lo, hi] = s.BlockRange(dim, b);
-    P::Reset(folds[b], sum, lo, hi, s);
+    P::Reset(folds[b], sum, lo, hi, s, /*entries=*/false);
   }
 
-  // A sparse block is made canonical (rule 4) and counted, and a
-  // SparseVector's appended to the sum, once all n sources are folded into
-  // it and every lower block is in, while it is still warm in cache.
+  // A sparse block is made canonical (rule 4) and counted once all n
+  // sources are folded into it, while it is still warm in cache.
   auto& folded = scratch.folded;
   folded.assign(s.num_blocks(), 0);
-  GroupRank appended = 0;
+  GroupRank completed = 0;
   std::size_t nnz = P::kSparse ? 0 : static_cast<std::size_t>(dim);
   auto add_slice = [&](GroupRank b, GroupRank from) {
     const auto [lo, hi] = s.BlockRange(dim, b);
     folds[b].Add(P::In(inputs[from], lo, hi));
-    ++folded[b];
+    if constexpr (P::kSparse) {
+      if (++folded[b] == n) {
+        folds[b].Canonicalize();
+        nnz += folds[b].size();
+        ++completed;
+      }
+    }
   };
   auto own_slice_size = [&](GroupRank from, GroupRank b) {
     const auto [lo, hi] = s.BlockRange(dim, b);
     return P::Count(inputs[from], lo, hi);
-  };
-  auto append_final = [&] {
-    if constexpr (P::kSparse) {
-      while (appended < s.num_blocks() && folded[appended] == n) {
-        folds[appended].Canonicalize();
-        nnz += folds[appended].size();
-        if constexpr (std::is_same_v<V, linalg::SparseVector>) {
-          folds[appended].AppendTo(sum);
-        }
-        ++appended;
-      }
-    }
   };
 
   auto& t = scratch.clock;
   t.assign(starts.begin(), starts.end());
   if (s.num_phases() == 0) {
     add_slice(0, 0);
-    append_final();
     st.scatter_reduce_done = t[0];
   } else {
     st.scatter_reduce_done = -std::numeric_limits<double>::infinity();
@@ -177,11 +178,10 @@ std::size_t Simulate(const Schedule& s, const GroupComm& group,
       if (receives) {
         st.scatter_reduce_done = std::max(st.scatter_reduce_done, t[to]);
       }
-      append_final();
     }
   }
   if constexpr (P::kSparse) {
-    PSRA_CHECK(appended == s.num_blocks(), "schedule left a block unreduced");
+    PSRA_CHECK(completed == s.num_blocks(), "schedule left a block unreduced");
   }
   st.finish_times.assign(t.begin(), t.end());
   st.all_done = *std::max_element(t.begin(), t.end());
@@ -192,7 +192,8 @@ template <typename T, typename V>
 std::size_t Run(AllreduceKind kind, const GroupComm& group,
                 std::span<const V> inputs,
                 std::span<const simnet::VirtualTime> starts,
-                AllreduceScratch& scratch, V& sum, CommStats& st) {
+                AllreduceScratch& scratch, linalg::DenseVector& sum,
+                CommStats& st) {
   return Simulate<T>(Schedule(kind, group.size()), group, inputs, starts,
                      scratch, sum, st);
 }
@@ -296,8 +297,8 @@ template <typename T, typename V = typename Payload<T>::Vector>
 std::size_t Reduce(AllreduceKind kind, const GroupComm& group,
                    std::span<const V> inputs,
                    std::span<const simnet::VirtualTime> starts,
-                   AllreduceScratch& scratch, V& sum, CommStats& stats,
-                   FaultContext* fault) {
+                   AllreduceScratch& scratch, linalg::DenseVector& sum,
+                   CommStats& stats, FaultContext* fault) {
   PSRA_REQUIRE(inputs.size() == group.size(),
                "one input vector per group member required");
   PSRA_REQUIRE(starts.size() == group.size(),
@@ -319,12 +320,7 @@ std::size_t Reduce(AllreduceKind kind, const GroupComm& group,
   if (fc.excluded.size() == group.size()) {
     // Nobody survived: the collective completes with an empty sum and no
     // traffic, each member finishing at its adjusted start.
-    const std::uint64_t dim = Payload<T>::Dim(inputs[0]);
-    if constexpr (std::is_same_v<V, linalg::SparseVector>) {
-      sum.Clear(dim);
-    } else {
-      sum.assign(static_cast<std::size_t>(dim), 0.0);
-    }
+    sum.assign(static_cast<std::size_t>(Payload<T>::Dim(inputs[0])), 0.0);
     fc.sub_stats.Reset(0);
     ExpandStats(group, fc, stats);
     return 0;
@@ -363,8 +359,9 @@ void AllreduceAlgorithm::ReduceSparse(
     const GroupComm& group, std::span<const linalg::SparseVector> inputs,
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
     linalg::SparseVector& sum, CommStats& stats, FaultContext* fault) const {
-  Reduce<linalg::SparseVector>(kind_, group, inputs, starts, scratch, sum,
-                               stats, fault);
+  Reduce<linalg::SparseVector>(kind_, group, inputs, starts, scratch,
+                               scratch.held, stats, fault);
+  sum.AssignFromDenseBlock(scratch.held.size(), 0, scratch.held);
 }
 
 std::size_t AllreduceAlgorithm::ReduceSparse(

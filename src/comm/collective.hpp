@@ -20,9 +20,11 @@
 // Each of the paper's algorithms (psr, ring, naive) is one schedule in
 // comm/schedule.hpp; the simulator executor behind ReduceDense/ReduceSparse
 // prices it and the wire executor (comm/wire_allreduce.hpp) runs it over
-// real messages. The engines keep sparse payloads dense on the host: the
-// sparse encoding decides what each send is priced at, not how the host
-// stores or folds it (ReduceSparse's dense overload).
+// real messages. Both executors hold every sparse payload dense on the
+// host: the sparse encoding decides what each send is priced at and how a
+// wire frame carries it, not how the host stores or folds it. The engines
+// reduce dense inputs (ReduceSparse's dense overload); a SparseVector is an
+// input format whose sum is packed once, at the end.
 #pragma once
 
 #include <cstdint>
@@ -96,36 +98,69 @@ enum class SparseEntries {
   kCanonical,
 };
 
-/// The fold of a sparse payload held dense: folds a block of the caller's
-/// dense sum from +0.0, reading every coordinate that is not an entry of an
-/// input as +0.0, and counts what a SparseBlockFold over the inputs' packs
-/// would hold. A partial counts every coordinate some folded input carried,
-/// a cancelled one included; a completed block counts the coordinates whose
-/// bits are not +0.0. Its presence flags are recycled across Reset() calls.
+/// Entries of one block of a sparse vector: parallel arrays, indices
+/// strictly increasing and in the vector's coordinates (not the block's).
+struct SparseSlice {
+  std::span<const std::uint64_t> indices;
+  std::span<const double> values;
+};
+
+/// The fold of every sparse block, in both executors: folds a block of the
+/// caller's dense sum, which starts at +0.0, and counts its entries. It
+/// takes two forms of input:
+///   * a dense slice whose entries follow a SparseEntries rule: every other
+///     coordinate reads as +0.0, so the fold adds the terms a fold of the
+///     slices' packs adds, in the same order;
+///   * (index, value) entries: a SparseVector's slice or a received sparse
+///     frame. An index's first contribution is copied and later ones are
+///     added in Add() order, so the block holds the bits of the SumInto
+///     chain ((c0 + c1) + c2) + ... over the same entries, explicit ±0.0
+///     included. This form needs presence flags.
+/// A partial counts every coordinate some folded input carried, a cancelled
+/// one included; a completed block counts the coordinates whose bits are
+/// not +0.0 (IsCanonicalEntry). The flags are recycled across Reset() calls.
 class PricedBlockFold {
  public:
-  /// Starts a fold over `block` (zeroed) of inputs whose entries follow
-  /// `rule`; `partials` says whether size() is read before the block is
-  /// complete, which needs one presence flag per coordinate.
-  void Reset(std::span<double> block, SparseEntries rule, bool partials);
+  /// Starts a fold over `block` (zeroed), which covers coordinates
+  /// [lo, lo + block.size()), of dense slices whose entries follow `rule`.
+  /// `flags` keeps one presence flag per coordinate: needed to read size()
+  /// before the block is complete and to fold entries.
+  void Reset(std::span<double> block, std::uint64_t lo, SparseEntries rule,
+             bool flags);
 
-  /// Folds in one input's slice of the block (block-sized).
+  /// Folds in one input's dense slice of the block (block-sized).
   void Add(std::span<const double> x);
+
+  /// Folds in entries, all inside the block.
+  void Add(const SparseSlice& x);
 
   /// Marks the block complete: size() becomes its canonical count.
   void Canonicalize();
+
+  /// Holds `block`, complete as it arrived rather than folded here, so
+  /// size() is its canonical count.
+  void Hold(std::span<double> block) {
+    acc_ = block;
+    Canonicalize();
+  }
 
   /// Entries of the block: the coordinates some folded input carried, or,
   /// once complete, those whose bits are not +0.0.
   std::size_t size() const;
 
+  /// Whether block coordinate k is one of those entries.
+  bool IsEntry(std::size_t k) const {
+    return complete_ ? linalg::IsCanonicalEntry(acc_[k]) : present_[k] != 0;
+  }
+
  private:
   std::span<double> acc_;
+  std::uint64_t lo_ = 0;
   SparseEntries rule_ = SparseEntries::kPacked;
-  bool partials_ = false;
+  bool flags_ = false;
   bool complete_ = false;
   std::size_t size_ = 0;
-  std::vector<unsigned char> present_;  // block-sized when partials_
+  std::vector<unsigned char> present_;  // block-sized when flags_
 };
 
 /// Reusable buffers for ReduceDense/ReduceSparse. Callers keep one instance
@@ -138,12 +173,11 @@ struct AllreduceScratch {
   std::vector<simnet::VirtualTime> clock;
   std::vector<simnet::VirtualTime> send_clock;
   std::vector<simnet::VirtualTime> arrival;
-  // One fold per block, by payload kind; dense folds write into the sum.
-  std::tuple<std::vector<linalg::DenseBlockFold>,
-             std::vector<linalg::SparseBlockFold>,
-             std::vector<PricedBlockFold>>
+  // One fold per block, by payload kind; every fold writes into the sum.
+  std::tuple<std::vector<linalg::DenseBlockFold>, std::vector<PricedBlockFold>>
       folds;
   std::vector<GroupRank> folded;  // sources folded into each block
+  linalg::DenseVector held;  // a SparseVector collective's sum until packed
 };
 
 /// Fault-injection context for ReduceDense/ReduceSparse.
@@ -208,7 +242,9 @@ class AllreduceAlgorithm {
                    AllreduceScratch& scratch, linalg::DenseVector& sum,
                    CommStats& stats, FaultContext* fault = nullptr) const;
 
-  /// Sparse counterpart, folding in the same order as ReduceDense.
+  /// The sparse collective on SparseVector inputs: their entries are folded
+  /// (PricedBlockFold) into a dense sum, which is packed into `sum` once
+  /// complete, without +0.0 entries (canonical).
   void ReduceSparse(const GroupComm& group,
                     std::span<const linalg::SparseVector> inputs,
                     std::span<const simnet::VirtualTime> starts,
@@ -219,7 +255,8 @@ class AllreduceAlgorithm {
   /// stands for the sparse vector of its entries under `entries`, and every
   /// send is priced by the entries it would carry. Writes the dense sum and
   /// returns its entry count: bitwise ToDense of the sum, and the nnz and
-  /// stats, that the SparseVector overload gives on the inputs' packs.
+  /// stats, that the SparseVector overload gives on the inputs' packs
+  /// (AssignFromDense for kPacked, AssignFromDenseBlock for kCanonical).
   std::size_t ReduceSparse(
       const GroupComm& group, std::span<const linalg::DenseVector> inputs,
       std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,

@@ -1,7 +1,6 @@
 #include "comm/hierarchical.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "support/status.hpp"
 
@@ -77,39 +76,37 @@ void MultiLevelAllreduce::Redistribute(std::size_t len,
   }
 }
 
-template <bool kSparse, typename V>
+template <bool kSparse>
 std::size_t MultiLevelAllreduce::Reduce(
-    const AllreduceAlgorithm& alg, std::span<const V> inputs,
+    const AllreduceAlgorithm& alg, std::span<const linalg::DenseVector> inputs,
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
-    V& sum, CommStats& stats) {
+    linalg::DenseVector& sum, CommStats& stats) {
   const std::size_t racks = rack_comms_.size();
   PSRA_REQUIRE(inputs.size() == per_rack_ * racks &&
                    starts.size() == per_rack_ * racks,
                "multi-level allreduce needs one input and start per member");
   // One stage collective; returns its sum's entry count (dense: its size).
-  // A dense-held sparse root stage reads the rack sums as canonical.
-  auto reduce = [&](const GroupComm& group, std::span<const V> in,
-                    std::span<const simnet::VirtualTime> at, V& out,
+  // A sparse root stage reads the rack sums as canonical.
+  auto reduce = [&](const GroupComm& group,
+                    std::span<const linalg::DenseVector> in,
+                    std::span<const simnet::VirtualTime> at,
+                    linalg::DenseVector& out,
                     SparseEntries entries) -> std::size_t {
     if constexpr (!kSparse) {
       alg.ReduceDense(group, in, at, scratch, out, stage_stats_);
       return out.size();
-    } else if constexpr (std::is_same_v<V, linalg::SparseVector>) {
-      alg.ReduceSparse(group, in, at, scratch, out, stage_stats_);
-      return out.nnz();
     } else {
       return alg.ReduceSparse(group, in, at, scratch, out, stage_stats_,
                               nullptr, entries);
     }
   };
-  auto& rack_sums = std::get<std::vector<V>>(rack_sums_);
   stats.Reset(inputs.size());
-  rack_sums.resize(racks);
+  rack_sums_.resize(racks);
   root_starts_.resize(racks);
   for (std::size_t r = 0; r < racks; ++r) {
     const std::size_t base = r * per_rack_;
     reduce(rack_comms_[r], inputs.subspan(base, per_rack_),
-           starts.subspan(base, per_rack_), rack_sums[r],
+           starts.subspan(base, per_rack_), rack_sums_[r],
            SparseEntries::kPacked);
     for (std::size_t m = 0; m < per_rack_; ++m) {
       stats.finish_times[base + m] = stage_stats_.finish_times[m];
@@ -117,17 +114,11 @@ std::size_t MultiLevelAllreduce::Reduce(
     root_starts_[r] = stage_stats_.finish_times[0];
     MergeTraffic(stats, stage_stats_);
   }
-  const std::size_t nnz = reduce(*root_comm_, rack_sums, root_starts_, sum,
+  const std::size_t nnz = reduce(*root_comm_, rack_sums_, root_starts_, sum,
                                  SparseEntries::kCanonical);
   MergeTraffic(stats, stage_stats_);
-  std::size_t len = 0;
-  if constexpr (std::is_same_v<V, linalg::SparseVector>) {
-    len = sum.dim();
-  } else {
-    len = sum.size();
-  }
-  Redistribute(len, kSparse ? std::optional(nnz) : std::nullopt, stage_stats_,
-               stats);
+  Redistribute(sum.size(), kSparse ? std::optional(nnz) : std::nullopt,
+               stage_stats_, stats);
   return nnz;
 }
 
@@ -136,14 +127,6 @@ void MultiLevelAllreduce::ReduceDense(
     std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
     linalg::DenseVector& sum, CommStats& stats) {
   Reduce<false>(alg, inputs, starts, scratch, sum, stats);
-}
-
-void MultiLevelAllreduce::ReduceSparse(
-    const AllreduceAlgorithm& alg,
-    std::span<const linalg::SparseVector> inputs,
-    std::span<const simnet::VirtualTime> starts, AllreduceScratch& scratch,
-    linalg::SparseVector& sum, CommStats& stats) {
-  Reduce<true>(alg, inputs, starts, scratch, sum, stats);
 }
 
 std::size_t MultiLevelAllreduce::ReduceSparse(

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "comm/collective.hpp"
@@ -58,26 +57,14 @@ class MultiLevelAllreduce {
                    AllreduceScratch& scratch, linalg::DenseVector& sum,
                    CommStats& stats);
 
-  /// Sparse counterpart; the redistribution ships the sum in the cheaper
-  /// encoding for `sum.nnz()` (ElemPricing::Cheaper). Each stage's sum is
-  /// canonical (no +0.0 entry), which leaves the dense sum unchanged only
-  /// for inputs without ±0.0 entries: if one rack cancels to +0.0 and
-  /// another holds a lone -0.0, the first drops its +0.0 and the root
-  /// keeps -0.0 where a flat sum gives +0.0. Packs of dense vectors
-  /// (SparseVector::AssignFromDense) carry none.
-  void ReduceSparse(const AllreduceAlgorithm& alg,
-                    std::span<const linalg::SparseVector> inputs,
-                    std::span<const simnet::VirtualTime> starts,
-                    AllreduceScratch& scratch, linalg::SparseVector& sum,
-                    CommStats& stats);
-
   /// Sparse counterpart over inputs the host keeps dense, each standing for
   /// the sparse vector of its packed entries (SparseEntries::kPacked): the
   /// rack stages run AllreduceAlgorithm's dense-held ReduceSparse, and the
   /// root stage reads the rack sums as the canonical vectors they are
   /// (SparseEntries::kCanonical). Writes the dense sum and returns its entry
-  /// count, bitwise what the SparseVector overload gives on the inputs'
-  /// packs.
+  /// count; the redistribution ships the sum in the cheaper encoding for
+  /// that count (ElemPricing::Cheaper). Each stage equals the flat
+  /// SparseVector collective on the packs of its inputs.
   std::size_t ReduceSparse(const AllreduceAlgorithm& alg,
                            std::span<const linalg::DenseVector> inputs,
                            std::span<const simnet::VirtualTime> starts,
@@ -91,10 +78,12 @@ class MultiLevelAllreduce {
   std::size_t redistribution_bytes() const { return redist_bytes_; }
 
  private:
-  template <bool kSparse, typename V>
-  std::size_t Reduce(const AllreduceAlgorithm& alg, std::span<const V> inputs,
+  template <bool kSparse>
+  std::size_t Reduce(const AllreduceAlgorithm& alg,
+                     std::span<const linalg::DenseVector> inputs,
                      std::span<const simnet::VirtualTime> starts,
-                     AllreduceScratch& scratch, V& sum, CommStats& stats);
+                     AllreduceScratch& scratch, linalg::DenseVector& sum,
+                     CommStats& stats);
   void Redistribute(std::size_t len, std::optional<std::size_t> sparse_nnz,
                     const CommStats& root_stats, CommStats& stats);
 
@@ -102,11 +91,9 @@ class MultiLevelAllreduce {
   std::optional<GroupComm> root_comm_;  // over the rack leaders
   std::uint32_t per_rack_ = 0;
 
-  // Recycled call scratch; the rack sums by payload kind.
+  // Recycled call scratch.
   CommStats stage_stats_;
-  std::tuple<std::vector<linalg::DenseVector>,
-             std::vector<linalg::SparseVector>>
-      rack_sums_;
+  std::vector<linalg::DenseVector> rack_sums_;
   std::vector<simnet::VirtualTime> root_starts_;
   std::vector<simnet::Rank> rack_leaders_;
   BroadcastResult bcast_;

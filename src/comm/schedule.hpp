@@ -6,8 +6,10 @@
 // serializes them, and what every rank receives, in the order it folds
 // (reduce phases) or stores (the other phases) it. Steps are enumerated on
 // demand; nothing is stored per (sender, receiver) pair. Two executors run
-// every schedule, one code path each for dense and sparse payloads (the
-// simulator also runs sparse payloads the host holds dense, PricedSparse):
+// every schedule, one code path each for dense and sparse payloads. A
+// sparse payload's inputs are SparseVectors or dense vectors standing for
+// sparse ones (PricedSparse); either way its blocks are held and folded
+// dense, by PricedBlockFold:
 //
 //   * the simulator (collective.cpp) prices it under the sender-serialized
 //     cost model of collective.hpp and folds straight from the inputs;
@@ -30,28 +32,33 @@
 //
 // Five rules keep the two backends and the payload kinds bitwise equal
 // (DESIGN.md §11):
-//   1. dense psr and naive folds start from zeros; ring and every
-//      SparseVector fold start from the first source; a sparse payload held
-//      dense folds from +0.0 and reads every coordinate that is not an entry
-//      of an input as +0.0, which adds the same terms in the same order;
+//   1. dense psr and naive folds start from zeros; dense ring folds start
+//      from the first source; a sparse fold starts from +0.0, reads every
+//      coordinate of a dense input that is not an entry as +0.0, and copies
+//      an index's first (index, value) entry (a SparseVector's, or a
+//      frame's) and adds later ones, which adds the same terms in the same
+//      order;
 //   2. scatter_reduce_done is the latest clock among the receivers of the
 //      reduce phases, not among all ranks;
 //   3. an empty sparse send in a phase marked skip_empty (psr, naive
 //      gather) is neither timed nor counted; the wire still ships the empty
 //      frame so its receiver does not wait for a message that never comes;
 //   4. a sparse block is canonical once completely reduced: it carries no
-//      explicit +0.0 entry (SparseBlockFold::Canonicalize), so a completed
-//      block held dense counts the coordinates whose bits are not +0.0,
-//      while a forwarded ring partial counts every coordinate a folded input
-//      carried, a cancelled one included;
+//      explicit +0.0 entry (PricedBlockFold::Canonicalize), so a completed
+//      block counts, frames and packs the coordinates whose bits are not
+//      +0.0, while a forwarded ring partial counts and frames every
+//      coordinate a folded input carried, a cancelled one included;
 //   5. sparse sends in the store phases (allgather, broadcast) travel in the
 //      cheaper encoding for their nnz (ElemPricing::Cheaper); the reduce
 //      phases stay sparse, because that is where psr and ring differ.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "comm/collective.hpp"
 #include "support/status.hpp"
@@ -184,11 +191,12 @@ class Schedule {
   GroupRank n_;
 };
 
-/// The payload-specific half of both executors: how a block is measured and
-/// folded. Dense folds write in place into the caller's output vector;
-/// sparse folds own their storage until appended. A payload is named by its
-/// vector type, or, for a sparse payload the host holds dense, by
-/// PricedSparse below.
+/// The payload-specific half of both executors: how an input block is
+/// measured and folded. Every fold writes in place into the caller's dense
+/// output vector. A payload is named by its input vector type, or, for a
+/// sparse payload the host holds dense, by PricedSparse below. Reset's
+/// `entries` says whether the fold will also take (index, value) entries
+/// (the wire executor's received frames).
 template <typename T>
 struct Payload;
 
@@ -198,9 +206,6 @@ struct Payload<linalg::DenseVector> {
   using Vector = linalg::DenseVector;
   using Fold = linalg::DenseBlockFold;
   static std::uint64_t Dim(const linalg::DenseVector& v) { return v.size(); }
-  static void Resize(linalg::DenseVector& v, std::uint64_t dim) {
-    v.resize(static_cast<std::size_t>(dim));
-  }
   static std::size_t Count(const linalg::DenseVector&, std::uint64_t lo,
                            std::uint64_t hi) {
     return static_cast<std::size_t>(hi - lo);
@@ -216,7 +221,7 @@ struct Payload<linalg::DenseVector> {
     return std::span<const double>(v).subspan(lo, hi - lo);
   }
   static void Reset(Fold& fold, linalg::DenseVector& out, std::uint64_t lo,
-                    std::uint64_t hi, const Schedule& s) {
+                    std::uint64_t hi, const Schedule& s, bool /*entries*/) {
     fold.Reset(std::span<double>(out).subspan(lo, hi - lo),
                s.dense_folds_from_zero());
   }
@@ -226,12 +231,8 @@ template <>
 struct Payload<linalg::SparseVector> {
   static constexpr bool kSparse = true;
   using Vector = linalg::SparseVector;
-  using Fold = linalg::SparseBlockFold;
+  using Fold = PricedBlockFold;
   static std::uint64_t Dim(const linalg::SparseVector& v) { return v.dim(); }
-  /// Empties `v` over [0, dim): the shape a sparse frame is received into.
-  static void Resize(linalg::SparseVector& v, std::uint64_t dim) {
-    v.Clear(dim);
-  }
   static std::size_t Count(const linalg::SparseVector& v, std::uint64_t lo,
                            std::uint64_t hi) {
     return v.CountInRange(lo, hi);
@@ -242,14 +243,28 @@ struct Payload<linalg::SparseVector> {
     if (ph.reduce) return {true, nnz};
     return pr.Cheaper(nnz, static_cast<std::size_t>(len));
   }
-  /// The fold itself keeps only the entries in [lo, hi).
-  static const linalg::SparseVector& In(const linalg::SparseVector& v,
-                                        std::uint64_t, std::uint64_t) {
-    return v;
+  /// The stored entries of `v` in [lo, hi).
+  static SparseSlice In(const linalg::SparseVector& v, std::uint64_t lo,
+                        std::uint64_t hi) {
+    const auto idx = v.indices();
+    const auto first = std::lower_bound(idx.begin(), idx.end(), lo);
+    const auto last = std::lower_bound(first, idx.end(), hi);
+    const auto at = static_cast<std::size_t>(first - idx.begin());
+    const auto len = static_cast<std::size_t>(last - first);
+    return {idx.subspan(at, len), v.values().subspan(at, len)};
   }
-  static void Reset(Fold& fold, linalg::SparseVector&, std::uint64_t lo,
-                    std::uint64_t hi, const Schedule& /*rule 1*/) {
-    fold.Reset(lo, hi);
+  /// What a frame of `v`'s slice [lo, hi) carries: its stored entries.
+  static SparseSlice Entries(const linalg::SparseVector& v, std::uint64_t lo,
+                             std::uint64_t hi, std::vector<std::uint64_t>&,
+                             std::vector<double>&) {
+    return In(v, lo, hi);
+  }
+  /// Entries are copied on first contribution (rule 1), which takes
+  /// presence flags; the rule reads no dense slice here.
+  static void Reset(Fold& fold, linalg::DenseVector& out, std::uint64_t lo,
+                    std::uint64_t hi, const Schedule&, bool /*entries*/) {
+    fold.Reset(std::span<double>(out).subspan(lo, hi - lo), lo,
+               SparseEntries::kCanonical, /*flags=*/true);
   }
 };
 
@@ -269,9 +284,6 @@ struct Payload<PricedSparse<E>> {
   using Vector = linalg::DenseVector;
   using Fold = PricedBlockFold;
   static std::uint64_t Dim(const linalg::DenseVector& v) { return v.size(); }
-  static void Resize(linalg::DenseVector& v, std::uint64_t dim) {
-    v.resize(static_cast<std::size_t>(dim));
-  }
   static std::size_t Count(const linalg::DenseVector& v, std::uint64_t lo,
                            std::uint64_t hi) {
     return CountEntries(In(v, lo, hi), E);
@@ -284,10 +296,29 @@ struct Payload<PricedSparse<E>> {
                                     std::uint64_t lo, std::uint64_t hi) {
     return std::span<const double>(v).subspan(lo, hi - lo);
   }
+  /// What a frame of `v`'s slice [lo, hi) carries: its entries under E,
+  /// compacted into `idx` and `val`.
+  static SparseSlice Entries(const linalg::DenseVector& v, std::uint64_t lo,
+                             std::uint64_t hi, std::vector<std::uint64_t>& idx,
+                             std::vector<double>& val) {
+    const std::span<const double> x = In(v, lo, hi);
+    if constexpr (E == SparseEntries::kPacked) {
+      linalg::CompactEntries(
+          lo, x, [&](std::size_t k) { return std::fabs(x[k]) > 0.0; }, idx,
+          val);
+    } else {
+      linalg::CompactEntries(
+          lo, x, [&](std::size_t k) { return linalg::IsCanonicalEntry(x[k]); },
+          idx, val);
+    }
+    return {idx, val};
+  }
+  /// Presence flags only when partials are read or entries folded, so the
+  /// engines' flat folds carry none.
   static void Reset(Fold& fold, linalg::DenseVector& out, std::uint64_t lo,
-                    std::uint64_t hi, const Schedule& s) {
-    fold.Reset(std::span<double>(out).subspan(lo, hi - lo), E,
-               s.forwards_partials());
+                    std::uint64_t hi, const Schedule& s, bool entries) {
+    fold.Reset(std::span<double>(out).subspan(lo, hi - lo), lo, E,
+               entries || s.forwards_partials());
   }
 };
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 #include "comm/schedule.hpp"
 #include "obs/wire.hpp"
@@ -17,11 +18,12 @@ namespace psra::comm {
 struct WireScratch {
   std::vector<std::byte> bytes;    // the frame being posted or received
   std::vector<std::uint64_t> idx;  // a sparse frame's indices
-  std::vector<double> val;         // its values, or a dense frame's block
-  std::tuple<linalg::DenseBlockFold, linalg::SparseBlockFold> folds;
-  linalg::DenseVector dense;    // a received dense block
-  linalg::SparseVector sparse;  // a received sparse block or an own slice
-  std::vector<linalg::SparseVector> blocks;  // sparse blocks until the end
+  std::vector<double> val;         // its values, or a received dense block
+  // One fold per block, by payload kind; every fold writes into the sum.
+  std::tuple<std::vector<linalg::DenseBlockFold>, std::vector<PricedBlockFold>>
+      folds;
+  linalg::DenseVector held;      // a SparseVector collective's sum
+  linalg::DenseVector rack_sum;  // a multi-level collective's rack stage sum
 };
 
 namespace {
@@ -60,7 +62,7 @@ enum class FrameKind : std::uint64_t { kSparse = 1, kDense = 2 };
 /// Group-rank addressing over the transport: members[g] is the transport
 /// rank of group rank g. Frames are staged and decoded in the scratch's
 /// frame buffers, and every receive checks its frame against the shape of
-/// the vector it fills.
+/// the block it fills.
 ///
 /// Dense payloads travel as raw doubles. A sparse payload's frame starts
 /// with its FrameKind: kSparse is followed by u64 nnz | nnz * u64 index |
@@ -96,48 +98,42 @@ struct Wire {
 
   GroupRank size() const { return static_cast<GroupRank>(members.size()); }
 
-  /// Dense frame: the raw doubles. Returns the elements posted.
-  std::size_t Post(GroupRank to, Tag tag, std::span<const double> x) {
+  /// Dense frame: the raw doubles.
+  void Post(GroupRank to, Tag tag, std::span<const double> x) {
     t.Post(members[to], tag, std::as_bytes(x));
-    return x.size();
   }
 
-  /// Block [lo, hi) of `v`, whose entries all lie in it, in encoding `e`.
-  void Post(GroupRank to, Tag tag, const linalg::SparseVector& v,
-            std::uint64_t lo, std::uint64_t hi, Encoding e) {
-    const FrameKind kind = e.sparse ? FrameKind::kSparse : FrameKind::kDense;
-    const std::uint64_t nnz = v.nnz();
-    bytes.resize(sizeof(kind) + (e.sparse ? sizeof(std::uint64_t) * (1 + nnz) +
-                                                sizeof(double) * nnz
-                                          : sizeof(double) * (hi - lo)));
-    std::byte* p = bytes.data();
-    std::memcpy(p, &kind, sizeof(kind));
-    p += sizeof(kind);
-    if (!e.sparse) {
-      PSRA_CHECK(nnz == 0 || (lo <= v.indices().front() &&
-                              v.indices().back() < hi),
-                 "a dense frame's entries must lie in its block");
-      std::memset(p, 0, bytes.size() - sizeof(kind));
-      for (std::size_t k = 0; k < nnz; ++k) {
-        std::memcpy(p + (v.indices()[k] - lo) * sizeof(double),
-                    &v.values()[k], sizeof(double));
-      }
-    } else {
-      std::memcpy(p, &nnz, sizeof(nnz));
-      p += sizeof(nnz);
-      // An empty vector's data() may be null, which memcpy does not accept
-      // even for a zero length.
-      if (nnz != 0) {
-        std::memcpy(p, v.indices().data(), nnz * sizeof(std::uint64_t));
-        p += nnz * sizeof(std::uint64_t);
-        std::memcpy(p, v.values().data(), nnz * sizeof(double));
-      }
+  /// Stages a sparse frame of entries `e`.
+  void Frame(const SparseSlice& e) {
+    const std::uint64_t nnz = e.indices.size();
+    std::byte* p = Stage(FrameKind::kSparse, sizeof(nnz) + nnz * kEntry);
+    std::memcpy(p, &nnz, sizeof(nnz));
+    p += sizeof(nnz);
+    // An empty vector's data() may be null, which memcpy does not accept
+    // even for a zero length.
+    if (nnz != 0) {
+      std::memcpy(p, e.indices.data(), nnz * sizeof(std::uint64_t));
+      p += nnz * sizeof(std::uint64_t);
+      std::memcpy(p, e.values.data(), nnz * sizeof(double));
     }
-    t.Post(members[to], tag, bytes);
   }
 
-  /// Posts the frame the last sparse Post built once more.
-  void Repost(GroupRank to, Tag tag) { t.Post(members[to], tag, bytes); }
+  /// Stages complete block `x`, which covers [lo, lo + x.size()), in
+  /// encoding `e`: its canonical entries, or its values.
+  void Frame(std::uint64_t lo, std::span<const double> x, Encoding e) {
+    if (e.sparse) {
+      linalg::CompactEntries(
+          lo, x, [&](std::size_t k) { return linalg::IsCanonicalEntry(x[k]); },
+          idx, val);
+      Frame(SparseSlice{idx, val});
+      return;
+    }
+    std::byte* p = Stage(FrameKind::kDense, x.size_bytes());
+    if (!x.empty()) std::memcpy(p, x.data(), x.size_bytes());  // as above
+  }
+
+  /// Posts the staged frame.
+  void PostFrame(GroupRank to, Tag tag) { t.Post(members[to], tag, bytes); }
 
   /// Receives exactly out.size() doubles.
   void Recv(GroupRank from, Tag tag, std::span<double> out) {
@@ -147,90 +143,121 @@ struct Wire {
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   }
 
-  /// Receives block [lo, hi) of a sparse payload over out.dim() into
-  /// `out`, in whichever encoding its frame says. A sparse frame's indices
-  /// must lie in the block; a dense frame decodes to the entries of a
-  /// canonical block (SparseVector::AssignFromDenseBlock).
-  void Recv(GroupRank from, Tag tag, std::uint64_t lo, std::uint64_t hi,
-            linalg::SparseVector& out) {
+  /// Receives the entries a reduce phase folds into block [lo, hi): a
+  /// sparse frame.
+  SparseSlice RecvEntries(GroupRank from, Tag tag, std::uint64_t lo,
+                          std::uint64_t hi) {
+    PSRA_REQUIRE(RecvFrame(from, tag) == FrameKind::kSparse,
+                 "a reduce phase takes sparse frames only");
+    return DecodeEntries(lo, hi);
+  }
+
+  /// Receives complete block [lo, lo + out.size()) of a sparse payload into
+  /// `out`, in whichever encoding its frame says.
+  void RecvBlock(GroupRank from, Tag tag, std::uint64_t lo,
+                 std::span<double> out) {
+    if (RecvFrame(from, tag) == FrameKind::kDense) {
+      PSRA_REQUIRE(bytes.size() == sizeof(FrameKind) + out.size_bytes(),
+                   "dense block payload size mismatch");
+      if (!out.empty()) {
+        std::memcpy(out.data(), bytes.data() + sizeof(FrameKind),
+                    out.size_bytes());
+      }
+      return;
+    }
+    const SparseSlice e = DecodeEntries(lo, lo + out.size());
+    linalg::SetZero(out);
+    for (std::size_t k = 0; k < e.indices.size(); ++k) {
+      out[e.indices[k] - lo] = e.values[k];
+    }
+  }
+
+ private:
+  static constexpr std::size_t kEntry = sizeof(std::uint64_t) + sizeof(double);
+
+  /// Sizes the frame to `body` bytes after its kind and returns the body.
+  std::byte* Stage(FrameKind kind, std::size_t body) {
+    bytes.resize(sizeof(kind) + body);
+    std::memcpy(bytes.data(), &kind, sizeof(kind));
+    return bytes.data() + sizeof(kind);
+  }
+
+  /// Receives a sparse payload's frame and returns its kind, which is known.
+  FrameKind RecvFrame(GroupRank from, Tag tag) {
     t.Recv(members[from], tag, bytes);
     FrameKind kind{};
     PSRA_REQUIRE(bytes.size() >= sizeof(kind), "sparse payload too short");
-    const std::byte* p = bytes.data();
-    std::memcpy(&kind, p, sizeof(kind));
-    p += sizeof(kind);
-    const std::size_t body = bytes.size() - sizeof(kind);
-    if (kind == FrameKind::kDense) {
-      PSRA_REQUIRE(body == sizeof(double) * (hi - lo),
-                   "dense block payload size mismatch");
-      val.resize(hi - lo);
-      if (body != 0) std::memcpy(val.data(), p, body);  // as in Post
-      out.AssignFromDenseBlock(out.dim(), lo, val);
-      return;
-    }
-    PSRA_REQUIRE(kind == FrameKind::kSparse, "unknown sparse frame kind");
+    std::memcpy(&kind, bytes.data(), sizeof(kind));
+    PSRA_REQUIRE(kind == FrameKind::kSparse || kind == FrameKind::kDense,
+                 "unknown sparse frame kind");
+    return kind;
+  }
+
+  /// Decodes the received sparse frame into idx/val. Its indices must be
+  /// strictly increasing and lie in [lo, hi).
+  SparseSlice DecodeEntries(std::uint64_t lo, std::uint64_t hi) {
+    const std::byte* p = bytes.data() + sizeof(FrameKind);
+    const std::size_t body = bytes.size() - sizeof(FrameKind);
     std::uint64_t nnz = 0;
     PSRA_REQUIRE(body >= sizeof(nnz), "sparse payload too short");
     std::memcpy(&nnz, p, sizeof(nnz));
     p += sizeof(nnz);
     // nnz is bounded by the frame before it enters any size arithmetic.
-    constexpr std::size_t kEntry = sizeof(std::uint64_t) + sizeof(double);
     PSRA_REQUIRE(nnz <= (body - sizeof(nnz)) / kEntry &&
                      body == sizeof(nnz) + kEntry * nnz,
                  "sparse payload size mismatch");
     idx.resize(nnz);
     val.resize(nnz);
-    if (nnz != 0) {  // as in Post: no null data() into memcpy
+    if (nnz != 0) {  // as in Frame: no null data() into memcpy
       std::memcpy(idx.data(), p, nnz * sizeof(std::uint64_t));
       p += nnz * sizeof(std::uint64_t);
       std::memcpy(val.data(), p, nnz * sizeof(double));
     }
-    out.AssignBlock(out.dim(), lo, hi, idx, val);
+    linalg::CheckEntries(idx, val, lo, hi);
+    return {idx, val};
   }
 };
 
 /// The wire executor: this rank's part of schedule `s`. It posts the sends
 /// the schedule gives it, then receives and folds (or stores) its blocks in
-/// the schedule's order. Dense blocks live in `out` itself; sparse blocks in
-/// sc.blocks until they are concatenated into `out`.
-template <typename V>
-void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
-                 const V& input, V& out, WireScratch& sc, WireStats& st) {
-  using P = Payload<V>;
+/// the schedule's order, all in `out`: each block has a fold, started when
+/// this rank first folds or stores the block, and a rank folds a block in
+/// one phase only. Returns the sum's entry count: its dimension for a dense
+/// payload. A sparse block's count and frames come from its fold (rule 4).
+template <typename T>
+std::size_t RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
+                        const typename Payload<T>::Vector& input,
+                        linalg::DenseVector& out, WireScratch& sc,
+                        WireStats& st) {
+  using P = Payload<T>;
   const std::uint64_t dim = P::Dim(input);
-  auto& fold = std::get<typename P::Fold>(sc.folds);
-  if constexpr (P::kSparse) sc.blocks.resize(s.num_blocks());
-  P::Resize(out, dim);
-  // Block b as this rank holds it.
-  auto held = [&](GroupRank b) -> decltype(auto) {
-    if constexpr (P::kSparse) {
-      return (sc.blocks[b]);
-    } else {
-      const auto [lo, hi] = s.BlockRange(dim, b);
-      return std::span<double>(out).subspan(lo, hi - lo);
-    }
+  auto& folds = std::get<std::vector<typename P::Fold>>(sc.folds);
+  folds.resize(s.num_blocks());
+  out.resize(static_cast<std::size_t>(dim));
+  auto held = [&](GroupRank b) {
+    const auto [lo, hi] = s.BlockRange(dim, b);
+    return std::span<double>(out).subspan(lo, hi - lo);
+  };
+  auto start = [&](GroupRank b) {
+    const auto [lo, hi] = s.BlockRange(dim, b);
+    P::Reset(folds[b], out, lo, hi, s, /*entries=*/true);
   };
   constexpr GroupRank kNone = ~GroupRank{0};
   GroupRank folding = kNone;
   bool completes = true;  // the running fold completes its block (rule 4)
   auto end_fold = [&] {
     if constexpr (P::kSparse) {
-      if (folding != kNone) {
-        if (completes) fold.Canonicalize();
-        held(folding).Clear(dim);
-        fold.AppendTo(held(folding));
-      }
+      if (folding != kNone && completes) folds[folding].Canonicalize();
     }
     folding = kNone;
   };
   auto fold_in = [&](GroupRank b, const auto& x) {
     if (b != folding) {
       end_fold();
-      const auto [lo, hi] = s.BlockRange(dim, b);
-      P::Reset(fold, out, lo, hi, s);
+      start(b);
       folding = b;
     }
-    fold.Add(x);
+    folds[b].Add(x);
   };
 
   if (s.num_phases() == 0) {  // a lone rank folds its own input once
@@ -249,22 +276,29 @@ void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
     // A held block does not change while its phase sends, so one frame
     // serves every peer it goes to (psr allgather, naive broadcast).
     GroupRank framed = kNone;
+    Encoding e;
     s.ForEachSend(p, w.me, [&](GroupRank to, GroupRank b) {
       const auto [lo, hi] = s.BlockRange(dim, b);
       if constexpr (P::kSparse) {
-        const linalg::SparseVector* v = &held(b);
         if (ph.own_slice) {
-          input.SliceInto(lo, hi, sc.sparse);
-          v = &sc.sparse;
+          const SparseSlice x = P::Entries(input, lo, hi, sc.idx, sc.val);
+          e = P::Encode(pr, ph, x.indices.size(), hi - lo);  // rule 5
+          w.Frame(x);
+        } else if (b != framed) {
+          const auto& fold = folds[b];
+          e = P::Encode(pr, ph, fold.size(), hi - lo);
+          if (ph.reduce) {  // a ring partial: every entry carried so far
+            linalg::CompactEntries(
+                lo, held(b), [&](std::size_t k) { return fold.IsEntry(k); },
+                sc.idx, sc.val);
+            w.Frame(SparseSlice{sc.idx, sc.val});
+          } else {
+            w.Frame(lo, held(b), e);
+          }
+          framed = b;
         }
-        const Encoding e = P::Encode(pr, ph, v->nnz(), hi - lo);  // rule 5
-        if (!ph.own_slice && b == framed) {
-          w.Repost(to, tag);
-        } else {
-          w.Post(to, tag, *v, lo, hi, e);
-          framed = ph.own_slice ? kNone : b;
-        }
-        if (ph.skip_empty && v->nnz() == 0) return;  // rule 3
+        w.PostFrame(to, tag);
+        if (ph.skip_empty && e.elements == 0) return;  // rule 3
         st.CountSend(e.elements, pr.PerElement(e.sparse));
       } else {
         if (ph.own_slice) {
@@ -280,28 +314,30 @@ void RunSchedule(const Schedule& s, Wire& w, Tag base, ElemPricing pr,
       const auto [lo, hi] = s.BlockRange(dim, b);
       if (!ph.reduce) {
         if constexpr (P::kSparse) {
-          held(b).Clear(dim);
-          w.Recv(from, tag, lo, hi, held(b));
+          w.RecvBlock(from, tag, lo, held(b));
+          folds[b].Hold(held(b));
         } else {
           w.Recv(from, tag, held(b));
         }
       } else if (from == w.me) {
         fold_in(b, P::In(input, lo, hi));
       } else if constexpr (P::kSparse) {
-        sc.sparse.Clear(dim);
-        w.Recv(from, tag, lo, hi, sc.sparse);
-        fold_in(b, sc.sparse);
+        fold_in(b, w.RecvEntries(from, tag, lo, hi));
       } else {
-        sc.dense.resize(static_cast<std::size_t>(hi - lo));
-        w.Recv(from, tag, std::span<double>(sc.dense));
-        fold_in(b, std::span<const double>(sc.dense));
+        sc.val.resize(static_cast<std::size_t>(hi - lo));
+        w.Recv(from, tag, std::span<double>(sc.val));
+        fold_in(b, std::span<const double>(sc.val));
       }
     });
     end_fold();
   }
   stage.reset();
   if constexpr (P::kSparse) {
-    linalg::SparseVector::ConcatDisjointInto(sc.blocks, out);
+    std::size_t nnz = 0;
+    for (const auto& fold : folds) nnz += fold.size();
+    return nnz;
+  } else {
+    return static_cast<std::size_t>(dim);
   }
 }
 
@@ -373,10 +409,11 @@ Transport::Tag WireCollectives::NextBaseTag() {
   return base;
 }
 
-template <typename V>
-void WireCollectives::Allreduce(AllreduceKind kind,
-                                std::span<const Transport::Rank> members,
-                                const V& input, V& out, WireStats& st) {
+template <typename T, typename V>
+std::size_t WireCollectives::Allreduce(AllreduceKind kind,
+                                       std::span<const Transport::Rank> members,
+                                       const V& input, linalg::DenseVector& out,
+                                       WireStats& st) {
   st.Reset();
   WireScratch& sc = *scratch_;
   Wire w(transport_, members, sc, obs_);
@@ -384,18 +421,24 @@ void WireCollectives::Allreduce(AllreduceKind kind,
   // 1-based collective epoch, lockstep everywhere.
   if (obs_ != nullptr) obs_->iteration = epoch_;
   const double begin = obs_ != nullptr ? obs_->Now() : 0.0;
-  RunSchedule(Schedule(kind, w.size()), w, base, pricing_, input, out, sc, st);
+  const std::size_t nnz = RunSchedule<T>(Schedule(kind, w.size()), w, base,
+                                         pricing_, input, out, sc, st);
   if (obs_ != nullptr) {
     FinishCollective(obs_, "wire_allreduce", AllreduceAlgorithm(kind).Name(),
                      begin);
   }
+  return nnz;
 }
 
-template <typename V>
-void WireCollectives::MultiLevel(AllreduceKind kind,
-                                 std::span<const Transport::Rank> members,
-                                 std::uint32_t per_rack, const V& input,
-                                 V& out, WireStats& st) {
+template <bool kSparse>
+std::size_t WireCollectives::MultiLevel(
+    AllreduceKind kind, std::span<const Transport::Rank> members,
+    std::uint32_t per_rack, const linalg::DenseVector& input,
+    linalg::DenseVector& out, WireStats& st) {
+  using RackStage = std::conditional_t<
+      kSparse, PricedSparse<SparseEntries::kPacked>, linalg::DenseVector>;
+  using RootStage = std::conditional_t<
+      kSparse, PricedSparse<SparseEntries::kCanonical>, linalg::DenseVector>;
   st.Reset();
   const Hierarchy h(transport_, members, per_rack);
   // Epochs advance identically on every rank, leader or not.
@@ -407,44 +450,46 @@ void WireCollectives::MultiLevel(AllreduceKind kind,
 
   WireScratch& sc = *scratch_;
   WireStats stage;
-  V rack_sum;
   {
     Wire w(transport_, h.rack, sc, obs_);
-    RunSchedule(Schedule(kind, w.size()), w, rack_tag, pricing_, input,
-                rack_sum, sc, stage);
+    RunSchedule<RackStage>(Schedule(kind, w.size()), w, rack_tag, pricing_,
+                           input, sc.rack_sum, sc, stage);
   }
   FoldStageTraffic(st, stage);
   st.rack_rounds = stage.rounds;
 
   Wire rack(transport_, h.rack, sc);
+  const std::size_t dim = input.size();
+  std::size_t nnz = dim;
   if (h.is_leader) {
     stage.Reset();
     Wire w(transport_, h.leaders, sc, obs_);
-    RunSchedule(Schedule(kind, w.size()), w, root_tag, pricing_, rack_sum,
-                out, sc, stage);
+    nnz = RunSchedule<RootStage>(Schedule(kind, w.size()), w, root_tag,
+                                 pricing_, sc.rack_sum, out, sc, stage);
     FoldStageTraffic(st, stage);
     st.root_rounds = stage.rounds;
     // Redistribute: serialize the global sum to my rack peers (ascending),
     // accounted separately like the simulator's stage 3.
     // A sparse sum travels in the cheaper encoding for its nnz (rule 5).
     StageSpan redist(obs_, "redistribute");
-    const std::uint64_t dim = Payload<V>::Dim(out);
+    const Encoding e =
+        kSparse ? pricing_.Cheaper(nnz, dim) : Encoding{false, dim};
+    if (kSparse) rack.Frame(0, out, e);
     for (GroupRank m = 1; m < rack.size(); ++m) {
-      if constexpr (Payload<V>::kSparse) {
-        const Encoding e = pricing_.Cheaper(out.nnz(), dim);
-        rack.Post(m, redist_tag, out, 0, dim, e);
-        st.redist_elements += e.elements;
+      if (kSparse) {
+        rack.PostFrame(m, redist_tag);
       } else {
-        st.redist_elements += rack.Post(m, redist_tag, out);
+        rack.Post(m, redist_tag, out);
       }
+      st.redist_elements += e.elements;
       ++st.redist_messages;
     }
   } else {
     StageSpan redist(obs_, "redistribute");
-    const std::uint64_t dim = Payload<V>::Dim(input);
-    Payload<V>::Resize(out, dim);
-    if constexpr (Payload<V>::kSparse) {
-      rack.Recv(0, redist_tag, 0, dim, out);
+    out.resize(dim);
+    if (kSparse) {
+      rack.RecvBlock(0, redist_tag, 0, out);
+      nnz = CountEntries(out, SparseEntries::kCanonical);
     } else {
       rack.Recv(0, redist_tag, out);
     }
@@ -454,13 +499,14 @@ void WireCollectives::MultiLevel(AllreduceKind kind,
     FinishCollective(obs_, "wire_multilevel",
                      AllreduceAlgorithm(kind).Name() + "_ml", obs_begin);
   }
+  return nnz;
 }
 
 void WireCollectives::AllreduceDense(AllreduceKind kind,
                                      std::span<const Transport::Rank> members,
                                      const linalg::DenseVector& input,
                                      linalg::DenseVector& out, WireStats& st) {
-  Allreduce(kind, members, input, out, st);
+  Allreduce<linalg::DenseVector>(kind, members, input, out, st);
 }
 
 void WireCollectives::AllreduceSparse(AllreduceKind kind,
@@ -468,7 +514,18 @@ void WireCollectives::AllreduceSparse(AllreduceKind kind,
                                       const linalg::SparseVector& input,
                                       linalg::SparseVector& out,
                                       WireStats& st) {
-  Allreduce(kind, members, input, out, st);
+  WireScratch& sc = *scratch_;
+  Allreduce<linalg::SparseVector>(kind, members, input, sc.held, st);
+  out.AssignFromDenseBlock(input.dim(), 0, sc.held);
+}
+
+std::size_t WireCollectives::AllreduceSparse(
+    AllreduceKind kind, std::span<const Transport::Rank> members,
+    const linalg::DenseVector& input, linalg::DenseVector& out,
+    WireStats& st) {
+  PSRA_REQUIRE(&input != &out, "the sum must not alias the input");
+  return Allreduce<PricedSparse<SparseEntries::kPacked>>(kind, members, input,
+                                                         out, st);
 }
 
 void WireCollectives::MultiLevelDense(AllreduceKind kind,
@@ -476,14 +533,14 @@ void WireCollectives::MultiLevelDense(AllreduceKind kind,
                                       std::uint32_t per_rack,
                                       const linalg::DenseVector& input,
                                       linalg::DenseVector& out, WireStats& st) {
-  MultiLevel(kind, members, per_rack, input, out, st);
+  MultiLevel<false>(kind, members, per_rack, input, out, st);
 }
 
-void WireCollectives::MultiLevelSparse(
+std::size_t WireCollectives::MultiLevelSparse(
     AllreduceKind kind, std::span<const Transport::Rank> members,
-    std::uint32_t per_rack, const linalg::SparseVector& input,
-    linalg::SparseVector& out, WireStats& st) {
-  MultiLevel(kind, members, per_rack, input, out, st);
+    std::uint32_t per_rack, const linalg::DenseVector& input,
+    linalg::DenseVector& out, WireStats& st) {
+  return MultiLevel<true>(kind, members, per_rack, input, out, st);
 }
 
 }  // namespace psra::comm

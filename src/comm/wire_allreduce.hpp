@@ -15,13 +15,17 @@
 // never blocks on a message that is not coming, but is not counted. Summing
 // WireStats across all ranks therefore reproduces the simulator's aggregate
 // CommStats traffic, and per-rank `rounds` equals the simulator's phase
-// count. A sparse payload's frame says which encoding it carries: in the
-// store phases and the multi-level redistribution a block travels in the
-// cheaper of the sparse and dense encodings for its nnz, exactly as the
-// simulator prices it (comm/schedule.hpp rules 4 and 5). A dense frame must
-// carry exactly the length its schedule step expects and a sparse frame
-// must match its own header and hold indices only inside the block it
-// fills; a mismatch or an unknown frame kind throws InvalidArgument.
+// count. A sparse payload is held and folded dense on every rank, as in the
+// simulator (PricedBlockFold), whether its input is a SparseVector or a
+// dense vector standing for one. Its frame says which encoding it carries:
+// the reduce phases ship (index, value) entries, and in the store phases
+// and the multi-level redistribution a block travels in the cheaper of the
+// sparse and dense encodings for its nnz, exactly as the simulator prices
+// it (comm/schedule.hpp rules 4 and 5). A dense frame must carry exactly the
+// length its schedule step expects, a sparse frame must match its own
+// header and hold strictly increasing indices inside the block it fills,
+// and a reduce phase takes sparse frames only; anything else throws
+// InvalidArgument before the frame is folded or stored.
 #pragma once
 
 #include <cstdint>
@@ -93,10 +97,21 @@ class WireCollectives {
                       std::span<const Transport::Rank> members,
                       const linalg::DenseVector& input,
                       linalg::DenseVector& out, WireStats& st);
+  /// Sparse allreduce of SparseVectors: `out` receives the packed sum,
+  /// without +0.0 entries (canonical), bitwise AllreduceAlgorithm's
+  /// SparseVector ReduceSparse.
   void AllreduceSparse(AllreduceKind kind,
                        std::span<const Transport::Rank> members,
                        const linalg::SparseVector& input,
                        linalg::SparseVector& out, WireStats& st);
+  /// Sparse allreduce of the payload the engines hold dense: `input` stands
+  /// for the sparse vector of its |v| > 0 entries (SparseEntries::kPacked).
+  /// `out` (not `input`) receives the dense sum; returns its entry count.
+  /// Bitwise AllreduceAlgorithm's dense-held ReduceSparse.
+  std::size_t AllreduceSparse(AllreduceKind kind,
+                              std::span<const Transport::Rank> members,
+                              const linalg::DenseVector& input,
+                              linalg::DenseVector& out, WireStats& st);
 
   /// Multi-level (rack -> root -> redistribute) allreduce mirroring
   /// MultiLevelAllreduce: `members` are partitioned into contiguous racks of
@@ -109,20 +124,29 @@ class WireCollectives {
                        std::uint32_t per_rack,
                        const linalg::DenseVector& input,
                        linalg::DenseVector& out, WireStats& st);
-  void MultiLevelSparse(AllreduceKind kind,
-                        std::span<const Transport::Rank> members,
-                        std::uint32_t per_rack,
-                        const linalg::SparseVector& input,
-                        linalg::SparseVector& out, WireStats& st);
+  /// Sparse counterpart on the engines' dense-held payload, bitwise
+  /// MultiLevelAllreduce::ReduceSparse: the rack stages are the dense-held
+  /// AllreduceSparse, the root stage reads the rack sums as canonical
+  /// (SparseEntries::kCanonical), and the redistribution ships the sum in
+  /// the cheaper encoding for its entry count, which is returned.
+  std::size_t MultiLevelSparse(AllreduceKind kind,
+                               std::span<const Transport::Rank> members,
+                               std::uint32_t per_rack,
+                               const linalg::DenseVector& input,
+                               linalg::DenseVector& out, WireStats& st);
 
  private:
-  template <typename V>
-  void Allreduce(AllreduceKind kind, std::span<const Transport::Rank> members,
-                 const V& input, V& out, WireStats& st);
-  template <typename V>
-  void MultiLevel(AllreduceKind kind, std::span<const Transport::Rank> members,
-                  std::uint32_t per_rack, const V& input, V& out,
-                  WireStats& st);
+  template <typename T, typename V>
+  std::size_t Allreduce(AllreduceKind kind,
+                        std::span<const Transport::Rank> members,
+                        const V& input, linalg::DenseVector& out,
+                        WireStats& st);
+  template <bool kSparse>
+  std::size_t MultiLevel(AllreduceKind kind,
+                         std::span<const Transport::Rank> members,
+                         std::uint32_t per_rack,
+                         const linalg::DenseVector& input,
+                         linalg::DenseVector& out, WireStats& st);
   Transport::Tag NextBaseTag();
 
   Transport& transport_;

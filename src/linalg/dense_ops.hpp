@@ -27,9 +27,9 @@ std::size_t AddCountNonzeros(std::span<const double> x, std::span<double> y);
 /// acc += x over the entries a sparse message of x carries: those with
 /// |x_i| > 0, the ones SparseVector::FromDense(x) keeps. Every other entry
 /// (±0.0, NaN) is read as +0.0, so an acc that starts at +0.0 never holds
-/// -0.0 and folds bitwise what SparseBlockFold folds from the packed
-/// messages. With a non-empty `present` (one flag per coordinate), also
-/// sets the flag of every entry carried.
+/// -0.0 and folds bitwise what a fold of the packed messages gives (first
+/// contribution copied, later ones added). With a non-empty `present` (one
+/// flag per coordinate), also sets the flag of every entry carried.
 void AddPacked(std::span<const double> x, std::span<double> acc,
                std::span<unsigned char> present = {});
 
@@ -115,9 +115,9 @@ std::size_t CountNonzeros(std::span<const double> x, double tol = 0.0);
 /// communication: values are transmitted as fp32 and widened back).
 void RoundToFloat(std::span<double> x);
 
-/// Dense counterpart of SparseBlockFold, folding in place into a block of
-/// the caller's vector: either from zeros (every contribution is added) or
-/// from the first contribution (copied, later ones added), in Add() order.
+/// The fold of a dense payload, in place into a block of the caller's
+/// vector: either from zeros (every contribution is added) or from the first
+/// contribution (copied, later ones added), in Add() order.
 class DenseBlockFold {
  public:
   void Reset(std::span<double> block, bool from_zero) {

@@ -2,10 +2,13 @@
 //
 // This is the representation the PSR-Allreduce cost analysis is written in:
 // transmitting one element costs theta_s = (value_bytes + index_bytes) / B.
-// The collectives operate on block slices of these vectors, so the type
-// supports cheap range extraction and merging.
+// The collectives fold sparse payloads into dense blocks (comm's
+// PricedBlockFold); a SparseVector is one of their input formats and the
+// packed form of a completed sum.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,6 +16,50 @@
 #include "linalg/dense_ops.hpp"
 
 namespace psra::linalg {
+
+/// Whether a completely reduced sparse block held dense keeps `v` as an
+/// entry: every value but +0.0, the result of a cancellation (-0.0 and NaN
+/// included). This is the canonical form of a reduced block; its dense
+/// expansion decodes back to exactly these entries.
+inline bool IsCanonicalEntry(double v) {
+  return std::bit_cast<std::uint64_t>(v) != 0;
+}
+
+/// Throws InvalidArgument unless `indices` and `values` have equal lengths
+/// and the indices are strictly increasing and lie in [lo, hi).
+void CheckEntries(std::span<const std::uint64_t> indices,
+                  std::span<const double> values, std::uint64_t lo,
+                  std::uint64_t hi);
+
+/// Overwrites `indices` and `values` with (first + k, vals[k]) for every k
+/// where keep(k), in order, and returns their count. After a counting pass,
+/// the candidates are read 64 at a time into a bit mask and only the kept
+/// ones are visited, so the writes cost per entry kept, not per candidate.
+template <typename Keep>
+std::size_t CompactEntries(std::uint64_t first, std::span<const double> vals,
+                           Keep keep, std::vector<std::uint64_t>& indices,
+                           std::vector<double>& values) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < vals.size(); ++k) n += keep(k) ? 1 : 0;
+  indices.resize(n);
+  values.resize(n);
+  std::size_t w = 0;
+  for (std::size_t base = 0; base < vals.size(); base += 64) {
+    const std::size_t len = std::min<std::size_t>(64, vals.size() - base);
+    std::uint64_t mask = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      mask |= std::uint64_t{keep(base + j)} << j;
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      const std::size_t k =
+          base + static_cast<std::size_t>(std::countr_zero(mask));
+      indices[w] = first + k;
+      values[w] = vals[k];
+      ++w;
+    }
+  }
+  return n;
+}
 
 class SparseVector {
  public:
@@ -32,22 +79,14 @@ class SparseVector {
 
   /// In-place FromDense: overwrites this vector with the sparse form of
   /// `dense`, reusing the existing index/value storage. Allocation-free once
-  /// capacity has grown to dense.size().
+  /// capacity reaches the entries kept.
   void AssignFromDense(std::span<const double> dense, double tol = 0.0);
 
   /// Makes this the empty vector of dimension `dim`, keeping its storage.
   void Clear(Index dim);
 
-  /// Overwrites this with block [lo, hi) of a vector of dimension `dim`,
-  /// given as parallel arrays, reusing this vector's storage. Throws
-  /// InvalidArgument, leaving this unchanged, unless hi <= dim and the
-  /// indices are strictly increasing and lie in [lo, hi).
-  void AssignBlock(Index dim, Index lo, Index hi,
-                   std::span<const Index> indices,
-                   std::span<const double> values);
-
   /// Overwrites this with the entries of a canonical block (see
-  /// SparseBlockFold::Canonicalize) that `block` expands densely over
+  /// IsCanonicalEntry) that `block` expands densely over
   /// [lo, lo + block.size()): value k is kept, at index lo + k, unless its
   /// bits are +0.0. Reuses this vector's storage; `block` must not alias it.
   void AssignFromDenseBlock(Index dim, Index lo,
@@ -67,21 +106,10 @@ class SparseVector {
   std::span<const Index> indices() const { return indices_; }
   std::span<const double> values() const { return values_; }
 
-  /// Value at logical position i (O(log nnz)).
-  double At(Index i) const;
-
-  /// Writes the sub-vector with indices in [begin, end) into `out`,
-  /// reusing its storage. Indices stay in the *original* coordinate system
-  /// and dim() is preserved, so slices of different blocks can be merged
-  /// back together. `out` must not alias this vector.
-  void SliceInto(Index begin, Index end, SparseVector& out) const;
-
   /// Number of stored entries whose index lies in [begin, end).
   std::size_t CountInRange(Index begin, Index end) const;
 
   double Dot(std::span<const double> dense) const;
-
-  double Norm2() const;
 
   /// out = a + b (indices unioned, values summed; entries that cancel to
   /// exactly zero are kept), reusing out's storage. `out` must not alias
@@ -89,68 +117,12 @@ class SparseVector {
   static void SumInto(const SparseVector& a, const SparseVector& b,
                       SparseVector& out);
 
-  /// Concatenates sparse slices (disjoint, ascending index ranges) into
-  /// `out`, reusing its storage. Dimensions must agree; `out` must not
-  /// alias any part.
-  static void ConcatDisjointInto(std::span<const SparseVector> parts,
-                                 SparseVector& out);
-
   bool operator==(const SparseVector& other) const = default;
 
  private:
-  friend class SparseBlockFold;
-
-  /// Branchless compaction: overwrites entries from position `base` on with
-  /// (first + k, vals[k]) for every k where keep(k), in order, and truncates
-  /// after the last one. Returns the number kept.
-  template <typename Keep>
-  std::size_t CompactFrom(std::size_t base, Index first,
-                          std::span<const double> vals, Keep keep);
-
   Index dim_ = 0;
   std::vector<Index> indices_;  // strictly increasing
   std::vector<double> values_;  // parallel to indices_
-};
-
-/// Sums sparse vectors over one index block [lo, hi) without pairwise
-/// merges: a dense block accumulator plus presence flags. An index's first
-/// contribution is copied and later ones are added in Add() order, so the
-/// result has exactly the entries and bits of the SumInto chain
-/// ((c0 + c1) + c2) + ... over the same contributions restricted to the
-/// block. Entries that cancel to 0.0 stay, as they do in SumInto. This is
-/// the PSR block owner's reduce (DESIGN.md §7); storage is recycled across
-/// Reset() calls.
-class SparseBlockFold {
- public:
-  using Index = SparseVector::Index;
-
-  /// Starts an empty fold over [lo, hi).
-  void Reset(Index lo, Index hi);
-
-  /// Folds in the entries of `v` whose index lies in [lo, hi).
-  void Add(const SparseVector& v);
-
-  /// Drops the entries that folded to +0.0 (a cancellation) and keeps every
-  /// other one, -0.0 included: the canonical form of a completely reduced
-  /// block. Its dense expansion decodes back to exactly these entries, so a
-  /// block stored or forwarded in either encoding counts the same nnz.
-  void Canonicalize();
-
-  /// Appends the folded entries to `out` in index order and returns their
-  /// count. `out` must have dimension >= hi and no entry at or above lo.
-  std::size_t AppendTo(SparseVector& out) const;
-
-  /// Entries folded so far (the count AppendTo would return). Counted on
-  /// the first call after an Add, so the fold loop itself does no counting.
-  std::size_t size() const;
-
- private:
-  Index lo_ = 0;
-  Index hi_ = 0;
-  mutable std::size_t size_ = 0;
-  mutable bool counted_ = true;
-  std::vector<double> acc_;             // valid where present_ is set
-  std::vector<unsigned char> present_;  // one flag per block index
 };
 
 }  // namespace psra::linalg

@@ -151,25 +151,27 @@ class Parser {
 
   void ParseNumber(Value& v) {
     const std::size_t start = pos_;
-    if (At('-') || At('+')) ++pos_;
-    bool digits = false;
+    // Returns whether at least one digit was eaten.
     auto eat_digits = [&] {
+      const std::size_t from = pos_;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
         ++pos_;
-        digits = true;
       }
+      return pos_ > from;
     };
-    eat_digits();
-    if (Eat('.')) eat_digits();
+    auto fail = [&] {
+      pos_ = start;
+      Fail("expected number");
+    };
+    if (At('-') || At('+')) ++pos_;
+    bool digits = eat_digits();
+    if (Eat('.')) digits = eat_digits() || digits;
+    if (!digits) fail();  // a mantissa needs a digit: ".e1" is no number
     if (At('e') || At('E')) {
       ++pos_;
       if (At('-') || At('+')) ++pos_;
-      eat_digits();
-    }
-    if (!digits) {
-      pos_ = start;
-      Fail("expected number");
+      if (!eat_digits()) fail();  // nor is "1e" or "1e+"
     }
     v.kind = Value::Kind::kNumber;
     // strtod needs a terminated copy: a string_view is not null-terminated.

@@ -53,9 +53,10 @@ struct Value {
 /// Parses `text` as one JSON value plus surrounding whitespace. Throws
 /// InvalidArgument("malformed JSON: <what> at offset <n>") on malformed
 /// input or nesting deeper than 256 levels. The grammar is slightly looser
-/// than RFC 8259: numbers may lead with '+' and need only one digit
-/// anywhere ("1e", ".5"), strings may hold raw control characters, \u
-/// escapes decode to '?', and duplicate keys are kept.
+/// than RFC 8259: numbers may lead with '+' and need one digit before the
+/// exponent, on either side of the point (".5", "1."), and one after an
+/// exponent marker; strings may hold raw control characters, \u escapes
+/// decode to '?', and duplicate keys are kept.
 Value Parse(std::string_view text);
 
 /// Every object key under `v` as a dotted path, in document order, each key

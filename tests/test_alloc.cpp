@@ -61,8 +61,8 @@ PsraConfig DropDelayCluster(GroupingMode grouping) {
   return cfg;
 }
 
-/// `cfg` with sparse collectives: every inter-node input is packed into a
-/// recycled SparseVector before the collective reads it.
+/// `cfg` with sparse collectives: every inter-node input stays dense, and
+/// the collective prices each send by the entries it would carry.
 PsraConfig Sparse(PsraConfig cfg) {
   cfg.sparse_comm = true;
   return cfg;
@@ -140,9 +140,9 @@ TEST_P(AllocRegression, PooledFaultyIterationIsAllocationFree) {
   EXPECT_EQ(AllocsPerIter(problem, DropDelayCluster(GetParam()), &pool), 0u);
 }
 
-// Sparse comm packs each collective input once — the flat path on the
-// pool, hierarchical/dynamic runs in the node phase — into SparseVectors
-// that keep their capacity, and the group collectives read them in place.
+// Sparse comm reduces the dense collective inputs where they are: the group
+// collective folds them into the dense sum with recycled folds and packs
+// nothing.
 TEST_P(AllocRegression, SparseSerialIterationIsAllocationFree) {
   const auto problem = BuildProblem(SmallSpec(), 8);
   EXPECT_EQ(

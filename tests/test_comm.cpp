@@ -768,6 +768,7 @@ TEST(ChargedBytes, RackRedistribution) {
   for (const std::uint32_t q : {1u, 6u}) {  // 2 or 6 of 8 entries in the sum
     SCOPED_TRACE(q);
     std::vector<SparseVector> inputs;
+    std::vector<DenseVector> held;
     for (int i = 0; i < 4; ++i) {
       std::vector<SparseVector::Index> idx;
       std::vector<double> val;
@@ -776,12 +777,13 @@ TEST(ChargedBytes, RackRedistribution) {
         val.push_back(1.0);
       }
       inputs.emplace_back(8, std::move(idx), std::move(val));
+      held.push_back(inputs.back().ToDense());
     }
     const auto starts = ZeroStarts(4);
     AllreduceScratch scratch;
-    SparseVector sum;
+    DenseVector sum;
     CommStats stats;
-    ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
+    ml.ReduceSparse(*alg, held, starts, scratch, sum, stats);
 
     std::vector<SparseVector> rack_sums(2);
     std::vector<VirtualTime> root_starts(2);
@@ -797,7 +799,7 @@ TEST(ChargedBytes, RackRedistribution) {
     const GroupComm root(&topo, &cost, {0, 2});
     SparseVector root_sum;
     alg->ReduceSparse(root, rack_sums, root_starts, scratch, root_sum, st);
-    EXPECT_EQ(root_sum, sum);
+    EXPECT_EQ(root_sum.ToDense(), sum);
     for (int r = 0; r < 2; ++r) {
       const double sent = stats.finish_times[2 * r] - st.finish_times[r];
       EXPECT_EQ((sent - 0.25) * 16.0,
@@ -1000,6 +1002,20 @@ SparseVector WithoutPositiveZeros(const SparseVector& v) {
   return SparseVector(v.dim(), std::move(idx), std::move(val));
 }
 
+/// The entries of `v` in [lo, hi), as a vector of v's dimension.
+SparseVector SliceOf(const SparseVector& v, std::uint64_t lo,
+                     std::uint64_t hi) {
+  std::vector<SparseVector::Index> idx;
+  std::vector<double> val;
+  for (std::size_t k = 0; k < v.nnz(); ++k) {
+    if (lo <= v.indices()[k] && v.indices()[k] < hi) {
+      idx.push_back(v.indices()[k]);
+      val.push_back(v.values()[k]);
+    }
+  }
+  return SparseVector(v.dim(), std::move(idx), std::move(val));
+}
+
 /// The PSR sparse reduce as a pairwise merge chain: every block starts from
 /// member 0's slice and SumInto-merges the other members' slices in
 /// ascending order, then drops its cancellations to +0.0. Timing follows
@@ -1014,19 +1030,23 @@ void ChainPsrSparse(const GroupComm& group,
   const std::uint64_t dim = inputs[0].dim();
   std::vector<SparseVector> blocks(n);
   block_nnz.assign(n, 0);
+  std::vector<SparseVector::Index> idx;
+  std::vector<double> val;
   for (GroupRank j = 0; j < n; ++j) {
     const auto [lo, hi] = group.BlockRange(dim, j);
-    inputs[0].SliceInto(lo, hi, blocks[j]);
+    blocks[j] = SliceOf(inputs[0], lo, hi);
     for (GroupRank i = 1; i < n; ++i) {
-      SparseVector slice, merged;
-      inputs[i].SliceInto(lo, hi, slice);
-      SparseVector::SumInto(blocks[j], slice, merged);
+      SparseVector merged;
+      SparseVector::SumInto(blocks[j], SliceOf(inputs[i], lo, hi), merged);
       blocks[j] = merged;
     }
     blocks[j] = WithoutPositiveZeros(blocks[j]);
     block_nnz[j] = blocks[j].nnz();
+    idx.insert(idx.end(), blocks[j].indices().begin(),
+               blocks[j].indices().end());
+    val.insert(val.end(), blocks[j].values().begin(), blocks[j].values().end());
   }
-  SparseVector::ConcatDisjointInto(blocks, sum);
+  sum = SparseVector(dim, std::move(idx), std::move(val));
 
   st.Reset(n);
   if (n == 1) {
@@ -1310,25 +1330,30 @@ TEST(MultiLevel, DenseSumMatchesFlatCollective) {
 TEST(MultiLevel, SparseSumMatchesFlatCollective) {
   RackFixture f(8, 4);
   const auto starts = ZeroStarts(8);
-  std::vector<SparseVector> inputs;
+  std::vector<DenseVector> inputs;
+  std::vector<SparseVector> packs;
   Rng rng(17);
   for (int i = 0; i < 8; ++i) {
     DenseVector d(40, 0.0);
     for (auto& e : d) {
       if (rng.NextBool(0.3)) e = static_cast<double>(rng.NextBelow(32)) - 15.0;
     }
-    inputs.push_back(SparseVector::FromDense(d));
+    packs.push_back(SparseVector::FromDense(d));
+    inputs.push_back(std::move(d));
   }
   const GroupComm flat(&f.topo, &f.cost, f.members);
 
   for (const auto kind : {AllreduceKind::kPsr, AllreduceKind::kRing}) {
     const auto alg = MakeAllreduce(kind);
     AllreduceScratch scratch;
-    SparseVector want, sum;
+    SparseVector want;
+    DenseVector sum;
     CommStats want_stats, stats;
-    alg->ReduceSparse(flat, inputs, starts, scratch, want, want_stats);
-    f.ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
-    EXPECT_EQ(sum, want) << alg->Name();
+    alg->ReduceSparse(flat, packs, starts, scratch, want, want_stats);
+    const std::size_t nnz =
+        f.ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
+    EXPECT_EQ(sum, want.ToDense()) << alg->Name();
+    EXPECT_EQ(nnz, want.nnz()) << alg->Name();
   }
 }
 
@@ -1625,6 +1650,43 @@ TEST(FaultyReduce, ExcludingEveryMemberLeavesAnEmptySum) {
   }
 }
 
+TEST(PricedBlockFold, EntriesMatchTheSumIntoChainBitwise) {
+  const double m0 = -0.0;
+  // Over the block [1, 4): index 1 cancels to +0.0 (carried by the partial,
+  // dropped once complete); 3 is a lone -0.0 (copied, sign kept).
+  const SparseVector a(6, {1, 3}, {1.5, m0});
+  const SparseVector b(6, {1, 2}, {-1.5, 0.1});
+  const SparseVector c(6, {2}, {0.2});
+  DenseVector sum(6, 7.0);  // stale contents are replaced
+  PricedBlockFold fold;
+  fold.Reset(std::span<double>(sum).subspan(1, 3), 1,
+             SparseEntries::kCanonical, /*flags=*/true);
+  for (const SparseVector* v : {&a, &b, &c}) {
+    fold.Add(SparseSlice{v->indices(), v->values()});
+  }
+  EXPECT_EQ(fold.size(), 3u);
+  EXPECT_TRUE(fold.IsEntry(0));
+  fold.Canonicalize();
+  EXPECT_EQ(fold.size(), 2u);
+  EXPECT_FALSE(fold.IsEntry(0));
+  EXPECT_TRUE(fold.IsEntry(2));
+
+  SparseVector ab, chain;
+  SparseVector::SumInto(a, b, ab);
+  SparseVector::SumInto(ab, c, chain);
+  const DenseVector want = chain.ToDense();
+  EXPECT_TRUE(SameBits(std::span<const double>(sum).subspan(1, 3),
+                       std::span<const double>(want).subspan(1, 3)));
+  EXPECT_TRUE(std::signbit(sum[3]));
+  EXPECT_EQ(sum[0], 7.0);  // outside the block
+  EXPECT_EQ(sum[4], 7.0);
+
+  // Entries take presence flags: the first contribution is copied.
+  fold.Reset(std::span<double>(sum).subspan(1, 3), 1,
+             SparseEntries::kCanonical, /*flags=*/false);
+  EXPECT_THROW(fold.Add(SparseSlice{a.indices(), a.values()}), InternalError);
+}
+
 TEST(DenseHeldSparse, CanonicalInputsMatchTheirBlockPacks) {
   // Completed sums: every value but +0.0 is an entry, NaN included.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -1663,6 +1725,72 @@ TEST(DenseHeldSparse, CanonicalInputsMatchTheirBlockPacks) {
   }
 }
 
+/// MultiLevelAllreduce on the packs of its inputs, stage by stage: each
+/// rack, then the rack leaders, run the flat SparseVector collective, and
+/// each rack leader broadcasts the sum to its peers (BroadcastFromLeader),
+/// composed as comm/hierarchical.hpp describes.
+struct PackedMultiLevel {
+  SparseVector sum;
+  CommStats stats;
+  std::size_t redist[3] = {0, 0, 0};  // elements, messages, bytes
+};
+
+PackedMultiLevel MultiLevelOnPacks(const RackFixture& f,
+                                   const AllreduceAlgorithm& alg,
+                                   std::span<const SparseVector> packs,
+                                   std::span<const VirtualTime> starts) {
+  const std::uint32_t racks = f.topo.num_racks();
+  const std::uint32_t per_rack = f.topo.nodes_per_rack();
+  PackedMultiLevel out;
+  out.stats.Reset(packs.size());
+  auto merge = [&](const CommStats& st) {
+    out.stats.elements_sent += st.elements_sent;
+    out.stats.messages_sent += st.messages_sent;
+    out.stats.bytes_sent += st.bytes_sent;
+    out.stats.rounds += st.rounds;
+  };
+  auto rack_group = [&](std::uint32_t r) {
+    const auto first = f.members.begin() + r * per_rack;
+    return GroupComm(&f.topo, &f.cost,
+                     std::vector<Rank>(first, first + per_rack));
+  };
+  AllreduceScratch scratch;
+  std::vector<SparseVector> rack_sums(racks);
+  std::vector<VirtualTime> root_starts(racks);
+  std::vector<Rank> leaders;
+  CommStats st;
+  for (std::uint32_t r = 0; r < racks; ++r) {
+    alg.ReduceSparse(rack_group(r), packs.subspan(r * per_rack, per_rack),
+                     starts.subspan(r * per_rack, per_rack), scratch,
+                     rack_sums[r], st);
+    for (std::uint32_t m = 0; m < per_rack; ++m) {
+      out.stats.finish_times[r * per_rack + m] = st.finish_times[m];
+    }
+    root_starts[r] = st.finish_times[0];
+    merge(st);
+    leaders.push_back(f.members[r * per_rack]);
+  }
+  alg.ReduceSparse(GroupComm(&f.topo, &f.cost, leaders), rack_sums,
+                   root_starts, scratch, out.sum, st);
+  merge(st);
+  for (std::uint32_t r = 0; r < racks; ++r) {
+    BroadcastResult bc;
+    BroadcastFromLeader(rack_group(r), 0, out.sum.dim(), st.finish_times[r],
+                        bc, out.sum.nnz());
+    out.redist[0] += bc.elements_sent;
+    out.redist[1] += bc.messages_sent;
+    out.redist[2] += bc.bytes_sent;
+    out.stats.finish_times[r * per_rack] = bc.finish_times[0];
+    for (std::uint32_t m = 1; m < per_rack; ++m) {
+      VirtualTime& t = out.stats.finish_times[r * per_rack + m];
+      t = std::max(t, bc.finish_times[m]);
+    }
+  }
+  out.stats.all_done = *std::max_element(out.stats.finish_times.begin(),
+                                         out.stats.finish_times.end());
+  return out;
+}
+
 TEST(DenseHeldSparse, MultiLevelMatchesTheSparseOverloadOnPacks) {
   const double inf = std::numeric_limits<double>::infinity();
   Rng rng(8);
@@ -1685,25 +1813,18 @@ TEST(DenseHeldSparse, MultiLevelMatchesTheSparseOverloadOnPacks) {
         inputs[3][5] = 2.5;
         const auto starts = RandomStarts(rng, n);
         const std::vector<SparseVector> packs = Packs(inputs);
-        SparseVector want;
-        CommStats want_stats;
-        AllreduceScratch sparse_scratch;
-        f.ml.ReduceSparse(*alg, packs, starts, sparse_scratch, want,
-                          want_stats);
-        const std::size_t want_redist[3] = {f.ml.redistribution_elements(),
-                                            f.ml.redistribution_messages(),
-                                            f.ml.redistribution_bytes()};
+        const PackedMultiLevel want = MultiLevelOnPacks(f, *alg, packs, starts);
         DenseVector sum;
         CommStats stats;
         const std::size_t nnz =
             f.ml.ReduceSparse(*alg, inputs, starts, scratch, sum, stats);
         EXPECT_TRUE(std::isnan(sum[5]));
-        EXPECT_TRUE(SameBits(sum, want.ToDense()));
-        EXPECT_EQ(nnz, want.nnz());
-        EXPECT_EQ(stats, want_stats);
-        EXPECT_EQ(f.ml.redistribution_elements(), want_redist[0]);
-        EXPECT_EQ(f.ml.redistribution_messages(), want_redist[1]);
-        EXPECT_EQ(f.ml.redistribution_bytes(), want_redist[2]);
+        EXPECT_TRUE(SameBits(sum, want.sum.ToDense()));
+        EXPECT_EQ(nnz, want.sum.nnz());
+        EXPECT_EQ(stats, want.stats);
+        EXPECT_EQ(f.ml.redistribution_elements(), want.redist[0]);
+        EXPECT_EQ(f.ml.redistribution_messages(), want.redist[1]);
+        EXPECT_EQ(f.ml.redistribution_bytes(), want.redist[2]);
       }
     }
   }

@@ -90,9 +90,9 @@ TEST(LibsvmIo, ParsesOneBasedIndices) {
   const auto ds = ReadLibsvm(in);
   EXPECT_EQ(ds.num_samples(), 2u);
   EXPECT_EQ(ds.num_features(), 3u);
-  EXPECT_DOUBLE_EQ(ds.features().Row(0).At(0), 0.5);
-  EXPECT_DOUBLE_EQ(ds.features().Row(0).At(2), 1.5);
-  EXPECT_DOUBLE_EQ(ds.features().Row(1).At(1), 2.0);
+  EXPECT_DOUBLE_EQ(ds.features().Row(0).ToDense()[0], 0.5);
+  EXPECT_DOUBLE_EQ(ds.features().Row(0).ToDense()[2], 1.5);
+  EXPECT_DOUBLE_EQ(ds.features().Row(1).ToDense()[1], 2.0);
   EXPECT_EQ(ds.labels(), (std::vector<double>{1.0, -1.0}));
 }
 
@@ -188,7 +188,8 @@ TEST(Synthetic, RowsAreUnitNormalized) {
   spec.num_test = 5;
   const auto gen = GenerateSynthetic(spec);
   for (std::uint64_t r = 0; r < gen.train.num_samples(); ++r) {
-    EXPECT_NEAR(gen.train.features().Row(r).Norm2(), 1.0, 1e-9);
+    EXPECT_NEAR(linalg::Norm2(gen.train.features().Row(r).values()), 1.0,
+                1e-9);
   }
 }
 

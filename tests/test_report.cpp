@@ -63,6 +63,20 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json::Parse("[1, 2"), InvalidArgument);
   EXPECT_THROW(json::Parse("nul"), InvalidArgument);
   EXPECT_THROW(json::Parse(""), InvalidArgument);
+  // A number needs a digit before its exponent and one after the marker.
+  for (const char* number : {".e1", "e5", "-.e5", "+.e1", "1e", "1e+", "-",
+                             "."}) {
+    SCOPED_TRACE(number);
+    EXPECT_THROW(json::Parse(number), InvalidArgument);
+    EXPECT_THROW(json::Parse(std::string("{\"a\": ") + number + "}"),
+                 InvalidArgument);
+  }
+  // Every form the writers emit still parses, and so does a leading '+'.
+  EXPECT_EQ(json::Parse("3").number, 3.0);
+  EXPECT_EQ(json::Parse("-0.5").number, -0.5);
+  EXPECT_EQ(json::Parse("1.5e-07").number, 1.5e-07);
+  EXPECT_EQ(json::Parse("1e+20").number, 1e+20);
+  EXPECT_EQ(json::Parse("+1").number, 1.0);
 
   // Nesting is bounded at 256 levels; deeper input is rejected with the
   // offending bracket's offset instead of overflowing the stack.

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <tuple>
 
@@ -114,6 +115,32 @@ SparseVector MakeCancelling(std::uint32_t rank, std::uint32_t n,
     }
   }
   return SparseVector(dim, std::move(idx), std::move(val));
+}
+
+/// A dense vector standing for a sparse one, as the engines hold their
+/// payload: about 60% of coordinates hold a value, so most reduced blocks
+/// travel dense in the store phases, next to what is no entry: on
+/// k % 7 == 0 rank 0 holds +c and rank 1 -c, which cancel to +0.0; on
+/// k % 7 == 3 the last rank holds -0.0 and on k % 7 == 5 rank 0 a NaN,
+/// which the collective reads as +0.0.
+DenseVector MakeHeldSparse(std::uint32_t rank, std::uint32_t n,
+                           std::uint64_t dim) {
+  psra::Rng rng(733 + rank);
+  DenseVector v(dim, 0.0);
+  for (std::uint64_t i = 0; i < dim; ++i) {
+    const double c = 0.5 + static_cast<double>(i);
+    const double draw = rng.NextDouble(-2.0, 2.0);
+    if (i % 7 == 0) {
+      if (rank <= 1) v[i] = rank == 0 ? c : -c;
+    } else if (i % 7 == 3) {
+      if (rank + 1 == n) v[i] = -0.0;
+    } else if (i % 7 == 5 && rank == 0) {
+      v[i] = std::numeric_limits<double>::quiet_NaN();
+    } else if (rng.NextDouble() < 0.6) {
+      v[i] = draw;
+    }
+  }
+  return v;
 }
 
 bool BitwiseEqual(const DenseVector& a, const DenseVector& b) {
@@ -264,6 +291,69 @@ void CheckFlatConformance(AllreduceKind kind, std::uint32_t n,
   EXPECT_EQ(agg.bytes_sent, sim_stats.bytes_sent) << "n=" << n;
 }
 
+/// Asserts the wire's dense-held sparse collective over `n` inproc ranks
+/// reproduces the simulator's on the same dense inputs: flat (`racks` 1) or
+/// multi-level over `racks` racks. Values bitwise, entry counts equal, and
+/// WireStats summed over ranks equal to CommStats.
+void CheckHeldConformance(AllreduceKind kind, std::uint32_t n,
+                          std::uint32_t racks, std::uint64_t dim) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " racks=" << racks);
+  SimSide sim(n, racks);
+  const std::vector<VirtualTime> starts(n, 0.0);
+  const auto alg = comm::MakeAllreduce(kind);
+  const auto members = AllRanks(n);
+  std::vector<DenseVector> inputs;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    inputs.push_back(MakeHeldSparse(r, n, dim));
+  }
+  comm::AllreduceScratch scratch;
+  CommStats sim_stats;
+  DenseVector sim_sum;
+  std::vector<Rank> ranks(members.begin(), members.end());
+  comm::MultiLevelAllreduce ml(&sim.topo, &sim.cost, ranks);
+  const std::size_t sim_nnz =
+      racks == 1 ? alg->ReduceSparse(sim.group, inputs, starts, scratch,
+                                     sim_sum, sim_stats)
+                 : ml.ReduceSparse(*alg, inputs, starts, scratch, sim_sum,
+                                   sim_stats);
+
+  std::vector<DenseVector> outs(n);
+  std::vector<WireStats> wire(n);
+  std::vector<std::size_t> nnz(n);
+  RunInproc(n, [&](std::uint32_t r, Transport& t) {
+    WireCollectives wc(t, sim.group.pricing());
+    nnz[r] = racks == 1
+                 ? wc.AllreduceSparse(kind, members, inputs[r], outs[r],
+                                      wire[r])
+                 : wc.MultiLevelSparse(kind, members, n / racks, inputs[r],
+                                       outs[r], wire[r]);
+  });
+  WireStats agg;
+  std::size_t rounds = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    ASSERT_TRUE(BitwiseEqual(outs[r], sim_sum)) << "rank " << r;
+    EXPECT_EQ(nnz[r], sim_nnz) << "rank " << r;
+    agg.elements_sent += wire[r].elements_sent;
+    agg.messages_sent += wire[r].messages_sent;
+    agg.bytes_sent += wire[r].bytes_sent;
+    agg.redist_elements += wire[r].redist_elements;
+    agg.redist_messages += wire[r].redist_messages;
+    if (racks == 1) {
+      EXPECT_EQ(wire[r].rounds, sim_stats.rounds) << "rank " << r;
+    } else if (r % (n / racks) == 0) {
+      rounds += wire[r].rack_rounds;
+    }
+  }
+  EXPECT_EQ(agg.elements_sent, sim_stats.elements_sent);
+  EXPECT_EQ(agg.messages_sent, sim_stats.messages_sent);
+  EXPECT_EQ(agg.bytes_sent, sim_stats.bytes_sent);
+  if (racks > 1) {
+    EXPECT_EQ(rounds + wire[0].root_rounds, sim_stats.rounds);
+    EXPECT_EQ(agg.redist_elements, ml.redistribution_elements());
+    EXPECT_EQ(agg.redist_messages, ml.redistribution_messages());
+  }
+}
+
 // --- Transport contract (inproc) ------------------------------------------
 
 TEST(InprocTransport, DeliversMatchedAndOrdered) {
@@ -349,11 +439,16 @@ TEST(InprocTransport, StatsCountAndPublish) {
 /// `cancelling` cases run on MakeCancelling inputs: reduced blocks past
 /// half fill travel dense in the store phases and hold a cancellation to
 /// +0.0 and a lone -0.0, so the wire must canonicalize as the simulator does.
+/// `held_racks` cases (1 flat, 2 two-rack) run the dense-held sparse
+/// collective on MakeHeldSparse inputs at n = 1..8.
 struct ConformanceCase {
   AllreduceKind kind;
   bool sparse;
   bool with_empty;
   bool cancelling;
+  // One byte, in what would be padding: gtest prints a parameter's bytes in
+  // the test name, so the struct keeps its size and the names their text.
+  std::uint8_t held_racks;
   const char* name;
 };
 
@@ -361,6 +456,12 @@ class WireConformance : public ::testing::TestWithParam<ConformanceCase> {};
 
 TEST_P(WireConformance, MatchesSimulatorAcrossGroupSizes) {
   const auto& c = GetParam();
+  if (c.held_racks != 0) {
+    for (std::uint32_t n = c.held_racks; n <= 8; n += c.held_racks) {
+      CheckHeldConformance(c.kind, n, c.held_racks, /*dim=*/100);
+    }
+    return;
+  }
   for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
     CheckFlatConformance(c.kind, n, /*dim=*/96 + 7, c.sparse, c.with_empty,
                          c.cancelling);
@@ -370,26 +471,40 @@ TEST_P(WireConformance, MatchesSimulatorAcrossGroupSizes) {
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, WireConformance,
     ::testing::Values(
-        ConformanceCase{AllreduceKind::kPsr, false, false, false, "psr_dense"},
-        ConformanceCase{AllreduceKind::kPsr, true, false, false, "psr_sparse"},
-        ConformanceCase{AllreduceKind::kPsr, true, true, false,
+        ConformanceCase{AllreduceKind::kPsr, false, false, false, 0,
+                        "psr_dense"},
+        ConformanceCase{AllreduceKind::kPsr, true, false, false, 0,
+                        "psr_sparse"},
+        ConformanceCase{AllreduceKind::kPsr, true, true, false, 0,
                         "psr_sparse_empty"},
-        ConformanceCase{AllreduceKind::kPsr, true, false, true,
+        ConformanceCase{AllreduceKind::kPsr, true, false, true, 0,
                         "psr_sparse_cancelling"},
-        ConformanceCase{AllreduceKind::kRing, false, false, false,
+        ConformanceCase{AllreduceKind::kRing, false, false, false, 0,
                         "ring_dense"},
-        ConformanceCase{AllreduceKind::kRing, true, false, false,
+        ConformanceCase{AllreduceKind::kRing, true, false, false, 0,
                         "ring_sparse"},
-        ConformanceCase{AllreduceKind::kRing, true, false, true,
+        ConformanceCase{AllreduceKind::kRing, true, false, true, 0,
                         "ring_sparse_cancelling"},
-        ConformanceCase{AllreduceKind::kNaive, false, false, false,
+        ConformanceCase{AllreduceKind::kNaive, false, false, false, 0,
                         "naive_dense"},
-        ConformanceCase{AllreduceKind::kNaive, true, false, false,
+        ConformanceCase{AllreduceKind::kNaive, true, false, false, 0,
                         "naive_sparse"},
-        ConformanceCase{AllreduceKind::kNaive, true, true, false,
+        ConformanceCase{AllreduceKind::kNaive, true, true, false, 0,
                         "naive_sparse_empty"},
-        ConformanceCase{AllreduceKind::kNaive, true, false, true,
-                        "naive_sparse_cancelling"}),
+        ConformanceCase{AllreduceKind::kNaive, true, false, true, 0,
+                        "naive_sparse_cancelling"},
+        ConformanceCase{AllreduceKind::kPsr, true, false, false, 1,
+                        "psr_sparse_held"},
+        ConformanceCase{AllreduceKind::kRing, true, false, false, 1,
+                        "ring_sparse_held"},
+        ConformanceCase{AllreduceKind::kNaive, true, false, false, 1,
+                        "naive_sparse_held"},
+        ConformanceCase{AllreduceKind::kPsr, true, false, false, 2,
+                        "psr_sparse_held_two_rack"},
+        ConformanceCase{AllreduceKind::kRing, true, false, false, 2,
+                        "ring_sparse_held_two_rack"},
+        ConformanceCase{AllreduceKind::kNaive, true, false, false, 2,
+                        "naive_sparse_held_two_rack"}),
     [](const auto& info) { return info.param.name; });
 
 /// Multi-level (rack -> root -> redistribute) runs of every algorithm, on
@@ -412,14 +527,14 @@ TEST_P(WireHierarchicalConformance, MatchesSimulator) {
     comm::AllreduceScratch scratch;
     CommStats sim_stats;
     std::vector<WireStats> wire(n);
-    if (c.sparse) {
-      std::vector<SparseVector> inputs;
+    if (c.sparse) {  // held dense, as the engines hold it
+      std::vector<DenseVector> inputs;
       for (std::uint32_t r = 0; r < n; ++r) {
-        inputs.push_back(MakeSparse(r, dim, c.with_empty));
+        inputs.push_back(MakeSparse(r, dim, c.with_empty).ToDense());
       }
-      SparseVector sim_sum;
+      DenseVector sim_sum;
       ml.ReduceSparse(*alg, inputs, starts, scratch, sim_sum, sim_stats);
-      std::vector<SparseVector> outs(n);
+      std::vector<DenseVector> outs(n);
       RunInproc(n, [&](std::uint32_t r, Transport& t) {
         WireCollectives wc(t, sim.group.pricing());
         wc.MultiLevelSparse(c.kind, wire_members, per_rack, inputs[r],
@@ -468,16 +583,17 @@ TEST_P(WireHierarchicalConformance, MatchesSimulator) {
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, WireHierarchicalConformance,
     ::testing::Values(
-        ConformanceCase{AllreduceKind::kPsr, false, false, false, "psr_dense"},
-        ConformanceCase{AllreduceKind::kPsr, true, true, false,
+        ConformanceCase{AllreduceKind::kPsr, false, false, false, 0,
+                        "psr_dense"},
+        ConformanceCase{AllreduceKind::kPsr, true, true, false, 0,
                         "psr_sparse_empty"},
-        ConformanceCase{AllreduceKind::kRing, false, false, false,
+        ConformanceCase{AllreduceKind::kRing, false, false, false, 0,
                         "ring_dense"},
-        ConformanceCase{AllreduceKind::kRing, true, true, false,
+        ConformanceCase{AllreduceKind::kRing, true, true, false, 0,
                         "ring_sparse_empty"},
-        ConformanceCase{AllreduceKind::kNaive, false, false, false,
+        ConformanceCase{AllreduceKind::kNaive, false, false, false, 0,
                         "naive_dense"},
-        ConformanceCase{AllreduceKind::kNaive, true, true, false,
+        ConformanceCase{AllreduceKind::kNaive, true, true, false, 0,
                         "naive_sparse_empty"}),
     [](const auto& info) { return info.param.name; });
 
@@ -510,7 +626,8 @@ TEST(WireScratch, ReusedBuffersCarryNothingBetweenCollectives) {
       if (s.per_rack == 0) {
         wc.AllreduceSparse(s.kind, members, in, sparse, st);
       } else {
-        wc.MultiLevelSparse(s.kind, members, s.per_rack, in, sparse, st);
+        wc.MultiLevelSparse(s.kind, members, s.per_rack, in.ToDense(), dense,
+                            st);
       }
     } else if (s.per_rack == 0) {
       wc.AllreduceDense(s.kind, members, MakeDense(r, s.dim), dense, st);
@@ -650,6 +767,42 @@ TEST(WireFrames, MalformedSparseFramesThrow) {
     EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kRing, ring3,
                                     SparseVector(6, {2}, {1.0}), out, st),
                  psra::InvalidArgument);
+  }
+}
+
+// A reduce phase folds a sparse frame's entries into its dense block, so
+// their indices must be strictly increasing: a repeated or out-of-order
+// index throws before the frame is folded, on either input format.
+TEST(WireFrames, UnorderedSparseFramesThrow) {
+  const ElemPricing pricing;
+  const std::vector<Transport::Rank> members{0, 1};
+  const auto one = std::bit_cast<std::uint64_t>(1.0);
+  for (const std::uint64_t second : {2u, 3u}) {
+    for (const bool held : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << second << " held=" << held);
+      // PSR over dim 4: rank 1 owns block [2, 4) and folds rank 0's slice
+      // of it first.
+      InprocMesh mesh(2);
+      const std::vector<std::uint64_t> words{1, 2, 3, second, one, one};
+      std::vector<std::byte> bytes(words.size() * sizeof(std::uint64_t));
+      std::memcpy(bytes.data(), words.data(), bytes.size());
+      mesh.endpoint(0).Post(1, 0, bytes);
+      WireCollectives wc(mesh.endpoint(1), pricing);
+      WireStats st;
+      if (held) {
+        DenseVector out;
+        EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kPsr, members,
+                                        DenseVector{0.0, 1.0, 0.0, 2.0}, out,
+                                        st),
+                     psra::InvalidArgument);
+      } else {
+        SparseVector out;
+        EXPECT_THROW(wc.AllreduceSparse(AllreduceKind::kPsr, members,
+                                        SparseVector(4, {1, 3}, {1.0, 2.0}),
+                                        out, st),
+                     psra::InvalidArgument);
+      }
+    }
   }
 }
 

@@ -14,12 +14,14 @@
 //   psra_launch --ranks 4 -- ./psra_conformance --dim 103
 //
 // Covers psr/ring/naive x dense/sparse (plus empty-contribution sparse
-// variants) and — when the world size is a multiple of 2 and >= 4 — the
-// hierarchical rack/root/redistribute decomposition.
+// variants), psr and ring on the sparse payload the engines hold dense, and
+// — when the world size is a multiple of 2 and >= 4 — the hierarchical
+// rack/root/redistribute decomposition.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -88,6 +90,33 @@ SparseVector MakeSparse(std::uint32_t rank, std::uint64_t dim,
   return SparseVector(dim, std::move(idx), std::move(val));
 }
 
+/// A dense vector standing for a sparse one (the engines' payload): about
+/// 60% of coordinates hold a value, so most reduced blocks travel dense in
+/// the store phases. It also holds what is not an entry: on k % 7 == 0
+/// rank 0 holds +c and rank 1 -c, which cancel to +0.0; on k % 7 == 3 the
+/// last rank holds -0.0 and on k % 7 == 5 rank 0 holds NaN, which the
+/// collective reads as +0.0. With `with_empty`, rank 0 holds no value.
+DenseVector MakeHeldSparse(std::uint32_t rank, std::uint32_t world,
+                           std::uint64_t dim, bool with_empty) {
+  psra::Rng rng(733 + rank);
+  DenseVector v(dim, 0.0);
+  if (with_empty && rank == 0) return v;
+  for (std::uint64_t i = 0; i < dim; ++i) {
+    const double c = 0.5 + static_cast<double>(i);
+    const double draw = rng.NextDouble(-2.0, 2.0);
+    if (i % 7 == 0) {
+      if (rank <= 1) v[i] = rank == 0 ? c : -c;
+    } else if (i % 7 == 3) {
+      if (rank + 1 == world) v[i] = -0.0;
+    } else if (i % 7 == 5 && rank == 0) {
+      v[i] = std::numeric_limits<double>::quiet_NaN();
+    } else if (rng.NextDouble() < 0.6) {
+      v[i] = draw;
+    }
+  }
+  return v;
+}
+
 bool BitwiseEqual(const DenseVector& a, const DenseVector& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -125,22 +154,27 @@ std::vector<Transport::Rank> AllRanks(std::uint32_t n) {
   return m;
 }
 
+/// A flat case's payload: dense, SparseVector, or sparse held dense.
+enum class Payload { kDense, kSparse, kHeld };
+
 struct Case {
   AllreduceKind kind;
-  bool sparse;
+  Payload payload;
   bool with_empty;
   const char* name;
 };
 
 constexpr Case kFlatCases[] = {
-    {AllreduceKind::kPsr, false, false, "psr_dense"},
-    {AllreduceKind::kPsr, true, false, "psr_sparse"},
-    {AllreduceKind::kPsr, true, true, "psr_sparse_empty"},
-    {AllreduceKind::kRing, false, false, "ring_dense"},
-    {AllreduceKind::kRing, true, false, "ring_sparse"},
-    {AllreduceKind::kNaive, false, false, "naive_dense"},
-    {AllreduceKind::kNaive, true, false, "naive_sparse"},
-    {AllreduceKind::kNaive, true, true, "naive_sparse_empty"},
+    {AllreduceKind::kPsr, Payload::kDense, false, "psr_dense"},
+    {AllreduceKind::kPsr, Payload::kSparse, false, "psr_sparse"},
+    {AllreduceKind::kPsr, Payload::kSparse, true, "psr_sparse_empty"},
+    {AllreduceKind::kPsr, Payload::kHeld, false, "psr_sparse_held"},
+    {AllreduceKind::kRing, Payload::kDense, false, "ring_dense"},
+    {AllreduceKind::kRing, Payload::kSparse, false, "ring_sparse"},
+    {AllreduceKind::kRing, Payload::kHeld, false, "ring_sparse_held"},
+    {AllreduceKind::kNaive, Payload::kDense, false, "naive_dense"},
+    {AllreduceKind::kNaive, Payload::kSparse, false, "naive_sparse"},
+    {AllreduceKind::kNaive, Payload::kSparse, true, "naive_sparse_empty"},
 };
 
 void Fail(const char* case_name, const char* what) {
@@ -187,7 +221,7 @@ void RunFlatCase(Transport& t, WireCollectives& wc, const Case& c,
   CommStats sim_stats;
   WireStats st;
 
-  if (c.sparse) {
+  if (c.payload == Payload::kSparse) {
     std::vector<SparseVector> inputs;
     for (std::uint32_t r = 0; r < world; ++r) {
       inputs.push_back(MakeSparse(r, dim, c.with_empty));
@@ -197,6 +231,20 @@ void RunFlatCase(Transport& t, WireCollectives& wc, const Case& c,
     SparseVector out;
     wc.AllreduceSparse(c.kind, members, inputs[t.rank()], out, st);
     if (!BitwiseEqual(out, expected)) Fail(c.name, "sparse value mismatch");
+  } else if (c.payload == Payload::kHeld) {
+    std::vector<DenseVector> inputs;
+    for (std::uint32_t r = 0; r < world; ++r) {
+      inputs.push_back(MakeHeldSparse(r, world, dim, c.with_empty));
+    }
+    DenseVector expected;
+    const std::size_t nnz = alg->ReduceSparse(sim.group, inputs, starts,
+                                              scratch, expected, sim_stats);
+    DenseVector out;
+    if (wc.AllreduceSparse(c.kind, members, inputs[t.rank()], out, st) !=
+        nnz) {
+      Fail(c.name, "entry count mismatch");
+    }
+    if (!BitwiseEqual(out, expected)) Fail(c.name, "held value mismatch");
   } else {
     std::vector<DenseVector> inputs;
     for (std::uint32_t r = 0; r < world; ++r) {
@@ -235,8 +283,8 @@ void RunFlatCase(Transport& t, WireCollectives& wc, const Case& c,
 }
 
 /// Hierarchical conformance: racks of 2 over the whole world, PSR at both
-/// levels (the paper's headline configuration), dense and sparse. Rank 0
-/// aggregates the full per-stage stats 7-tuple.
+/// levels (the paper's headline configuration), dense and sparse held
+/// dense. Rank 0 aggregates the full per-stage stats 7-tuple.
 void RunHierarchicalCase(Transport& t, WireCollectives& wc, bool sparse,
                          std::uint32_t world, std::uint64_t dim,
                          Transport::Tag stats_tag, const char* case_name,
@@ -254,15 +302,18 @@ void RunHierarchicalCase(Transport& t, WireCollectives& wc, bool sparse,
   const auto wire_members = AllRanks(world);
 
   if (sparse) {
-    std::vector<SparseVector> inputs;
+    std::vector<DenseVector> inputs;
     for (std::uint32_t r = 0; r < world; ++r) {
-      inputs.push_back(MakeSparse(r, dim, /*with_empty=*/true));
+      inputs.push_back(MakeHeldSparse(r, world, dim, /*with_empty=*/true));
     }
-    SparseVector expected;
-    ml.ReduceSparse(*alg, inputs, starts, scratch, expected, sim_stats);
-    SparseVector out;
-    wc.MultiLevelSparse(AllreduceKind::kPsr, wire_members, per_rack,
-                        inputs[t.rank()], out, st);
+    DenseVector expected;
+    const std::size_t nnz =
+        ml.ReduceSparse(*alg, inputs, starts, scratch, expected, sim_stats);
+    DenseVector out;
+    if (wc.MultiLevelSparse(AllreduceKind::kPsr, wire_members, per_rack,
+                            inputs[t.rank()], out, st) != nnz) {
+      Fail(case_name, "entry count mismatch");
+    }
     if (!BitwiseEqual(out, expected)) Fail(case_name, "value mismatch");
   } else {
     std::vector<DenseVector> inputs;
